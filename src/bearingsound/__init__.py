@@ -1,8 +1,8 @@
 """Airborne bearing-fault detection: cepstral features, an MLP classifier,
 and a synthetic vibroacoustic campaign generator with evaluation tooling."""
 
-from .dsp import (FeatureVector, MelFilterbank, MfccConfig, build_filterbank,
-                  extract_features, filterbank_energies, mfcc, power_spectrum)
+from .dsp import (MelFilterbank, MfccConfig, build_filterbank,
+                  filterbank_energies, mfcc, power_spectrum)
 from .errors import (ConfigError, DataError, FormatError, NumericError,
                      PipelineError)
 from .synth import (AudioRecording, ChannelSpec, FaultSpec, SynthConfig,
@@ -10,10 +10,10 @@ from .synth import (AudioRecording, ChannelSpec, FaultSpec, SynthConfig,
 
 __all__ = [
     "AudioRecording", "ChannelSpec", "ConfigError", "DataError", "FaultSpec",
-    "FeatureVector", "FormatError", "MelFilterbank", "MfccConfig",
-    "NumericError", "PipelineError", "SynthConfig", "build_filterbank",
-    "default_scenario", "extract_features", "filterbank_energies", "mfcc",
-    "power_spectrum", "synth_campaign", "synth_recording",
+    "FormatError", "MelFilterbank", "MfccConfig", "NumericError",
+    "PipelineError", "SynthConfig", "build_filterbank", "default_scenario",
+    "filterbank_energies", "mfcc", "power_spectrum", "synth_campaign",
+    "synth_recording",
 ]
 
 __version__ = "0.1.0"

@@ -61,8 +61,6 @@ def _parse_channels(text: str) -> tuple[str, ...]:
 
 def _add_mfcc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fs", type=float, default=25600.0, help="sample rate in Hz")
-    p.add_argument("--frame-len", type=int, default=2048,
-                   help="frame length in samples (power of two)")
     p.add_argument("--mel-channels", type=int, default=26,
                    help="number of Mel filters")
     p.add_argument("--coeffs", type=int, default=13,
@@ -90,8 +88,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _mfcc_config(args) -> MfccConfig:
-    return MfccConfig(dft_size=args.frame_len, num_channels=args.mel_channels,
-                      sample_rate=args.fs, num_coeffs=args.coeffs)
+    return MfccConfig(num_channels=args.mel_channels, sample_rate=args.fs,
+                      num_coeffs=args.coeffs)
 
 
 def _split_spec(args) -> SplitSpec:
@@ -162,8 +160,7 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _load_split_frames(args, manifest, config, band):
-    channels = _pool_channels(args, manifest)
+def _load_cached_frames(args, manifest, channels) -> dataset.Frames:
     features_dir = Path(args.features)
     caches = {}
     for channel_id in channels:
@@ -178,30 +175,21 @@ def cmd_train(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
     config = _mfcc_config(args)
     band = _parse_band(args.band)
-    frames = _load_split_frames(args, manifest, config, band)
+    channels = _pool_channels(args, manifest)
+    frames = _load_cached_frames(args, manifest, channels)
     split = _split_spec(args)
-    run = experiments.split_and_train(frames, split, _train_config(args),
-                                      normalize=not args.no_normalize)
+    train_config = _train_config(args)
+    normalize = not args.no_normalize
+    run = experiments.split_and_train(frames, split, train_config,
+                                      normalize=normalize)
     model_path = Path(args.out)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     mlp.save_model(run["model"], model_path)
     log = {
         "seed": args.seed,
-        "mfcc": experiments.mfcc_signature(config, band),
-        "normalize": not args.no_normalize,
-        "split": {
-            "mode": split.mode,
-            "train_size": split.train_size,
-            "test_size": split.test_size,
-            "seed": split.seed,
-            "train_channels": split.train_channels,
-            "test_channels": split.test_channels,
-        },
-        "train_config": {
-            "epochs": args.epochs, "learning_rate": args.lr,
-            "batch_size": args.batch, "seed": args.seed,
-        },
-        "train_class_counts": dataset.label_counts(run["train_frames"]),
+        **experiments.provenance(manifest, channels, config, band, split,
+                                 train_config, normalize),
+        "train_class_counts": dataset.label_counts(run["train_frames"].labels),
         "per_epoch_loss": run["loss_history"],
         "final_train_accuracy": run["train_accuracy"],
     }
@@ -218,12 +206,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
     model = mlp.load_model(args.model)
-    config = _mfcc_config(args)
-    band = _parse_band(args.band)
-    frames = _load_split_frames(args, manifest, config, band)
-    split = _split_spec(args)
-    _, test_frames = dataset.make_split(frames, split)
-    report = experiments.evaluate_frames(model, test_frames)
+    frames = _load_cached_frames(args, manifest, _pool_channels(args, manifest))
+    _, test_rows = dataset.make_split(frames, _split_spec(args))
+    report = experiments.evaluate_frames(model, frames.take(test_rows))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics.write_report(report, out_dir / "report.json", out_dir / "report.txt")
@@ -238,15 +223,8 @@ def cmd_scatter(args) -> int:
         pair = (int(a_text), int(b_text))
     except ValueError:
         raise ConfigError(f"--pair expects A:B coefficient indices, got {args.pair!r}")
-    features_dir = Path(args.features)
-    caches = {}
     channels = _parse_channels(args.channels) if args.channels else manifest.channels()
-    for channel_id in channels:
-        path = features_dir / f"{channel_id}.abfc"
-        if not path.exists():
-            raise DataError(f"feature cache not found: {path} (run extract first)")
-        caches[channel_id] = path
-    frames = experiments.load_frames(manifest, caches)
+    frames = _load_cached_frames(args, manifest, channels)
     rows = metrics.export_scatter(frames, pair, args.out)
     print(f"wrote {rows} rows to {args.out}")
     return EXIT_OK

@@ -1,23 +1,27 @@
-"""Recordings to labeled, gated, normalized feature frames.
+"""Recordings to labeled, gated feature frames.
 
 A campaign on disk is a set of WAV files plus a JSON manifest mapping channel
 ids to file, label (H/D), axle, component and a free-text damage description.
 Frames whose mean shaft frequency falls outside the gating band are dropped;
-the survivors carry their features, label, channel and original frame index.
+the survivors are held as parallel arrays of features, label, channel, shaft
+frequency and original frame index.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dsp import FeatureVector, MfccConfig, feature_matrix
+from .dsp import MfccConfig, feature_matrix
 from .errors import DataError, FormatError
 from .synth import AudioRecording
+
+# Class index of each label, fixed project-wide: H is 0, D is 1.
+LABELS = ("H", "D")
 
 BAND_LOW_HZ = 42.0
 BAND_HIGH_HZ = 45.0
@@ -71,7 +75,7 @@ class Manifest:
 
 
 def _check_entry(channel_id: str, entry: ManifestEntry) -> None:
-    if entry.label not in ("H", "D"):
+    if entry.label not in LABELS:
         raise DataError(f"{channel_id}: label must be H or D, got {entry.label!r}")
     if entry.component not in ("motor", "gearbox"):
         raise DataError(
@@ -131,19 +135,52 @@ def load_manifest(path) -> Manifest:
 
 
 @dataclass(frozen=True)
-class FrameRecord:
-    """One gated frame: features plus label, origin and shaft frequency."""
+class Frames:
+    """Gated frames as parallel arrays, one row per frame.
 
-    features: FeatureVector
-    label: str
-    channel_id: str
-    mean_rot_freq: float
-    frame_index: int
+    coeffs is (n, num_coeffs); labels are class indices into LABELS; channels
+    index channel_ids; rot is each frame's mean shaft frequency and index its
+    position in the source recording.
+    """
+
+    coeffs: np.ndarray
+    labels: np.ndarray
+    channels: np.ndarray
+    rot: np.ndarray
+    index: np.ndarray
+    channel_ids: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def take(self, rows) -> "Frames":
+        return Frames(coeffs=self.coeffs[rows], labels=self.labels[rows],
+                      channels=self.channels[rows], rot=self.rot[rows],
+                      index=self.index[rows], channel_ids=self.channel_ids)
+
+    @staticmethod
+    def concat(parts) -> "Frames":
+        """The parts' rows in order, with their channel ids appended in turn."""
+        offsets = np.cumsum([0] + [len(p.channel_ids) for p in parts])
+        return Frames(
+            coeffs=np.concatenate([p.coeffs for p in parts]),
+            labels=np.concatenate([p.labels for p in parts]),
+            channels=np.concatenate([p.channels + o for p, o in zip(parts, offsets)]),
+            rot=np.concatenate([p.rot for p in parts]),
+            index=np.concatenate([p.index for p in parts]),
+            channel_ids=sum((p.channel_ids for p in parts), ()))
+
+
+def _channel_frames(coeffs, rot, index, label: str, channel_id: str) -> Frames:
+    n = len(rot)
+    return Frames(coeffs=coeffs, labels=np.full(n, LABELS.index(label)),
+                  channels=np.zeros(n, dtype=np.int64), rot=rot, index=index,
+                  channel_ids=(channel_id,))
 
 
 def gate_frames(recording: AudioRecording, config: MfccConfig, label: str,
                 band_low: float = BAND_LOW_HZ,
-                band_high: float = BAND_HIGH_HZ) -> list[FrameRecord]:
+                band_high: float = BAND_HIGH_HZ) -> Frames:
     """Features for the frames whose mean rotational frequency lies in
     [band_low, band_high] (both ends inclusive)."""
     track = recording.rotational_freq_track
@@ -154,24 +191,10 @@ def gate_frames(recording: AudioRecording, config: MfccConfig, label: str,
         raise DataError(
             f"{recording.channel_id}: track length {len(track)} does not match "
             f"{num_frames} frames of {config.dft_size} samples")
+    keep = (track >= band_low) & (track <= band_high)
     rows = feature_matrix(recording.samples, config)
-    records = []
-    for index in range(num_frames):
-        f_bar = float(track[index])
-        if band_low <= f_bar <= band_high:
-            records.append(FrameRecord(
-                features=FeatureVector(coeffs=rows[index]),
-                label=label,
-                channel_id=recording.channel_id,
-                mean_rot_freq=f_bar,
-                frame_index=index,
-            ))
-    return records
-
-
-def in_band(frames: list[FrameRecord], band_low: float = BAND_LOW_HZ,
-            band_high: float = BAND_HIGH_HZ) -> list[FrameRecord]:
-    return [f for f in frames if band_low <= f.mean_rot_freq <= band_high]
+    return _channel_frames(rows[keep], track[keep], np.flatnonzero(keep), label,
+                           recording.channel_id)
 
 
 # --- train/test splitting ---------------------------------------------------
@@ -202,29 +225,24 @@ class SplitSpec:
                     f"channels in both train and test: {', '.join(sorted(overlap))}")
 
 
-def _subsample_per_channel(frames: list[FrameRecord], channels: tuple[str, ...],
-                           size: int, rng: np.random.Generator) -> list[FrameRecord]:
-    """Draw `size` frames spread as evenly as possible over the channels."""
-    by_channel = {c: [] for c in channels}
-    for frame in frames:
-        if frame.channel_id in by_channel:
-            by_channel[frame.channel_id].append(frame)
+def _subsample_per_channel(frames: Frames, channels: tuple[str, ...],
+                           size: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows of `size` frames spread as evenly as possible over the channels."""
+    codes = {c: i for i, c in enumerate(frames.channel_ids)}
     base, extra = divmod(size, len(channels))
     picked = []
     for rank, channel in enumerate(channels):
         want = base + (1 if rank < extra else 0)
-        pool = by_channel[channel]
+        pool = np.flatnonzero(frames.channels == codes.get(channel, -1))
         if len(pool) < want:
             raise DataError(
                 f"channel {channel} has {len(pool)} gated frames, need {want}")
-        take = np.sort(rng.permutation(len(pool))[:want])
-        picked.extend(pool[i] for i in take)
-    return picked
+        picked.append(pool[np.sort(rng.permutation(len(pool))[:want])])
+    return np.concatenate(picked)
 
 
-def make_split(frames: list[FrameRecord],
-               spec: SplitSpec) -> tuple[list[FrameRecord], list[FrameRecord]]:
-    """Partition frames into train/test sets; deterministic given spec.seed."""
+def make_split(frames: Frames, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test row indices into frames; deterministic given spec.seed."""
     rng = np.random.default_rng(spec.seed)
     if spec.mode == "random":
         total = spec.train_size + spec.test_size
@@ -232,20 +250,16 @@ def make_split(frames: list[FrameRecord],
             raise DataError(
                 f"split needs {total} frames, only {len(frames)} available")
         order = rng.permutation(len(frames))
-        train = [frames[i] for i in order[: spec.train_size]]
-        test = [frames[i] for i in order[spec.train_size : total]]
-        return train, test
+        return order[: spec.train_size], order[spec.train_size : total]
 
     train = _subsample_per_channel(frames, spec.train_channels, spec.train_size, rng)
     test = _subsample_per_channel(frames, spec.test_channels, spec.test_size, rng)
     return train, test
 
 
-def label_counts(frames: list[FrameRecord]) -> dict[str, int]:
-    counts = {"H": 0, "D": 0}
-    for frame in frames:
-        counts[frame.label] = counts.get(frame.label, 0) + 1
-    return counts
+def label_counts(labels: np.ndarray) -> dict[str, int]:
+    counts = np.bincount(labels, minlength=len(LABELS))
+    return {label: int(count) for label, count in zip(LABELS, counts)}
 
 
 # --- feature normalization ---------------------------------------------------
@@ -267,32 +281,19 @@ class NormalizationStats:
             raise DataError("normalization std must be strictly positive")
 
 
-def features_as_matrix(frames: list[FrameRecord]) -> np.ndarray:
-    return np.array([f.features.coeffs for f in frames])
-
-
-def fit_normalization(frames: list[FrameRecord]) -> NormalizationStats:
-    if len(frames) < 2:
+def fit_normalization(x: np.ndarray) -> NormalizationStats:
+    """Per-coefficient mean and std of a (frames, coeffs) training matrix."""
+    if len(x) < 2:
         raise DataError(
-            f"normalization needs at least two frames, got {len(frames)}")
-    matrix = features_as_matrix(frames)
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
+            f"normalization needs at least two frames, got {len(x)}")
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
     degenerate = np.flatnonzero(std == 0)
     if degenerate.size:
         raise DataError(
             "zero-variance coefficient(s): "
             + ", ".join(f"c{i + 1}" for i in degenerate))
     return NormalizationStats(mean=mean, std=std)
-
-
-def apply_normalization(frames: list[FrameRecord],
-                        stats: NormalizationStats) -> list[FrameRecord]:
-    out = []
-    for frame in frames:
-        coeffs = (frame.features.coeffs - stats.mean) / stats.std
-        out.append(replace(frame, features=FeatureVector(coeffs=coeffs, normalized=True)))
-    return out
 
 
 # --- per-channel feature cache -----------------------------------------------
@@ -303,15 +304,14 @@ def _cache_dtype(num_coeffs: int) -> np.dtype:
                      ("idx", "<u8")])
 
 
-def write_cache(path, frames: list[FrameRecord], num_coeffs: int) -> None:
+def write_cache(path, frames: Frames, num_coeffs: int) -> None:
     """Binary per-channel cache of gated frames."""
+    if frames.coeffs.shape[1] != num_coeffs:
+        raise DataError(
+            f"frames have {frames.coeffs.shape[1]} coefficients, "
+            f"cache expects {num_coeffs}")
     data = np.zeros(len(frames), dtype=_cache_dtype(num_coeffs))
-    for i, frame in enumerate(frames):
-        if len(frame.features.coeffs) != num_coeffs:
-            raise DataError(
-                f"frame has {len(frame.features.coeffs)} coefficients, "
-                f"cache expects {num_coeffs}")
-        data[i] = (frame.mean_rot_freq, frame.features.coeffs, frame.frame_index)
+    data["rot"], data["coeffs"], data["idx"] = frames.rot, frames.coeffs, frames.index
     header = CACHE_MAGIC + struct.pack("<HHQ", CACHE_VERSION, num_coeffs, len(frames))
     Path(path).write_bytes(header + data.tobytes())
 
@@ -340,15 +340,5 @@ def read_cache(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return coeffs, data["rot"].copy(), data["idx"].astype(np.int64)
 
 
-def frames_from_cache(path, label: str, channel_id: str) -> list[FrameRecord]:
-    coeffs, rot, idx = read_cache(path)
-    return [
-        FrameRecord(
-            features=FeatureVector(coeffs=coeffs[i]),
-            label=label,
-            channel_id=channel_id,
-            mean_rot_freq=float(rot[i]),
-            frame_index=int(idx[i]),
-        )
-        for i in range(len(rot))
-    ]
+def frames_from_cache(path, label: str, channel_id: str) -> Frames:
+    return _channel_frames(*read_cache(path), label, channel_id)

@@ -199,17 +199,6 @@ def filterbank_energies(spectrum: np.ndarray, fb: MelFilterbank) -> np.ndarray:
     return spectrum @ fb.weights.T
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Cepstral coefficients c1..c_num_coeffs for one frame."""
-
-    coeffs: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-
-
 def cepstral_basis(num_channels: int, num_coeffs: int) -> np.ndarray:
     """Cosine basis B[mu-1, i-1] = cos(pi*(2i-1)*mu / (2K)) for mu=1..num_coeffs."""
     mu = np.arange(1, num_coeffs + 1)[:, None]
@@ -217,8 +206,9 @@ def cepstral_basis(num_channels: int, num_coeffs: int) -> np.ndarray:
     return np.cos(np.pi * (2 * i - 1) * mu / (2 * num_channels))
 
 
-def mfcc(energies: np.ndarray, config: MfccConfig) -> FeatureVector:
-    """Cosine transform of the log filter energies.
+def mfcc(energies: np.ndarray, config: MfccConfig) -> np.ndarray:
+    """Cepstral coefficients c1..c_num_coeffs: the cosine transform of the log
+    filter energies.
 
     c_mu = sum_i log(max(X_i, log_floor)) * cos(pi*(2i-1)*mu / (2K)) for
     mu = 1..num_coeffs. The sum is unscaled and natural-log based; the floor
@@ -231,7 +221,7 @@ def mfcc(energies: np.ndarray, config: MfccConfig) -> FeatureVector:
         )
     log_e = np.log(np.maximum(energies, config.log_floor))
     basis = cepstral_basis(config.num_channels, config.num_coeffs)
-    return FeatureVector(coeffs=log_e @ basis.T)
+    return log_e @ basis.T
 
 
 def feature_matrix(samples: np.ndarray, config: MfccConfig,
@@ -263,19 +253,3 @@ def feature_matrix(samples: np.ndarray, config: MfccConfig,
         )
     return out
 
-
-def extract_features(recording, config: MfccConfig) -> list[FeatureVector]:
-    """Features for each complete frame of a recording, in temporal order.
-
-    The recording's sample rate must match the config; a mismatch means the
-    dataset and the feature config disagree and is reported as such.
-    """
-    from .errors import DataError
-
-    if float(recording.fs) != float(config.sample_rate):
-        raise DataError(
-            f"recording sample rate {recording.fs} Hz does not match "
-            f"config sample rate {config.sample_rate} Hz"
-        )
-    rows = feature_matrix(recording.samples, config)
-    return [FeatureVector(coeffs=row) for row in rows]

@@ -18,7 +18,7 @@ paths, so identical inputs and seeds reproduce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -103,17 +103,7 @@ def named_experiment(name: str, manifest: Manifest, seed: int,
 
 
 def mfcc_signature(config: MfccConfig, band: tuple[float, float]) -> dict:
-    return {
-        "dft_size": config.dft_size,
-        "num_channels": config.num_channels,
-        "sample_rate": config.sample_rate,
-        "freq_low": config.freq_low,
-        "freq_high": config.freq_high,
-        "num_coeffs": config.num_coeffs,
-        "window_kind": config.window_kind,
-        "log_floor": config.log_floor,
-        "band": [band[0], band[1]],
-    }
+    return {**asdict(config), "band": list(band)}
 
 
 def load_recording(manifest: Manifest, channel_id: str) -> AudioRecording:
@@ -169,58 +159,55 @@ def ensure_caches(manifest: Manifest, channels, config: MfccConfig,
     return paths
 
 
-def load_frames(manifest: Manifest, cache_paths: dict[str, Path]):
-    frames = []
-    for channel_id, path in cache_paths.items():
-        frames.extend(dataset.frames_from_cache(path, manifest.label(channel_id),
-                                                channel_id))
-    return frames
+def load_frames(manifest: Manifest, cache_paths: dict[str, Path]) -> dataset.Frames:
+    """The cached frames of every channel, in the order of cache_paths."""
+    if not cache_paths:
+        raise DataError("no channels to load")
+    return dataset.Frames.concat([
+        dataset.frames_from_cache(path, manifest.label(channel_id), channel_id)
+        for channel_id, path in cache_paths.items()])
 
 
 # --- the run itself -----------------------------------------------------------
 
 
-def split_and_train(frames, split: SplitSpec, train_config: TrainConfig,
-                    normalize: bool = True,
-                    hidden_dims=mlp.DEFAULT_HIDDEN_DIMS):
-    """Split, optionally fit/apply z-scoring, train; returns a run dict."""
-    train_frames, test_frames = dataset.make_split(frames, split)
-    stats = None
-    if normalize:
-        stats = dataset.fit_normalization(train_frames)
-        train_frames = dataset.apply_normalization(train_frames, stats)
-        test_frames = dataset.apply_normalization(test_frames, stats)
-    x_train = dataset.features_as_matrix(train_frames)
-    y_train = np.array([mlp.label_index(f.label) for f in train_frames])
-    model, history = mlp.train(x_train, y_train, train_config,
-                               hidden_dims=hidden_dims, norm_stats=stats)
+def split_and_train(frames: dataset.Frames, split: SplitSpec,
+                    train_config: TrainConfig, normalize: bool = True):
+    """Split, train (z-scoring with stats fitted on the training rows unless
+    normalize is off); returns a run dict."""
+    train_rows, test_rows = dataset.make_split(frames, split)
+    x_train, y_train = frames.coeffs[train_rows], frames.labels[train_rows]
+    stats = dataset.fit_normalization(x_train) if normalize else None
+    model, history = mlp.train(x_train, y_train, train_config, norm_stats=stats)
     train_probs = mlp.predict_batch(model, x_train)
     train_accuracy = float(np.mean(train_probs.argmax(axis=1) == y_train))
     return {
         "model": model,
         "loss_history": history,
-        "train_frames": train_frames,
-        "test_frames": test_frames,
+        "train_frames": frames.take(train_rows),
+        "test_frames": frames.take(test_rows),
         "train_accuracy": train_accuracy,
     }
 
 
-def evaluate_frames(model: mlp.MlpModel, frames) -> metrics.MetricsReport:
-    """Score frames with a model, applying its stored normalization to raw
-    features (already-normalized frames are used as-is)."""
-    if not frames:
-        raise DataError("nothing to evaluate: no frames")
-    x = dataset.features_as_matrix(frames)
-    if x.shape[1] != model.dims[0]:
-        raise DataError(
-            f"feature dimension {x.shape[1]} does not match model input "
-            f"{model.dims[0]}")
-    if model.norm_stats is not None and not frames[0].features.normalized:
-        x = (x - model.norm_stats.mean) / model.norm_stats.std
-    probs = mlp.predict_batch(model, x)
-    predicted = [mlp.LABELS[i] for i in probs.argmax(axis=1)]
-    truths = [f.label for f in frames]
-    return metrics.metrics(metrics.confusion(predicted, truths))
+def evaluate_frames(model: mlp.MlpModel,
+                    frames: dataset.Frames) -> metrics.MetricsReport:
+    """Score raw frames with a model, which applies its stored normalization."""
+    probs = mlp.predict_batch(model, frames.coeffs)
+    return metrics.metrics(metrics.confusion(probs.argmax(axis=1), frames.labels))
+
+
+def provenance(manifest: Manifest, channels, mfcc_config: MfccConfig,
+               band: tuple[float, float], split: SplitSpec,
+               train_config: TrainConfig, normalize: bool) -> dict:
+    """The settings a training run used, echoed into its logs."""
+    return {
+        "channels": {c: manifest.label(c) for c in channels},
+        "mfcc": mfcc_signature(mfcc_config, band),
+        "normalize": normalize,
+        "split": asdict(split),
+        "train_config": asdict(train_config),
+    }
 
 
 def run_experiment(manifest: Manifest, spec: ExperimentSpec,
@@ -240,37 +227,15 @@ def run_experiment(manifest: Manifest, spec: ExperimentSpec,
 
     model_path = out_dir / "model.abmm"
     mlp.save_model(run["model"], model_path)
-    echo = {
+    train_log = {
         "experiment": spec.name,
-        "channels": {c: manifest.entries[c].label for c in spec.channels},
-        "mfcc": mfcc_signature(mfcc_config, band),
-        "normalize": normalize,
-        "split": {
-            "mode": spec.split.mode,
-            "train_size": spec.split.train_size,
-            "test_size": spec.split.test_size,
-            "seed": spec.split.seed,
-            "train_channels": spec.split.train_channels,
-            "test_channels": spec.split.test_channels,
-        },
-        "train_config": {
-            "epochs": train_config.epochs,
-            "learning_rate": train_config.learning_rate,
-            "batch_size": train_config.batch_size,
-            "beta1": train_config.beta1,
-            "beta2": train_config.beta2,
-            "adam_eps": train_config.adam_eps,
-            "seed": train_config.seed,
-            "shuffle_each_epoch": train_config.shuffle_each_epoch,
-        },
-    }
-    train_log = dict(echo)
-    train_log.update({
-        "train_class_counts": dataset.label_counts(run["train_frames"]),
-        "test_class_counts": dataset.label_counts(run["test_frames"]),
+        **provenance(manifest, spec.channels, mfcc_config, band, spec.split,
+                     train_config, normalize),
+        "train_class_counts": dataset.label_counts(run["train_frames"].labels),
+        "test_class_counts": dataset.label_counts(run["test_frames"].labels),
         "per_epoch_loss": run["loss_history"],
         "final_train_accuracy": run["train_accuracy"],
-    })
+    }
     (out_dir / "train_log.json").write_text(
         json.dumps(train_log, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     metrics.write_report(report, out_dir / "report.json", out_dir / "report.txt")

@@ -16,10 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import FrameRecord
+from .dataset import LABELS, Frames
 from .errors import DataError
-
-_LABEL_TO_INDEX = {"H": 0, "D": 1}
 
 
 @dataclass(frozen=True)
@@ -52,26 +50,20 @@ class MetricsReport:
     counts: np.ndarray
 
 
-def _to_index_array(labels) -> np.ndarray:
-    labels = list(labels)
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, label in enumerate(labels):
-        if label not in _LABEL_TO_INDEX:
-            raise DataError(f"label must be H or D, got {label!r}")
-        out[i] = _LABEL_TO_INDEX[label]
-    return out
-
-
 def confusion(predictions, truths) -> ConfusionMatrix:
-    """Tally predicted-vs-true labels (sequences of "H"/"D")."""
-    pred = _to_index_array(predictions)
-    true = _to_index_array(truths)
+    """Tally predicted-vs-true class indices (0 = H, 1 = D)."""
+    pred, true = np.asarray(predictions), np.asarray(truths)
     if len(pred) != len(true):
         raise DataError(
             f"{len(pred)} predictions vs {len(true)} truths")
-    counts = np.zeros((2, 2), dtype=np.int64)
-    np.add.at(counts, (pred, true), 1)
-    return ConfusionMatrix(counts=counts)
+    both = np.concatenate([pred, true])
+    bad = both[~np.isin(both, (0, 1))]
+    if bad.size:
+        raise DataError(
+            f"label must be class index 0 (H) or 1 (D), got {bad[0].item()!r}")
+    counts = np.bincount(2 * pred.astype(np.int64) + true.astype(np.int64),
+                         minlength=4)
+    return ConfusionMatrix(counts=counts.reshape(2, 2))
 
 
 def round_half_up(value: float, decimals: int = 2) -> float:
@@ -144,8 +136,7 @@ def write_report(report: MetricsReport, json_path, text_path) -> None:
     Path(text_path).write_text(report_to_text(report), encoding="utf-8")
 
 
-def export_scatter(frames: list[FrameRecord], coeff_pair: tuple[int, int],
-                   path) -> int:
+def export_scatter(frames: Frames, coeff_pair: tuple[int, int], path) -> int:
     """Write one tab-separated row per frame for a 2-D coefficient view.
 
     Coefficient indices are 1-based (c1..c13); returns the row count.
@@ -154,14 +145,16 @@ def export_scatter(frames: list[FrameRecord], coeff_pair: tuple[int, int],
     for index in (a, b):
         if index < 1:
             raise DataError(f"coefficient index must be >= 1, got {index}")
+    num_coeffs = frames.coeffs.shape[1]
+    if a > num_coeffs or b > num_coeffs:
+        raise DataError(
+            f"coefficient index out of range: frames have {num_coeffs} "
+            f"coefficients, requested ({a}, {b})")
     lines = [f"c{a}\tc{b}\tlabel\tchannel"]
-    for frame in frames:
-        coeffs = frame.features.coeffs
-        if a > len(coeffs) or b > len(coeffs):
-            raise DataError(
-                f"coefficient index out of range: frame has {len(coeffs)} "
-                f"coefficients, requested ({a}, {b})")
-        lines.append(f"{float(coeffs[a - 1])!r}\t{float(coeffs[b - 1])!r}"
-                     f"\t{frame.label}\t{frame.channel_id}")
+    lines.extend(
+        f"{x!r}\t{y!r}\t{LABELS[label]}\t{frames.channel_ids[channel]}"
+        for x, y, label, channel in zip(
+            frames.coeffs[:, a - 1].tolist(), frames.coeffs[:, b - 1].tolist(),
+            frames.labels.tolist(), frames.channels.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return len(frames)

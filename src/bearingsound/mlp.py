@@ -3,6 +3,8 @@
 The default network is 13 -> 1024 -> 100 -> 2: two hidden layers with ReLU
 and a two-way softmax head for the Healthy/Damaged decision. Everything is
 plain numpy; training is a deterministic single-threaded loop given the seed.
+A model stores the feature z-scoring fitted at training time and applies it
+to the raw features it is given.
 
 Label convention, fixed project-wide: H is class index 0 and the positive
 class, D is index 1 and the negative class.
@@ -16,14 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import NormalizationStats
+from .dataset import LABELS, NormalizationStats
 from .errors import ConfigError, DataError, FormatError, NumericError
 
-LABELS = ("H", "D")
 POSTERIOR_FLOOR = 1e-12
 
-_ACTIVATION_TAGS = {"relu": 0, "tanh": 1}
-_TAG_ACTIVATIONS = {v: k for k, v in _ACTIVATION_TAGS.items()}
+# The ABMM header keeps a hidden-activation tag byte; ReLU (0) is the only one.
+_RELU_TAG = 0
 
 MODEL_MAGIC = b"ABMM"
 MODEL_VERSION = 1
@@ -31,29 +32,19 @@ MODEL_VERSION = 1
 DEFAULT_HIDDEN_DIMS = (1024, 100)
 
 
-def label_index(label: str) -> int:
-    try:
-        return LABELS.index(label)
-    except ValueError:
-        raise DataError(f"label must be one of {LABELS}, got {label!r}") from None
-
-
 @dataclass
 class MlpModel:
-    """Layer dimensions, parameters, hidden activation, and the feature
-    normalization fitted at training time (None when training ran raw)."""
+    """Layer dimensions, parameters, and the feature normalization fitted at
+    training time (None when training ran raw)."""
 
     dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
     norm_stats: NormalizationStats | None = None
 
     def __post_init__(self):
         if len(self.dims) < 2:
             raise ConfigError("model needs at least an input and an output layer")
-        if self.activation not in _ACTIVATION_TAGS:
-            raise ConfigError(f"unknown activation: {self.activation!r}")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (self.dims[i], self.dims[i + 1]) or b.shape != (self.dims[i + 1],):
                 raise ConfigError(f"layer {i} parameter shapes do not chain")
@@ -68,7 +59,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    shuffle_each_epoch: bool = True
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -83,13 +73,7 @@ class TrainConfig:
             raise ConfigError("adam_eps must be positive")
 
 
-@dataclass(frozen=True)
-class Prediction:
-    posteriors: np.ndarray
-    label: str
-
-
-def init_model(dims, activation: str = "relu", seed: int = 0) -> MlpModel:
+def init_model(dims, seed: int = 0) -> MlpModel:
     """He-style uniform weight init, zero biases, seeded."""
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
@@ -98,19 +82,7 @@ def init_model(dims, activation: str = "relu", seed: int = 0) -> MlpModel:
         bound = np.sqrt(6.0 / fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(dims=dims, weights=weights, biases=biases, activation=activation)
-
-
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0).astype(float)
-    return 1.0 - np.tanh(z) ** 2
+    return MlpModel(dims=dims, weights=weights, biases=biases)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -127,27 +99,25 @@ def _forward_pass(model: MlpModel, x: np.ndarray):
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ w + b
         pre.append(z)
-        a = _activate(z, model.activation) if i < last else z
+        a = np.maximum(z, 0.0) if i < last else z
         post.append(a)
     return pre, post, _softmax(pre[-1])
 
 
-def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Posterior matrix (n, num_classes) for a batch of feature rows."""
+def _model_inputs(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Raw feature rows as the network's z-scored input batch."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.dims[0]:
         raise DataError(
             f"feature dimension {x.shape[1]} does not match model input "
             f"{model.dims[0]}")
-    return _forward_pass(model, x)[2]
+    stats = model.norm_stats
+    return x if stats is None else (x - stats.mean) / stats.std
 
 
-def forward(model: MlpModel, features) -> Prediction:
-    """Single-sample inference; ties go to H."""
-    coeffs = getattr(features, "coeffs", features)
-    posteriors = predict_batch(model, np.asarray(coeffs, dtype=float))[0]
-    return Prediction(posteriors=posteriors,
-                      label=LABELS[0] if posteriors[0] >= posteriors[1] else LABELS[1])
+def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Posterior matrix (n, num_classes) for a batch of raw feature rows."""
+    return _forward_pass(model, _model_inputs(model, x))[2]
 
 
 def loss(posteriors: np.ndarray, labels: np.ndarray) -> float:
@@ -164,20 +134,12 @@ def loss(posteriors: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(picked, POSTERIOR_FLOOR))))
 
 
-def backward(model: MlpModel, x: np.ndarray, labels: np.ndarray):
-    """Gradients of the mean cross-entropy for a batch.
+def _gradients(model: MlpModel, pre, post, probs: np.ndarray, labels: np.ndarray):
+    """Backpropagate the mean cross-entropy of one forward pass.
 
     Returns (weight grads, bias grads) lists mirroring the model layers.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    labels = np.asarray(labels)
-    if labels.ndim == 2:
-        labels = labels.argmax(axis=1)
-    labels = labels.astype(int)
-    if len(x) == 0:
-        raise DataError("empty batch")
-    pre, post, probs = _forward_pass(model, x)
-    batch = len(x)
+    batch = len(labels)
     delta = probs.copy()
     delta[np.arange(batch), labels] -= 1.0
     delta /= batch
@@ -187,9 +149,22 @@ def backward(model: MlpModel, x: np.ndarray, labels: np.ndarray):
         grad_w[layer] = post[layer].T @ delta
         grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * _activate_grad(
-                pre[layer - 1], model.activation)
+            delta = (delta @ model.weights[layer].T) * (pre[layer - 1] > 0)
     return grad_w, grad_b
+
+
+def backward(model: MlpModel, x: np.ndarray, labels: np.ndarray):
+    """Gradients of the mean cross-entropy for a batch of raw feature rows.
+
+    Returns (weight grads, bias grads) lists mirroring the model layers.
+    """
+    x = _model_inputs(model, x)
+    labels = np.asarray(labels)
+    if labels.ndim == 2:
+        labels = labels.argmax(axis=1)
+    if len(x) == 0:
+        raise DataError("empty batch")
+    return _gradients(model, *_forward_pass(model, x), labels.astype(int))
 
 
 @dataclass
@@ -226,14 +201,15 @@ def adam_step(model: MlpModel, grad_w, grad_b, state: AdamState,
 
 
 def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
-          hidden_dims=DEFAULT_HIDDEN_DIMS, activation: str = "relu",
-          norm_stats: NormalizationStats | None = None,
-          num_classes: int = 2) -> tuple[MlpModel, list[float]]:
-    """Train a fresh model; returns it with the per-epoch mean loss history.
+          hidden_dims=DEFAULT_HIDDEN_DIMS,
+          norm_stats: NormalizationStats | None = None) -> tuple[MlpModel, list[float]]:
+    """Train a fresh model on raw feature rows; returns it with the per-epoch
+    mean loss history.
 
-    Deterministic for a given config seed: weight init and the per-epoch
-    shuffles all come from the same seeded stream. Raises NumericError if the
-    loss stops being finite.
+    norm_stats, when given, z-scores x during training and is stored in the
+    model so that prediction applies it too. Deterministic for a given config
+    seed: weight init and the per-epoch shuffles all come from the same
+    seeded stream. Raises NumericError if the loss stops being finite.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels).astype(int)
@@ -241,38 +217,28 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
         raise DataError("training set must be a non-empty (n, dim) matrix")
     if len(x) != len(labels):
         raise DataError("features and labels have different lengths")
-    dims = (x.shape[1],) + tuple(int(d) for d in hidden_dims) + (num_classes,)
-    model = init_model(dims, activation=activation, seed=config.seed)
+    dims = (x.shape[1],) + tuple(int(d) for d in hidden_dims) + (len(LABELS),)
+    model = init_model(dims, seed=config.seed)
     model.norm_stats = norm_stats
+    x = _model_inputs(model, x)
     state = AdamState.for_model(model)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 97]))
     history: list[float] = []
     n = len(x)
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n) if config.shuffle_each_epoch else np.arange(n)
+        order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             xb, yb = x[batch_idx], labels[batch_idx]
             pre, post, probs = _forward_pass(model, xb)
-            picked = probs[np.arange(len(yb)), yb]
-            batch_loss = float(-np.mean(np.log(np.maximum(picked, POSTERIOR_FLOOR))))
+            batch_loss = loss(probs, yb)
             if not np.isfinite(batch_loss):
                 raise NumericError(
                     f"training diverged: non-finite loss in epoch {epoch + 1} "
                     f"at sample offset {start}")
             loss_sum += batch_loss * len(yb)
-            delta = probs
-            delta[np.arange(len(yb)), yb] -= 1.0
-            delta /= len(yb)
-            grad_w = [None] * len(model.weights)
-            grad_b = [None] * len(model.biases)
-            for layer in range(len(model.weights) - 1, -1, -1):
-                grad_w[layer] = post[layer].T @ delta
-                grad_b[layer] = delta.sum(axis=0)
-                if layer > 0:
-                    delta = (delta @ model.weights[layer].T) * _activate_grad(
-                        pre[layer - 1], model.activation)
+            grad_w, grad_b = _gradients(model, pre, post, probs, yb)
             adam_step(model, grad_w, grad_b, state, config)
         history.append(loss_sum / n)
     return model, history
@@ -283,8 +249,7 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
 
 def save_model(model: MlpModel, path) -> None:
     parts = [MODEL_MAGIC,
-             struct.pack("<HBB", MODEL_VERSION,
-                         _ACTIVATION_TAGS[model.activation], len(model.dims))]
+             struct.pack("<HBB", MODEL_VERSION, _RELU_TAG, len(model.dims))]
     parts.append(struct.pack(f"<{len(model.dims)}I", *model.dims))
     for w, b in zip(model.weights, model.biases):
         parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
@@ -311,7 +276,7 @@ def load_model(path) -> MlpModel:
         raise FormatError(
             f"{path}: model version {version} is newer than supported "
             f"({MODEL_VERSION})")
-    if act_tag not in _TAG_ACTIVATIONS:
+    if act_tag != _RELU_TAG:
         raise FormatError(f"{path}: unknown activation tag {act_tag}")
     offset = 8
 
@@ -339,4 +304,4 @@ def load_model(path) -> MlpModel:
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
     return MlpModel(dims=dims, weights=weights, biases=biases,
-                    activation=_TAG_ACTIVATIONS[act_tag], norm_stats=norm_stats)
+                    norm_stats=norm_stats)

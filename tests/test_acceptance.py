@@ -70,7 +70,7 @@ def test_criterion_2_cepstral_identities():
         cfg = dsp.MfccConfig()
         # constant filter energies annihilate every coefficient
         for level in (1e-4, 1.0, 3.7e5):
-            coeffs = dsp.mfcc(np.full(26, level), cfg).coeffs
+            coeffs = dsp.mfcc(np.full(26, level), cfg)
             assert np.all(np.abs(coeffs) < 1e-9)
         # amplitude invariance of c1..c13
         fb = dsp.build_filterbank(cfg)
@@ -78,10 +78,10 @@ def test_criterion_2_cepstral_identities():
         rng = np.random.default_rng(1)
         frame = rng.standard_normal(2048)
         base = dsp.mfcc(dsp.filterbank_energies(
-            dsp.power_spectrum(frame, window), fb), cfg).coeffs
+            dsp.power_spectrum(frame, window), fb), cfg)
         for alpha in (0.5, 2.0, 10.0):
             scaled = dsp.mfcc(dsp.filterbank_energies(
-                dsp.power_spectrum(alpha * frame, window), fb), cfg).coeffs
+                dsp.power_spectrum(alpha * frame, window), fb), cfg)
             assert np.all(np.abs(scaled - base) < 1e-6)
         # full chain against a naive direct evaluation at small N
         small = MfccConfig(dft_size=64, num_channels=6, num_coeffs=4,
@@ -241,7 +241,7 @@ def test_criterion_8_gating_exactness():
             samples=rng.standard_normal(3 * 2048), fs=25600.0, channel_id="b",
             rotational_freq_track=np.array([42.0, 45.0, 41.999]))
         kept = dataset.gate_frames(boundary, MfccConfig(), "H")
-        assert [f.mean_rot_freq for f in kept] == [42.0, 45.0]
+        assert kept.rot.tolist() == [42.0, 45.0]
 
 
 def test_criterion_9_round_trips(tmp_path):
@@ -258,17 +258,17 @@ def test_criterion_9_round_trips(tmp_path):
                 assert np.array_equal(a, b)
 
             count = int(rng.integers(1, 30))
-            frames = [
-                dataset.FrameRecord(
-                    features=dsp.FeatureVector(coeffs=rng.standard_normal(13)),
-                    label="D", channel_id="x",
-                    mean_rot_freq=float(rng.uniform(42, 45)),
-                    frame_index=int(rng.integers(0, 1 << 40)))
-                for _ in range(count)
-            ]
+            rows = [(rng.standard_normal(13), rng.uniform(42, 45),
+                     rng.integers(0, 1 << 40)) for _ in range(count)]
+            frames = dataset.Frames(
+                coeffs=np.array([r[0] for r in rows]),
+                labels=np.full(count, dataset.LABELS.index("D")),
+                channels=np.zeros(count, dtype=np.int64),
+                rot=np.array([r[1] for r in rows]),
+                index=np.array([r[2] for r in rows]), channel_ids=("x",))
             cache_path = tmp_path / "cache.abfc"
             dataset.write_cache(cache_path, frames, 13)
             coeffs, rot, idx = dataset.read_cache(cache_path)
-            assert np.array_equal(coeffs, dataset.features_as_matrix(frames))
-            assert np.array_equal(rot, [f.mean_rot_freq for f in frames])
-            assert np.array_equal(idx, [f.frame_index for f in frames])
+            assert np.array_equal(coeffs, frames.coeffs)
+            assert np.array_equal(rot, frames.rot)
+            assert np.array_equal(idx, frames.index)

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import bearingsound
 from bearingsound import audiofile, cli, dataset
 
 
@@ -238,6 +243,30 @@ class TestExperimentCommand:
         assert echo["train_config"]["epochs"] == 5
         assert "report" in echo
 
+    def test_bytes_identical_across_processes(self, campaign_dir, tmp_path):
+        # Hash seed and BLAS thread count differ between the two processes;
+        # criterion 5's artifacts must not.
+        package_root = str(Path(bearingsound.__file__).resolve().parents[1])
+        outs = []
+        for hash_seed, threads in (("0", "1"), ("1", "2")):
+            out = tmp_path / f"hash{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "bearingsound.cli", "--seed", "17",
+                 "experiment", "seen-motor", "--data", str(campaign_dir),
+                 "--train-size", "400", "--test-size", "100", "--epochs", "3",
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for name in ("model.abmm", "report.json", "report.txt",
+                     "train_log.json", "experiment.json"):
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes()), name
+
     def test_insufficient_frames_is_data_error(self, campaign_dir, tmp_path,
                                                capsys):
         rc, _, err = run(["--seed", "9", "experiment", "seen-motor",
@@ -255,6 +284,14 @@ class TestUsageErrors:
                          capsys)
         assert rc == 1
         assert "LO:HI" in err
+
+    def test_frame_len_flag_removed(self, campaign_dir, tmp_path, capsys):
+        rc, _, err = run(["extract", "--manifest",
+                          str(campaign_dir / "manifest.json"),
+                          "--frame-len", "1024", "--out", str(tmp_path / "f")],
+                         capsys)
+        assert rc == 1
+        assert "--frame-len" in err
 
     def test_missing_subcommand_flag(self, capsys):
         rc, _, _ = run(["extract"], capsys)

@@ -1,13 +1,12 @@
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from bearingsound import dataset, synth
-from bearingsound.dataset import (FrameRecord, Manifest, ManifestEntry,
+from bearingsound import dataset, mlp, synth
+from bearingsound.dataset import (LABELS, Frames, Manifest, ManifestEntry,
                                   NormalizationStats, SplitSpec)
-from bearingsound.dsp import FeatureVector, MfccConfig
+from bearingsound.dsp import MfccConfig
 from bearingsound.errors import DataError, FormatError
 from bearingsound.synth import AudioRecording
 
@@ -47,11 +46,10 @@ class TestGating:
         track = [41.9, 42.0, 43.0, 45.0, 45.1, 30.0]
         recording = recording_with_track(track)
         frames = dataset.gate_frames(recording, MfccConfig(), "H")
-        kept = [f.frame_index for f in frames]
-        assert kept == [1, 2, 3]
-        assert all(f.label == "H" for f in frames)
-        assert frames[0].mean_rot_freq == 42.0
-        assert frames[-1].mean_rot_freq == 45.0
+        assert frames.index.tolist() == [1, 2, 3]
+        assert np.all(frames.labels == LABELS.index("H"))
+        assert frames.rot[0] == 42.0
+        assert frames.rot[-1] == 45.0
 
     def test_missing_track_is_malformed_input(self):
         recording = AudioRecording(samples=np.zeros(FRAME - 1), fs=FS,
@@ -86,8 +84,16 @@ class TestGating:
     def test_gating_is_idempotent(self):
         recording = recording_with_track([41.0, 43.0, 44.0, 46.0])
         frames = dataset.gate_frames(recording, MfccConfig(), "D")
-        again = dataset.in_band(frames)
-        assert again == frames
+        # Gate a recording made of only the kept frames: nothing more drops.
+        kept = AudioRecording(
+            samples=np.concatenate([recording.samples[i * FRAME : (i + 1) * FRAME]
+                                    for i in frames.index]),
+            fs=FS, channel_id="c", rotational_freq_track=frames.rot)
+        again = dataset.gate_frames(kept, MfccConfig(), "D")
+        assert len(again) == len(frames) == 2
+        assert np.array_equal(again.coeffs, frames.coeffs)
+        assert np.array_equal(again.rot, frames.rot)
+        assert np.array_equal(again.labels, frames.labels)
 
     def test_default_campaign_counts_match_analytic_means(self):
         scenario = synth.default_scenario(seed=31, duration=50.0)
@@ -104,28 +110,28 @@ class TestGating:
 
 def make_frames(n, label="H", channel="c", dim=13, seed=0, offset=0.0):
     rng = np.random.default_rng(seed)
-    return [
-        FrameRecord(features=FeatureVector(coeffs=rng.standard_normal(dim) + offset),
-                    label=label, channel_id=channel, mean_rot_freq=43.0,
-                    frame_index=i)
-        for i in range(n)
-    ]
+    return Frames(coeffs=rng.standard_normal((n, dim)) + offset,
+                  labels=np.full(n, LABELS.index(label)),
+                  channels=np.zeros(n, dtype=np.int64), rot=np.full(n, 43.0),
+                  index=np.arange(n), channel_ids=(channel,))
 
 
-def frame_key(frame):
-    return (frame.channel_id, frame.frame_index)
+def frame_keys(frames):
+    return [(frames.channel_ids[c], i)
+            for c, i in zip(frames.channels.tolist(), frames.index.tolist())]
 
 
 class TestSplits:
     def test_random_split_is_deterministic_partition(self):
-        frames = make_frames(60, "H") + make_frames(40, "D", channel="d", seed=1)
+        frames = Frames.concat([make_frames(60, "H"),
+                                make_frames(40, "D", channel="d", seed=1)])
         spec = SplitSpec(mode="random", train_size=70, test_size=30, seed=9)
         train1, test1 = dataset.make_split(frames, spec)
         train2, test2 = dataset.make_split(frames, spec)
-        assert [frame_key(f) for f in train1] == [frame_key(f) for f in train2]
-        assert [frame_key(f) for f in test1] == [frame_key(f) for f in test2]
-        train_keys = {frame_key(f) for f in train1}
-        test_keys = {frame_key(f) for f in test1}
+        assert frame_keys(frames.take(train1)) == frame_keys(frames.take(train2))
+        assert frame_keys(frames.take(test1)) == frame_keys(frames.take(test2))
+        train_keys = set(frame_keys(frames.take(train1)))
+        test_keys = set(frame_keys(frames.take(test1)))
         assert not (train_keys & test_keys)
         assert len(train_keys | test_keys) == 100
 
@@ -136,17 +142,17 @@ class TestSplits:
                                                  test_size=3, seed=0))
 
     def test_by_channel_split_respects_assignment(self):
-        frames = []
-        for channel, label in (("A1_b1", "D"), ("B1_b1", "H"),
-                               ("A2_b2", "D"), ("B2_b2", "H")):
-            frames.extend(make_frames(50, label, channel, seed=hash(channel) % 100))
+        frames = Frames.concat([
+            make_frames(50, label, channel, seed=seed)
+            for seed, (channel, label) in enumerate((("A1_b1", "D"), ("B1_b1", "H"),
+                                                     ("A2_b2", "D"), ("B2_b2", "H")))])
         spec = SplitSpec(mode="by_channel", train_size=60, test_size=60, seed=4,
                          train_channels=("A1_b1", "B1_b1"),
                          test_channels=("A2_b2", "B2_b2"))
         train, test = dataset.make_split(frames, spec)
-        assert {f.channel_id for f in train} == {"A1_b1", "B1_b1"}
-        assert {f.channel_id for f in test} == {"A2_b2", "B2_b2"}
-        assert dataset.label_counts(train) == {"H": 30, "D": 30}
+        assert {c for c, _ in frame_keys(frames.take(train))} == {"A1_b1", "B1_b1"}
+        assert {c for c, _ in frame_keys(frames.take(test))} == {"A2_b2", "B2_b2"}
+        assert dataset.label_counts(frames.labels[train]) == {"H": 30, "D": 30}
 
     def test_by_channel_overlap_rejected(self):
         with pytest.raises(DataError):
@@ -154,47 +160,45 @@ class TestSplits:
                       train_channels=("a", "b"), test_channels=("b", "c"))
 
     def test_by_channel_insufficient_frames_names_channel(self):
-        frames = make_frames(5, "D", "small") + make_frames(50, "H", "big")
+        frames = Frames.concat([make_frames(5, "D", "small"),
+                                make_frames(50, "H", "big")])
         spec = SplitSpec(mode="by_channel", train_size=20, test_size=10, seed=0,
                          train_channels=("small",), test_channels=("big",))
         with pytest.raises(DataError, match="small"):
             dataset.make_split(frames, spec)
 
 
+def zscore(x, stats):
+    return (x - stats.mean) / stats.std
+
+
 class TestNormalization:
     def test_single_frame_is_degenerate(self):
         with pytest.raises(DataError):
-            dataset.fit_normalization(make_frames(1))
+            dataset.fit_normalization(make_frames(1).coeffs)
 
     def test_fitted_stats_standardize_training_set(self):
-        frames = make_frames(500, seed=3)
-        stats = dataset.fit_normalization(frames)
-        normalized = dataset.apply_normalization(frames, stats)
-        matrix = dataset.features_as_matrix(normalized)
+        x = make_frames(500, seed=3).coeffs
+        stats = dataset.fit_normalization(x)
+        matrix = zscore(x, stats)
         np.testing.assert_allclose(matrix.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(matrix.std(axis=0), 1.0, atol=1e-9)
-        assert all(f.features.normalized for f in normalized)
+        # A model holding the stats applies them to raw rows.
+        model = mlp.init_model((13, 4, 2), seed=0)
+        on_normalized = mlp.predict_batch(model, matrix)
+        model.norm_stats = stats
+        assert np.array_equal(mlp.predict_batch(model, x), on_normalized)
 
     def test_shift_invariance(self):
-        frames = make_frames(200, seed=8)
-        shifted = [
-            dataclasses.replace(
-                f, features=FeatureVector(coeffs=f.features.coeffs + 17.5))
-            for f in frames
-        ]
-        base = dataset.apply_normalization(frames, dataset.fit_normalization(frames))
-        other = dataset.apply_normalization(shifted, dataset.fit_normalization(shifted))
-        np.testing.assert_allclose(dataset.features_as_matrix(base),
-                                   dataset.features_as_matrix(other), atol=1e-9)
+        x = make_frames(200, seed=8).coeffs
+        shifted = x + 17.5
+        base = zscore(x, dataset.fit_normalization(x))
+        other = zscore(shifted, dataset.fit_normalization(shifted))
+        np.testing.assert_allclose(base, other, atol=1e-9)
 
     def test_zero_variance_coefficient_rejected(self):
-        frames = make_frames(50, seed=2)
-        constant = [
-            dataclasses.replace(
-                f, features=FeatureVector(
-                    coeffs=np.concatenate([f.features.coeffs[:-1], [3.0]])))
-            for f in frames
-        ]
+        constant = make_frames(50, seed=2).coeffs
+        constant[:, -1] = 3.0
         with pytest.raises(DataError, match="c13"):
             dataset.fit_normalization(constant)
 
@@ -202,8 +206,8 @@ class TestNormalization:
         frames = make_frames(100, seed=5)
         spec = SplitSpec(mode="random", train_size=70, test_size=30, seed=1)
         train, _ = dataset.make_split(frames, spec)
-        stats1 = dataset.fit_normalization(train)
-        stats2 = dataset.fit_normalization(list(train))
+        stats1 = dataset.fit_normalization(frames.coeffs[train])
+        stats2 = dataset.fit_normalization(frames.coeffs[train].copy())
         assert np.array_equal(stats1.mean, stats2.mean)
         assert np.array_equal(stats1.std, stats2.std)
 
@@ -216,29 +220,31 @@ class TestFeatureCache:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
         for trial in range(10):
-            frames = [
-                FrameRecord(features=FeatureVector(coeffs=rng.standard_normal(13)),
-                            label="D", channel_id="x",
-                            mean_rot_freq=float(rng.uniform(42, 45)),
-                            frame_index=int(rng.integers(0, 10000)))
-                for _ in range(int(rng.integers(1, 40)))
-            ]
+            rows = [(rng.standard_normal(13), rng.uniform(42, 45),
+                     rng.integers(0, 10000))
+                    for _ in range(int(rng.integers(1, 40)))]
+            n = len(rows)
+            frames = Frames(coeffs=np.array([r[0] for r in rows]),
+                            labels=np.full(n, LABELS.index("D")),
+                            channels=np.zeros(n, dtype=np.int64),
+                            rot=np.array([r[1] for r in rows]),
+                            index=np.array([r[2] for r in rows]),
+                            channel_ids=("x",))
             path = tmp_path / f"t{trial}.abfc"
             dataset.write_cache(path, frames, 13)
             coeffs, rot, idx = dataset.read_cache(path)
-            original = dataset.features_as_matrix(frames)
-            assert np.array_equal(coeffs, original)
-            assert np.array_equal(rot, np.array([f.mean_rot_freq for f in frames]))
-            assert np.array_equal(idx, np.array([f.frame_index for f in frames]))
+            assert np.array_equal(coeffs, frames.coeffs)
+            assert np.array_equal(rot, frames.rot)
+            assert np.array_equal(idx, frames.index)
 
     def test_frames_round_trip_through_cache(self, tmp_path):
         frames = make_frames(20, "D", "ch")
         path = tmp_path / "c.abfc"
         dataset.write_cache(path, frames, 13)
         loaded = dataset.frames_from_cache(path, "D", "ch")
-        assert [frame_key(f) for f in loaded] == [frame_key(f) for f in frames]
-        assert np.array_equal(dataset.features_as_matrix(loaded),
-                              dataset.features_as_matrix(frames))
+        assert frame_keys(loaded) == frame_keys(frames)
+        assert np.array_equal(loaded.coeffs, frames.coeffs)
+        assert np.array_equal(loaded.labels, frames.labels)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.abfc"

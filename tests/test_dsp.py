@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from bearingsound import dsp
-from bearingsound.errors import ConfigError, DataError
-from bearingsound.synth import AudioRecording
+from bearingsound.errors import ConfigError
 
 
 def direct_dft_power(frame, window):
@@ -209,67 +208,56 @@ class TestMfcc:
     def test_constant_energies_give_zero_coefficients(self):
         cfg = dsp.MfccConfig()
         for level in (1e-3, 1.0, 7.3e4):
-            fv = dsp.mfcc(np.full(26, level), cfg)
-            assert np.all(np.abs(fv.coeffs) < 1e-9)
+            coeffs = dsp.mfcc(np.full(26, level), cfg)
+            assert np.all(np.abs(coeffs) < 1e-9)
 
     def test_two_channel_hand_expansion(self):
         cfg = dsp.MfccConfig(dft_size=16, num_channels=2, num_coeffs=2)
-        fv = dsp.mfcc(np.array([math.e, 1.0]), cfg)
-        assert abs(fv.coeffs[0] - math.cos(math.pi / 4.0)) < 1e-12
-        assert abs(fv.coeffs[1]) < 1e-12
+        coeffs = dsp.mfcc(np.array([math.e, 1.0]), cfg)
+        assert abs(coeffs[0] - math.cos(math.pi / 4.0)) < 1e-12
+        assert abs(coeffs[1]) < 1e-12
 
     def test_matches_naive_cosine_sum(self):
         cfg = dsp.MfccConfig()
         rng = np.random.default_rng(13)
         energies = rng.uniform(1e-6, 10.0, size=26)
         expected = naive_cepstrum(energies, 13)
-        got = dsp.mfcc(energies, cfg).coeffs
+        got = dsp.mfcc(energies, cfg)
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
 
     def test_floor_absorbs_silence(self):
         cfg = dsp.MfccConfig()
-        fv = dsp.mfcc(np.zeros(26), cfg)
-        assert np.all(np.isfinite(fv.coeffs))
+        coeffs = dsp.mfcc(np.zeros(26), cfg)
+        assert np.all(np.isfinite(coeffs))
 
     def test_wrong_energy_count_rejected(self):
         with pytest.raises(ValueError):
             dsp.mfcc(np.ones(10), dsp.MfccConfig())
 
 
-def _recording(samples, fs=25600.0):
-    track = np.full(len(samples) // 2048, 43.0)
-    return AudioRecording(samples=samples, fs=fs, channel_id="t",
-                          rotational_freq_track=track)
-
-
 class TestExtractFeatures:
     def test_two_complete_frames(self):
         cfg = dsp.MfccConfig()
         rng = np.random.default_rng(3)
-        features = dsp.extract_features(_recording(rng.standard_normal(4096)), cfg)
-        assert len(features) == 2
+        features = dsp.feature_matrix(rng.standard_normal(4096), cfg)
+        assert features.shape == (2, 13)
 
     def test_partial_frame_dropped(self):
         cfg = dsp.MfccConfig()
         rng = np.random.default_rng(3)
-        assert dsp.extract_features(_recording(rng.standard_normal(2047)), cfg) == []
-        features = dsp.extract_features(_recording(rng.standard_normal(4097)), cfg)
+        assert len(dsp.feature_matrix(rng.standard_normal(2047), cfg)) == 0
+        features = dsp.feature_matrix(rng.standard_normal(4097), cfg)
         assert len(features) == 2
 
     def test_stationary_tone_yields_stable_features(self):
         cfg = dsp.MfccConfig()
         k = np.arange(10 * 2048)
         tone = np.sin(2.0 * np.pi * 100.0 * k / 25600.0)  # exact-bin frequency
-        features = dsp.extract_features(_recording(tone), cfg)
+        features = dsp.feature_matrix(tone, cfg)
         assert len(features) == 10
-        base = features[0].coeffs
-        for fv in features[1:]:
-            np.testing.assert_allclose(fv.coeffs, base, atol=1e-6)
-
-    def test_sample_rate_mismatch_rejected(self):
-        cfg = dsp.MfccConfig()
-        with pytest.raises(DataError):
-            dsp.extract_features(_recording(np.zeros(4096), fs=16000.0), cfg)
+        base = features[0]
+        for row in features[1:]:
+            np.testing.assert_allclose(row, base, atol=1e-6)
 
 
 class TestPipelineProperties:
@@ -280,13 +268,13 @@ class TestPipelineProperties:
         frame = rng.standard_normal(2048) + np.sin(np.arange(2048) * 0.1)
         window = dsp.window_samples("hann", 2048)
         base_energies = dsp.filterbank_energies(dsp.power_spectrum(frame, window), fb)
-        base = dsp.mfcc(base_energies, cfg).coeffs
+        base = dsp.mfcc(base_energies, cfg)
         for alpha in (0.5, 2.0, 10.0):
             energies = dsp.filterbank_energies(
                 dsp.power_spectrum(alpha * frame, window), fb)
             np.testing.assert_allclose(energies, alpha**2 * base_energies,
                                        rtol=1e-9)
-            coeffs = dsp.mfcc(energies, cfg).coeffs
+            coeffs = dsp.mfcc(energies, cfg)
             np.testing.assert_allclose(coeffs, base, atol=1e-6)
 
     def test_deterministic_across_runs(self):

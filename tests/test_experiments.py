@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,12 @@ class TestNamedExperiments:
 
 
 class TestCaches:
+    def test_sample_rate_mismatch_rejected(self, manifest, tmp_path):
+        config = MfccConfig(sample_rate=16000.0)  # the campaign is 25.6 kHz
+        with pytest.raises(DataError, match="sample rate"):
+            experiments.extract_channel(manifest, "B1_b1", config, BAND,
+                                        tmp_path / "B1_b1.abfc")
+
     def test_caches_are_reused_when_config_matches(self, manifest, tmp_path):
         config = MfccConfig()
         messages = []
@@ -107,10 +115,15 @@ class TestRun:
                                   seed=5)
         run = experiments.split_and_train(
             frames, split, mlp.TrainConfig(epochs=3, seed=5))
-        train_frames, test_frames = dataset.make_split(frames, split)
-        raw_report = experiments.evaluate_frames(run["model"], test_frames)
-        normalized_report = experiments.evaluate_frames(run["model"],
-                                                        run["test_frames"])
+        _, test_rows = dataset.make_split(frames, split)
+        raw_report = experiments.evaluate_frames(run["model"],
+                                                 frames.take(test_rows))
+        stats = run["model"].norm_stats
+        bare = dataclasses.replace(run["model"], norm_stats=None)
+        normalized = dataclasses.replace(
+            run["test_frames"],
+            coeffs=(run["test_frames"].coeffs - stats.mean) / stats.std)
+        normalized_report = experiments.evaluate_frames(bare, normalized)
         np.testing.assert_array_equal(raw_report.counts,
                                       normalized_report.counts)
 
@@ -121,6 +134,10 @@ class TestRun:
         frames = experiments.load_frames(manifest, caches)
         with pytest.raises(DataError, match="dimension"):
             experiments.evaluate_frames(model, frames)
+
+    def test_load_frames_needs_a_channel(self, manifest):
+        with pytest.raises(DataError, match="no channels"):
+            experiments.load_frames(manifest, {})
 
     def test_run_experiment_writes_complete_results(self, manifest, tmp_path):
         spec = experiments.named_experiment("seen-motor", manifest, seed=4,

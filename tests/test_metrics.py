@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bearingsound import dataset, metrics
-from bearingsound.dataset import FrameRecord
-from bearingsound.dsp import FeatureVector
+from bearingsound import metrics
+from bearingsound.dataset import LABELS, Frames
 from bearingsound.errors import DataError
 from bearingsound.metrics import ConfusionMatrix, confusion, round_half_up
 
@@ -19,29 +18,33 @@ REFERENCE_MATRICES = [
 ]
 
 
+H, D = LABELS.index("H"), LABELS.index("D")
+
+
 class TestConfusion:
     def test_all_correct_is_diagonal(self):
-        labels = ["H"] * 10 + ["D"] * 10
+        labels = np.array([H] * 10 + [D] * 10)
         cm = confusion(labels, labels)
         np.testing.assert_array_equal(cm.counts, [[10, 0], [0, 10]])
         assert cm.total == 20
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
-            confusion(["H"], ["H", "D"])
+            confusion(np.array([H]), np.array([H, D]))
 
     def test_unknown_label_rejected(self):
         with pytest.raises(DataError):
-            confusion(["H", "x"], ["H", "D"])
+            confusion(np.array([H, 2]), np.array([H, D]))
+        with pytest.raises(DataError):
+            confusion(np.array([H, D]), np.array([-1, D]))
 
     def test_invariant_under_pair_permutation(self):
         rng = np.random.default_rng(3)
-        predicted = ["H" if v else "D" for v in rng.integers(0, 2, size=200)]
-        true = ["H" if v else "D" for v in rng.integers(0, 2, size=200)]
+        predicted = np.where(rng.integers(0, 2, size=200), H, D)
+        true = np.where(rng.integers(0, 2, size=200), H, D)
         base = confusion(predicted, true).counts
         order = rng.permutation(200)
-        shuffled = confusion([predicted[i] for i in order],
-                             [true[i] for i in order]).counts
+        shuffled = confusion(predicted[order], true[order]).counts
         np.testing.assert_array_equal(base, shuffled)
 
 
@@ -109,15 +112,17 @@ class TestReportFiles:
         assert "true H" in text and "accuracy" in text
 
 
-def frame(coeffs, label="H", channel="c", index=0):
-    return FrameRecord(features=FeatureVector(coeffs=np.asarray(coeffs, dtype=float)),
-                       label=label, channel_id=channel, mean_rot_freq=43.0,
-                       frame_index=index)
+def frames_of(rows, label="H", channel="c"):
+    coeffs = np.array(rows, dtype=float)
+    n = len(coeffs)
+    return Frames(coeffs=coeffs, labels=np.full(n, LABELS.index(label)),
+                  channels=np.zeros(n, dtype=np.int64), rot=np.full(n, 43.0),
+                  index=np.arange(n), channel_ids=(channel,))
 
 
 class TestScatterExport:
     def test_one_row_per_frame(self, tmp_path):
-        frames = [frame(np.arange(13) + i, index=i) for i in range(25)]
+        frames = frames_of([np.arange(13) + i for i in range(25)])
         path = tmp_path / "scatter.tsv"
         rows = metrics.export_scatter(frames, (1, 2), path)
         assert rows == 25
@@ -127,11 +132,11 @@ class TestScatterExport:
 
     def test_columns_reflect_requested_coefficients(self, tmp_path):
         rng = np.random.default_rng(2)
-        frames = [frame(rng.standard_normal(13), label="D", channel="A2_b2",
-                        index=i) for i in range(10)]
+        frames = frames_of([rng.standard_normal(13) for _ in range(10)],
+                           label="D", channel="A2_b2")
         path = tmp_path / "scatter.tsv"
         metrics.export_scatter(frames, (4, 13), path)
-        matrix = dataset.features_as_matrix(frames)
+        matrix = frames.coeffs
         lines = path.read_text().splitlines()[1:]
         for i, line in enumerate(lines):
             a, b, label, channel = line.split("\t")
@@ -140,11 +145,11 @@ class TestScatterExport:
             assert label == "D" and channel == "A2_b2"
 
     def test_zero_index_rejected(self, tmp_path):
-        frames = [frame(np.zeros(13))]
+        frames = frames_of([np.zeros(13)])
         with pytest.raises(DataError):
             metrics.export_scatter(frames, (0, 2), tmp_path / "x.tsv")
 
     def test_out_of_range_index_rejected(self, tmp_path):
-        frames = [frame(np.zeros(13))]
+        frames = frames_of([np.zeros(13)])
         with pytest.raises(DataError):
             metrics.export_scatter(frames, (1, 14), tmp_path / "x.tsv")

@@ -28,15 +28,15 @@ def toy_blobs(n=100, seed=3):
 
 class TestForward:
     def test_zero_parameters_give_even_posteriors(self):
-        prediction = mlp.forward(zero_model(), np.zeros(13))
-        np.testing.assert_array_equal(prediction.posteriors, [0.5, 0.5])
-        assert prediction.label == "H"
+        posteriors = mlp.predict_batch(zero_model(), np.zeros(13))[0]
+        np.testing.assert_array_equal(posteriors, [0.5, 0.5])
+        assert mlp.LABELS[posteriors.argmax()] == "H"  # ties go to H
 
     def test_posteriors_sum_to_one(self):
         rng = np.random.default_rng(2)
         model = mlp.init_model((13, 8, 5, 2), seed=7)
         for _ in range(50):
-            p = mlp.forward(model, rng.standard_normal(13)).posteriors
+            p = mlp.predict_batch(model, rng.standard_normal(13))[0]
             assert abs(p.sum() - 1.0) < 1e-9
             assert np.all(p >= 0.0)
 
@@ -50,21 +50,21 @@ class TestForward:
         logits = a @ model.weights[-1] + model.biases[-1]
         e = np.exp(logits - logits.max())
         expected = e / e.sum()
-        got = mlp.forward(model, x).posteriors
+        got = mlp.predict_batch(model, x)[0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_softmax_translation_invariance(self):
         model = mlp.init_model((4, 3, 2), seed=1)
         x = np.array([0.3, -1.2, 0.7, 2.0])
-        base = mlp.forward(model, x).posteriors
+        base = mlp.predict_batch(model, x)[0]
         shifted_model = mlp.init_model((4, 3, 2), seed=1)
         shifted_model.biases[-1][:] += 123.456
-        shifted = mlp.forward(shifted_model, x).posteriors
+        shifted = mlp.predict_batch(shifted_model, x)[0]
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DataError):
-            mlp.forward(zero_model(), np.zeros(7))
+            mlp.predict_batch(zero_model(), np.zeros(7))
 
 
 class TestLoss:
@@ -229,13 +229,12 @@ class TestModelFile:
         mlp.save_model(model, path)
         loaded = mlp.load_model(path)
         assert loaded.dims == (13, 6, 4, 2)
-        assert loaded.activation == model.activation
         assert np.array_equal(loaded.norm_stats.mean, stats.mean)
         rng = np.random.default_rng(5)
         for _ in range(100):
             x = rng.standard_normal(13)
-            a = mlp.forward(model, x).posteriors
-            b = mlp.forward(loaded, x).posteriors
+            a = mlp.predict_batch(model, x)[0]
+            b = mlp.predict_batch(loaded, x)[0]
             assert np.array_equal(a, b)
 
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -266,6 +265,16 @@ class TestModelFile:
         blob[4:6] = (42).to_bytes(2, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version"):
+            mlp.load_model(path)
+
+    def test_unknown_activation_tag_rejected(self, tmp_path):
+        path = tmp_path / "m.abmm"
+        mlp.save_model(mlp.init_model((4, 3, 2), seed=0), path)
+        blob = bytearray(path.read_bytes())
+        assert blob[6] == 0  # ReLU, the only hidden activation
+        blob[6] = 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="activation"):
             mlp.load_model(path)
 
     def test_truncation_rejected(self, tmp_path):
