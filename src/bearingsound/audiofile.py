@@ -7,6 +7,7 @@ rotational frequency of that block in Hz.
 
 from __future__ import annotations
 
+import hashlib
 import wave
 from pathlib import Path
 
@@ -52,10 +53,24 @@ def read_wav(path) -> tuple[np.ndarray, float]:
                                 f"{w.getnchannels()} channels")
             fs = float(w.getframerate())
             raw = w.readframes(w.getnframes())
-    except wave.Error as exc:
-        raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
+            if len(raw) != 2 * w.getnframes():
+                raise DataError(f"{path}: truncated WAV data chunk")
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        raise DataError(f"{path}: not a readable WAV file ({exc!r})") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(float) / PCM_FULL_SCALE
     return samples, fs
+
+
+def source_sha256(wav_path) -> str:
+    """Hex SHA-256 of a WAV file's bytes followed by its sidecar's bytes."""
+    digest = hashlib.sha256()
+    for path in (Path(wav_path), sidecar_path(wav_path)):
+        if not path.exists():
+            raise DataError(f"source file not found: {path}")
+        with path.open("rb") as f:
+            while chunk := f.read(1 << 20):
+                digest.update(chunk)
+    return digest.hexdigest()
 
 
 def sidecar_path(wav_path) -> Path:
@@ -72,7 +87,8 @@ def read_rot_track(wav_path) -> np.ndarray:
     if not path.exists():
         raise DataError(f"rotational track sidecar not found: {path}")
     values = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    # float() parses ASCII bytes, so bytes that are not text fail per line.
+    for line_no, line in enumerate(path.read_bytes().splitlines(), 1):
         line = line.strip()
         if not line:
             continue

@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import audiofile, dataset, experiments, metrics, mlp, synth
 from .dataset import SplitSpec
 from .dsp import MfccConfig
@@ -83,8 +81,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--no-normalize", action="store_true",
-                   help="skip per-coefficient z-scoring of the features")
 
 
 def _mfcc_config(args) -> MfccConfig:
@@ -127,7 +123,6 @@ def cmd_synth(args) -> int:
     else:
         raise ConfigError("pass --default-campaign or --scenario FILE")
     recordings = synth.synth_campaign(scenario)
-    band = _parse_band(args.band)
     entries = {}
     for spec in scenario:
         recording = recordings[spec.channel_id]
@@ -138,11 +133,9 @@ def cmd_synth(args) -> int:
         entries[spec.channel_id] = dataset.ManifestEntry(
             file=wav_name, label=spec.label, axle=spec.axle,
             component=spec.component, description=spec.description)
-        track = recording.rotational_freq_track
-        gated = int(np.sum((track >= band[0]) & (track <= band[1])))
         duration = len(recording.samples) / recording.fs
-        print(f"{spec.channel_id}: {duration:.1f} s, {len(track)} frames, "
-              f"~{gated} in {band[0]:g}-{band[1]:g} Hz [{spec.label}]")
+        print(f"{spec.channel_id}: {duration:.1f} s, "
+              f"{len(recording.rotational_freq_track)} frames [{spec.label}]")
     manifest = dataset.Manifest(entries=entries, base_dir=out_dir)
     dataset.save_manifest(manifest, out_dir / "manifest.json")
     print(f"wrote {len(entries)} channels to {out_dir}")
@@ -160,35 +153,19 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _load_cached_frames(args, manifest, channels) -> dataset.Frames:
-    features_dir = Path(args.features)
-    caches = {}
-    for channel_id in channels:
-        path = features_dir / f"{channel_id}.abfc"
-        if not path.exists():
-            raise DataError(f"feature cache not found: {path} (run extract first)")
-        caches[channel_id] = path
-    return experiments.load_frames(manifest, caches)
-
-
 def cmd_train(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
-    config = _mfcc_config(args)
-    band = _parse_band(args.band)
     channels = _pool_channels(args, manifest)
-    frames = _load_cached_frames(args, manifest, channels)
+    frames, mfcc = experiments.load_frames(manifest, channels, args.features)
     split = _split_spec(args)
     train_config = _train_config(args)
-    normalize = not args.no_normalize
-    run = experiments.split_and_train(frames, split, train_config,
-                                      normalize=normalize)
+    run = experiments.split_and_train(frames, split, train_config)
     model_path = Path(args.out)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     mlp.save_model(run["model"], model_path)
     log = {
         "seed": args.seed,
-        **experiments.provenance(manifest, channels, config, band, split,
-                                 train_config, normalize),
+        **experiments.provenance(manifest, channels, mfcc, split, train_config),
         "train_class_counts": dataset.label_counts(run["train_frames"].labels),
         "per_epoch_loss": run["loss_history"],
         "final_train_accuracy": run["train_accuracy"],
@@ -206,7 +183,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
     model = mlp.load_model(args.model)
-    frames = _load_cached_frames(args, manifest, _pool_channels(args, manifest))
+    frames, _ = experiments.load_frames(manifest, _pool_channels(args, manifest),
+                                        args.features)
     _, test_rows = dataset.make_split(frames, _split_spec(args))
     report = experiments.evaluate_frames(model, frames.take(test_rows))
     out_dir = Path(args.out)
@@ -224,7 +202,7 @@ def cmd_scatter(args) -> int:
     except ValueError:
         raise ConfigError(f"--pair expects A:B coefficient indices, got {args.pair!r}")
     channels = _parse_channels(args.channels) if args.channels else manifest.channels()
-    frames = _load_cached_frames(args, manifest, channels)
+    frames, _ = experiments.load_frames(manifest, channels, args.features)
     rows = metrics.export_scatter(frames, pair, args.out)
     print(f"wrote {rows} rows to {args.out}")
     return EXIT_OK
@@ -240,7 +218,7 @@ def cmd_experiment(args) -> int:
                 "or pass --synth-first")
         synth_args = argparse.Namespace(
             out=str(data_dir), scenario=None, default_campaign=True,
-            seed=args.seed, duration=args.duration, fs=args.fs, band=args.band)
+            seed=args.seed, duration=args.duration, fs=args.fs)
         cmd_synth(synth_args)
     manifest = dataset.load_manifest(manifest_path)
     config = _mfcc_config(args)
@@ -250,8 +228,7 @@ def cmd_experiment(args) -> int:
         train_size=args.train_size, test_size=args.test_size)
     out_dir = Path(args.out) if args.out else data_dir / "results" / args.name
     result = experiments.run_experiment(
-        manifest, spec, config, _train_config(args), band,
-        normalize=not args.no_normalize, out_dir=out_dir,
+        manifest, spec, config, _train_config(args), band, out_dir=out_dir,
         features_dir=data_dir / "features", log=print)
     report = result["report"]
     print(f"{args.name}: accuracy {metrics.round_half_up(report.accuracy):.2f}%  "
@@ -274,7 +251,6 @@ def build_parser() -> _Parser:
     p.add_argument("--duration", type=float, default=600.0,
                    help="seconds of audio per channel")
     p.add_argument("--fs", type=float, default=25600.0)
-    p.add_argument("--band", type=str, default="42:45")
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -288,7 +264,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a classifier over a split")
     p.add_argument("--manifest", type=str, required=True)
     p.add_argument("--features", type=str, required=True)
-    _add_mfcc_flags(p)
     _add_split_flags(p)
     _add_train_flags(p)
     p.add_argument("--out", type=str, required=True, help="model file path")
@@ -298,7 +273,6 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", type=str, required=True)
     p.add_argument("--features", type=str, required=True)
     p.add_argument("--model", type=str, required=True)
-    _add_mfcc_flags(p)
     _add_split_flags(p)
     p.add_argument("--out", type=str, required=True, help="report directory")
     p.set_defaults(func=cmd_eval)

@@ -27,7 +27,8 @@ BAND_LOW_HZ = 42.0
 BAND_HIGH_HZ = 45.0
 
 CACHE_MAGIC = b"ABFC"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+_CACHE_HEADER = struct.Struct("<4sHHQI")  # magic, version, coeffs, frames, sig bytes
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def load_manifest(path) -> Manifest:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"),
                          object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise DataError(f"{path}: manifest must be a JSON object")
@@ -304,40 +305,55 @@ def _cache_dtype(num_coeffs: int) -> np.dtype:
                      ("idx", "<u8")])
 
 
-def write_cache(path, frames: Frames, num_coeffs: int) -> None:
-    """Binary per-channel cache of gated frames."""
-    if frames.coeffs.shape[1] != num_coeffs:
-        raise DataError(
-            f"frames have {frames.coeffs.shape[1]} coefficients, "
-            f"cache expects {num_coeffs}")
+def write_cache(path, frames: Frames, signature: dict) -> None:
+    """Binary per-channel cache of gated frames, headed by their signature."""
+    sig = json.dumps(signature, sort_keys=True).encode("utf-8")
+    num_coeffs = frames.coeffs.shape[1]
     data = np.zeros(len(frames), dtype=_cache_dtype(num_coeffs))
     data["rot"], data["coeffs"], data["idx"] = frames.rot, frames.coeffs, frames.index
-    header = CACHE_MAGIC + struct.pack("<HHQ", CACHE_VERSION, num_coeffs, len(frames))
-    Path(path).write_bytes(header + data.tobytes())
+    header = _CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, num_coeffs,
+                                len(frames), len(sig))
+    Path(path).write_bytes(header + sig + data.tobytes())
 
 
-def read_cache(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (coeffs matrix, rotational frequencies, frame indices)."""
+def _parse_cache(path) -> tuple[dict, np.ndarray]:
+    """A cache file's signature and frame records, after checking its layout."""
     path = Path(path)
     if not path.exists():
-        raise DataError(f"feature cache not found: {path}")
+        raise DataError(f"feature cache not found: {path} (run extract first)")
     blob = path.read_bytes()
-    if len(blob) < 16 or blob[:4] != CACHE_MAGIC:
+    if blob[:4] != CACHE_MAGIC:
         raise FormatError(f"{path}: not a feature cache (bad magic)")
-    version, num_coeffs, count = struct.unpack("<HHQ", blob[4:16])
-    if version > CACHE_VERSION:
-        raise FormatError(
-            f"{path}: cache version {version} is newer than supported "
-            f"({CACHE_VERSION})")
+    version = int.from_bytes(blob[4:6], "little")
+    if version != CACHE_VERSION:
+        raise FormatError(f"{path}: cache version {version} is not the supported "
+                          f"{CACHE_VERSION}; re-run extract")
+    try:
+        _, _, num_coeffs, count, sig_len = _CACHE_HEADER.unpack_from(blob)
+        start = _CACHE_HEADER.size + sig_len
+        signature = json.loads(blob[_CACHE_HEADER.size : start])
+    except (RecursionError, struct.error, ValueError) as exc:
+        raise FormatError(f"{path}: truncated or corrupt cache header ({exc})") from exc
+    if not isinstance(signature, dict):
+        raise FormatError(f"{path}: cache signature is not a JSON object")
     dtype = _cache_dtype(num_coeffs)
-    expected = 16 + count * dtype.itemsize
+    expected = start + count * dtype.itemsize
     if len(blob) != expected:
         raise FormatError(
             f"{path}: truncated or padded cache ({len(blob)} bytes, "
             f"expected {expected})")
-    data = np.frombuffer(blob[16:], dtype=dtype)
-    coeffs = data["coeffs"].reshape(count, num_coeffs).copy()
-    return coeffs, data["rot"].copy(), data["idx"].astype(np.int64)
+    return signature, np.frombuffer(blob, dtype=dtype, offset=start)
+
+
+def read_cache_signature(path) -> dict:
+    """The signature a cache was written with."""
+    return _parse_cache(path)[0]
+
+
+def read_cache(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (coeffs matrix, rotational frequencies, frame indices)."""
+    data = _parse_cache(path)[1]
+    return data["coeffs"].copy(), data["rot"].copy(), data["idx"].astype(np.int64)
 
 
 def frames_from_cache(path, label: str, channel_id: str) -> Frames:

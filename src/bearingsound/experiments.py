@@ -35,9 +35,6 @@ EXPERIMENT_NAMES = ("seen-motor", "seen-gearbox", "unseen-A2b2", "unseen-A1b1")
 SEEN_SPLIT = (8000, 2000)
 UNSEEN_SPLIT = (5000, 5000)
 
-CACHE_META_NAME = "features_meta.json"
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A named protocol resolved against a manifest."""
@@ -102,10 +99,6 @@ def named_experiment(name: str, manifest: Manifest, seed: int,
 # --- feature extraction with cache reuse -------------------------------------
 
 
-def mfcc_signature(config: MfccConfig, band: tuple[float, float]) -> dict:
-    return {**asdict(config), "band": list(band)}
-
-
 def load_recording(manifest: Manifest, channel_id: str) -> AudioRecording:
     wav_path = manifest.wav_path(channel_id)
     samples, fs = audiofile.read_wav(wav_path)
@@ -115,8 +108,9 @@ def load_recording(manifest: Manifest, channel_id: str) -> AudioRecording:
 
 
 def extract_channel(manifest: Manifest, channel_id: str, config: MfccConfig,
-                    band: tuple[float, float], cache_path) -> tuple[int, int]:
-    """Gate and cache one channel; returns (total frames, gated frames)."""
+                    band: tuple[float, float], cache_path,
+                    signature: dict) -> tuple[int, int]:
+    """Gate one channel and cache it with signature; returns (total, gated) frames."""
     recording = load_recording(manifest, channel_id)
     if float(recording.fs) != float(config.sample_rate):
         raise DataError(
@@ -124,7 +118,7 @@ def extract_channel(manifest: Manifest, channel_id: str, config: MfccConfig,
             f"configured {config.sample_rate} Hz")
     frames = dataset.gate_frames(recording, config, manifest.label(channel_id),
                                  band_low=band[0], band_high=band[1])
-    dataset.write_cache(cache_path, frames, config.num_coeffs)
+    dataset.write_cache(cache_path, frames, signature)
     total = len(recording.samples) // config.dft_size
     return total, len(frames)
 
@@ -132,52 +126,58 @@ def extract_channel(manifest: Manifest, channel_id: str, config: MfccConfig,
 def ensure_caches(manifest: Manifest, channels, config: MfccConfig,
                   band: tuple[float, float], features_dir,
                   log=None) -> dict[str, Path]:
-    """Extract any channel whose cache is stale or absent; reuse the rest."""
+    """Extract any channel whose cache has another signature; reuse the rest."""
     features_dir = Path(features_dir)
     features_dir.mkdir(parents=True, exist_ok=True)
-    meta_path = features_dir / CACHE_META_NAME
-    signature = mfcc_signature(config, band)
-    reusable = False
-    if meta_path.exists():
-        try:
-            reusable = json.loads(meta_path.read_text(encoding="utf-8")) == signature
-        except json.JSONDecodeError:
-            reusable = False
+    mfcc = {**asdict(config), "band": list(band)}
     paths = {}
     for channel_id in channels:
         cache_path = features_dir / f"{channel_id}.abfc"
-        if not (reusable and cache_path.exists()):
+        source = audiofile.source_sha256(manifest.wav_path(channel_id))
+        signature = {"mfcc": mfcc, "source_sha256": source}
+        try:
+            reusable = dataset.read_cache_signature(cache_path) == signature
+        except DataError:
+            reusable = False
+        if not reusable:
             total, gated = extract_channel(manifest, channel_id, config, band,
-                                           cache_path)
+                                           cache_path, signature)
             if log:
                 log(f"{channel_id}: {total} frames, {gated} gated")
         elif log:
             log(f"{channel_id}: cache reused")
         paths[channel_id] = cache_path
-    meta_path.write_text(json.dumps(signature, indent=2, sort_keys=True) + "\n",
-                         encoding="utf-8")
     return paths
 
 
-def load_frames(manifest: Manifest, cache_paths: dict[str, Path]) -> dataset.Frames:
-    """The cached frames of every channel, in the order of cache_paths."""
-    if not cache_paths:
+def load_frames(manifest: Manifest, channels,
+                features_dir) -> tuple[dataset.Frames, dict]:
+    """The cached frames of the channels, in order, plus the MFCC settings
+    their caches record, which must be the same for every channel."""
+    if not channels:
         raise DataError("no channels to load")
-    return dataset.Frames.concat([
+    paths = [Path(features_dir) / f"{c}.abfc" for c in channels]
+    settings = [dataset.read_cache_signature(p).get("mfcc") for p in paths]
+    differ = [c for c, s in zip(channels, settings) if s != settings[0]]
+    if differ:
+        raise DataError(f"caches of {', '.join(differ)} have other feature "
+                        f"settings than {channels[0]}'s; re-run extract")
+    frames = dataset.Frames.concat([
         dataset.frames_from_cache(path, manifest.label(channel_id), channel_id)
-        for channel_id, path in cache_paths.items()])
+        for channel_id, path in zip(channels, paths)])
+    return frames, settings[0]
 
 
 # --- the run itself -----------------------------------------------------------
 
 
 def split_and_train(frames: dataset.Frames, split: SplitSpec,
-                    train_config: TrainConfig, normalize: bool = True):
-    """Split, train (z-scoring with stats fitted on the training rows unless
-    normalize is off); returns a run dict."""
+                    train_config: TrainConfig):
+    """Split, train (z-scoring with stats fitted on the training rows);
+    returns a run dict."""
     train_rows, test_rows = dataset.make_split(frames, split)
     x_train, y_train = frames.coeffs[train_rows], frames.labels[train_rows]
-    stats = dataset.fit_normalization(x_train) if normalize else None
+    stats = dataset.fit_normalization(x_train)
     model, history = mlp.train(x_train, y_train, train_config, norm_stats=stats)
     train_probs = mlp.predict_batch(model, x_train)
     train_accuracy = float(np.mean(train_probs.argmax(axis=1) == y_train))
@@ -197,14 +197,12 @@ def evaluate_frames(model: mlp.MlpModel,
     return metrics.metrics(metrics.confusion(probs.argmax(axis=1), frames.labels))
 
 
-def provenance(manifest: Manifest, channels, mfcc_config: MfccConfig,
-               band: tuple[float, float], split: SplitSpec,
-               train_config: TrainConfig, normalize: bool) -> dict:
+def provenance(manifest: Manifest, channels, mfcc: dict, split: SplitSpec,
+               train_config: TrainConfig) -> dict:
     """The settings a training run used, echoed into its logs."""
     return {
         "channels": {c: manifest.label(c) for c in channels},
-        "mfcc": mfcc_signature(mfcc_config, band),
-        "normalize": normalize,
+        "mfcc": mfcc,
         "split": asdict(split),
         "train_config": asdict(train_config),
     }
@@ -212,25 +210,24 @@ def provenance(manifest: Manifest, channels, mfcc_config: MfccConfig,
 
 def run_experiment(manifest: Manifest, spec: ExperimentSpec,
                    mfcc_config: MfccConfig, train_config: TrainConfig,
-                   band: tuple[float, float], normalize: bool,
-                   out_dir, features_dir=None, log=None) -> dict:
+                   band: tuple[float, float], out_dir, features_dir=None,
+                   log=None) -> dict:
     """Extract, split, train and evaluate one named experiment."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if features_dir is None:
         features_dir = manifest.base_dir / "features"
-    caches = ensure_caches(manifest, spec.channels, mfcc_config, band,
-                           features_dir, log=log)
-    frames = load_frames(manifest, caches)
-    run = split_and_train(frames, spec.split, train_config, normalize=normalize)
+    ensure_caches(manifest, spec.channels, mfcc_config, band, features_dir,
+                  log=log)
+    frames, mfcc = load_frames(manifest, spec.channels, features_dir)
+    run = split_and_train(frames, spec.split, train_config)
     report = evaluate_frames(run["model"], run["test_frames"])
 
     model_path = out_dir / "model.abmm"
     mlp.save_model(run["model"], model_path)
     train_log = {
         "experiment": spec.name,
-        **provenance(manifest, spec.channels, mfcc_config, band, spec.split,
-                     train_config, normalize),
+        **provenance(manifest, spec.channels, mfcc, spec.split, train_config),
         "train_class_counts": dataset.label_counts(run["train_frames"].labels),
         "test_class_counts": dataset.label_counts(run["test_frames"].labels),
         "per_epoch_loss": run["loss_history"],

@@ -278,6 +278,8 @@ def load_model(path) -> MlpModel:
             f"({MODEL_VERSION})")
     if act_tag != _RELU_TAG:
         raise FormatError(f"{path}: unknown activation tag {act_tag}")
+    if num_dims < 2:
+        raise FormatError(f"{path}: {num_dims} layer dims, need at least 2")
     offset = 8
 
     def take(count: int) -> bytes:

@@ -356,7 +356,7 @@ def scenario_from_json(path) -> list[ChannelSpec]:
         raise DataError(f"scenario file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, list):
         raise DataError(f"{path}: expected a JSON list of channels")
@@ -394,7 +394,8 @@ def scenario_from_json(path) -> list[ChannelSpec]:
                 description=str(entry.get("description", "")),
                 config=config,
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, ConfigError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise DataError(f"{path}: bad channel entry ({exc})") from exc
     return channels
 

@@ -267,8 +267,10 @@ def test_criterion_9_round_trips(tmp_path):
                 rot=np.array([r[1] for r in rows]),
                 index=np.array([r[2] for r in rows]), channel_ids=("x",))
             cache_path = tmp_path / "cache.abfc"
-            dataset.write_cache(cache_path, frames, 13)
+            signature = {"mfcc": {"num_coeffs": 13}, "source_sha256": str(trial)}
+            dataset.write_cache(cache_path, frames, signature)
             coeffs, rot, idx = dataset.read_cache(cache_path)
+            assert dataset.read_cache_signature(cache_path) == signature
             assert np.array_equal(coeffs, frames.coeffs)
             assert np.array_equal(rot, frames.rot)
             assert np.array_equal(idx, frames.index)

@@ -1,11 +1,13 @@
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import bearingsound
-from bearingsound import audiofile, cli, dataset
+from bearingsound import audiofile, cli, dataset, mlp
 
 
 def run(argv, capsys=None):
@@ -183,6 +185,47 @@ class TestTrainEvalCommands:
         assert rc == 2
         assert "dimension" in err
 
+    def test_train_takes_feature_settings_from_caches(self, campaign_dir,
+                                                      tmp_path):
+        narrow = tmp_path / "narrow"
+        assert cli.main(["extract", "--manifest",
+                         str(campaign_dir / "manifest.json"),
+                         "--channels", "A1_b1,A2_b2,B1_b1,B2_b2",
+                         "--coeffs", "10", "--out", str(narrow)]) == 0
+        model_path = tmp_path / "model10.abmm"
+        assert cli.main(self.train_args(campaign_dir, narrow, model_path)) == 0
+        log = json.loads(model_path.with_suffix(".train_log.json").read_text())
+        assert log["mfcc"]["num_coeffs"] == 10
+        assert "normalize" not in log
+        assert mlp.load_model(model_path).dims[0] == 10
+
+    def test_mixed_feature_settings_are_a_data_error(self, campaign_dir,
+                                                     features_dir, tmp_path,
+                                                     capsys):
+        mixed = tmp_path / "mixed"
+        shutil.copytree(features_dir, mixed)
+        assert cli.main(["extract", "--manifest",
+                         str(campaign_dir / "manifest.json"),
+                         "--channels", "B2_b2", "--coeffs", "10",
+                         "--out", str(mixed)]) == 0
+        capsys.readouterr()
+        rc, _, err = run(self.train_args(campaign_dir, mixed,
+                                         tmp_path / "m.abmm"), capsys)
+        assert rc == 2
+        assert "B2_b2" in err and "extract" in err
+
+    def test_version_1_cache_is_a_data_error(self, campaign_dir, features_dir,
+                                             tmp_path, capsys):
+        old = tmp_path / "old"
+        shutil.copytree(features_dir, old)
+        record = struct.pack("<d13dQ", 43.0, *range(13), 7)
+        (old / "A2_b2.abfc").write_bytes(
+            b"ABFC" + struct.pack("<HHQ", 1, 13, 1) + record)
+        rc, _, err = run(self.train_args(campaign_dir, old,
+                                         tmp_path / "m.abmm"), capsys)
+        assert rc == 2
+        assert "version 1" in err and "extract" in err
+
     def test_missing_cache_is_a_data_error(self, campaign_dir, tmp_path, capsys):
         rc, _, err = run(self.train_args(campaign_dir, tmp_path / "nowhere",
                                          tmp_path / "m.abmm"), capsys)
@@ -284,6 +327,28 @@ class TestUsageErrors:
                          capsys)
         assert rc == 1
         assert "LO:HI" in err
+
+    def test_feature_flags_removed_where_caches_decide(self, campaign_dir,
+                                                       features_dir, tmp_path,
+                                                       capsys):
+        split = ["--manifest", str(campaign_dir / "manifest.json"),
+                 "--features", str(features_dir), "--channels", "A1_b1,B1_b1",
+                 "--train-size", "40", "--test-size", "10"]
+        model = str(tmp_path / "m.abmm")
+        for argv, flag in (
+                (["train", *split, "--coeffs", "20", "--out", model], "--coeffs"),
+                (["train", *split, "--no-normalize", "--out", model],
+                 "--no-normalize"),
+                (["eval", *split, "--model", model, "--band", "30:50",
+                  "--out", str(tmp_path / "r")], "--band"),
+                (["experiment", "seen-motor", "--data", str(campaign_dir),
+                  "--no-normalize"], "--no-normalize"),
+                (["synth", "--default-campaign", "--band", "30:50",
+                  "--out", str(tmp_path / "s")], "--band")):
+            rc, _, err = run(argv, capsys)
+            assert rc == 1, argv
+            assert flag in err
+        assert not (tmp_path / "m.abmm").exists()
 
     def test_frame_len_flag_removed(self, campaign_dir, tmp_path, capsys):
         rc, _, err = run(["extract", "--manifest",

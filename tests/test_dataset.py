@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from bearingsound.synth import AudioRecording
 
 FRAME = 2048
 FS = 25600.0
+SIGNATURE = {"mfcc": {"num_coeffs": 13, "band": [42.0, 45.0]},
+             "source_sha256": "0" * 64}
 
 
 def recording_with_track(track, seed=0):
@@ -231,8 +234,9 @@ class TestFeatureCache:
                             index=np.array([r[2] for r in rows]),
                             channel_ids=("x",))
             path = tmp_path / f"t{trial}.abfc"
-            dataset.write_cache(path, frames, 13)
+            dataset.write_cache(path, frames, SIGNATURE)
             coeffs, rot, idx = dataset.read_cache(path)
+            assert dataset.read_cache_signature(path) == SIGNATURE
             assert np.array_equal(coeffs, frames.coeffs)
             assert np.array_equal(rot, frames.rot)
             assert np.array_equal(idx, frames.index)
@@ -240,7 +244,7 @@ class TestFeatureCache:
     def test_frames_round_trip_through_cache(self, tmp_path):
         frames = make_frames(20, "D", "ch")
         path = tmp_path / "c.abfc"
-        dataset.write_cache(path, frames, 13)
+        dataset.write_cache(path, frames, SIGNATURE)
         loaded = dataset.frames_from_cache(path, "D", "ch")
         assert frame_keys(loaded) == frame_keys(frames)
         assert np.array_equal(loaded.coeffs, frames.coeffs)
@@ -248,7 +252,7 @@ class TestFeatureCache:
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.abfc"
-        dataset.write_cache(path, make_frames(3), 13)
+        dataset.write_cache(path, make_frames(3), SIGNATURE)
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
@@ -257,20 +261,36 @@ class TestFeatureCache:
 
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "future.abfc"
-        dataset.write_cache(path, make_frames(3), 13)
+        dataset.write_cache(path, make_frames(3), SIGNATURE)
         blob = bytearray(path.read_bytes())
-        blob[4:6] = (99).to_bytes(2, "little")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="version"):
-            dataset.read_cache(path)
+        for version in (99, 1):  # 1 is the layout without a signature
+            blob[4:6] = version.to_bytes(2, "little")
+            path.write_bytes(bytes(blob))
+            with pytest.raises(FormatError, match="version.*re-run extract"):
+                dataset.read_cache(path)
+            with pytest.raises(FormatError, match="version"):
+                dataset.read_cache_signature(path)
+
+    def test_signature_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.abfc"
+        dataset.write_cache(path, make_frames(3), ["mfcc"])
+        with pytest.raises(FormatError, match="JSON object"):
+            dataset.read_cache_signature(path)
+        nested = b"[" * 100_000
+        path.write_bytes(b"ABFC" + struct.pack("<HHQI", 2, 13, 0, len(nested))
+                         + nested)
+        with pytest.raises(FormatError, match="corrupt cache header"):
+            dataset.read_cache_signature(path)
 
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "trunc.abfc"
-        dataset.write_cache(path, make_frames(3), 13)
+        dataset.write_cache(path, make_frames(3), SIGNATURE)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-5])
-        with pytest.raises(FormatError, match="truncated"):
-            dataset.read_cache(path)
+        # Into the frame records, the signature and the fixed header.
+        for keep in (len(blob) - 5, 40, 10):
+            path.write_bytes(blob[:keep])
+            with pytest.raises(FormatError, match="truncated"):
+                dataset.read_cache(path)
 
 
 class TestManifest:
@@ -301,6 +321,14 @@ class TestManifest:
         path.write_text(json.dumps({"X": {"file": "a.wav", "label": "broken"}}))
         with pytest.raises(DataError):
             dataset.load_manifest(path)
+
+    def test_undecodable_manifest_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        for blob in (b'{"X": {"file": "a.wav", "label": "\xff"}}',
+                     b"[" * 100_000):  # not UTF-8; nested past the stack
+            path.write_bytes(blob)
+            with pytest.raises(DataError, match="invalid JSON"):
+                dataset.load_manifest(path)
 
     def test_select_filters(self, tmp_path):
         manifest = Manifest(entries={

@@ -1,9 +1,10 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 
-from bearingsound import dataset, experiments, mlp
+from bearingsound import cli, dataset, experiments, mlp
 from bearingsound.dsp import MfccConfig
 from bearingsound.errors import ConfigError, DataError
 
@@ -64,7 +65,7 @@ class TestCaches:
         config = MfccConfig(sample_rate=16000.0)  # the campaign is 25.6 kHz
         with pytest.raises(DataError, match="sample rate"):
             experiments.extract_channel(manifest, "B1_b1", config, BAND,
-                                        tmp_path / "B1_b1.abfc")
+                                        tmp_path / "B1_b1.abfc", {})
 
     def test_caches_are_reused_when_config_matches(self, manifest, tmp_path):
         config = MfccConfig()
@@ -76,6 +77,7 @@ class TestCaches:
         experiments.ensure_caches(manifest, ("B1_b1",), config, BAND,
                                   tmp_path / "f", log=messages.append)
         assert messages == ["B1_b1: cache reused"]
+        assert sorted(p.name for p in (tmp_path / "f").iterdir()) == ["B1_b1.abfc"]
 
     def test_config_change_invalidates_caches(self, manifest, tmp_path):
         experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(), BAND,
@@ -86,14 +88,73 @@ class TestCaches:
                                   tmp_path / "f", log=messages.append)
         assert "gated" in messages[0]
 
+    def test_band_change_on_some_channels_invalidates_only_theirs(
+            self, manifest, tmp_path):
+        # Extract everything at 42:45, two channels at 30:50, then everything
+        # at 30:50: only the two re-extracted caches hold 30:50 features.
+        channels = manifest.channels()
+        experiments.ensure_caches(manifest, channels, MfccConfig(), BAND,
+                                  tmp_path / "f")
+        experiments.ensure_caches(manifest, ("A1_b1", "B1_b1"), MfccConfig(),
+                                  (30.0, 50.0), tmp_path / "f")
+        messages = []
+        experiments.ensure_caches(manifest, channels, MfccConfig(),
+                                  (30.0, 50.0), tmp_path / "f",
+                                  log=messages.append)
+        reused = sorted(m.split(":")[0] for m in messages if "reused" in m)
+        assert reused == ["A1_b1", "B1_b1"]
+        assert len(messages) == len(channels)
+        _, mfcc = experiments.load_frames(manifest, channels, tmp_path / "f")
+        assert mfcc["band"] == [30.0, 50.0]
+
+    def test_new_audio_invalidates_caches(self, tmp_path):
+        data = tmp_path / "data"
+        messages = []
+        for seed in ("1", "1", "2"):
+            assert cli.main(["--seed", seed, "synth", "--default-campaign",
+                             "--duration", "2", "--out", str(data)]) == 0
+            manifest = dataset.load_manifest(data / "manifest.json")
+            experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(), BAND,
+                                      tmp_path / "f", log=messages.append)
+        assert "gated" in messages[0]
+        assert messages[1] == "B1_b1: cache reused"  # same seed, same bytes
+        assert "gated" in messages[2]
+
+    def test_version_1_cache_is_re_extracted(self, manifest, tmp_path):
+        features = tmp_path / "f"
+        features.mkdir()
+        record = struct.pack("<d13dQ", 43.0, *range(13), 7)
+        (features / "B1_b1.abfc").write_bytes(
+            b"ABFC" + struct.pack("<HHQ", 1, 13, 1) + record)
+        with pytest.raises(DataError, match="re-run extract"):
+            experiments.load_frames(manifest, ("B1_b1",), features)
+        messages = []
+        experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(), BAND,
+                                  features, log=messages.append)
+        assert "gated" in messages[0]
+        frames, mfcc = experiments.load_frames(manifest, ("B1_b1",), features)
+        assert mfcc == {**dataclasses.asdict(MfccConfig()), "band": list(BAND)}
+        assert len(frames) > 1
+
+    def test_mixed_settings_are_rejected_naming_channels(self, manifest,
+                                                         tmp_path):
+        experiments.ensure_caches(manifest, ("A1_b1", "B1_b1"), MfccConfig(),
+                                  BAND, tmp_path / "f")
+        experiments.ensure_caches(manifest, ("B1_b1",),
+                                  MfccConfig(num_coeffs=10), BAND,
+                                  tmp_path / "f")
+        with pytest.raises(DataError, match="B1_b1.*A1_b1"):
+            experiments.load_frames(manifest, ("A1_b1", "B1_b1"),
+                                    tmp_path / "f")
+
 
 class TestRun:
     def test_split_and_train_reports_run_details(self, manifest, tmp_path):
         config = MfccConfig()
-        caches = experiments.ensure_caches(
-            manifest, ("A1_b1", "A2_b2", "B1_b1", "B2_b2"), config, BAND,
-            tmp_path / "f")
-        frames = experiments.load_frames(manifest, caches)
+        channels = ("A1_b1", "A2_b2", "B1_b1", "B2_b2")
+        experiments.ensure_caches(manifest, channels, config, BAND,
+                                  tmp_path / "f")
+        frames, _ = experiments.load_frames(manifest, channels, tmp_path / "f")
         split = dataset.SplitSpec(mode="random", train_size=300, test_size=100,
                                   seed=2)
         run = experiments.split_and_train(
@@ -108,9 +169,10 @@ class TestRun:
     def test_evaluate_applies_stored_normalization_to_raw_frames(self, manifest,
                                                                  tmp_path):
         config = MfccConfig()
-        caches = experiments.ensure_caches(
+        experiments.ensure_caches(
             manifest, ("A2_b2", "B2_b2"), config, BAND, tmp_path / "f")
-        frames = experiments.load_frames(manifest, caches)
+        frames, _ = experiments.load_frames(manifest, ("A2_b2", "B2_b2"),
+                                            tmp_path / "f")
         split = dataset.SplitSpec(mode="random", train_size=200, test_size=80,
                                   seed=5)
         run = experiments.split_and_train(
@@ -129,22 +191,22 @@ class TestRun:
 
     def test_evaluate_rejects_dimension_mismatch(self, manifest, tmp_path):
         model = mlp.init_model((10, 4, 2), seed=0)
-        caches = experiments.ensure_caches(
+        experiments.ensure_caches(
             manifest, ("B1_b1",), MfccConfig(), BAND, tmp_path / "f")
-        frames = experiments.load_frames(manifest, caches)
+        frames, _ = experiments.load_frames(manifest, ("B1_b1",), tmp_path / "f")
         with pytest.raises(DataError, match="dimension"):
             experiments.evaluate_frames(model, frames)
 
-    def test_load_frames_needs_a_channel(self, manifest):
+    def test_load_frames_needs_a_channel(self, manifest, tmp_path):
         with pytest.raises(DataError, match="no channels"):
-            experiments.load_frames(manifest, {})
+            experiments.load_frames(manifest, (), tmp_path)
 
     def test_run_experiment_writes_complete_results(self, manifest, tmp_path):
         spec = experiments.named_experiment("seen-motor", manifest, seed=4,
                                             train_size=300, test_size=100)
         result = experiments.run_experiment(
             manifest, spec, MfccConfig(), mlp.TrainConfig(epochs=3, seed=4),
-            BAND, normalize=True, out_dir=tmp_path / "out",
+            BAND, out_dir=tmp_path / "out",
             features_dir=tmp_path / "f")
         out = tmp_path / "out"
         for name in ("model.abmm", "train_log.json", "report.json",

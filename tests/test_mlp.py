@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -276,6 +277,16 @@ class TestModelFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="activation"):
             mlp.load_model(path)
+
+    def test_too_few_dims_rejected(self, tmp_path):
+        path = tmp_path / "m.abmm"
+        for num_dims in (0, 1):
+            # The header and dims of a model with fewer than two layers.
+            path.write_bytes(mlp.MODEL_MAGIC + struct.pack("<HBB", 1, 0, num_dims)
+                             + struct.pack(f"<{num_dims}I", *[4] * num_dims)
+                             + b"\x00")
+            with pytest.raises(FormatError, match="at least 2"):
+                mlp.load_model(path)
 
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "m.abmm"

@@ -215,3 +215,20 @@ class TestScenarioFile:
         incomplete.write_text('[{"channel": "C1"}]')
         with pytest.raises(DataError):
             synth.scenario_from_json(incomplete)
+        not_objects = tmp_path / "numbers.json"
+        not_objects.write_text("[1]")
+        with pytest.raises(DataError):
+            synth.scenario_from_json(not_objects)
+        undecodable = tmp_path / "latin1.json"
+        undecodable.write_bytes(b'[{"channel": "\xe9"}]')
+        with pytest.raises(DataError):
+            synth.scenario_from_json(undecodable)
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        with pytest.raises(DataError):
+            synth.scenario_from_json(nested)
+        bad_value = tmp_path / "zero.json"
+        bad_value.write_text('[{"channel": "C1", "label": "H", "seed": 1, '
+                             '"duration": 0, "profile": [[0, 43]]}]')
+        with pytest.raises(DataError, match="duration"):
+            synth.scenario_from_json(bad_value)
