@@ -18,7 +18,7 @@ import numpy as np
 
 from .dsp import MfccConfig, feature_matrix
 from .errors import DataError, FormatError
-from .synth import AudioRecording
+from .synth import AudioRecording, check_channel_id
 
 # Class index of each label, fixed project-wide: H is 0, D is 1.
 LABELS = ("H", "D")
@@ -76,6 +76,7 @@ class Manifest:
 
 
 def _check_entry(channel_id: str, entry: ManifestEntry) -> None:
+    check_channel_id(channel_id)
     if entry.label not in LABELS:
         raise DataError(f"{channel_id}: label must be H or D, got {entry.label!r}")
     if entry.component not in ("motor", "gearbox"):

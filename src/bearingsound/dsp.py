@@ -137,45 +137,12 @@ def build_filterbank(config: MfccConfig) -> MelFilterbank:
     return MelFilterbank(weights=weights, center_freqs=hz_points[1:-1])
 
 
-def _bit_reversed_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 transform along the last axis.
-
-    The last axis length must be a power of two. Accepts real or complex
-    input of any leading shape and returns complex output of the same shape.
-    """
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"transform length must be a power of two, got {n}")
-    y = x[..., _bit_reversed_indices(n)].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = y.reshape(y.shape[:-1] + (n // size, size))
-        even = blocks[..., :half]
-        odd = blocks[..., half:] * twiddle
-        blocks[..., :half], blocks[..., half:] = even + odd, even - odd
-        size *= 2
-    return y
-
-
 def power_spectrum(frame: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Squared-magnitude DFT of a windowed frame on bins 0..N/2.
+    """Squared-magnitude DFT of a windowed frame on bins 0..N/2, along the
+    last axis (numpy's real-input FFT).
 
     No 1/N scaling is applied, so a rectangular-windowed unit tone at an
-    exact bin lands (N/2)^2 there. frame and window must have equal
-    power-of-two length.
+    exact bin lands (N/2)^2 there. frame and window must have equal length.
     """
     frame = np.asarray(frame, dtype=float)
     window = np.asarray(window, dtype=float)
@@ -183,9 +150,7 @@ def power_spectrum(frame: np.ndarray, window: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"frame length {frame.shape[-1]} != window length {window.shape[0]}"
         )
-    n = window.shape[0]
-    spectrum = fft_radix2(frame * window)[..., : n // 2 + 1]
-    return np.abs(spectrum) ** 2
+    return np.abs(np.fft.rfft(frame * window)) ** 2
 
 
 def filterbank_energies(spectrum: np.ndarray, fb: MelFilterbank) -> np.ndarray:

@@ -8,6 +8,9 @@ frequency, a fixed multiple of the shaft frequency. Inner-ring trains are
 amplitude-modulated by the shaft rotation (the defect moves through the load
 zone once per revolution), outer-ring trains are not.
 
+The harmonic sum takes one sin and one cos of the shaft angle per sample and
+gets every higher harmonic from the Chebyshev three-term recurrence.
+
 Everything is deterministic given the config seed: the harmonic-phase, noise
 and fault randomness come from three independent child streams, so a healthy
 and a damaged recording that share a seed differ exactly by the injected
@@ -80,6 +83,8 @@ class SynthConfig:
             raise ConfigError("rotational frequency must stay positive")
         object.__setattr__(self, "rotational_freq_profile", profile)
         harmonics = tuple((int(h), float(a)) for h, a in self.harmonic_amplitudes)
+        if any(h <= 0 for h, _ in harmonics):
+            raise ConfigError("harmonic numbers must be positive")
         if any(a < 0 for _, a in harmonics):
             raise ConfigError("harmonic amplitudes must be non-negative")
         object.__setattr__(self, "harmonic_amplitudes", harmonics)
@@ -193,17 +198,55 @@ def _child_rngs(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in children]
 
 
+# Samples per block of the harmonic sum. A block's sin, cos and recurrence
+# arrays (256 KiB each) stay in cache while every harmonic is added, instead
+# of streaming the whole recording through memory once per harmonic.
+_HARMONIC_BLOCK = 1 << 15
+
+
+def _harmonic_sum(harmonics, revs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Sum of amp*sin(h*theta + phase), theta = 2*pi*revs, over (h, amp) in
+    harmonics, as amp*cos(phase)*sin(h*theta) + amp*sin(phase)*cos(h*theta).
+    One phase is drawn per entry in order, zero amplitudes too; sin and cos of
+    h*theta come from the recurrence x[h+1] = 2*cos(theta)*x[h] - x[h-1]."""
+    weights: dict[int, tuple[float, float]] = {}
+    for h, amp in harmonics:
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        if amp > 0:
+            w_sin, w_cos = weights.get(h, (0.0, 0.0))
+            weights[h] = (w_sin + amp * np.cos(phase), w_cos + amp * np.sin(phase))
+    signal = np.zeros(len(revs))
+    if not weights:
+        return signal
+    top = max(weights)
+    for start in range(0, len(revs), _HARMONIC_BLOCK):
+        theta = 2.0 * np.pi * revs[start : start + _HARMONIC_BLOCK]
+        out = signal[start : start + len(theta)]
+        tmp = np.empty_like(theta)
+        sin_h, cos_h = np.sin(theta), np.cos(theta)
+        sin_prev, cos_prev = np.zeros_like(theta), np.ones_like(theta)
+        two_cos = 2.0 * cos_h
+        for h in range(1, top + 1):
+            if h in weights:
+                w_sin, w_cos = weights[h]
+                out += np.multiply(w_sin, sin_h, out=tmp)
+                out += np.multiply(w_cos, cos_h, out=tmp)
+            if h < top:
+                # Step to h + 1, overwriting the h - 1 arrays.
+                np.subtract(np.multiply(two_cos, sin_h, out=tmp), sin_prev, out=sin_prev)
+                np.subtract(np.multiply(two_cos, cos_h, out=tmp), cos_prev, out=cos_prev)
+                sin_h, sin_prev = sin_prev, sin_h
+                cos_h, cos_prev = cos_prev, cos_h
+    return signal
+
+
 def synth_recording(config: SynthConfig, channel_id: str = "synth") -> AudioRecording:
     """Generate one channel; deterministic given config (including seed)."""
     rng_phase, rng_noise, rng_fault = _child_rngs(config.seed)
     freq, revs = _shaft_revolutions(config)
     n = len(revs)
 
-    signal = np.zeros(n)
-    for h, amp in config.harmonic_amplitudes:
-        phase = rng_phase.uniform(0.0, 2.0 * np.pi)
-        if amp > 0:
-            signal += amp * np.sin(2.0 * np.pi * h * revs + phase)
+    signal = _harmonic_sum(config.harmonic_amplitudes, revs, rng_phase)
 
     if config.noise_level > 0:
         signal += config.noise_level * rng_noise.standard_normal(n)
@@ -228,6 +271,14 @@ LABEL_HEALTHY = "H"
 LABEL_DAMAGED = "D"
 
 
+def check_channel_id(channel_id: str) -> None:
+    """Reject ids that are not a plain file name: a channel's <id>.wav and
+    <id>.abfc must land inside the directory they are written to."""
+    if channel_id in ("", ".", "..") or "/" in channel_id or "\\" in channel_id:
+        raise DataError(f"bad channel id {channel_id!r}: it must name a file, "
+                        "not a path")
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """One channel of a measurement campaign: identity, metadata, generator."""
@@ -240,6 +291,7 @@ class ChannelSpec:
     config: SynthConfig
 
     def __post_init__(self):
+        check_channel_id(self.channel_id)
         if self.label not in (LABEL_HEALTHY, LABEL_DAMAGED):
             raise ConfigError(f"label must be H or D, got {self.label!r}")
         if self.component not in ("motor", "gearbox"):

@@ -51,6 +51,20 @@ class TestSynthCommand:
         assert rc == 2
         assert "X1" in err
 
+    def test_channel_id_cannot_leave_out_dir(self, tmp_path, capsys):
+        channel = {
+            "channel": "../evil", "label": "H", "seed": 1, "duration": 0.5,
+            "profile": [[0.0, 43.0]],
+        }
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps([channel]))
+        rc, _, err = run(["synth", "--scenario", str(scenario),
+                          "--out", str(tmp_path / "run" / "out")], capsys)
+        assert rc == 2
+        assert "../evil" in err
+        assert list(tmp_path.rglob("evil*")) == []
+        assert list((tmp_path / "run" / "out").iterdir()) == []
+
     def test_requires_a_source(self, tmp_path, capsys):
         rc, _, err = run(["synth", "--out", str(tmp_path / "o")], capsys)
         assert rc == 1
@@ -96,6 +110,20 @@ class TestExtractCommand:
                           "--out", str(tmp_path / "f")], capsys)
         assert rc == 2
         assert "ghost.wav" in err
+
+    def test_channel_id_cannot_leave_out_dir(self, campaign_dir, tmp_path, capsys):
+        campaign = tmp_path / "campaign"
+        campaign.mkdir()
+        for name in ("B1_b1.wav", "B1_b1.rot"):
+            shutil.copy(campaign_dir / name, campaign / name)
+        (campaign / "manifest.json").write_text(json.dumps(
+            {"../evil": {"file": "B1_b1.wav", "label": "H"}}))
+        rc, _, err = run(["extract", "--manifest", str(campaign / "manifest.json"),
+                          "--out", str(campaign / "f")], capsys)
+        assert rc == 2
+        assert "../evil" in err
+        assert list(tmp_path.rglob("evil*")) == []
+        assert not (campaign / "f").exists()
 
     def test_sample_rate_mismatch(self, campaign_dir, tmp_path, capsys):
         rc, _, err = run(["extract", "--manifest",

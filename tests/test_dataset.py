@@ -322,6 +322,13 @@ class TestManifest:
         with pytest.raises(DataError):
             dataset.load_manifest(path)
 
+    @pytest.mark.parametrize("channel_id", ["", ".", "..", "../evil", "a/b", "a\\b"])
+    def test_path_like_channel_id_rejected(self, tmp_path, channel_id):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({channel_id: {"file": "a.wav", "label": "H"}}))
+        with pytest.raises(DataError, match="channel id"):
+            dataset.load_manifest(path)
+
     def test_undecodable_manifest_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         for blob in (b'{"X": {"file": "a.wav", "label": "\xff"}}',

@@ -68,6 +68,28 @@ class TestSingleToneRecording:
         np.testing.assert_allclose(recording.rotational_freq_track, 43.0)
 
 
+class TestHarmonicSum:
+    def test_matches_direct_sine_sum(self):
+        # 600 s at 2 kHz: revolutions reach about 25 000, and 1.2 M samples
+        # end in a partial block. The harmonics leave gaps, repeat h = 3,
+        # carry a zero amplitude that still draws its phase, and reach h = 23.
+        harmonics = ((1, 1.0), (3, 0.4), (4, 0.0), (3, 0.25), (8, 0.1), (23, 0.05))
+        config = synth.SynthConfig(
+            fs=2000.0, duration=600.0, seed=17,
+            rotational_freq_profile=((0.0, 43.0), (250.0, 44.5), (400.0, 38.0)),
+            harmonic_amplitudes=harmonics)
+        recording = synth.synth_recording(config, "h")
+        assert len(recording.samples) % synth._HARMONIC_BLOCK != 0
+
+        _, revs = synth._shaft_revolutions(config)
+        rng_phase = synth._child_rngs(config.seed)[0]
+        expected = np.zeros(len(revs))
+        for h, amp in harmonics:
+            phase = rng_phase.uniform(0.0, 2.0 * np.pi)
+            expected += amp * np.sin(2.0 * np.pi * h * revs + phase)
+        np.testing.assert_allclose(recording.samples, expected, rtol=0, atol=1e-9)
+
+
 class TestFaultTrain:
     def test_impulse_spacing_matches_rate_arithmetic(self):
         config = tone_config(fault=outer_fault())
@@ -232,3 +254,9 @@ class TestScenarioFile:
                              '"duration": 0, "profile": [[0, 43]]}]')
         with pytest.raises(DataError, match="duration"):
             synth.scenario_from_json(bad_value)
+        for h in (0, -2):
+            bad_value.write_text('[{"channel": "C1", "label": "H", "seed": 1, '
+                                 '"duration": 1, "profile": [[0, 43]], '
+                                 f'"harmonics": [[1, 1.0], [{h}, 0.5]]}}]')
+            with pytest.raises(DataError, match="harmonic numbers"):
+                synth.scenario_from_json(bad_value)
