@@ -25,17 +25,19 @@ def write_wav(path, samples: np.ndarray, fs: float) -> None:
     a silent signal is written as zeros.
     """
     samples = np.asarray(samples, dtype=float)
-    peak = np.max(np.abs(samples)) if samples.size else 0.0
+    # max(max, -min) is max(abs) without a full-length temporary.
+    peak = max(samples.max(), -samples.min()) if samples.size else 0.0
     if peak > 0:
         scaled = samples * (0.95 * PCM_FULL_SCALE / peak)
+        np.rint(scaled, out=scaled)
     else:
-        scaled = samples
-    pcm = np.rint(scaled).astype("<i2")
+        scaled = np.rint(samples)
+    pcm = scaled.astype("<i2")
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(int(round(fs)))
-        w.writeframes(pcm.tobytes())
+        w.writeframes(pcm)
 
 
 def read_wav(path) -> tuple[np.ndarray, float]:
@@ -57,7 +59,8 @@ def read_wav(path) -> tuple[np.ndarray, float]:
                 raise DataError(f"{path}: truncated WAV data chunk")
     except (wave.Error, EOFError, RuntimeError) as exc:
         raise DataError(f"{path}: not a readable WAV file ({exc!r})") from exc
-    samples = np.frombuffer(raw, dtype="<i2").astype(float) / PCM_FULL_SCALE
+    samples = np.frombuffer(raw, dtype="<i2").astype(float)
+    samples /= PCM_FULL_SCALE
     return samples, fs
 
 

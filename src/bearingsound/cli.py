@@ -54,6 +54,7 @@ def _parse_channels(text: str) -> tuple[str, ...]:
     channels = tuple(c.strip() for c in text.split(",") if c.strip())
     if not channels:
         raise ConfigError("expected a comma-separated channel list")
+    synth.check_unique_ids(channels, error=ConfigError)
     return channels
 
 
@@ -122,20 +123,22 @@ def cmd_synth(args) -> int:
                                           fs=args.fs)
     else:
         raise ConfigError("pass --default-campaign or --scenario FILE")
-    recordings = synth.synth_campaign(scenario)
+
+    def write(spec, recording):
+        wav_path = out_dir / f"{spec.channel_id}.wav"
+        audiofile.write_wav(wav_path, recording.samples, recording.fs)
+        audiofile.write_rot_track(wav_path, recording.rotational_freq_track)
+        duration = len(recording.samples) / recording.fs
+        return duration, len(recording.rotational_freq_track)
+
+    written = synth.synth_campaign(scenario, write)
     entries = {}
     for spec in scenario:
-        recording = recordings[spec.channel_id]
-        wav_name = f"{spec.channel_id}.wav"
-        audiofile.write_wav(out_dir / wav_name, recording.samples, recording.fs)
-        audiofile.write_rot_track(out_dir / wav_name,
-                                  recording.rotational_freq_track)
+        duration, frames = written[spec.channel_id]
         entries[spec.channel_id] = dataset.ManifestEntry(
-            file=wav_name, label=spec.label, axle=spec.axle,
+            file=f"{spec.channel_id}.wav", label=spec.label, axle=spec.axle,
             component=spec.component, description=spec.description)
-        duration = len(recording.samples) / recording.fs
-        print(f"{spec.channel_id}: {duration:.1f} s, "
-              f"{len(recording.rotational_freq_track)} frames [{spec.label}]")
+        print(f"{spec.channel_id}: {duration:.1f} s, {frames} frames [{spec.label}]")
     manifest = dataset.Manifest(entries=entries, base_dir=out_dir)
     dataset.save_manifest(manifest, out_dir / "manifest.json")
     print(f"wrote {len(entries)} channels to {out_dir}")
@@ -156,8 +159,8 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
     channels = _pool_channels(args, manifest)
-    frames, mfcc = experiments.load_frames(manifest, channels, args.features)
     split = _split_spec(args)
+    frames, mfcc = experiments.load_frames(manifest, channels, args.features)
     train_config = _train_config(args)
     run = experiments.split_and_train(frames, split, train_config)
     model_path = Path(args.out)
@@ -183,9 +186,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
     model = mlp.load_model(args.model)
+    split = _split_spec(args)
     frames, _ = experiments.load_frames(manifest, _pool_channels(args, manifest),
                                         args.features)
-    _, test_rows = dataset.make_split(frames, _split_spec(args))
+    _, test_rows = dataset.make_split(frames, split)
     report = experiments.evaluate_frames(model, frames.take(test_rows))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

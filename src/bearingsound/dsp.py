@@ -207,8 +207,9 @@ def feature_matrix(samples: np.ndarray, config: MfccConfig,
     basis = cepstral_basis(config.num_channels, config.num_coeffs)
     frames = samples[: num_frames * n].reshape(num_frames, n)
     out = np.zeros((num_frames, config.num_coeffs))
-    # Chunked so a long recording never materializes a huge complex array.
-    chunk = max(1, (1 << 22) // n)
+    # Chunks of 2^20 samples keep the windowed frames, their spectra and the
+    # energies small next to the recording itself.
+    chunk = max(1, (1 << 20) // n)
     for start in range(0, num_frames, chunk):
         block = frames[start : start + chunk]
         spectra = power_spectrum(block, window)

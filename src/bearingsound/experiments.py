@@ -9,6 +9,11 @@ Four named experiments are built in:
 * unseen-A2b2:   train on A1_b1 + B1_b1, test on A2_b2 + B2_b2.
 * unseen-A1b1:   train on A2_b2 + B2_b2, test on A1_b1 + B1_b1.
 
+``ensure_caches`` hashes the sources and checks the cache signatures in the
+calling thread, in channel order, and extracts only the stale channels, on
+``synth.map_channels``'s worker threads; a run that reuses every cache starts
+no thread.
+
 Each run writes a self-contained results directory: the model, a training
 log, the evaluation report (JSON and text), and a config echo sufficient to
 replay the run. Nothing written depends on wall-clock time or absolute
@@ -28,7 +33,7 @@ from .dataset import Manifest, SplitSpec
 from .dsp import MfccConfig
 from .errors import ConfigError, DataError
 from .mlp import TrainConfig
-from .synth import AudioRecording
+from .synth import AudioRecording, check_unique_ids, map_channels
 
 EXPERIMENT_NAMES = ("seen-motor", "seen-gearbox", "unseen-A2b2", "unseen-A1b1")
 
@@ -126,28 +131,42 @@ def extract_channel(manifest: Manifest, channel_id: str, config: MfccConfig,
 def ensure_caches(manifest: Manifest, channels, config: MfccConfig,
                   band: tuple[float, float], features_dir,
                   log=None) -> dict[str, Path]:
-    """Extract any channel whose cache has another signature; reuse the rest."""
+    """Extract any channel whose cache has another signature, on worker
+    threads; reuse the rest. Logs one line per channel, in channel order."""
+    check_unique_ids(channels)
     features_dir = Path(features_dir)
     features_dir.mkdir(parents=True, exist_ok=True)
     mfcc = {**asdict(config), "band": list(band)}
-    paths = {}
+    paths, stale = {}, {}
     for channel_id in channels:
-        cache_path = features_dir / f"{channel_id}.abfc"
+        paths[channel_id] = features_dir / f"{channel_id}.abfc"
         source = audiofile.source_sha256(manifest.wav_path(channel_id))
         signature = {"mfcc": mfcc, "source_sha256": source}
-        try:
-            reusable = dataset.read_cache_signature(cache_path) == signature
-        except DataError:
-            reusable = False
-        if not reusable:
-            total, gated = extract_channel(manifest, channel_id, config, band,
-                                           cache_path, signature)
-            if log:
+        if not _cache_matches(paths[channel_id], signature):
+            stale[channel_id] = signature
+    counts = map_channels(
+        lambda c: extract_channel(manifest, c, config, band, paths[c], stale[c]),
+        stale)
+    extracted = dict(zip(stale, counts))
+    if log:
+        for channel_id in channels:
+            if channel_id in extracted:
+                total, gated = extracted[channel_id]
                 log(f"{channel_id}: {total} frames, {gated} gated")
-        elif log:
-            log(f"{channel_id}: cache reused")
-        paths[channel_id] = cache_path
+            else:
+                log(f"{channel_id}: cache reused")
     return paths
+
+
+def _cache_matches(cache_path: Path, signature: dict) -> bool:
+    """Whether a cache exists with this signature; an unreadable or older
+    cache does not match."""
+    if not cache_path.exists():
+        return False
+    try:
+        return dataset.read_cache_signature(cache_path) == signature
+    except DataError:
+        return False
 
 
 def load_frames(manifest: Manifest, channels,
@@ -156,6 +175,7 @@ def load_frames(manifest: Manifest, channels,
     their caches record, which must be the same for every channel."""
     if not channels:
         raise DataError("no channels to load")
+    check_unique_ids(channels)
     paths = [Path(features_dir) / f"{c}.abfc" for c in channels]
     settings = [dataset.read_cache_signature(p).get("mfcc") for p in paths]
     differ = [c for c, s in zip(channels, settings) if s != settings[0]]

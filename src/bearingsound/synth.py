@@ -11,6 +11,11 @@ zone once per revolution), outer-ring trains are not.
 The harmonic sum takes one sin and one cos of the shaft angle per sample and
 gets every higher harmonic from the Chebyshev three-term recurrence.
 
+A campaign's channels are independent, so ``map_channels`` runs them on one
+worker thread per available CPU (numpy releases the interpreter lock inside
+its array loops, FFTs and BLAS calls). Each channel's output depends only on
+its own config, so the bytes written are the same for any worker count.
+
 Everything is deterministic given the config seed: the harmonic-phase, noise
 and fault randomness come from three independent child streams, so a healthy
 and a damaged recording that share a seed differ exactly by the injected
@@ -20,6 +25,8 @@ impact component.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,9 +141,12 @@ def resonance_kernel(resonance_freq: float, resonance_decay: float, fs: float) -
 def _shaft_revolutions(config: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
     """Sampled rotational frequency and its running integral (revolutions)."""
     n = int(round(config.duration * config.fs))
-    t = np.arange(n) / config.fs
+    t = np.arange(n, dtype=float)
+    t /= config.fs
     freq = sample_profile(config.rotational_freq_profile, t)
-    revs = np.cumsum(freq) / config.fs
+    del t
+    revs = np.cumsum(freq)
+    revs /= config.fs
     return freq, revs
 
 
@@ -157,8 +167,9 @@ def _fault_impulses(config: SynthConfig, freq: np.ndarray, revs: np.ndarray,
     per-impact amplitude scatter, and the depth of the slow regime drift.
     """
     fault = config.fault
-    fault_revs = fault.fault_freq_ratio * revs
-    indices = np.flatnonzero(np.diff(np.floor(fault_revs)) > 0) + 1
+    turns = np.multiply(fault.fault_freq_ratio, revs)
+    np.floor(turns, out=turns)
+    indices = np.flatnonzero(turns[1:] > turns[:-1]) + 1
     if indices.size == 0:
         return indices, np.zeros(0)
     n = len(revs)
@@ -241,34 +252,88 @@ def _harmonic_sum(harmonics, revs: np.ndarray, rng: np.random.Generator) -> np.n
 
 
 def synth_recording(config: SynthConfig, channel_id: str = "synth") -> AudioRecording:
-    """Generate one channel; deterministic given config (including seed)."""
+    """Generate one channel; deterministic given config (including seed).
+
+    Peak memory is about three float64 arrays of the recording's length.
+    """
     rng_phase, rng_noise, rng_fault = _child_rngs(config.seed)
     freq, revs = _shaft_revolutions(config)
     n = len(revs)
 
-    signal = _harmonic_sum(config.harmonic_amplitudes, revs, rng_phase)
-
-    if config.noise_level > 0:
-        signal += config.noise_level * rng_noise.standard_normal(n)
-
+    # Everything that needs freq comes first, so it is freed before the
+    # signal is allocated; the three rng streams are independent.
+    num_blocks = n // FRAME_SAMPLES
+    track = freq[: num_blocks * FRAME_SAMPLES].reshape(num_blocks, FRAME_SAMPLES).mean(axis=1)
     if config.fault is not None:
         indices, amps = _fault_impulses(config, freq, revs, rng_fault)
+    del freq
+
+    signal = _harmonic_sum(config.harmonic_amplitudes, revs, rng_phase)
+    del revs
+
+    if config.noise_level > 0:
+        # Drawn block by block into one buffer: the same stream as one
+        # standard_normal(n) draw, without a second full-length array.
+        noise = np.empty(min(n, _HARMONIC_BLOCK))
+        for start in range(0, n, _HARMONIC_BLOCK):
+            block = noise[: min(_HARMONIC_BLOCK, n - start)]
+            rng_noise.standard_normal(out=block)
+            block *= config.noise_level
+            signal[start : start + len(block)] += block
+
+    if config.fault is not None:
         kernel = resonance_kernel(config.fault.resonance_freq,
                                   config.fault.resonance_decay, config.fs)
         for idx, amp in zip(indices, amps):
             stop = min(idx + len(kernel), n)
             signal[idx:stop] += amp * kernel[: stop - idx]
 
-    num_blocks = n // FRAME_SAMPLES
-    track = freq[: num_blocks * FRAME_SAMPLES].reshape(num_blocks, FRAME_SAMPLES).mean(axis=1)
     return AudioRecording(samples=signal, fs=config.fs, channel_id=channel_id,
                           rotational_freq_track=track)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_channels(fn, items) -> list:
+    """[fn(item) for item in items], run on min(len(items), available CPUs)
+    worker threads; with one worker it is that plain loop and starts no
+    thread. Results come back in input order. On a failure the items not
+    yet started are cancelled and the error of the earliest failing item in
+    input order is raised."""
+    items = list(items)
+    workers = min(len(items), _available_cpus())
+    if workers <= 1:
+        return [fn(item) for item in items]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # Items run in submission order, so every item before the first failure
+    # ran to completion and no cancelled future is reached.
+    return [future.result() for future in futures]
 
 
 # --- campaign scenarios ----------------------------------------------------
 
 LABEL_HEALTHY = "H"
 LABEL_DAMAGED = "D"
+
+
+def check_unique_ids(channel_ids, error=DataError) -> None:
+    """Raise error naming the first id that repeats: each channel owns the
+    files <id>.wav and <id>.abfc, and its frames must be counted once."""
+    seen = set()
+    for channel_id in channel_ids:
+        if channel_id in seen:
+            raise error(f"duplicate channel id: {channel_id}")
+        seen.add(channel_id)
 
 
 def check_channel_id(channel_id: str) -> None:
@@ -452,11 +517,20 @@ def scenario_from_json(path) -> list[ChannelSpec]:
     return channels
 
 
-def synth_campaign(scenario: list[ChannelSpec]) -> dict[str, AudioRecording]:
-    """Generate every channel of a scenario; raises on duplicate channel ids."""
-    recordings: dict[str, AudioRecording] = {}
-    for spec in scenario:
-        if spec.channel_id in recordings:
-            raise DataError(f"duplicate channel id: {spec.channel_id}")
-        recordings[spec.channel_id] = synth_recording(spec.config, spec.channel_id)
-    return recordings
+def synth_campaign(scenario: list[ChannelSpec], write=None) -> dict:
+    """Generate every channel of a scenario on map_channels; raises DataError
+    on duplicate channel ids before generating any.
+
+    Returns {channel_id: recording}, or with write, {channel_id: write(spec,
+    recording)}: each worker hands its recording to write as soon as it is
+    generated and keeps only the result, so the campaign is never held in
+    memory whole.
+    """
+    check_unique_ids(spec.channel_id for spec in scenario)
+
+    def channel(spec: ChannelSpec):
+        recording = synth_recording(spec.config, spec.channel_id)
+        return recording if write is None else write(spec, recording)
+
+    results = map_channels(channel, scenario)
+    return {spec.channel_id: result for spec, result in zip(scenario, results)}

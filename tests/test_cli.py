@@ -4,10 +4,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import pytest
+
 import bearingsound
-from bearingsound import audiofile, cli, dataset, mlp
+from bearingsound import audiofile, cli, dataset, experiments, mlp, synth
+from bearingsound.errors import DataError
 
 
 def run(argv, capsys=None):
@@ -64,6 +68,56 @@ class TestSynthCommand:
         assert "../evil" in err
         assert list(tmp_path.rglob("evil*")) == []
         assert list((tmp_path / "run" / "out").iterdir()) == []
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # Synth and extract of the six-channel campaign on one worker (the
+        # plain loop) and on three worker threads write the same bytes.
+        real_synth, real_extract = synth.synth_recording, experiments.extract_channel
+        outputs = {}
+        for cpus in (1, 3):
+            threads = set()
+
+            def synth_recording(*args, **kwargs):
+                threads.add(threading.current_thread())
+                return real_synth(*args, **kwargs)
+
+            def extract_channel(*args, **kwargs):
+                threads.add(threading.current_thread())
+                return real_extract(*args, **kwargs)
+
+            monkeypatch.setattr(synth, "_available_cpus", lambda: cpus)
+            monkeypatch.setattr(synth, "synth_recording", synth_recording)
+            monkeypatch.setattr(experiments, "extract_channel", extract_channel)
+            out = tmp_path / f"cpus{cpus}"
+            assert cli.main(["--seed", "4", "synth", "--default-campaign",
+                             "--duration", "3", "--out", str(out / "data")]) == 0
+            assert cli.main(["extract", "--manifest",
+                             str(out / "data" / "manifest.json"),
+                             "--out", str(out / "features")]) == 0
+            assert threads and (threading.main_thread() in threads) == (cpus == 1)
+            outputs[cpus] = {p.relative_to(out): p.read_bytes()
+                             for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(outputs[1]) == 6 * 3 + 1  # .wav, .rot, .abfc; manifest
+        assert outputs[1] == outputs[3]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_failed_channel_writes_no_manifest(self, tmp_path, monkeypatch,
+                                               capsys, cpus):
+        real_synth = synth.synth_recording
+
+        def synth_recording(config, channel_id="synth"):
+            if channel_id == "A2_b2":  # the second channel
+                raise DataError(f"{channel_id}: synthesis failed")
+            return real_synth(config, channel_id)
+
+        monkeypatch.setattr(synth, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(synth, "synth_recording", synth_recording)
+        out = tmp_path / "out"
+        rc, _, err = run(["--seed", "1", "synth", "--default-campaign",
+                          "--duration", "2", "--out", str(out)], capsys)
+        assert rc == 2
+        assert "A2_b2: synthesis failed" in err
+        assert not (out / "manifest.json").exists()
 
     def test_requires_a_source(self, tmp_path, capsys):
         rc, _, err = run(["synth", "--out", str(tmp_path / "o")], capsys)
@@ -124,6 +178,16 @@ class TestExtractCommand:
         assert "../evil" in err
         assert list(tmp_path.rglob("evil*")) == []
         assert not (campaign / "f").exists()
+
+    def test_duplicate_channel_is_usage_error(self, campaign_dir, tmp_path,
+                                               capsys):
+        rc, _, err = run(["extract", "--manifest",
+                          str(campaign_dir / "manifest.json"),
+                          "--channels", "B1_b1,A1_b1,B1_b1",
+                          "--out", str(tmp_path / "f")], capsys)
+        assert rc == 1
+        assert "duplicate channel id: B1_b1" in err
+        assert not (tmp_path / "f").exists()
 
     def test_sample_rate_mismatch(self, campaign_dir, tmp_path, capsys):
         rc, _, err = run(["extract", "--manifest",
@@ -253,6 +317,26 @@ class TestTrainEvalCommands:
                                          tmp_path / "m.abmm"), capsys)
         assert rc == 2
         assert "version 1" in err and "extract" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--channels", "A1_b1,A1_b1,B1_b1"],
+        ["--split", "by-channel", "--train-channels", "A1_b1,B1_b1,B1_b1",
+         "--test-channels", "A2_b2,B2_b2"],
+        ["--split", "by-channel", "--train-channels", "A1_b1,B1_b1",
+         "--test-channels", "A2_b2,A2_b2"],
+    ])
+    def test_duplicate_channel_is_usage_error(self, campaign_dir, features_dir,
+                                              tmp_path, capsys, flags):
+        # A repeated channel would put the same frames in train and test.
+        model_path = tmp_path / "m.abmm"
+        rc, _, err = run(["--seed", "1", "train",
+                          "--manifest", str(campaign_dir / "manifest.json"),
+                          "--features", str(features_dir), *flags,
+                          "--train-size", "100", "--test-size", "50",
+                          "--out", str(model_path)], capsys)
+        assert rc == 1
+        assert "duplicate channel id" in err
+        assert not model_path.exists()
 
     def test_missing_cache_is_a_data_error(self, campaign_dir, tmp_path, capsys):
         rc, _, err = run(self.train_args(campaign_dir, tmp_path / "nowhere",

@@ -136,6 +136,36 @@ class TestCaches:
         assert mfcc == {**dataclasses.asdict(MfccConfig()), "band": list(BAND)}
         assert len(frames) > 1
 
+    def test_fresh_directory_probes_without_errors(self, manifest, tmp_path,
+                                                   monkeypatch):
+        # A missing cache is stale without a failed read; a v1 cache still
+        # fails its read and is re-extracted (test above).
+        errors = []
+        real = dataset.read_cache_signature
+
+        def read_cache_signature(path):
+            try:
+                return real(path)
+            except DataError as exc:
+                errors.append(exc)
+                raise
+
+        monkeypatch.setattr(dataset, "read_cache_signature", read_cache_signature)
+        experiments.ensure_caches(manifest, manifest.channels(), MfccConfig(),
+                                  BAND, tmp_path / "f")
+        assert errors == []
+        assert len(list((tmp_path / "f").glob("*.abfc"))) == len(manifest.channels())
+
+    def test_duplicate_channels_rejected(self, manifest, tmp_path):
+        with pytest.raises(DataError, match="duplicate channel id: B1_b1"):
+            experiments.ensure_caches(manifest, ("B1_b1", "A1_b1", "B1_b1"),
+                                      MfccConfig(), BAND, tmp_path / "f")
+        assert not (tmp_path / "f").exists()
+        experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(), BAND,
+                                  tmp_path / "f")
+        with pytest.raises(DataError, match="duplicate channel id: B1_b1"):
+            experiments.load_frames(manifest, ("B1_b1", "B1_b1"), tmp_path / "f")
+
     def test_mixed_settings_are_rejected_naming_channels(self, manifest,
                                                          tmp_path):
         experiments.ensure_caches(manifest, ("A1_b1", "B1_b1"), MfccConfig(),

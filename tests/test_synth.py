@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bearingsound import dsp, synth
+from bearingsound import audiofile, dsp, synth
 from bearingsound.errors import ConfigError, DataError
 
 
@@ -148,6 +151,19 @@ class TestDeterminismAndSeparation:
         rms = float(np.sqrt(np.mean(recording.samples**2)))
         assert abs(rms - 0.25) <= 0.02 * 0.25
 
+    def test_blocked_noise_is_one_draw(self):
+        # Zero harmonics leave only the noise, drawn block by block into one
+        # buffer; it must equal one standard_normal(n) draw of its stream.
+        n = 3 * synth._HARMONIC_BLOCK + 1234
+        config = synth.SynthConfig(
+            fs=1000.0, duration=n / 1000.0, seed=21,
+            rotational_freq_profile=((0.0, 43.0),),
+            harmonic_amplitudes=((1, 0.0),), noise_level=0.35)
+        recording = synth.synth_recording(config, "n")
+        assert len(recording.samples) == n
+        stream = np.random.default_rng(np.random.SeedSequence(21).spawn(3)[1])
+        assert np.array_equal(recording.samples, 0.35 * stream.standard_normal(n))
+
     def test_track_stays_within_profile_range(self):
         profile = ((0.0, 43.0), (2.0, 44.5), (4.0, 36.0), (6.0, 43.5))
         config = synth.SynthConfig(fs=25600.0, duration=6.0, seed=1,
@@ -201,6 +217,71 @@ class TestCampaign:
             assert min(freqs) < 42.0
             assert 42.0 <= freqs[0] <= 45.0
             assert 42.0 <= freqs[-1] <= 45.0
+
+
+class TestMapChannels:
+    def test_results_in_input_order_on_worker_threads(self, monkeypatch):
+        monkeypatch.setattr(synth, "_available_cpus", lambda: 3)
+        threads = []
+
+        def square(x):
+            threads.append(threading.current_thread())
+            return x * x
+
+        assert synth.map_channels(square, range(7)) == [x * x for x in range(7)]
+        assert threading.main_thread() not in threads
+
+    def test_one_worker_is_a_plain_loop(self, monkeypatch):
+        monkeypatch.setattr(synth, "_available_cpus", lambda: 1)
+        threads = []
+        assert synth.map_channels(
+            lambda x: threads.append(threading.current_thread()) or x,
+            "abc") == ["a", "b", "c"]
+        assert set(threads) == {threading.main_thread()}
+        assert synth.map_channels(lambda x: 1 / 0, []) == []
+
+    def test_earliest_failure_raised_and_queue_cancelled(self, monkeypatch):
+        monkeypatch.setattr(synth, "_available_cpus", lambda: 2)
+        started = []
+        item_1_failed = threading.Event()
+
+        def work(x):
+            started.append(x)
+            if x == 0:
+                # Fails after item 1 has: the error raised is still item 0's.
+                item_1_failed.wait(timeout=10)
+                raise KeyError("item 0")
+            if x == 1:
+                item_1_failed.set()
+                raise ValueError("item 1")
+            time.sleep(0.02)
+            return x
+
+        with pytest.raises(KeyError, match="item 0"):
+            synth.map_channels(work, range(50))
+        assert started[:2] in ([0, 1], [1, 0])
+        assert len(started) < 50
+
+
+class TestMemory:
+    def test_synth_recording_and_write_wav_peaks(self, tmp_path):
+        # A long damaged channel: both peaks are measured in float64 arrays
+        # of the recording's length (about 3.1 and 1.25 of them).
+        spec = synth.default_scenario(seed=1, duration=120.0)[0]
+        assert spec.config.fault is not None
+        n = int(round(spec.config.duration * spec.config.fs))
+        tracemalloc.start()
+        try:
+            recording = synth.synth_recording(spec.config, spec.channel_id)
+            synth_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            audiofile.write_wav(tmp_path / "a.wav", recording.samples, recording.fs)
+            wav_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert synth_peak <= 3.5 * n * 8
+        assert wav_peak <= 2.0 * n * 8
 
 
 class TestScenarioFile:
