@@ -13,14 +13,13 @@ Exit codes are stable for scripting: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import audiofile, dataset, experiments, metrics, mlp, synth
 from .dataset import SplitSpec
 from .dsp import MfccConfig
-from .errors import ConfigError, DataError, NumericError, PipelineError
+from .errors import ConfigError, DataError, NumericError
 from .mlp import TrainConfig
 
 EXIT_OK = 0
@@ -32,11 +31,7 @@ EXIT_NUMERIC = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageExit(message)
-
-
-class _UsageExit(Exception):
-    pass
+        raise ConfigError(message)
 
 
 def _parse_band(text: str) -> tuple[float, float]:
@@ -103,27 +98,16 @@ def _train_config(args) -> TrainConfig:
                        batch_size=args.batch, seed=args.seed)
 
 
-def _pool_channels(args, manifest) -> tuple[str, ...]:
-    if args.split == "by-channel":
-        spec_channels = (_parse_channels(args.train_channels or "")
-                         + _parse_channels(args.test_channels or ""))
-        return spec_channels
+def _pool_channels(args, split: SplitSpec, manifest) -> tuple[str, ...]:
+    if split.mode == "by_channel":
+        return split.train_channels + split.test_channels
     if args.channels:
         return _parse_channels(args.channels)
     return tuple(manifest.channels())
 
 
-def cmd_synth(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.scenario:
-        scenario = synth.scenario_from_json(args.scenario)
-    elif args.default_campaign:
-        scenario = synth.default_scenario(args.seed, duration=args.duration,
-                                          fs=args.fs)
-    else:
-        raise ConfigError("pass --default-campaign or --scenario FILE")
-
+def _write_campaign(scenario, out_dir: Path) -> None:
+    """Synthesize a scenario into out_dir: WAVs, .rot tracks, manifest."""
     def write(spec, recording):
         wav_path = out_dir / f"{spec.channel_id}.wav"
         audiofile.write_wav(wav_path, recording.samples, recording.fs)
@@ -142,6 +126,17 @@ def cmd_synth(args) -> int:
     manifest = dataset.Manifest(entries=entries, base_dir=out_dir)
     dataset.save_manifest(manifest, out_dir / "manifest.json")
     print(f"wrote {len(entries)} channels to {out_dir}")
+
+
+def cmd_synth(args) -> int:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.scenario:
+        scenario = synth.scenario_from_json(args.scenario)
+    else:
+        scenario = synth.default_scenario(args.seed, duration=args.duration,
+                                          fs=args.fs)
+    _write_campaign(scenario, out_dir)
     return EXIT_OK
 
 
@@ -158,24 +153,18 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
-    channels = _pool_channels(args, manifest)
     split = _split_spec(args)
+    channels = _pool_channels(args, split, manifest)
     frames, mfcc = experiments.load_frames(manifest, channels, args.features)
     train_config = _train_config(args)
     run = experiments.split_and_train(frames, split, train_config)
     model_path = Path(args.out)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     mlp.save_model(run["model"], model_path)
-    log = {
-        "seed": args.seed,
-        **experiments.provenance(manifest, channels, mfcc, split, train_config),
-        "train_class_counts": dataset.label_counts(run["train_frames"].labels),
-        "per_epoch_loss": run["loss_history"],
-        "final_train_accuracy": run["train_accuracy"],
-    }
+    log = {"seed": args.seed, **experiments.training_log(
+        manifest, channels, mfcc, split, train_config, run)}
     log_path = model_path.with_suffix(".train_log.json")
-    log_path.write_text(json.dumps(log, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    synth.write_json(log_path, log)
     print(f"trained {run['model'].dims} on {len(run['train_frames'])} frames; "
           f"train accuracy {100 * run['train_accuracy']:.2f}%")
     print(f"model: {model_path}")
@@ -187,8 +176,8 @@ def cmd_eval(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
     model = mlp.load_model(args.model)
     split = _split_spec(args)
-    frames, _ = experiments.load_frames(manifest, _pool_channels(args, manifest),
-                                        args.features)
+    frames, _ = experiments.load_frames(
+        manifest, _pool_channels(args, split, manifest), args.features)
     _, test_rows = dataset.make_split(frames, split)
     report = experiments.evaluate_frames(model, frames.take(test_rows))
     out_dir = Path(args.out)
@@ -220,10 +209,9 @@ def cmd_experiment(args) -> int:
             raise DataError(
                 f"no manifest at {manifest_path}; synthesize a campaign first "
                 "or pass --synth-first")
-        synth_args = argparse.Namespace(
-            out=str(data_dir), scenario=None, default_campaign=True,
-            seed=args.seed, duration=args.duration, fs=args.fs)
-        cmd_synth(synth_args)
+        data_dir.mkdir(parents=True, exist_ok=True)
+        _write_campaign(synth.default_scenario(args.seed, duration=args.duration,
+                                               fs=args.fs), data_dir)
     manifest = dataset.load_manifest(manifest_path)
     config = _mfcc_config(args)
     band = _parse_band(args.band)
@@ -231,14 +219,13 @@ def cmd_experiment(args) -> int:
         args.name, manifest, seed=args.seed,
         train_size=args.train_size, test_size=args.test_size)
     out_dir = Path(args.out) if args.out else data_dir / "results" / args.name
-    result = experiments.run_experiment(
+    report = experiments.run_experiment(
         manifest, spec, config, _train_config(args), band, out_dir=out_dir,
         features_dir=data_dir / "features", log=print)
-    report = result["report"]
     print(f"{args.name}: accuracy {metrics.round_half_up(report.accuracy):.2f}%  "
           f"TPR {metrics.round_half_up(report.tpr):.2f}%  "
           f"TNR {metrics.round_half_up(report.tnr):.2f}%")
-    print(f"results: {result['out_dir']}")
+    print(f"results: {out_dir}")
     return EXIT_OK
 
 
@@ -249,9 +236,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic campaign")
-    p.add_argument("--default-campaign", action="store_true")
-    p.add_argument("--scenario", type=str, default=None,
-                   help="JSON scenario file (alternative to --default-campaign)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--default-campaign", action="store_true")
+    source.add_argument("--scenario", type=str, default=None,
+                        help="JSON scenario file")
     p.add_argument("--duration", type=float, default=600.0,
                    help="seconds of audio per channel")
     p.add_argument("--fs", type=float, default=25600.0)
@@ -310,9 +298,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageExit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -321,9 +306,6 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

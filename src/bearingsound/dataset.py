@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dsp import MfccConfig, feature_matrix
-from .errors import DataError, FormatError
-from .synth import AudioRecording, check_channel_id
-
-# Class index of each label, fixed project-wide: H is 0, D is 1.
-LABELS = ("H", "D")
+from .errors import ConfigError, DataError, FormatError
+from .synth import LABELS, AudioRecording, check_channel_id, read_json, write_json
 
 BAND_LOW_HZ = 42.0
 BAND_HIGH_HZ = 45.0
@@ -85,18 +82,8 @@ def _check_entry(channel_id: str, entry: ManifestEntry) -> None:
 
 
 def save_manifest(manifest: Manifest, path) -> None:
-    payload = {
-        channel_id: {
-            "file": e.file,
-            "label": e.label,
-            "axle": e.axle,
-            "component": e.component,
-            "description": e.description,
-        }
-        for channel_id, e in manifest.entries.items()
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_json(path, {channel_id: asdict(e)
+                      for channel_id, e in manifest.entries.items()})
 
 
 def _reject_duplicate_keys(pairs):
@@ -110,13 +97,7 @@ def _reject_duplicate_keys(pairs):
 
 def load_manifest(path) -> Manifest:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"),
-                         object_pairs_hook=_reject_duplicate_keys)
-    except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    raw = read_json(path, "manifest", object_pairs_hook=_reject_duplicate_keys)
     if not isinstance(raw, dict):
         raise DataError(f"{path}: manifest must be a JSON object")
     entries = {}
@@ -215,12 +196,12 @@ class SplitSpec:
 
     def __post_init__(self):
         if self.mode not in ("random", "by_channel"):
-            raise DataError(f"unknown split mode: {self.mode!r}")
+            raise ConfigError(f"unknown split mode: {self.mode!r}")
         if self.train_size <= 0 or self.test_size <= 0:
-            raise DataError("train_size and test_size must be positive")
+            raise ConfigError("train_size and test_size must be positive")
         if self.mode == "by_channel":
             if not self.train_channels or not self.test_channels:
-                raise DataError("by_channel split needs train and test channel lists")
+                raise ConfigError("by_channel split needs train and test channel lists")
             overlap = set(self.train_channels) & set(self.test_channels)
             if overlap:
                 raise DataError(

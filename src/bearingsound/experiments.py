@@ -15,14 +15,14 @@ calling thread, in channel order, and extracts only the stale channels, on
 no thread.
 
 Each run writes a self-contained results directory: the model, a training
-log, the evaluation report (JSON and text), and a config echo sufficient to
-replay the run. Nothing written depends on wall-clock time or absolute
-paths, so identical inputs and seeds reproduce identical bytes.
+log (``training_log``, as ``train`` writes it), the evaluation report (JSON
+and text, also returned) and a config echo sufficient to replay the run.
+Nothing written depends on wall-clock time or absolute paths, so identical
+inputs and seeds reproduce identical bytes.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from .dataset import Manifest, SplitSpec
 from .dsp import MfccConfig
 from .errors import ConfigError, DataError
 from .mlp import TrainConfig
-from .synth import AudioRecording, check_unique_ids, map_channels
+from .synth import AudioRecording, check_unique_ids, map_channels, write_json
 
 EXPERIMENT_NAMES = ("seen-motor", "seen-gearbox", "unseen-A2b2", "unseen-A1b1")
 
@@ -60,27 +60,22 @@ def named_experiment(name: str, manifest: Manifest, seed: int,
                      train_size: int | None = None,
                      test_size: int | None = None) -> ExperimentSpec:
     """Resolve one of the built-in experiment names against a manifest."""
-    if name == "seen-motor":
-        channels = ("A1_b1", "A2_b2", "B1_b1", "B2_b2")
-        _require_channels(manifest, channels)
-        split = SplitSpec(
-            mode="random", seed=seed,
-            train_size=train_size or SEEN_SPLIT[0],
-            test_size=test_size or SEEN_SPLIT[1])
-        return ExperimentSpec(name=name, channels=channels, split=split)
-
-    if name == "seen-gearbox":
-        _require_channels(manifest, ("A2_b3",))
-        healthy = tuple(manifest.select(label="H", component="gearbox",
-                                        axles=("B1", "B2", "A1")))
-        if not healthy:
-            raise DataError(
-                "no healthy gearbox channels at axles B1/B2/A1 in the manifest")
-        channels = ("A2_b3",) + healthy
-        split = SplitSpec(
-            mode="random", seed=seed,
-            train_size=train_size or SEEN_SPLIT[0],
-            test_size=test_size or SEEN_SPLIT[1])
+    default = UNSEEN_SPLIT if name.startswith("unseen") else SEEN_SPLIT
+    sizes = {"train_size": default[0] if train_size is None else train_size,
+             "test_size": default[1] if test_size is None else test_size}
+    if name in ("seen-motor", "seen-gearbox"):
+        if name == "seen-motor":
+            channels = ("A1_b1", "A2_b2", "B1_b1", "B2_b2")
+            _require_channels(manifest, channels)
+        else:
+            _require_channels(manifest, ("A2_b3",))
+            healthy = tuple(manifest.select(label="H", component="gearbox",
+                                            axles=("B1", "B2", "A1")))
+            if not healthy:
+                raise DataError(
+                    "no healthy gearbox channels at axles B1/B2/A1 in the manifest")
+            channels = ("A2_b3",) + healthy
+        split = SplitSpec(mode="random", seed=seed, **sizes)
         return ExperimentSpec(name=name, channels=channels, split=split)
 
     if name in ("unseen-A2b2", "unseen-A1b1"):
@@ -89,11 +84,8 @@ def named_experiment(name: str, manifest: Manifest, seed: int,
         else:
             train_channels, test_channels = ("A2_b2", "B2_b2"), ("A1_b1", "B1_b1")
         _require_channels(manifest, train_channels + test_channels)
-        split = SplitSpec(
-            mode="by_channel", seed=seed,
-            train_size=train_size or UNSEEN_SPLIT[0],
-            test_size=test_size or UNSEEN_SPLIT[1],
-            train_channels=train_channels, test_channels=test_channels)
+        split = SplitSpec(mode="by_channel", seed=seed, **sizes,
+                          train_channels=train_channels, test_channels=test_channels)
         return ExperimentSpec(name=name, channels=train_channels + test_channels,
                               split=split)
 
@@ -104,19 +96,15 @@ def named_experiment(name: str, manifest: Manifest, seed: int,
 # --- feature extraction with cache reuse -------------------------------------
 
 
-def load_recording(manifest: Manifest, channel_id: str) -> AudioRecording:
-    wav_path = manifest.wav_path(channel_id)
-    samples, fs = audiofile.read_wav(wav_path)
-    track = audiofile.read_rot_track(wav_path)
-    return AudioRecording(samples=samples, fs=fs, channel_id=channel_id,
-                          rotational_freq_track=track)
-
-
 def extract_channel(manifest: Manifest, channel_id: str, config: MfccConfig,
                     band: tuple[float, float], cache_path,
                     signature: dict) -> tuple[int, int]:
     """Gate one channel and cache it with signature; returns (total, gated) frames."""
-    recording = load_recording(manifest, channel_id)
+    wav_path = manifest.wav_path(channel_id)
+    samples, fs = audiofile.read_wav(wav_path)
+    track = audiofile.read_rot_track(wav_path)
+    recording = AudioRecording(samples=samples, fs=fs, channel_id=channel_id,
+                               rotational_freq_track=track)
     if float(recording.fs) != float(config.sample_rate):
         raise DataError(
             f"{channel_id}: WAV sample rate {recording.fs} Hz does not match "
@@ -217,53 +205,42 @@ def evaluate_frames(model: mlp.MlpModel,
     return metrics.metrics(metrics.confusion(probs.argmax(axis=1), frames.labels))
 
 
-def provenance(manifest: Manifest, channels, mfcc: dict, split: SplitSpec,
-               train_config: TrainConfig) -> dict:
-    """The settings a training run used, echoed into its logs."""
+def training_log(manifest: Manifest, channels, mfcc: dict, split: SplitSpec,
+                 train_config: TrainConfig, run: dict) -> dict:
+    """The settings a split_and_train run used and what it gave, for its logs."""
     return {
         "channels": {c: manifest.label(c) for c in channels},
         "mfcc": mfcc,
         "split": asdict(split),
         "train_config": asdict(train_config),
+        "train_class_counts": dataset.label_counts(run["train_frames"].labels),
+        "per_epoch_loss": run["loss_history"],
+        "final_train_accuracy": run["train_accuracy"],
     }
 
 
 def run_experiment(manifest: Manifest, spec: ExperimentSpec,
                    mfcc_config: MfccConfig, train_config: TrainConfig,
-                   band: tuple[float, float], out_dir, features_dir=None,
-                   log=None) -> dict:
-    """Extract, split, train and evaluate one named experiment."""
+                   band: tuple[float, float], out_dir, features_dir,
+                   log=None) -> metrics.MetricsReport:
+    """Extract, split, train and evaluate one named experiment; returns the
+    test report."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if features_dir is None:
-        features_dir = manifest.base_dir / "features"
     ensure_caches(manifest, spec.channels, mfcc_config, band, features_dir,
                   log=log)
     frames, mfcc = load_frames(manifest, spec.channels, features_dir)
     run = split_and_train(frames, spec.split, train_config)
     report = evaluate_frames(run["model"], run["test_frames"])
 
-    model_path = out_dir / "model.abmm"
-    mlp.save_model(run["model"], model_path)
+    mlp.save_model(run["model"], out_dir / "model.abmm")
     train_log = {
         "experiment": spec.name,
-        **provenance(manifest, spec.channels, mfcc, spec.split, train_config),
-        "train_class_counts": dataset.label_counts(run["train_frames"].labels),
+        **training_log(manifest, spec.channels, mfcc, spec.split, train_config, run),
         "test_class_counts": dataset.label_counts(run["test_frames"].labels),
-        "per_epoch_loss": run["loss_history"],
-        "final_train_accuracy": run["train_accuracy"],
     }
-    (out_dir / "train_log.json").write_text(
-        json.dumps(train_log, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out_dir / "train_log.json", train_log)
     metrics.write_report(report, out_dir / "report.json", out_dir / "report.txt")
-    experiment_echo = dict(train_log)
-    experiment_echo["report"] = metrics.report_to_dict(report)
-    (out_dir / "experiment.json").write_text(
-        json.dumps(experiment_echo, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    return {
-        "report": report,
-        "model_path": model_path,
-        "train_log": train_log,
-        "out_dir": out_dir,
-    }
+    write_json(out_dir / "experiment.json",
+               {**train_log, "report": metrics.report_to_dict(report)})
+    return report

@@ -9,7 +9,6 @@ and, for readability, as the damage detection rate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 
 from .dataset import LABELS, Frames
 from .errors import DataError
+from .synth import write_json
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,6 @@ class ConfusionMatrix:
     """2x2 counts; counts[predicted][true] with (H, D) ordering."""
 
     counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (2, 2):
-            raise DataError(f"confusion matrix must be 2x2, got {counts.shape}")
-        if np.any(counts < 0):
-            raise DataError("confusion matrix counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
 
     @property
     def total(self) -> int:
@@ -130,9 +122,7 @@ def report_to_text(report: MetricsReport) -> str:
 
 
 def write_report(report: MetricsReport, json_path, text_path) -> None:
-    Path(json_path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(json_path, report_to_dict(report))
     Path(text_path).write_text(report_to_text(report), encoding="utf-8")
 
 

@@ -154,17 +154,12 @@ def _gradients(model: MlpModel, pre, post, probs: np.ndarray, labels: np.ndarray
 
 
 def backward(model: MlpModel, x: np.ndarray, labels: np.ndarray):
-    """Gradients of the mean cross-entropy for a batch of raw feature rows.
-
-    Returns (weight grads, bias grads) lists mirroring the model layers.
-    """
+    """Gradients of the mean cross-entropy for a batch of raw feature rows:
+    (weight grads, bias grads) lists mirroring the model layers."""
     x = _model_inputs(model, x)
-    labels = np.asarray(labels)
-    if labels.ndim == 2:
-        labels = labels.argmax(axis=1)
     if len(x) == 0:
         raise DataError("empty batch")
-    return _gradients(model, *_forward_pass(model, x), labels.astype(int))
+    return _gradients(model, *_forward_pass(model, x), np.asarray(labels).astype(int))
 
 
 @dataclass

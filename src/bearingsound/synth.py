@@ -20,6 +20,9 @@ Everything is deterministic given the config seed: the harmonic-phase, noise
 and fault randomness come from three independent child streams, so a healthy
 and a damaged recording that share a seed differ exactly by the injected
 impact component.
+
+The lowest module, it also holds what the others share: ``LABELS``, the
+channel-id checks and ``read_json``/``write_json`` for the JSON files.
 """
 
 from __future__ import annotations
@@ -322,8 +325,8 @@ def map_channels(fn, items) -> list:
 
 # --- campaign scenarios ----------------------------------------------------
 
-LABEL_HEALTHY = "H"
-LABEL_DAMAGED = "D"
+# Class index of each label, fixed project-wide: H is 0, D is 1.
+LABELS = ("H", "D")
 
 
 def check_unique_ids(channel_ids, error=DataError) -> None:
@@ -344,6 +347,24 @@ def check_channel_id(channel_id: str) -> None:
                         "not a path")
 
 
+def read_json(path, what: str, **json_kwargs):
+    """The JSON value in a file; a missing file, bad JSON or bad UTF-8 is a
+    DataError, and json_kwargs go to json.loads."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"), **json_kwargs)
+    except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def write_json(path, value) -> None:
+    """value as JSON with sorted keys, a two-space indent and a newline."""
+    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """One channel of a measurement campaign: identity, metadata, generator."""
@@ -357,7 +378,7 @@ class ChannelSpec:
 
     def __post_init__(self):
         check_channel_id(self.channel_id)
-        if self.label not in (LABEL_HEALTHY, LABEL_DAMAGED):
+        if self.label not in LABELS:
             raise ConfigError(f"label must be H or D, got {self.label!r}")
         if self.component not in ("motor", "gearbox"):
             raise ConfigError(f"component must be motor or gearbox, got {self.component!r}")
@@ -469,12 +490,7 @@ def scenario_from_json(path) -> list[ChannelSpec]:
     modulated, jitter).
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"scenario file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    raw = read_json(path, "scenario file")
     if not isinstance(raw, list):
         raise DataError(f"{path}: expected a JSON list of channels")
     channels = []

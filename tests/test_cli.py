@@ -123,6 +123,19 @@ class TestSynthCommand:
         rc, _, err = run(["synth", "--out", str(tmp_path / "o")], capsys)
         assert rc == 1
 
+    def test_two_sources_are_a_usage_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps([{
+            "channel": "X1", "label": "H", "seed": 1, "duration": 0.5,
+            "profile": [[0.0, 43.0]]}]))
+        out = tmp_path / "o"
+        rc, _, err = run(["synth", "--default-campaign", "--scenario",
+                          str(scenario), "--duration", "2", "--out", str(out)],
+                         capsys)
+        assert rc == 1
+        assert "not allowed with" in err
+        assert not (out / "manifest.json").exists()
+
     def test_summary_lines(self, tmp_path, capsys):
         rc, out, _ = run(["--seed", "1", "synth", "--default-campaign",
                           "--duration", "2", "--out", str(tmp_path / "c")],
@@ -384,6 +397,27 @@ class TestExperimentCommand:
         assert rc == 2
         assert "synth" in err
 
+    def test_synth_first_writes_the_synth_campaign(self, tmp_path, capsys):
+        rc, synth_out, _ = run(["--seed", "3", "synth", "--default-campaign",
+                                "--duration", "4", "--out", str(tmp_path / "a")],
+                               capsys)
+        assert rc == 0
+        rc, out, err = run(["--seed", "3", "experiment", "seen-motor",
+                            "--synth-first", "--duration", "4",
+                            "--data", str(tmp_path / "b"),
+                            "--train-size", "100", "--test-size", "40",
+                            "--epochs", "1", "--out", str(tmp_path / "res")],
+                           capsys)
+        assert rc == 0, err
+        assert out.startswith(synth_out.replace(str(tmp_path / "a"),
+                                                str(tmp_path / "b")))
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert len(names) == 6 * 2 + 1  # .wav and .rot per channel, manifest
+        for name in names:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+        assert (tmp_path / "res" / "report.json").exists()
+
     def test_seen_motor_end_to_end(self, campaign_dir, tmp_path, capsys):
         rc, out, _ = run(["--seed", "9", "experiment", "seen-motor",
                           "--data", str(campaign_dir),
@@ -477,3 +511,50 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         rc, _, _ = run(["transmogrify"], capsys)
         assert rc == 1
+
+
+@pytest.fixture(scope="module")
+def small_model(campaign_dir, features_dir, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "m.abmm"
+    rc = cli.main(["train", "--manifest", str(campaign_dir / "manifest.json"),
+                   "--features", str(features_dir), "--channels", "A1_b1,B1_b1",
+                   "--train-size", "40", "--test-size", "10", "--epochs", "1",
+                   "--out", str(path)])
+    assert rc == 0
+    return path
+
+
+class TestSplitUsageErrors:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--train-size", "0"], "must be positive"),
+        (["--test-size", "-5"], "must be positive"),
+        (["--split", "by-channel"], "channel lists"),
+        (["--split", "by-channel", "--train-channels", "A1_b1"], "channel lists"),
+    ])
+    def test_exit_1(self, campaign_dir, features_dir, small_model, tmp_path,
+                    capsys, command, flags, message):
+        argv = [command, "--manifest", str(campaign_dir / "manifest.json"),
+                "--features", str(features_dir), *flags,
+                "--out", str(tmp_path / "out")]
+        if command == "eval":
+            argv += ["--model", str(small_model)]
+        rc, _, err = run(argv, capsys)
+        assert rc == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_explicit_zero_size_stops_experiment_before_extract(
+            self, campaign_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in campaign_dir.iterdir():
+            if path.is_file():
+                shutil.copy(path, data / path.name)
+        rc, out, err = run(["experiment", "seen-motor", "--data", str(data),
+                            "--train-size", "0", "--test-size", "50",
+                            "--out", str(tmp_path / "res")], capsys)
+        assert rc == 1
+        assert "must be positive" in err
+        assert out == ""
+        assert not (data / "features").exists()

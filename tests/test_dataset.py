@@ -8,7 +8,7 @@ from bearingsound import dataset, mlp, synth
 from bearingsound.dataset import (LABELS, Frames, Manifest, ManifestEntry,
                                   NormalizationStats, SplitSpec)
 from bearingsound.dsp import MfccConfig
-from bearingsound.errors import DataError, FormatError
+from bearingsound.errors import ConfigError, DataError, FormatError
 from bearingsound.synth import AudioRecording
 
 FRAME = 2048
@@ -161,6 +161,18 @@ class TestSplits:
         with pytest.raises(DataError):
             SplitSpec(mode="by_channel", train_size=10, test_size=10, seed=0,
                       train_channels=("a", "b"), test_channels=("b", "c"))
+
+    @pytest.mark.parametrize("fields", [
+        {"mode": "shuffled"},
+        {"train_size": 0},
+        {"test_size": -1},
+        {"mode": "by_channel"},
+        {"mode": "by_channel", "train_channels": ("a",)},
+    ])
+    def test_usage_errors_are_config_errors(self, fields):
+        with pytest.raises(ConfigError):
+            SplitSpec(**{"mode": "random", "train_size": 10, "test_size": 10,
+                         **fields})
 
     def test_by_channel_insufficient_frames_names_channel(self):
         frames = Frames.concat([make_frames(5, "D", "small"),

@@ -48,6 +48,12 @@ class TestNamedExperiments:
                                             train_size=100, test_size=50)
         assert (spec.split.train_size, spec.split.test_size) == (100, 50)
 
+    @pytest.mark.parametrize("name", experiments.EXPERIMENT_NAMES)
+    def test_explicit_zero_size_is_kept(self, manifest, name):
+        with pytest.raises(ConfigError, match="must be positive"):
+            experiments.named_experiment(name, manifest, seed=3, train_size=0,
+                                         test_size=50)
+
     def test_unknown_name_rejected(self, manifest):
         with pytest.raises(ConfigError, match="unknown experiment"):
             experiments.named_experiment("seen-everything", manifest, seed=3)

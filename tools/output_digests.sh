@@ -1,0 +1,83 @@
+#!/usr/bin/env bash
+# Run a fixed set of bearingsound commands from one checkout and print a
+# sorted "sha256  path" line for every file they leave, including each
+# command's stdout, stderr and exit code.
+#
+#   tools/output_digests.sh <checkout> <out-dir>
+#
+# <out-dir> must not exist. Captured streams have <out-dir> replaced by
+# "<out>", so two checkouts run into different directories can be compared
+# with one diff:
+#
+#   tools/output_digests.sh ../before /tmp/before > before.txt
+#   tools/output_digests.sh . /tmp/after > after.txt
+#   diff before.txt after.txt
+#
+# The set: a seed-5 40 s default campaign, the four named experiments
+# (600/200 split, 2 epochs), seen-motor with --synth-first on an 8 s
+# campaign, extract with 10 coefficients, random and by-channel train and
+# eval, scatter, and a few usage errors.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 <checkout> <out-dir>" >&2
+    exit 64
+fi
+src="$(cd "$1" && pwd)/src"
+mkdir "$2"
+out="$(cd "$2" && pwd)"
+mkdir "$out/logs"
+
+# run NAME ARGS...: one CLI call; logs/NAME.{stdout,stderr,rc} record it.
+run() {
+    local name=$1 rc=0
+    shift
+    PYTHONPATH="$src" "${PYTHON:-python3}" -m bearingsound.cli "$@" \
+        > "$out/logs/$name.stdout" 2> "$out/logs/$name.stderr" || rc=$?
+    echo "$rc" > "$out/logs/$name.rc"
+    sed -i "s|$out|<out>|g" "$out/logs/$name.stdout" "$out/logs/$name.stderr"
+}
+
+data="$out/campaign"
+run synth --seed 5 synth --default-campaign --duration 40 --out "$data"
+for name in seen-motor seen-gearbox unseen-A2b2 unseen-A1b1; do
+    run "experiment-$name" --seed 5 experiment "$name" --data "$data" \
+        --train-size 600 --test-size 200 --epochs 2 \
+        --out "$out/experiments/$name"
+done
+run experiment-synth-first --seed 5 experiment seen-motor --synth-first \
+    --data "$out/synth-first" --duration 8 --train-size 200 --test-size 50 \
+    --epochs 1 --out "$out/synth-first-results"
+run extract-coeffs10 extract --manifest "$data/manifest.json" --coeffs 10 \
+    --out "$out/features-coeffs10"
+
+split=(--manifest "$data/manifest.json" --features "$data/features"
+       --train-size 600 --test-size 200)
+by_channel=(--split by-channel --train-channels A1_b1,B1_b1
+            --test-channels A2_b2,B2_b2)
+run train-random --seed 5 train "${split[@]}" --epochs 2 \
+    --out "$out/models/random.abmm"
+run train-by-channel --seed 5 train "${split[@]}" "${by_channel[@]}" \
+    --epochs 2 --out "$out/models/by-channel.abmm"
+run eval-random --seed 5 eval "${split[@]}" --model "$out/models/random.abmm" \
+    --out "$out/eval-random"
+run eval-by-channel --seed 5 eval "${split[@]}" "${by_channel[@]}" \
+    --model "$out/models/by-channel.abmm" --out "$out/eval-by-channel"
+run scatter scatter --manifest "$data/manifest.json" \
+    --features "$data/features" --pair 1:2 --out "$out/scatter.tsv"
+
+# Usage errors: only their messages and exit codes are recorded.
+run error-synth-no-source synth --out "$out/error-synth"
+run error-synth-two-sources synth --default-campaign \
+    --scenario "$out/missing.json" --out "$out/error-synth"
+run error-train-size-zero train --manifest "$data/manifest.json" \
+    --features "$data/features" --train-size 0 --out "$out/error.abmm"
+run error-eval-by-channel-no-lists eval --manifest "$data/manifest.json" \
+    --features "$data/features" --model "$out/models/random.abmm" \
+    --split by-channel --out "$out/error-eval"
+run error-experiment-size-zero experiment seen-motor --data "$data" \
+    --train-size 0 --test-size 50 --out "$out/error-experiment"
+
+cd "$out"
+find . -type f -print0 | LC_ALL=C sort -z | xargs -0 sha256sum \
+    | sed 's|  \./|  |'
