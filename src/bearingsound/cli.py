@@ -69,8 +69,8 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
                    help="channels to pool for a random split (default: all)")
     p.add_argument("--train-channels", type=str, default=None)
     p.add_argument("--test-channels", type=str, default=None)
-    p.add_argument("--train-size", type=int, default=8000)
-    p.add_argument("--test-size", type=int, default=2000)
+    p.add_argument("--train-size", type=int, default=experiments.SEEN_SPLIT[0])
+    p.add_argument("--test-size", type=int, default=experiments.SEEN_SPLIT[1])
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -86,6 +86,9 @@ def _mfcc_config(args) -> MfccConfig:
 
 def _split_spec(args) -> SplitSpec:
     mode = args.split.replace("-", "_")
+    for name in ("channels",) if mode == "by_channel" else ("train_channels", "test_channels"):
+        if getattr(args, name) is not None:
+            raise ConfigError(f"--{name.replace('_', '-')} does not apply to --split {args.split}")
     train_channels = _parse_channels(args.train_channels) if args.train_channels else None
     test_channels = _parse_channels(args.test_channels) if args.test_channels else None
     return SplitSpec(mode=mode, train_size=args.train_size,
@@ -204,6 +207,7 @@ def cmd_scatter(args) -> int:
 def cmd_experiment(args) -> int:
     data_dir = Path(args.data)
     manifest_path = data_dir / "manifest.json"
+    sizes = experiments.split_sizes(args.name, args.train_size, args.test_size)
     if not manifest_path.exists():
         if not args.synth_first:
             raise DataError(
@@ -215,9 +219,7 @@ def cmd_experiment(args) -> int:
     manifest = dataset.load_manifest(manifest_path)
     config = _mfcc_config(args)
     band = _parse_band(args.band)
-    spec = experiments.named_experiment(
-        args.name, manifest, seed=args.seed,
-        train_size=args.train_size, test_size=args.test_size)
+    spec = experiments.named_experiment(args.name, manifest, seed=args.seed, **sizes)
     out_dir = Path(args.out) if args.out else data_dir / "results" / args.name
     report = experiments.run_experiment(
         manifest, spec, config, _train_config(args), band, out_dir=out_dir,

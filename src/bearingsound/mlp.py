@@ -6,14 +6,24 @@ plain numpy; training is a deterministic single-threaded loop given the seed.
 A model stores the feature z-scoring fitted at training time and applies it
 to the raw features it is given.
 
+Parameters live in one float64 vector, ``MlpModel.params``: per layer W_i
+(row-major), then b_i, the order of the ABMM v1 file; ``weights``/``biases``
+are views into it, and gradients and Adam's moments share its layout.
+``adam_step`` is Kingma & Ba's section 2 form (arXiv 1412.6980) with the
+moments kept without their (1 - beta) factors, 10 passes over the parameters
+with one division and one sqrt: M = b1 M + g, V = b2 V + g^2, then
+p -= a_t M / (sqrt(V) + eps / s) with s = sqrt((1 - b2) / (1 - b2^t)) and
+a_t = lr (1 - b1) / ((1 - b1^t) s).
+
 Label convention, fixed project-wide: H is class index 0 and the positive
 class, D is index 1 and the negative class.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,22 +42,36 @@ MODEL_VERSION = 1
 DEFAULT_HIDDEN_DIMS = (1024, 100)
 
 
+def _param_count(dims) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+
+
+def _layer_views(flat: np.ndarray, dims) -> tuple[list, list]:
+    """(weights, biases) lists of views into a flat vector of params' layout."""
+    weights, biases, end = [], [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        start, end = end, end + (fan_in + 1) * fan_out
+        weights.append(flat[start : end - fan_out].reshape(fan_in, fan_out))
+        biases.append(flat[end - fan_out : end])
+    return weights, biases
+
+
 @dataclass
 class MlpModel:
-    """Layer dimensions, parameters, and the feature normalization fitted at
-    training time (None when training ran raw)."""
+    """Dims, flat parameters with per-layer views, fitted z-scoring or None."""
 
     dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
     norm_stats: NormalizationStats | None = None
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.dims) < 2:
             raise ConfigError("model needs at least an input and an output layer")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (self.dims[i], self.dims[i + 1]) or b.shape != (self.dims[i + 1],):
-                raise ConfigError(f"layer {i} parameter shapes do not chain")
+        if self.params.shape != (_param_count(self.dims),):
+            raise ConfigError(f"{self.params.shape} parameters do not fit dims {self.dims}")
+        self.weights, self.biases = _layer_views(self.params, self.dims)
 
 
 @dataclass(frozen=True)
@@ -77,40 +101,33 @@ def init_model(dims, seed: int = 0) -> MlpModel:
     """He-style uniform weight init, zero biases, seeded."""
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(dims=dims, weights=weights, biases=biases)
+    model = MlpModel(dims=dims, params=np.zeros(_param_count(dims)))
+    for w in model.weights:
+        bound = np.sqrt(6.0 / w.shape[0])
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def _forward_pass(model: MlpModel, x: np.ndarray):
-    """Returns (pre-activations, post-activations, posteriors) for a batch."""
-    pre, post = [], [x]
-    a = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0) if i < last else z
-        post.append(a)
-    return pre, post, _softmax(pre[-1])
+    """Returns (pre-activations, layer inputs, posteriors) for a batch."""
+    pre, inputs = [], [x]
+    for w, b in zip(model.weights, model.biases):
+        pre.append(inputs[-1] @ w + b)
+        inputs.append(np.maximum(pre[-1], 0.0))
+    return pre, inputs[:-1], _softmax(pre[-1])
 
 
 def _model_inputs(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Raw feature rows as the network's z-scored input batch."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.dims[0]:
-        raise DataError(
-            f"feature dimension {x.shape[1]} does not match model input "
-            f"{model.dims[0]}")
+        raise DataError(f"feature dimension {x.shape[1]} does not match model "
+                        f"input {model.dims[0]}")
     stats = model.norm_stats
     return x if stats is None else (x - stats.mean) / stats.std
 
@@ -134,23 +151,21 @@ def loss(posteriors: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(picked, POSTERIOR_FLOOR))))
 
 
-def _gradients(model: MlpModel, pre, post, probs: np.ndarray, labels: np.ndarray):
-    """Backpropagate the mean cross-entropy of one forward pass.
-
-    Returns (weight grads, bias grads) lists mirroring the model layers.
-    """
+def _gradients(model: MlpModel, pre, inputs, probs: np.ndarray, labels: np.ndarray,
+               grad: np.ndarray) -> None:
+    """Backpropagate the mean cross-entropy of one forward pass into grad, a
+    flat vector in the layout of model.params."""
     batch = len(labels)
     delta = probs.copy()
     delta[np.arange(batch), labels] -= 1.0
     delta /= batch
-    grad_w = [None] * len(model.weights)
-    grad_b = [None] * len(model.biases)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grad_w[layer] = post[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
+    grad_w, grad_b = _layer_views(grad, model.dims)
+    for layer in range(len(grad_w) - 1, -1, -1):
+        np.matmul(inputs[layer].T, delta, out=grad_w[layer])
+        np.sum(delta, axis=0, out=grad_b[layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (pre[layer - 1] > 0)
-    return grad_w, grad_b
+            delta = delta @ model.weights[layer].T
+            delta *= pre[layer - 1] > 0
 
 
 def backward(model: MlpModel, x: np.ndarray, labels: np.ndarray):
@@ -159,64 +174,62 @@ def backward(model: MlpModel, x: np.ndarray, labels: np.ndarray):
     x = _model_inputs(model, x)
     if len(x) == 0:
         raise DataError("empty batch")
-    return _gradients(model, *_forward_pass(model, x), np.asarray(labels).astype(int))
+    grad = np.empty_like(model.params)
+    _gradients(model, *_forward_pass(model, x), np.asarray(labels).astype(int), grad)
+    return _layer_views(grad, model.dims)
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators per parameter plus the step count."""
+    """Flat moments without their (1 - beta) factors, step count, scratch."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     t: int = 0
 
     @classmethod
     def for_model(cls, model: MlpModel) -> "AdamState":
-        params = model.weights + model.biases
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+        n = model.params.size
+        return cls(m=np.zeros(n), v=np.zeros(n), scratch=np.empty(n))
 
 
-def adam_step(model: MlpModel, grad_w, grad_b, state: AdamState,
+def adam_step(model: MlpModel, state: AdamState, grad: np.ndarray,
               config: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place."""
-    params = model.weights + model.biases
-    grads = list(grad_w) + list(grad_b)
+    """One Adam update of model.params by the flat gradient, in place."""
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
-    correction1 = 1.0 - b1 ** state.t
-    correction2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= config.learning_rate * (m / correction1) / (
-            np.sqrt(v / correction2) + config.adam_eps)
+    b1, b2, tmp = config.beta1, config.beta2, state.scratch
+    s = math.sqrt((1.0 - b2) / (1.0 - b2 ** state.t))
+    state.m *= b1
+    state.m += grad
+    state.v *= b2
+    np.multiply(grad, grad, out=tmp)
+    state.v += tmp
+    np.sqrt(state.v, out=tmp)
+    tmp += config.adam_eps / s
+    np.divide(state.m, tmp, out=tmp)
+    tmp *= config.learning_rate * (1.0 - b1) / ((1.0 - b1 ** state.t) * s)
+    model.params -= tmp
 
 
 def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
           hidden_dims=DEFAULT_HIDDEN_DIMS,
           norm_stats: NormalizationStats | None = None) -> tuple[MlpModel, list[float]]:
     """Train a fresh model on raw feature rows; returns it with the per-epoch
-    mean loss history.
-
-    norm_stats, when given, z-scores x during training and is stored in the
-    model so that prediction applies it too. Deterministic for a given config
-    seed: weight init and the per-epoch shuffles all come from the same
-    seeded stream. Raises NumericError if the loss stops being finite.
-    """
+    mean loss history. norm_stats, when given, z-scores x and is stored in the
+    model. Deterministic given config.seed, which seeds the weight init and
+    the shuffles. Raises NumericError if the loss stops being finite."""
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels).astype(int)
     if x.ndim != 2 or len(x) == 0:
         raise DataError("training set must be a non-empty (n, dim) matrix")
     if len(x) != len(labels):
         raise DataError("features and labels have different lengths")
-    dims = (x.shape[1],) + tuple(int(d) for d in hidden_dims) + (len(LABELS),)
-    model = init_model(dims, seed=config.seed)
+    model = init_model((x.shape[1], *hidden_dims, len(LABELS)), seed=config.seed)
     model.norm_stats = norm_stats
     x = _model_inputs(model, x)
     state = AdamState.for_model(model)
+    grad = np.empty_like(model.params)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 97]))
     history: list[float] = []
     n = len(x)
@@ -226,36 +239,30 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             xb, yb = x[batch_idx], labels[batch_idx]
-            pre, post, probs = _forward_pass(model, xb)
+            pre, inputs, probs = _forward_pass(model, xb)
             batch_loss = loss(probs, yb)
             if not np.isfinite(batch_loss):
                 raise NumericError(
                     f"training diverged: non-finite loss in epoch {epoch + 1} "
                     f"at sample offset {start}")
             loss_sum += batch_loss * len(yb)
-            grad_w, grad_b = _gradients(model, pre, post, probs, yb)
-            adam_step(model, grad_w, grad_b, state, config)
+            _gradients(model, pre, inputs, probs, yb, grad)
+            adam_step(model, state, grad, config)
         history.append(loss_sum / n)
     return model, history
 
 
-# --- model file --------------------------------------------------------------
-
-
 def save_model(model: MlpModel, path) -> None:
     parts = [MODEL_MAGIC,
-             struct.pack("<HBB", MODEL_VERSION, _RELU_TAG, len(model.dims))]
-    parts.append(struct.pack(f"<{len(model.dims)}I", *model.dims))
-    for w, b in zip(model.weights, model.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    if model.norm_stats is None:
+             struct.pack("<HBB", MODEL_VERSION, _RELU_TAG, len(model.dims)),
+             struct.pack(f"<{len(model.dims)}I", *model.dims),
+             np.ascontiguousarray(model.params, dtype="<f8").tobytes()]
+    stats = model.norm_stats
+    if stats is None:
         parts.append(struct.pack("<B", 0))
     else:
-        stats = model.norm_stats
         parts.append(struct.pack("<BH", 1, len(stats.mean)))
-        parts.append(np.ascontiguousarray(stats.mean, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(stats.std, dtype="<f8").tobytes())
+        parts.append(np.array([stats.mean, stats.std], dtype="<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -268,9 +275,8 @@ def load_model(path) -> MlpModel:
         raise FormatError(f"{path}: not a model file (bad magic)")
     version, act_tag, num_dims = struct.unpack("<HBB", blob[4:8])
     if version > MODEL_VERSION:
-        raise FormatError(
-            f"{path}: model version {version} is newer than supported "
-            f"({MODEL_VERSION})")
+        raise FormatError(f"{path}: model version {version} is newer than "
+                          f"supported ({MODEL_VERSION})")
     if act_tag != _RELU_TAG:
         raise FormatError(f"{path}: unknown activation tag {act_tag}")
     if num_dims < 2:
@@ -279,26 +285,19 @@ def load_model(path) -> MlpModel:
 
     def take(count: int) -> bytes:
         nonlocal offset
-        if offset + count > len(blob):
-            raise FormatError(f"{path}: truncated model file")
-        chunk = blob[offset : offset + count]
         offset += count
-        return chunk
+        if offset > len(blob):
+            raise FormatError(f"{path}: truncated model file")
+        return blob[offset - count : offset]
 
     dims = struct.unpack(f"<{num_dims}I", take(4 * num_dims))
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        weights.append(np.frombuffer(take(8 * fan_in * fan_out), dtype="<f8")
-                       .reshape(fan_in, fan_out).copy())
-        biases.append(np.frombuffer(take(8 * fan_out), dtype="<f8").copy())
+    params = np.frombuffer(take(8 * _param_count(dims)), dtype="<f8").copy()
     (has_stats,) = struct.unpack("<B", take(1))
     norm_stats = None
     if has_stats:
         (n,) = struct.unpack("<H", take(2))
-        mean = np.frombuffer(take(8 * n), dtype="<f8").copy()
-        std = np.frombuffer(take(8 * n), dtype="<f8").copy()
+        mean, std = np.frombuffer(take(16 * n), dtype="<f8").reshape(2, n).copy()
         norm_stats = NormalizationStats(mean=mean, std=std)
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
-    return MlpModel(dims=dims, weights=weights, biases=biases,
-                    norm_stats=norm_stats)
+    return MlpModel(dims=dims, params=params, norm_stats=norm_stats)

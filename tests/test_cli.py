@@ -544,6 +544,27 @@ class TestSplitUsageErrors:
         assert message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("flags,misfit", [
+        (["--train-channels", "A1_b1", "--test-channels", "B1_b1"], "--train-channels"),
+        (["--split", "random", "--test-channels", "B1_b1"], "--test-channels"),
+        (["--split", "by-channel", "--train-channels", "A1_b1",
+          "--test-channels", "B1_b1", "--channels", "A2_b3"], "--channels"),
+    ])
+    def test_channel_flag_outside_its_split_mode(
+            self, campaign_dir, features_dir, small_model, tmp_path, capsys,
+            command, flags, misfit):
+        argv = [command, "--manifest", str(campaign_dir / "manifest.json"),
+                "--features", str(features_dir), "--train-size", "40",
+                "--test-size", "10", *flags, "--out", str(tmp_path / "out")]
+        if command == "eval":
+            argv += ["--model", str(small_model)]
+        rc, out, err = run(argv, capsys)
+        assert rc == 1
+        assert f"{misfit} does not apply to --split" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_explicit_zero_size_stops_experiment_before_extract(
             self, campaign_dir, tmp_path, capsys):
         data = tmp_path / "data"
@@ -558,3 +579,15 @@ class TestSplitUsageErrors:
         assert "must be positive" in err
         assert out == ""
         assert not (data / "features").exists()
+
+    def test_explicit_zero_size_stops_synth_first_before_synthesis(
+            self, tmp_path, capsys):
+        rc, out, err = run(["experiment", "seen-motor", "--synth-first",
+                            "--duration", "8", "--data", str(tmp_path / "data"),
+                            "--train-size", "0", "--out", str(tmp_path / "res")],
+                           capsys)
+        assert rc == 1
+        assert "must be positive" in err
+        assert out == ""
+        assert not list(tmp_path.rglob("*.wav"))
+        assert not list(tmp_path.rglob("manifest.json"))

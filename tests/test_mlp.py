@@ -1,5 +1,7 @@
+import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,13 +151,65 @@ class TestAdam:
         model = mlp.init_model((4, 3, 2), seed=9)
         before = [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
         state = mlp.AdamState.for_model(model)
-        zeros_w = [np.zeros_like(w) for w in model.weights]
-        zeros_b = [np.zeros_like(b) for b in model.biases]
-        mlp.adam_step(model, zeros_w, zeros_b, state, mlp.TrainConfig())
+        mlp.adam_step(model, state, np.zeros_like(model.params), mlp.TrainConfig())
         after = model.weights + model.biases
         for a, b in zip(before, after):
             assert np.array_equal(a, b)
         assert state.t == 1
+
+
+def textbook_adam(params, grads, config):
+    """Kingma & Ba's Algorithm 1, one operation at a time."""
+    p = params.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t, g in enumerate(grads, start=1):
+        m = config.beta1 * m + (1.0 - config.beta1) * g
+        v = config.beta2 * v + (1.0 - config.beta2) * g * g
+        m_hat = m / (1.0 - config.beta1 ** t)
+        v_hat = v / (1.0 - config.beta2 ** t)
+        p = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    return p
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("config", [
+        mlp.TrainConfig(),
+        mlp.TrainConfig(learning_rate=0.01, beta1=0.8, beta2=0.99, adam_eps=1e-3),
+    ])
+    def test_matches_textbook_adam(self, config):
+        model = mlp.init_model((6, 5, 2), seed=4)
+        rng = np.random.default_rng(8)
+        grads = [rng.standard_normal(model.params.size) * rng.uniform(1e-3, 1.0)
+                 for _ in range(200)]
+        expected = textbook_adam(model.params, grads, config)
+        state = mlp.AdamState.for_model(model)
+        for g in grads:
+            mlp.adam_step(model, state, g, config)
+        assert state.t == 200
+        np.testing.assert_allclose(model.params, expected, rtol=1e-12, atol=0)
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        # Parameter-sized arrays are 936 kB on the default net. The step's only
+        # temporaries should scale with the batch: for 16 rows of 1024 units,
+        # the first layer's delta (128 kB), its ReLU mask and numpy's
+        # bool-to-float cast buffer, about 210 kB in all.
+        model = mlp.init_model((13, 1024, 100, 2), seed=0)
+        rng = np.random.default_rng(1)
+        x, y = rng.standard_normal((16, 13)), rng.integers(0, 2, size=16)
+        state, grad = mlp.AdamState.for_model(model), np.empty_like(model.params)
+        config = mlp.TrainConfig()
+        pass_ = mlp._forward_pass(model, x)
+        mlp._gradients(model, *pass_, y, grad)
+        mlp.adam_step(model, state, grad, config)
+        tracemalloc.start()
+        try:
+            mlp._gradients(model, *pass_, y, grad)
+            mlp.adam_step(model, state, grad, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.params.nbytes // 4
 
 
 class TestTraining:
@@ -249,6 +303,30 @@ class TestModelFile:
             for a, b in zip(model.weights + model.biases,
                             loaded.weights + loaded.biases):
                 assert np.array_equal(a, b)
+
+    def test_layer_arrays_are_views_of_params(self, tmp_path):
+        model = mlp.init_model((13, 6, 4, 2), seed=77)
+        path = tmp_path / "m.abmm"
+        mlp.save_model(model, path)
+        for m in (model, mlp.load_model(path)):
+            assert m.params.shape == (13 * 6 + 6 + 6 * 4 + 4 + 4 * 2 + 2,)
+            for array in m.weights + m.biases:
+                assert np.shares_memory(array, m.params)
+            m.weights[1][2, 3] = 5.0
+            m.biases[2][1] = -7.0
+            assert m.params[13 * 6 + 6 + 2 * 4 + 3] == 5.0
+            assert m.params[-1] == -7.0
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # ABMM v1 is a fixed format: a fixed model must keep giving these bytes.
+        model = mlp.init_model((13, 6, 4, 2), seed=77)
+        model.norm_stats = NormalizationStats(mean=np.arange(13.0),
+                                              std=np.linspace(0.5, 2.0, 13))
+        path = tmp_path / "m.abmm"
+        mlp.save_model(model, path)
+        assert path.stat().st_size == 1211
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c313749bf89747ada12e81e9034d3dcc6010cd7565c1d7dc84c47bb4247ff8d6")
 
     def test_corrupted_magic_rejected(self, tmp_path):
         path = tmp_path / "m.abmm"
