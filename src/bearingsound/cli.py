@@ -45,6 +45,14 @@ def _parse_band(text: str) -> tuple[float, float]:
     return low, high
 
 
+def positive_int(text: str) -> int:
+    """Split sizes are checked at parse time, before --synth-first synthesizes."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _parse_channels(text: str) -> tuple[str, ...]:
     channels = tuple(c.strip() for c in text.split(",") if c.strip())
     if not channels:
@@ -69,8 +77,8 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
                    help="channels to pool for a random split (default: all)")
     p.add_argument("--train-channels", type=str, default=None)
     p.add_argument("--test-channels", type=str, default=None)
-    p.add_argument("--train-size", type=int, default=experiments.SEEN_SPLIT[0])
-    p.add_argument("--test-size", type=int, default=experiments.SEEN_SPLIT[1])
+    p.add_argument("--train-size", type=positive_int, default=experiments.SEEN_SPLIT[0])
+    p.add_argument("--test-size", type=positive_int, default=experiments.SEEN_SPLIT[1])
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -207,7 +215,6 @@ def cmd_scatter(args) -> int:
 def cmd_experiment(args) -> int:
     data_dir = Path(args.data)
     manifest_path = data_dir / "manifest.json"
-    sizes = experiments.split_sizes(args.name, args.train_size, args.test_size)
     if not manifest_path.exists():
         if not args.synth_first:
             raise DataError(
@@ -219,7 +226,9 @@ def cmd_experiment(args) -> int:
     manifest = dataset.load_manifest(manifest_path)
     config = _mfcc_config(args)
     band = _parse_band(args.band)
-    spec = experiments.named_experiment(args.name, manifest, seed=args.seed, **sizes)
+    spec = experiments.named_experiment(
+        args.name, manifest, seed=args.seed,
+        train_size=args.train_size, test_size=args.test_size)
     out_dir = Path(args.out) if args.out else data_dir / "results" / args.name
     report = experiments.run_experiment(
         manifest, spec, config, _train_config(args), band, out_dir=out_dir,
@@ -286,8 +295,8 @@ def build_parser() -> _Parser:
                    help="generate the default campaign if the data dir is empty")
     p.add_argument("--duration", type=float, default=600.0)
     _add_mfcc_flags(p)
-    p.add_argument("--train-size", type=int, default=None)
-    p.add_argument("--test-size", type=int, default=None)
+    p.add_argument("--train-size", type=positive_int, default=None)
+    p.add_argument("--test-size", type=positive_int, default=None)
     _add_train_flags(p)
     p.add_argument("--out", type=str, default=None, help="results directory")
     p.set_defaults(func=cmd_experiment)

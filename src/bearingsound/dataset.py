@@ -60,10 +60,16 @@ class Manifest:
     def select(self, label: str | None = None, component: str | None = None,
                axles: tuple[str, ...] | None = None) -> list[str]:
         """Channel ids matching every given filter, in manifest order."""
-        return [channel_id for channel_id, e in self.entries.items()
-                if (label is None or e.label == label)
-                and (component is None or e.component == component)
-                and (axles is None or e.axle in axles)]
+        out = []
+        for channel_id, e in self.entries.items():
+            if label is not None and e.label != label:
+                continue
+            if component is not None and e.component != component:
+                continue
+            if axles is not None and e.axle not in axles:
+                continue
+            out.append(channel_id)
+        return out
 
 
 def _check_entry(channel_id: str, entry: ManifestEntry) -> None:
@@ -177,11 +183,6 @@ def gate_frames(recording: AudioRecording, config: MfccConfig, label: str,
 # --- train/test splitting ---------------------------------------------------
 
 
-def check_split_sizes(train_size: int, test_size: int) -> None:
-    if train_size <= 0 or test_size <= 0:
-        raise ConfigError("train_size and test_size must be positive")
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """How to partition gated frames into train and test sets."""
@@ -196,7 +197,8 @@ class SplitSpec:
     def __post_init__(self):
         if self.mode not in ("random", "by_channel"):
             raise ConfigError(f"unknown split mode: {self.mode!r}")
-        check_split_sizes(self.train_size, self.test_size)
+        if self.train_size <= 0 or self.test_size <= 0:
+            raise ConfigError("train_size and test_size must be positive")
         if self.mode == "by_channel":
             if not self.train_channels or not self.test_channels:
                 raise ConfigError("by_channel split needs train and test channel lists")
@@ -228,7 +230,8 @@ def make_split(frames: Frames, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]
     if spec.mode == "random":
         total = spec.train_size + spec.test_size
         if total > len(frames):
-            raise DataError(f"split needs {total} frames, only {len(frames)} available")
+            raise DataError(
+                f"split needs {total} frames, only {len(frames)} available")
         order = rng.permutation(len(frames))
         return order[: spec.train_size], order[spec.train_size : total]
 
@@ -264,7 +267,8 @@ class NormalizationStats:
 def fit_normalization(x: np.ndarray) -> NormalizationStats:
     """Per-coefficient mean and std of a (frames, coeffs) training matrix."""
     if len(x) < 2:
-        raise DataError(f"normalization needs at least two frames, got {len(x)}")
+        raise DataError(
+            f"normalization needs at least two frames, got {len(x)}")
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     degenerate = np.flatnonzero(std == 0)

@@ -56,21 +56,13 @@ def _require_channels(manifest: Manifest, channels) -> None:
             "manifest is missing required channel(s): " + ", ".join(missing))
 
 
-def split_sizes(name: str, train_size: int | None = None,
-                test_size: int | None = None) -> dict[str, int]:
-    """An experiment's split sizes, None taking its default; both positive."""
-    default = UNSEEN_SPLIT if name.startswith("unseen") else SEEN_SPLIT
-    sizes = {"train_size": default[0] if train_size is None else train_size,
-             "test_size": default[1] if test_size is None else test_size}
-    dataset.check_split_sizes(**sizes)
-    return sizes
-
-
 def named_experiment(name: str, manifest: Manifest, seed: int,
                      train_size: int | None = None,
                      test_size: int | None = None) -> ExperimentSpec:
     """Resolve one of the built-in experiment names against a manifest."""
-    sizes = split_sizes(name, train_size, test_size)
+    default = UNSEEN_SPLIT if name.startswith("unseen") else SEEN_SPLIT
+    sizes = {"train_size": default[0] if train_size is None else train_size,
+             "test_size": default[1] if test_size is None else test_size}
     if name in ("seen-motor", "seen-gearbox"):
         if name == "seen-motor":
             channels = ("A1_b1", "A2_b2", "B1_b1", "B2_b2")

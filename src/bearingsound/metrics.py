@@ -46,7 +46,8 @@ def confusion(predictions, truths) -> ConfusionMatrix:
     """Tally predicted-vs-true class indices (0 = H, 1 = D)."""
     pred, true = np.asarray(predictions), np.asarray(truths)
     if len(pred) != len(true):
-        raise DataError(f"{len(pred)} predictions vs {len(true)} truths")
+        raise DataError(
+            f"{len(pred)} predictions vs {len(true)} truths")
     both = np.concatenate([pred, true])
     bad = both[~np.isin(both, (0, 1))]
     if bad.size:
@@ -126,8 +127,10 @@ def write_report(report: MetricsReport, json_path, text_path) -> None:
 
 
 def export_scatter(frames: Frames, coeff_pair: tuple[int, int], path) -> int:
-    """Write one tab-separated row per frame for a 2-D view of two 1-based
-    coefficient indices (c1..c13); returns the row count."""
+    """Write one tab-separated row per frame for a 2-D coefficient view.
+
+    Coefficient indices are 1-based (c1..c13); returns the row count.
+    """
     a, b = coeff_pair
     for index in (a, b):
         if index < 1:

@@ -58,7 +58,8 @@ def _layer_views(flat: np.ndarray, dims) -> tuple[list, list]:
 
 @dataclass
 class MlpModel:
-    """Dims, flat parameters with per-layer views, fitted z-scoring or None."""
+    """Layer dimensions, parameters, and the feature normalization fitted at
+    training time (None when training ran raw)."""
 
     dims: tuple[int, ...]
     params: np.ndarray
@@ -108,26 +109,23 @@ def init_model(dims, seed: int = 0) -> MlpModel:
     return model
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _forward_pass(model: MlpModel, x: np.ndarray):
     """Returns (pre-activations, layer inputs, posteriors) for a batch."""
     pre, inputs = [], [x]
     for w, b in zip(model.weights, model.biases):
         pre.append(inputs[-1] @ w + b)
         inputs.append(np.maximum(pre[-1], 0.0))
-    return pre, inputs[:-1], _softmax(pre[-1])
+    e = np.exp(pre[-1] - pre[-1].max(axis=-1, keepdims=True))
+    return pre, inputs[:-1], e / e.sum(axis=-1, keepdims=True)
 
 
 def _model_inputs(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Raw feature rows as the network's z-scored input batch."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.dims[0]:
-        raise DataError(f"feature dimension {x.shape[1]} does not match model "
-                        f"input {model.dims[0]}")
+        raise DataError(
+            f"feature dimension {x.shape[1]} does not match model input "
+            f"{model.dims[0]}")
     stats = model.norm_stats
     return x if stats is None else (x - stats.mean) / stats.std
 
@@ -216,16 +214,21 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
           hidden_dims=DEFAULT_HIDDEN_DIMS,
           norm_stats: NormalizationStats | None = None) -> tuple[MlpModel, list[float]]:
     """Train a fresh model on raw feature rows; returns it with the per-epoch
-    mean loss history. norm_stats, when given, z-scores x and is stored in the
-    model. Deterministic given config.seed, which seeds the weight init and
-    the shuffles. Raises NumericError if the loss stops being finite."""
+    mean loss history.
+
+    norm_stats, when given, z-scores x during training and is stored in the
+    model so that prediction applies it too. Deterministic for a given config
+    seed: weight init and the per-epoch shuffles all come from the same
+    seeded stream. Raises NumericError if the loss stops being finite.
+    """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels).astype(int)
     if x.ndim != 2 or len(x) == 0:
         raise DataError("training set must be a non-empty (n, dim) matrix")
     if len(x) != len(labels):
         raise DataError("features and labels have different lengths")
-    model = init_model((x.shape[1], *hidden_dims, len(LABELS)), seed=config.seed)
+    dims = (x.shape[1],) + tuple(int(d) for d in hidden_dims) + (len(LABELS),)
+    model = init_model(dims, seed=config.seed)
     model.norm_stats = norm_stats
     x = _model_inputs(model, x)
     state = AdamState.for_model(model)
@@ -252,17 +255,21 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
     return model, history
 
 
+# --- model file --------------------------------------------------------------
+
+
 def save_model(model: MlpModel, path) -> None:
     parts = [MODEL_MAGIC,
-             struct.pack("<HBB", MODEL_VERSION, _RELU_TAG, len(model.dims)),
-             struct.pack(f"<{len(model.dims)}I", *model.dims),
-             np.ascontiguousarray(model.params, dtype="<f8").tobytes()]
-    stats = model.norm_stats
-    if stats is None:
+             struct.pack("<HBB", MODEL_VERSION, _RELU_TAG, len(model.dims))]
+    parts.append(struct.pack(f"<{len(model.dims)}I", *model.dims))
+    parts.append(np.ascontiguousarray(model.params, dtype="<f8").tobytes())
+    if model.norm_stats is None:
         parts.append(struct.pack("<B", 0))
     else:
+        stats = model.norm_stats
         parts.append(struct.pack("<BH", 1, len(stats.mean)))
-        parts.append(np.array([stats.mean, stats.std], dtype="<f8").tobytes())
+        parts.append(np.ascontiguousarray(stats.mean, dtype="<f8").tobytes())
+        parts.append(np.ascontiguousarray(stats.std, dtype="<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -275,8 +282,9 @@ def load_model(path) -> MlpModel:
         raise FormatError(f"{path}: not a model file (bad magic)")
     version, act_tag, num_dims = struct.unpack("<HBB", blob[4:8])
     if version > MODEL_VERSION:
-        raise FormatError(f"{path}: model version {version} is newer than "
-                          f"supported ({MODEL_VERSION})")
+        raise FormatError(
+            f"{path}: model version {version} is newer than supported "
+            f"({MODEL_VERSION})")
     if act_tag != _RELU_TAG:
         raise FormatError(f"{path}: unknown activation tag {act_tag}")
     if num_dims < 2:
@@ -285,10 +293,11 @@ def load_model(path) -> MlpModel:
 
     def take(count: int) -> bytes:
         nonlocal offset
-        offset += count
-        if offset > len(blob):
+        if offset + count > len(blob):
             raise FormatError(f"{path}: truncated model file")
-        return blob[offset - count : offset]
+        chunk = blob[offset : offset + count]
+        offset += count
+        return chunk
 
     dims = struct.unpack(f"<{num_dims}I", take(4 * num_dims))
     params = np.frombuffer(take(8 * _param_count(dims)), dtype="<f8").copy()
@@ -296,7 +305,8 @@ def load_model(path) -> MlpModel:
     norm_stats = None
     if has_stats:
         (n,) = struct.unpack("<H", take(2))
-        mean, std = np.frombuffer(take(16 * n), dtype="<f8").reshape(2, n).copy()
+        mean = np.frombuffer(take(8 * n), dtype="<f8").copy()
+        std = np.frombuffer(take(8 * n), dtype="<f8").copy()
         norm_stats = NormalizationStats(mean=mean, std=std)
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")

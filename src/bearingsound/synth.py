@@ -123,12 +123,14 @@ class AudioRecording:
         if len(self.rotational_freq_track) != expected:
             raise DataError(
                 f"{self.channel_id}: track has {len(self.rotational_freq_track)} "
-                f"entries, expected {expected}")
+                f"entries, expected {expected}"
+            )
 
 
 def sample_profile(profile, t: np.ndarray) -> np.ndarray:
     """Piecewise-linear rotational frequency at times t (clamped at the ends)."""
-    times, freqs = np.array(profile, dtype=float).T
+    times = np.array([p[0] for p in profile])
+    freqs = np.array([p[1] for p in profile])
     return np.interp(t, times, freqs)
 
 

@@ -1,20 +1,20 @@
 """Run the four named experiments over campaign/experiment seed pairs.
 
-    python3 tools/seed_sweep.py [--src DIR] [--work DIR] [--duration S] C:E ...
+    python3 tools/seed_sweep.py [--src DIR] C:E ...
 
 For each pair C:E the script synthesizes the default campaign with seed C
-(600 s per channel unless --duration says otherwise), then runs seen-motor,
-seen-gearbox, unseen-A2b2 and unseen-A1b1 on it with seed E, at their
-default split sizes and training settings. Standard output gets one
-tab-separated row per run: campaign seed, experiment seed, experiment,
-accuracy, TPR and TNR (percent, as report.json rounds them) and the SHA-256
-of report.json. Standard error gets the min and median accuracy and TNR per
-experiment once every pair has run.
+at the CLI's default duration, then runs seen-motor, seen-gearbox,
+unseen-A2b2 and unseen-A1b1 on it with seed E, at their default split sizes
+and training settings. Standard output gets one tab-separated row per run:
+campaign seed, experiment seed, experiment, accuracy, TPR and TNR (percent,
+as report.json rounds them) and the SHA-256 of report.json. Standard error
+gets the min and median accuracy and TNR per experiment once every pair has
+run.
 
 --src selects the package source (default: this checkout's src), so two
 checkouts can be swept by one script and their rows compared with diff. Each
-campaign lives in a temporary directory under --work and is deleted after
-its four runs.
+campaign lives in a temporary directory (under TMPDIR, if set) and is deleted
+after its four runs.
 """
 
 from __future__ import annotations
@@ -50,13 +50,11 @@ def cli(src: Path, *args) -> None:
                  f"{proc.returncode}:\n{proc.stderr}")
 
 
-def sweep_pair(src: Path, work: Path, duration: float, campaign_seed: int,
-               experiment_seed: int) -> list[tuple]:
+def sweep_pair(src: Path, campaign_seed: int, experiment_seed: int) -> list[tuple]:
     rows = []
-    with tempfile.TemporaryDirectory(dir=work) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "campaign"
-        cli(src, "--seed", campaign_seed, "synth", "--default-campaign",
-            "--duration", duration, "--out", data)
+        cli(src, "--seed", campaign_seed, "synth", "--default-campaign", "--out", data)
         for name in EXPERIMENTS:
             out = Path(tmp) / name
             cli(src, "--seed", experiment_seed, "experiment", name, "--data", data,
@@ -71,15 +69,12 @@ def sweep_pair(src: Path, work: Path, duration: float, campaign_seed: int,
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pairs", nargs="+", type=seed_pair, metavar="C:E")
-    parser.add_argument("--src", type=Path, default=DEFAULT_SRC)
-    parser.add_argument("--work", type=Path, default=None,
-                        help="parent of the temporary campaign directories")
-    parser.add_argument("--duration", type=float, default=600.0)
+    parser.add_argument("--src", type=Path, default=DEFAULT_SRC,
+                        help="package source directory (default: this checkout's src)")
     args = parser.parse_args()
     rows = []
     for campaign_seed, experiment_seed in args.pairs:
-        for row in sweep_pair(args.src.resolve(), args.work, args.duration,
-                              campaign_seed, experiment_seed):
+        for row in sweep_pair(args.src.resolve(), campaign_seed, experiment_seed):
             print("\t".join(f"{v:.2f}" if isinstance(v, float) else str(v) for v in row),
                   flush=True)
             rows.append(row)
