@@ -109,12 +109,17 @@ def _train_config(args) -> TrainConfig:
                        batch_size=args.batch, seed=args.seed)
 
 
-def _pool_channels(args, split: SplitSpec, manifest) -> tuple[str, ...]:
-    if split.mode == "by_channel":
-        return split.train_channels + split.test_channels
+def _listed_channels(args, manifest) -> tuple[str, ...]:
+    """--channels, else every manifest channel."""
     if args.channels:
         return _parse_channels(args.channels)
     return tuple(manifest.channels())
+
+
+def _pool_channels(args, split: SplitSpec, manifest) -> tuple[str, ...]:
+    if split.mode == "by_channel":
+        return split.train_channels + split.test_channels
+    return _listed_channels(args, manifest)
 
 
 def _write_campaign(scenario, out_dir: Path) -> None:
@@ -155,7 +160,7 @@ def cmd_extract(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
     config = _mfcc_config(args)
     band = _parse_band(args.band)
-    channels = _parse_channels(args.channels) if args.channels else manifest.channels()
+    channels = _listed_channels(args, manifest)
     features_dir = Path(args.out)
     experiments.ensure_caches(manifest, channels, config, band, features_dir,
                               log=print)
@@ -205,7 +210,7 @@ def cmd_scatter(args) -> int:
         pair = (int(a_text), int(b_text))
     except ValueError:
         raise ConfigError(f"--pair expects A:B coefficient indices, got {args.pair!r}")
-    channels = _parse_channels(args.channels) if args.channels else manifest.channels()
+    channels = _listed_channels(args, manifest)
     frames, _ = experiments.load_frames(manifest, channels, args.features)
     rows = metrics.export_scatter(frames, pair, args.out)
     print(f"wrote {rows} rows to {args.out}")

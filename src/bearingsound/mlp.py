@@ -6,14 +6,29 @@ plain numpy; training is a deterministic single-threaded loop given the seed.
 A model stores the feature z-scoring fitted at training time and applies it
 to the raw features it is given.
 
-Parameters live in one float64 vector, ``MlpModel.params``: per layer W_i
+Parameters live in one flat vector, ``MlpModel.params``: per layer W_i
 (row-major), then b_i, the order of the ABMM v1 file; ``weights``/``biases``
-are views into it, and gradients and Adam's moments share its layout.
+are views into it, and gradients and Adam's moments share its layout and its
+dtype. Models are float64: the model file, ``predict_batch`` and ``backward``.
+``train`` alone runs in float32: it z-scores its rows in float64, casts them
+to float32 once, trains a float32 copy of ``init_model``'s parameters (whose
+draws are rounded to float32, so the copy is exact) and returns their exact
+float64 widening.
+
 ``adam_step`` is Kingma & Ba's section 2 form (arXiv 1412.6980) with the
 moments kept without their (1 - beta) factors, 10 passes over the parameters
 with one division and one sqrt: M = b1 M + g, V = b2 V + g^2, then
 p -= a_t M / (sqrt(V) + eps / s) with s = sqrt((1 - b2) / (1 - b2^t)) and
 a_t = lr (1 - b1) / ((1 - b1^t) s).
+
+float32 training flushes subnormals where they arise, since arithmetic on
+them is many times slower. Saturated softmax posteriors give subnormal
+output errors, which ``_gradients`` zeroes below sqrt(tiny): every backprop
+product of two values at least that large is normal. The moments of dead
+ReLU units decay geometrically, so every 64 steps ``adam_step`` zeroes
+|M| < tiny / b1^64 and V < tiny / b2^64 (computed as |M| b1^64 < tiny, so
+no beta overflows the bound): a moment above its bound cannot decay below
+tiny before the next flush. tiny is ``np.finfo(dtype).tiny``.
 
 Label convention, fixed project-wide: H is class index 0 and the positive
 class, D is index 1 and the negative class.
@@ -99,13 +114,13 @@ class TrainConfig:
 
 
 def init_model(dims, seed: int = 0) -> MlpModel:
-    """He-style uniform weight init, zero biases, seeded."""
+    """He-style uniform weight init rounded to float32, zero biases, seeded."""
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
     model = MlpModel(dims=dims, params=np.zeros(_param_count(dims)))
     for w in model.weights:
         bound = np.sqrt(6.0 / w.shape[0])
-        w[:] = rng.uniform(-bound, bound, size=w.shape)
+        w[:] = rng.uniform(-bound, bound, size=w.shape).astype(np.float32)
     return model
 
 
@@ -113,10 +128,11 @@ def _forward_pass(model: MlpModel, x: np.ndarray):
     """Returns (pre-activations, layer inputs, posteriors) for a batch."""
     pre, inputs = [], [x]
     for w, b in zip(model.weights, model.biases):
+        if pre:
+            inputs.append(np.maximum(pre[-1], 0.0))
         pre.append(inputs[-1] @ w + b)
-        inputs.append(np.maximum(pre[-1], 0.0))
     e = np.exp(pre[-1] - pre[-1].max(axis=-1, keepdims=True))
-    return pre, inputs[:-1], e / e.sum(axis=-1, keepdims=True)
+    return pre, inputs, e / e.sum(axis=-1, keepdims=True)
 
 
 def _model_inputs(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -152,11 +168,14 @@ def loss(posteriors: np.ndarray, labels: np.ndarray) -> float:
 def _gradients(model: MlpModel, pre, inputs, probs: np.ndarray, labels: np.ndarray,
                grad: np.ndarray) -> None:
     """Backpropagate the mean cross-entropy of one forward pass into grad, a
-    flat vector in the layout of model.params."""
+    flat vector in the layout of model.params. Output errors below
+    sqrt(tiny) are zeroed, so saturated posteriors feed no subnormal into
+    the backprop's products."""
     batch = len(labels)
     delta = probs.copy()
     delta[np.arange(batch), labels] -= 1.0
     delta /= batch
+    delta[np.abs(delta) < math.sqrt(np.finfo(delta.dtype).tiny)] = 0.0
     grad_w, grad_b = _layer_views(grad, model.dims)
     for layer in range(len(grad_w) - 1, -1, -1):
         np.matmul(inputs[layer].T, delta, out=grad_w[layer])
@@ -188,15 +207,28 @@ class AdamState:
 
     @classmethod
     def for_model(cls, model: MlpModel) -> "AdamState":
-        n = model.params.size
-        return cls(m=np.zeros(n), v=np.zeros(n), scratch=np.empty(n))
+        """Zero moments in the dtype of model.params."""
+        params = model.params
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
+                   scratch=np.empty_like(params))
+
+
+_FLUSH_INTERVAL = 64
 
 
 def adam_step(model: MlpModel, state: AdamState, grad: np.ndarray,
               config: TrainConfig) -> None:
-    """One Adam update of model.params by the flat gradient, in place."""
+    """One Adam update of model.params by the flat gradient, in place.
+
+    Every _FLUSH_INTERVAL steps it first zeroes the moments that would fall
+    below tiny if they decayed for _FLUSH_INTERVAL steps."""
     state.t += 1
     b1, b2, tmp = config.beta1, config.beta2, state.scratch
+    if state.t % _FLUSH_INTERVAL == 0:
+        for moment, beta in ((state.m, b1), (state.v, b2)):
+            np.abs(moment, out=tmp)
+            tmp *= beta ** _FLUSH_INTERVAL
+            moment[tmp < np.finfo(tmp.dtype).tiny] = 0.0
     s = math.sqrt((1.0 - b2) / (1.0 - b2 ** state.t))
     state.m *= b1
     state.m += grad
@@ -217,9 +249,14 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
     mean loss history.
 
     norm_stats, when given, z-scores x during training and is stored in the
-    model so that prediction applies it too. Deterministic for a given config
-    seed: weight init and the per-epoch shuffles all come from the same
-    seeded stream. Raises NumericError if the loss stops being finite.
+    model so that prediction applies it too. x is z-scored in float64 and
+    then cast to float32; both run once per call, not per batch, so their
+    order does not matter for speed. The forward pass, backprop and Adam run
+    on a float32 copy of the init_model parameters, whose exact float64
+    widening is written back into the returned model. Deterministic for a
+    given config seed: weight init and the per-epoch shuffles all come from
+    the same seeded stream. Raises NumericError if the loss stops being
+    finite.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels).astype(int)
@@ -230,9 +267,10 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
     dims = (x.shape[1],) + tuple(int(d) for d in hidden_dims) + (len(LABELS),)
     model = init_model(dims, seed=config.seed)
     model.norm_stats = norm_stats
-    x = _model_inputs(model, x)
-    state = AdamState.for_model(model)
-    grad = np.empty_like(model.params)
+    x = _model_inputs(model, x).astype(np.float32)
+    model32 = MlpModel(dims=dims, params=model.params.astype(np.float32))
+    state = AdamState.for_model(model32)
+    grad = np.empty_like(model32.params)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 97]))
     history: list[float] = []
     n = len(x)
@@ -242,16 +280,17 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             xb, yb = x[batch_idx], labels[batch_idx]
-            pre, inputs, probs = _forward_pass(model, xb)
+            pre, inputs, probs = _forward_pass(model32, xb)
             batch_loss = loss(probs, yb)
             if not np.isfinite(batch_loss):
                 raise NumericError(
                     f"training diverged: non-finite loss in epoch {epoch + 1} "
                     f"at sample offset {start}")
             loss_sum += batch_loss * len(yb)
-            _gradients(model, pre, inputs, probs, yb, grad)
-            adam_step(model, state, grad, config)
+            _gradients(model32, pre, inputs, probs, yb, grad)
+            adam_step(model32, state, grad, config)
         history.append(loss_sum / n)
+    model.params[:] = model32.params
     return model, history
 
 

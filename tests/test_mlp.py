@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,20 @@ class TestFlatAdam:
         assert state.t == 200
         np.testing.assert_allclose(model.params, expected, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flush_survives_a_beta_whose_64th_power_underflows(self, dtype):
+        # 1e-6 ** 64 is 0.0: the flush must zero the moments, not divide by it.
+        init = mlp.init_model((4, 3, 2), seed=1)
+        model = mlp.MlpModel(dims=init.dims, params=init.params.astype(dtype))
+        state = mlp.AdamState.for_model(model)
+        grad = np.ones_like(model.params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(64):
+                mlp.adam_step(model, state, grad, mlp.TrainConfig(beta1=1e-6))
+        assert np.array_equal(state.m, grad)
+        assert np.all(np.isfinite(model.params))
+
     def test_step_allocates_no_parameter_sized_array(self):
         # Parameter-sized arrays are 936 kB on the default net. The step's only
         # temporaries should scale with the batch: for 16 rows of 1024 units,
@@ -275,6 +290,97 @@ class TestTraining:
             mlp.TrainConfig(beta1=1.0)
 
 
+def subnormal_count(a):
+    a = np.abs(a)
+    return int(np.count_nonzero((a > 0) & (a < np.finfo(a.dtype).tiny)))
+
+
+def float32_train_without_flushes(x, y, config, hidden_dims):
+    """mlp.train's float32 loop written out without the subnormal flushes:
+    returns the trained float32 parameters and the subnormal entries seen in
+    the output errors over the run and in the final first moments."""
+    dims = (x.shape[1],) + hidden_dims + (2,)
+    params = mlp.init_model(dims, seed=config.seed).params.astype(np.float32)
+    model = mlp.MlpModel(dims=dims, params=params)
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    x = x.astype(np.float32)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 97]))
+    b1, b2 = config.beta1, config.beta2
+    t = subnormal_deltas = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), config.batch_size):
+            rows = order[start : start + config.batch_size]
+            pre, inputs, probs = mlp._forward_pass(model, x[rows])
+            delta = probs.copy()
+            delta[np.arange(len(rows)), y[rows]] -= 1.0
+            delta /= len(rows)
+            subnormal_deltas += subnormal_count(delta)
+            grads = []
+            for layer in range(len(dims) - 2, -1, -1):
+                grads[:0] = [(inputs[layer].T @ delta).ravel(), delta.sum(axis=0)]
+                if layer > 0:
+                    delta = delta @ model.weights[layer].T
+                    delta *= pre[layer - 1] > 0
+            g = np.concatenate(grads)
+            t += 1
+            s = math.sqrt((1.0 - b2) / (1.0 - b2 ** t))
+            m = b1 * m + g
+            v = b2 * v + g * g
+            step = m / (np.sqrt(v) + config.adam_eps / s)
+            params -= step * (config.learning_rate * (1.0 - b1) / ((1.0 - b1 ** t) * s))
+    return params, subnormal_deltas, subnormal_count(m)
+
+
+class TestFloat32Training:
+    def test_trained_params_are_widened_float32(self):
+        x, y = toy_blobs(40, seed=4)
+        model, _ = mlp.train(x, y, mlp.TrainConfig(epochs=2, seed=3),
+                             hidden_dims=(8, 4))
+        assert model.params.dtype == np.float64
+        narrowed = model.params.astype(np.float32)
+        assert np.array_equal(narrowed.astype(np.float64), model.params)
+        init = mlp.init_model((13, 1024, 100, 2), seed=11).params
+        assert init.dtype == np.float64
+        assert np.array_equal(init.astype(np.float32).astype(np.float64), init)
+
+    def test_adam_state_follows_params_dtype(self):
+        init = mlp.init_model((6, 5, 2), seed=4)
+        for dtype in (np.float32, np.float64):
+            model = mlp.MlpModel(dims=init.dims, params=init.params.astype(dtype))
+            state = mlp.AdamState.for_model(model)
+            for array in (state.m, state.v, state.scratch):
+                assert array.dtype == dtype
+                assert array.shape == model.params.shape
+            mlp.adam_step(model, state, np.ones_like(model.params), mlp.TrainConfig())
+            assert model.params.dtype == dtype
+
+    def test_saturated_run_flushes_subnormals_without_moving_params(self, monkeypatch):
+        # Far-apart blobs and a large step saturate the softmax, so float32
+        # output errors underflow, and units that die stop getting gradient
+        # while their first moments decay past the float32 normal range.
+        x, y = toy_blobs(64, seed=3)
+        x *= 1.5
+        config = mlp.TrainConfig(epochs=200, learning_rate=0.05, seed=5)
+        last = {}
+        adam_step = mlp.adam_step
+
+        def recording_adam_step(model, state, grad, cfg):
+            adam_step(model, state, grad, cfg)
+            last.update(state=state, grad=grad)
+
+        monkeypatch.setattr(mlp, "adam_step", recording_adam_step)
+        model, _ = mlp.train(x, y, config, hidden_dims=(32, 16))
+        expected, subnormal_deltas, subnormal_m = float32_train_without_flushes(
+            x, y, config, (32, 16))
+        assert last["state"].t == 800
+        assert subnormal_deltas > 0 and subnormal_m > 0
+        for array in (last["grad"], last["state"].m, last["state"].v):
+            assert array.dtype == np.float32
+            assert subnormal_count(array) == 0
+        assert np.array_equal(model.params, expected.astype(np.float64))
+
+
 class TestModelFile:
     def test_round_trip_preserves_predictions(self, tmp_path):
         stats = NormalizationStats(mean=np.arange(13.0), std=np.ones(13))
@@ -319,6 +425,8 @@ class TestModelFile:
 
     def test_file_bytes_are_pinned(self, tmp_path):
         # ABMM v1 is a fixed format: a fixed model must keep giving these bytes.
+        # The digest was computed by writing init_model's float32-rounded draws
+        # with the writer of the float64-training code, so it pins the format.
         model = mlp.init_model((13, 6, 4, 2), seed=77)
         model.norm_stats = NormalizationStats(mean=np.arange(13.0),
                                               std=np.linspace(0.5, 2.0, 13))
@@ -326,7 +434,7 @@ class TestModelFile:
         mlp.save_model(model, path)
         assert path.stat().st_size == 1211
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "c313749bf89747ada12e81e9034d3dcc6010cd7565c1d7dc84c47bb4247ff8d6")
+            "8c178f5ceea486713d8bf7e684ade5c2ba94186739c2e688038fa6e0b4cb9cdd")
 
     def test_corrupted_magic_rejected(self, tmp_path):
         path = tmp_path / "m.abmm"
