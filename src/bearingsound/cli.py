@@ -173,7 +173,7 @@ def cmd_train(args) -> int:
     channels = _pool_channels(args, split, manifest)
     frames, mfcc = experiments.load_frames(manifest, channels, args.features)
     train_config = _train_config(args)
-    run = experiments.split_and_train(frames, split, train_config)
+    run = experiments.split_and_train(frames, split, train_config, mfcc)
     model_path = Path(args.out)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     mlp.save_model(run["model"], model_path)
@@ -192,8 +192,10 @@ def cmd_eval(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
     model = mlp.load_model(args.model)
     split = _split_spec(args)
-    frames, _ = experiments.load_frames(
+    frames, mfcc = experiments.load_frames(
         manifest, _pool_channels(args, split, manifest), args.features)
+    if model.mfcc != mfcc:
+        raise DataError(f"model features {model.mfcc} differ from the caches' {mfcc}")
     _, test_rows = dataset.make_split(frames, split)
     report = experiments.evaluate_frames(model, frames.take(test_rows))
     out_dir = Path(args.out)

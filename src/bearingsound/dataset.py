@@ -10,7 +10,6 @@ frequency and original frame index.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -18,14 +17,14 @@ import numpy as np
 
 from .dsp import MfccConfig, feature_matrix
 from .errors import ConfigError, DataError, FormatError
-from .synth import LABELS, AudioRecording, check_channel_id, read_json, write_json
+from .synth import LABELS, AudioRecording, check_channel, read_json, write_json
 
 BAND_LOW_HZ = 42.0
 BAND_HIGH_HZ = 45.0
 
 CACHE_MAGIC = b"ABFC"
-CACHE_VERSION = 2
-_CACHE_HEADER = struct.Struct("<4sHHQI")  # magic, version, coeffs, frames, sig bytes
+CACHE_VERSION = 3
+_FRAME_BYTES = 10  # magic, u16 version, u32 header length of a framed file
 
 
 @dataclass(frozen=True)
@@ -72,15 +71,6 @@ class Manifest:
         return out
 
 
-def _check_entry(channel_id: str, entry: ManifestEntry) -> None:
-    check_channel_id(channel_id)
-    if entry.label not in LABELS:
-        raise DataError(f"{channel_id}: label must be H or D, got {entry.label!r}")
-    if entry.component not in ("motor", "gearbox"):
-        raise DataError(
-            f"{channel_id}: component must be motor or gearbox, got {entry.component!r}")
-
-
 def save_manifest(manifest: Manifest, path) -> None:
     write_json(path, {channel_id: asdict(e)
                       for channel_id, e in manifest.entries.items()})
@@ -112,7 +102,7 @@ def load_manifest(path) -> Manifest:
             )
         except (KeyError, TypeError) as exc:
             raise DataError(f"{path}: bad entry for {channel_id} ({exc})") from exc
-        _check_entry(channel_id, entry)
+        check_channel(channel_id, entry.label, entry.component)
         entries[channel_id] = entry
     return Manifest(entries=entries, base_dir=path.parent)
 
@@ -279,6 +269,42 @@ def fit_normalization(x: np.ndarray) -> NormalizationStats:
     return NormalizationStats(mean=mean, std=std)
 
 
+# --- framed files: the one layout of feature caches and models ----------------
+
+
+def write_framed(path, magic: bytes, version: int, header: dict, arrays) -> None:
+    """magic | u16 version | u32 header length | sorted-key JSON header | the
+    arrays' bytes in turn, all little-endian."""
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    Path(path).write_bytes(b"".join(
+        [magic, version.to_bytes(2, "little"), len(head).to_bytes(4, "little"),
+         head, *(array.tobytes() for array in arrays)]))
+
+
+def read_framed(path, magic: bytes, version: int, what: str,
+                producer: str) -> tuple[dict, bytes, int]:
+    """A framed file's header, its bytes and the payload's offset; the caller
+    checks the payload's length, which the header fixes."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{what} not found: {path} (run {producer} first)")
+    blob = path.read_bytes()
+    if blob[:4] != magic:
+        raise FormatError(f"{path}: not a {what} (bad magic)")
+    found = int.from_bytes(blob[4:6], "little")
+    if found != version:
+        raise FormatError(f"{path}: {what} version {found} is not the supported "
+                          f"{version}; re-run {producer}")
+    start = _FRAME_BYTES + int.from_bytes(blob[6:_FRAME_BYTES], "little")
+    try:
+        header = json.loads(blob[_FRAME_BYTES:start])
+    except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise FormatError(f"{path}: truncated or corrupt {what} header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: {what} header is not a JSON object")
+    return header, blob, start
+
+
 # --- per-channel feature cache -----------------------------------------------
 
 
@@ -288,43 +314,31 @@ def _cache_dtype(num_coeffs: int) -> np.dtype:
 
 
 def write_cache(path, frames: Frames, signature: dict) -> None:
-    """Binary per-channel cache of gated frames, headed by their signature."""
-    sig = json.dumps(signature, sort_keys=True).encode("utf-8")
+    """ABFC v3: gated frame records in a framed file headed by their signature."""
     num_coeffs = frames.coeffs.shape[1]
     data = np.zeros(len(frames), dtype=_cache_dtype(num_coeffs))
     data["rot"], data["coeffs"], data["idx"] = frames.rot, frames.coeffs, frames.index
-    header = _CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, num_coeffs,
-                                len(frames), len(sig))
-    Path(path).write_bytes(header + sig + data.tobytes())
+    write_framed(path, CACHE_MAGIC, CACHE_VERSION, {
+        "coeffs": num_coeffs, "frames": len(frames), "signature": signature}, [data])
 
 
-def _parse_cache(path) -> tuple[dict, np.ndarray]:
-    """A cache file's signature and frame records, after checking its layout."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"feature cache not found: {path} (run extract first)")
-    blob = path.read_bytes()
-    if blob[:4] != CACHE_MAGIC:
-        raise FormatError(f"{path}: not a feature cache (bad magic)")
-    version = int.from_bytes(blob[4:6], "little")
-    if version != CACHE_VERSION:
-        raise FormatError(f"{path}: cache version {version} is not the supported "
-                          f"{CACHE_VERSION}; re-run extract")
-    try:
-        _, _, num_coeffs, count, sig_len = _CACHE_HEADER.unpack_from(blob)
-        start = _CACHE_HEADER.size + sig_len
-        signature = json.loads(blob[_CACHE_HEADER.size : start])
-    except (RecursionError, struct.error, ValueError) as exc:
-        raise FormatError(f"{path}: truncated or corrupt cache header ({exc})") from exc
-    if not isinstance(signature, dict):
-        raise FormatError(f"{path}: cache signature is not a JSON object")
+def _parse_cache(path) -> tuple[dict, tuple]:
+    """A cache's signature and (coeffs, rot, idx) columns, after its checks."""
+    header, blob, start = read_framed(path, CACHE_MAGIC, CACHE_VERSION,
+                                      "feature cache", "extract")
+    num_coeffs, count = header.get("coeffs"), header.get("frames")
+    if not (type(num_coeffs) is int and 0 <= num_coeffs < 1 << 16
+            and type(count) is int and count >= 0
+            and isinstance(header.get("signature"), dict)):
+        raise FormatError(f"{path}: cache header needs counts and a JSON object signature")
     dtype = _cache_dtype(num_coeffs)
     expected = start + count * dtype.itemsize
     if len(blob) != expected:
-        raise FormatError(
-            f"{path}: truncated or padded cache ({len(blob)} bytes, "
-            f"expected {expected})")
-    return signature, np.frombuffer(blob, dtype=dtype, offset=start)
+        raise FormatError(f"{path}: truncated or padded cache ({len(blob)} "
+                          f"bytes, expected {expected})")
+    data = np.frombuffer(blob, dtype=dtype, offset=start)
+    return header["signature"], (data["coeffs"].copy(), data["rot"].copy(),
+                                 data["idx"].astype(np.int64))
 
 
 def read_cache_signature(path) -> dict:
@@ -334,9 +348,10 @@ def read_cache_signature(path) -> dict:
 
 def read_cache(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (coeffs matrix, rotational frequencies, frame indices)."""
-    data = _parse_cache(path)[1]
-    return data["coeffs"].copy(), data["rot"].copy(), data["idx"].astype(np.int64)
+    return _parse_cache(path)[1]
 
 
-def frames_from_cache(path, label: str, channel_id: str) -> Frames:
-    return _channel_frames(*read_cache(path), label, channel_id)
+def frames_from_cache(path, label: str, channel_id: str) -> tuple[Frames, dict]:
+    """A cache's frames under label and channel_id, and its signature."""
+    signature, columns = _parse_cache(path)
+    return _channel_frames(*columns, label, channel_id), signature

@@ -164,29 +164,28 @@ def load_frames(manifest: Manifest, channels,
     if not channels:
         raise DataError("no channels to load")
     check_unique_ids(channels)
-    paths = [Path(features_dir) / f"{c}.abfc" for c in channels]
-    settings = [dataset.read_cache_signature(p).get("mfcc") for p in paths]
+    loaded = [dataset.frames_from_cache(Path(features_dir) / f"{c}.abfc",
+                                        manifest.label(c), c) for c in channels]
+    settings = [signature.get("mfcc") for _, signature in loaded]
     differ = [c for c, s in zip(channels, settings) if s != settings[0]]
     if differ:
         raise DataError(f"caches of {', '.join(differ)} have other feature "
                         f"settings than {channels[0]}'s; re-run extract")
-    frames = dataset.Frames.concat([
-        dataset.frames_from_cache(path, manifest.label(channel_id), channel_id)
-        for channel_id, path in zip(channels, paths)])
-    return frames, settings[0]
+    return dataset.Frames.concat([frames for frames, _ in loaded]), settings[0]
 
 
 # --- the run itself -----------------------------------------------------------
 
 
 def split_and_train(frames: dataset.Frames, split: SplitSpec,
-                    train_config: TrainConfig):
+                    train_config: TrainConfig, mfcc: dict | None = None):
     """Split, train (z-scoring with stats fitted on the training rows);
-    returns a run dict."""
+    returns a run dict. The model records mfcc, the frames' feature settings."""
     train_rows, test_rows = dataset.make_split(frames, split)
     x_train, y_train = frames.coeffs[train_rows], frames.labels[train_rows]
     stats = dataset.fit_normalization(x_train)
     model, history = mlp.train(x_train, y_train, train_config, norm_stats=stats)
+    model.mfcc = mfcc
     train_probs = mlp.predict_batch(model, x_train)
     train_accuracy = float(np.mean(train_probs.argmax(axis=1) == y_train))
     return {
@@ -230,7 +229,7 @@ def run_experiment(manifest: Manifest, spec: ExperimentSpec,
     ensure_caches(manifest, spec.channels, mfcc_config, band, features_dir,
                   log=log)
     frames, mfcc = load_frames(manifest, spec.channels, features_dir)
-    run = split_and_train(frames, spec.split, train_config)
+    run = split_and_train(frames, spec.split, train_config, mfcc)
     report = evaluate_frames(run["model"], run["test_frames"])
 
     mlp.save_model(run["model"], out_dir / "model.abmm")

@@ -7,7 +7,7 @@ A model stores the feature z-scoring fitted at training time and applies it
 to the raw features it is given.
 
 Parameters live in one flat vector, ``MlpModel.params``: per layer W_i
-(row-major), then b_i, the order of the ABMM v1 file; ``weights``/``biases``
+(row-major), then b_i, the order of the model file; ``weights``/``biases``
 are views into it, and gradients and Adam's moments share its layout and its
 dtype. Models are float64: the model file, ``predict_batch`` and ``backward``.
 ``train`` alone runs in float32: it z-scores its rows in float64, casts them
@@ -37,22 +37,17 @@ class, D is index 1 and the negative class.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import LABELS, NormalizationStats
+from .dataset import LABELS, NormalizationStats, read_framed, write_framed
 from .errors import ConfigError, DataError, FormatError, NumericError
 
 POSTERIOR_FLOOR = 1e-12
 
-# The ABMM header keeps a hidden-activation tag byte; ReLU (0) is the only one.
-_RELU_TAG = 0
-
 MODEL_MAGIC = b"ABMM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 DEFAULT_HIDDEN_DIMS = (1024, 100)
 
@@ -73,12 +68,13 @@ def _layer_views(flat: np.ndarray, dims) -> tuple[list, list]:
 
 @dataclass
 class MlpModel:
-    """Layer dimensions, parameters, and the feature normalization fitted at
-    training time (None when training ran raw)."""
+    """Layer dimensions, parameters, the z-scoring fitted at training time and
+    the feature settings of its training caches (each None when absent)."""
 
     dims: tuple[int, ...]
     params: np.ndarray
     norm_stats: NormalizationStats | None = None
+    mfcc: dict | None = None
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
 
@@ -298,55 +294,28 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
 
 
 def save_model(model: MlpModel, path) -> None:
-    parts = [MODEL_MAGIC,
-             struct.pack("<HBB", MODEL_VERSION, _RELU_TAG, len(model.dims))]
-    parts.append(struct.pack(f"<{len(model.dims)}I", *model.dims))
-    parts.append(np.ascontiguousarray(model.params, dtype="<f8").tobytes())
-    if model.norm_stats is None:
-        parts.append(struct.pack("<B", 0))
-    else:
-        stats = model.norm_stats
-        parts.append(struct.pack("<BH", 1, len(stats.mean)))
-        parts.append(np.ascontiguousarray(stats.mean, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(stats.std, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    """ABMM v2: a framed file headed by dims, mfcc and normalized; its float64
+    payload is params, then the z-scoring mean and std when normalized."""
+    stats = model.norm_stats
+    arrays = [model.params] + ([] if stats is None else [stats.mean, stats.std])
+    write_framed(path, MODEL_MAGIC, MODEL_VERSION, {
+        "dims": list(model.dims), "mfcc": model.mfcc, "normalized": stats is not None},
+        [np.asarray(a, dtype="<f8") for a in arrays])
 
 
 def load_model(path) -> MlpModel:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"model file not found: {path}")
-    blob = path.read_bytes()
-    if len(blob) < 8 or blob[:4] != MODEL_MAGIC:
-        raise FormatError(f"{path}: not a model file (bad magic)")
-    version, act_tag, num_dims = struct.unpack("<HBB", blob[4:8])
-    if version > MODEL_VERSION:
-        raise FormatError(
-            f"{path}: model version {version} is newer than supported "
-            f"({MODEL_VERSION})")
-    if act_tag != _RELU_TAG:
-        raise FormatError(f"{path}: unknown activation tag {act_tag}")
-    if num_dims < 2:
-        raise FormatError(f"{path}: {num_dims} layer dims, need at least 2")
-    offset = 8
-
-    def take(count: int) -> bytes:
-        nonlocal offset
-        if offset + count > len(blob):
-            raise FormatError(f"{path}: truncated model file")
-        chunk = blob[offset : offset + count]
-        offset += count
-        return chunk
-
-    dims = struct.unpack(f"<{num_dims}I", take(4 * num_dims))
-    params = np.frombuffer(take(8 * _param_count(dims)), dtype="<f8").copy()
-    (has_stats,) = struct.unpack("<B", take(1))
-    norm_stats = None
-    if has_stats:
-        (n,) = struct.unpack("<H", take(2))
-        mean = np.frombuffer(take(8 * n), dtype="<f8").copy()
-        std = np.frombuffer(take(8 * n), dtype="<f8").copy()
-        norm_stats = NormalizationStats(mean=mean, std=std)
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
-    return MlpModel(dims=dims, params=params, norm_stats=norm_stats)
+    header, blob, start = read_framed(path, MODEL_MAGIC, MODEL_VERSION,
+                                      "model file", "train")
+    dims, normalized = header.get("dims"), bool(header.get("normalized"))
+    if not (isinstance(dims, list) and len(dims) >= 2
+            and all(type(d) is int and d > 0 for d in dims)):
+        raise FormatError(f"{path}: model needs at least 2 positive integer dims")
+    count = _param_count(dims)
+    width = dims[0] if normalized else 0
+    expected = start + 8 * (count + 2 * width)
+    if len(blob) != expected:
+        raise FormatError(f"{path}: truncated or padded model file")
+    values = np.frombuffer(blob, dtype="<f8", offset=start).astype(float)
+    params, mean, std = np.split(values, [count, count + width])
+    return MlpModel(dims=tuple(dims), params=params, mfcc=header.get("mfcc"),
+                    norm_stats=NormalizationStats(mean, std) if normalized else None)

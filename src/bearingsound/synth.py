@@ -22,7 +22,7 @@ and a damaged recording that share a seed differ exactly by the injected
 impact component.
 
 The lowest module, it also holds what the others share: ``LABELS``, the
-channel-id checks and ``read_json``/``write_json`` for the JSON files.
+channel checks and ``read_json``/``write_json`` for the JSON files.
 """
 
 from __future__ import annotations
@@ -339,12 +339,17 @@ def check_unique_ids(channel_ids, error=DataError) -> None:
         seen.add(channel_id)
 
 
-def check_channel_id(channel_id: str) -> None:
-    """Reject ids that are not a plain file name: a channel's <id>.wav and
-    <id>.abfc must land inside the directory they are written to."""
+def check_channel(channel_id: str, label: str, component: str) -> None:
+    """Reject ids that are not a plain file name (<id>.wav and <id>.abfc must
+    land in their directory), labels not H/D, components not motor/gearbox."""
     if channel_id in ("", ".", "..") or "/" in channel_id or "\\" in channel_id:
         raise DataError(f"bad channel id {channel_id!r}: it must name a file, "
                         "not a path")
+    if label not in LABELS:
+        raise DataError(f"{channel_id}: label must be H or D, got {label!r}")
+    if component not in ("motor", "gearbox"):
+        raise DataError(
+            f"{channel_id}: component must be motor or gearbox, got {component!r}")
 
 
 def read_json(path, what: str, **json_kwargs):
@@ -377,11 +382,7 @@ class ChannelSpec:
     config: SynthConfig
 
     def __post_init__(self):
-        check_channel_id(self.channel_id)
-        if self.label not in LABELS:
-            raise ConfigError(f"label must be H or D, got {self.label!r}")
-        if self.component not in ("motor", "gearbox"):
-            raise ConfigError(f"component must be motor or gearbox, got {self.component!r}")
+        check_channel(self.channel_id, self.label, self.component)
 
 
 _BASE_HARMONICS = ((1, 1.00), (2, 0.55), (3, 0.40), (4, 0.28),
@@ -527,8 +528,8 @@ def scenario_from_json(path) -> list[ChannelSpec]:
                 description=str(entry.get("description", "")),
                 config=config,
             ))
-        except (AttributeError, ConfigError, KeyError, OverflowError, TypeError,
-                ValueError) as exc:
+        except (AttributeError, ConfigError, DataError, KeyError, OverflowError,
+                TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad channel entry ({exc})") from exc
     return channels
 

@@ -288,7 +288,64 @@ class TestTrainEvalCommands:
                           "--train-size", "400", "--test-size", "100",
                           "--out", str(tmp_path / "rep2")], capsys)
         assert rc == 2
-        assert "dimension" in err
+        assert "'num_coeffs': 13" in err and "'num_coeffs': 10" in err
+        assert not (tmp_path / "rep2").exists()
+
+    def eval_args(self, campaign_dir, features_dir, model_path, out):
+        return ["--seed", "5", "eval",
+                "--manifest", str(campaign_dir / "manifest.json"),
+                "--features", str(features_dir), "--model", str(model_path),
+                "--channels", "A1_b1,A2_b2,B1_b1,B2_b2",
+                "--train-size", "400", "--test-size", "100", "--out", str(out)]
+
+    def test_eval_rejects_model_of_other_mel_channels(self, campaign_dir,
+                                                      features_dir, tmp_path,
+                                                      capsys):
+        # Same 13 coefficients, other filterbank: the dimensions agree, so
+        # only the settings the model records tell the features apart.
+        mel24 = tmp_path / "mel24"
+        assert cli.main(["extract", "--manifest",
+                         str(campaign_dir / "manifest.json"),
+                         "--channels", "A1_b1,A2_b2,B1_b1,B2_b2",
+                         "--mel-channels", "24", "--out", str(mel24)]) == 0
+        model_path = tmp_path / "model.abmm"
+        assert cli.main(self.train_args(campaign_dir, features_dir,
+                                        model_path)) == 0
+        assert mlp.load_model(model_path).mfcc == experiments.load_frames(
+            dataset.load_manifest(campaign_dir / "manifest.json"),
+            ("A1_b1",), features_dir)[1]
+        capsys.readouterr()
+        rc, _, err = run(self.eval_args(campaign_dir, mel24, model_path,
+                                        tmp_path / "rep"), capsys)
+        assert rc == 2
+        assert "'num_channels': 26" in err and "'num_channels': 24" in err
+        assert not (tmp_path / "rep").exists()
+
+    def test_version_1_model_asks_to_re_run_train(self, campaign_dir,
+                                                  features_dir, tmp_path,
+                                                  capsys):
+        # ABMM v1: tag byte, dim count, u32 dims, params, no-stats flag.
+        model_path = tmp_path / "v1.abmm"
+        model_path.write_bytes(b"ABMM" + struct.pack("<HBB2I", 1, 0, 2, 13, 2)
+                               + bytes(8 * 28) + b"\x00")
+        rc, _, err = run(self.eval_args(campaign_dir, features_dir, model_path,
+                                        tmp_path / "rep"), capsys)
+        assert rc == 2
+        assert "version 1" in err and "re-run train" in err
+
+    def test_version_2_cache_asks_to_re_run_extract(self, campaign_dir,
+                                                    features_dir, tmp_path,
+                                                    capsys):
+        # ABFC v2: coeffs, frames and signature length in a fixed header.
+        old = tmp_path / "old"
+        shutil.copytree(features_dir, old)
+        (old / "B1_b1.abfc").write_bytes(
+            b"ABFC" + struct.pack("<HHQI", 2, 13, 0, 2) + b"{}")
+        rc, _, err = run(self.train_args(campaign_dir, old,
+                                         tmp_path / "m.abmm"), capsys)
+        assert rc == 2
+        assert "version 2" in err and "re-run extract" in err
+        assert not (tmp_path / "m.abmm").exists()
 
     def test_train_takes_feature_settings_from_caches(self, campaign_dir,
                                                       tmp_path):

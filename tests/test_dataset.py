@@ -257,7 +257,8 @@ class TestFeatureCache:
         frames = make_frames(20, "D", "ch")
         path = tmp_path / "c.abfc"
         dataset.write_cache(path, frames, SIGNATURE)
-        loaded = dataset.frames_from_cache(path, "D", "ch")
+        loaded, signature = dataset.frames_from_cache(path, "D", "ch")
+        assert signature == SIGNATURE
         assert frame_keys(loaded) == frame_keys(frames)
         assert np.array_equal(loaded.coeffs, frames.coeffs)
         assert np.array_equal(loaded.labels, frames.labels)
@@ -289,10 +290,20 @@ class TestFeatureCache:
         with pytest.raises(FormatError, match="JSON object"):
             dataset.read_cache_signature(path)
         nested = b"[" * 100_000
-        path.write_bytes(b"ABFC" + struct.pack("<HHQI", 2, 13, 0, len(nested))
-                         + nested)
-        with pytest.raises(FormatError, match="corrupt cache header"):
+        path.write_bytes(b"ABFC" + struct.pack("<HI", 3, len(nested)) + nested)
+        with pytest.raises(FormatError, match="corrupt feature cache header"):
             dataset.read_cache_signature(path)
+
+    @pytest.mark.parametrize("counts", [
+        {"coeffs": True, "frames": 0}, {"coeffs": 3, "frames": -1},
+        {"coeffs": "3", "frames": 0}, {"coeffs": 1.5, "frames": 0},
+        {"coeffs": 1 << 16, "frames": 0}, {"frames": 0}])
+    def test_header_counts_must_be_integers(self, tmp_path, counts):
+        path = tmp_path / "counts.abfc"
+        header = json.dumps({**counts, "signature": SIGNATURE}).encode()
+        path.write_bytes(b"ABFC" + struct.pack("<HI", 3, len(header)) + header)
+        with pytest.raises(FormatError, match="cache header needs counts"):
+            dataset.read_cache(path)
 
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "trunc.abfc"

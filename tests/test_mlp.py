@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import struct
 import tracemalloc
@@ -424,17 +425,23 @@ class TestModelFile:
             assert m.params[-1] == -7.0
 
     def test_file_bytes_are_pinned(self, tmp_path):
-        # ABMM v1 is a fixed format: a fixed model must keep giving these bytes.
-        # The digest was computed by writing init_model's float32-rounded draws
-        # with the writer of the float64-training code, so it pins the format.
+        # ABMM v2 is a fixed format: magic, <HI version and header length, the
+        # sorted-key JSON header, then params, mean and std as <f8.
         model = mlp.init_model((13, 6, 4, 2), seed=77)
         model.norm_stats = NormalizationStats(mean=np.arange(13.0),
                                               std=np.linspace(0.5, 2.0, 13))
+        model.mfcc = {"num_coeffs": 13, "band": [42.0, 45.0]}
         path = tmp_path / "m.abmm"
         mlp.save_model(model, path)
-        assert path.stat().st_size == 1211
+        header = (b'{"dims": [13, 6, 4, 2], "mfcc": {"band": [42.0, 45.0], '
+                  b'"num_coeffs": 13}, "normalized": true}')
+        assert path.read_bytes() == (
+            b"ABMM" + struct.pack("<HI", 2, len(header)) + header
+            + b"".join(a.astype("<f8").tobytes() for a in (
+                model.params, model.norm_stats.mean, model.norm_stats.std)))
+        assert path.stat().st_size == 1287
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "8c178f5ceea486713d8bf7e684ade5c2ba94186739c2e688038fa6e0b4cb9cdd")
+            "fb7471d88af455ce7acfdd9a1376b33326b23b0bb66dd804eddc224c681b0c3b")
 
     def test_corrupted_magic_rejected(self, tmp_path):
         path = tmp_path / "m.abmm"
@@ -454,23 +461,13 @@ class TestModelFile:
         with pytest.raises(FormatError, match="version"):
             mlp.load_model(path)
 
-    def test_unknown_activation_tag_rejected(self, tmp_path):
-        path = tmp_path / "m.abmm"
-        mlp.save_model(mlp.init_model((4, 3, 2), seed=0), path)
-        blob = bytearray(path.read_bytes())
-        assert blob[6] == 0  # ReLU, the only hidden activation
-        blob[6] = 1
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="activation"):
-            mlp.load_model(path)
-
     def test_too_few_dims_rejected(self, tmp_path):
         path = tmp_path / "m.abmm"
-        for num_dims in (0, 1):
-            # The header and dims of a model with fewer than two layers.
-            path.write_bytes(mlp.MODEL_MAGIC + struct.pack("<HBB", 1, 0, num_dims)
-                             + struct.pack(f"<{num_dims}I", *[4] * num_dims)
-                             + b"\x00")
+        for dims in ([], [4], "[4, 2]", [4, 0, 2], [4, 2.5, 2]):
+            header = json.dumps({"dims": dims, "mfcc": None,
+                                 "normalized": False}).encode()
+            path.write_bytes(mlp.MODEL_MAGIC + struct.pack("<HI", 2, len(header))
+                             + header + bytes(8 * 10))
             with pytest.raises(FormatError, match="at least 2"):
                 mlp.load_model(path)
 

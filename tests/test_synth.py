@@ -303,6 +303,18 @@ class TestScenarioFile:
         assert spec.config.fault.fault_freq_ratio == 3.5
         assert spec.config.rotational_freq_profile == ((0.0, 43.0), (0.5, 44.0))
 
+    @pytest.mark.parametrize("field,value", [("label", "X"),
+                                             ("component", "axle")])
+    def test_channel_metadata_checked_as_in_manifests(self, tmp_path, field,
+                                                      value):
+        entry = {"channel": "C1", "label": "H", "seed": 1, "duration": 0.5,
+                 "profile": [[0.0, 43.0]], field: value}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(DataError, match=rf"scenario.json: bad channel entry "
+                                            rf"\(C1: {field} must be"):
+            synth.scenario_from_json(path)
+
     def test_missing_and_invalid_files(self, tmp_path):
         with pytest.raises(DataError):
             synth.scenario_from_json(tmp_path / "nope.json")

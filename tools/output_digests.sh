@@ -15,8 +15,10 @@
 #
 # The set: a seed-5 40 s default campaign, the four named experiments
 # (600/200 split, 2 epochs), seen-motor with --synth-first on an 8 s
-# campaign, extract with 10 coefficients, random and by-channel train and
-# eval, scatter, and a few usage errors.
+# campaign, extract with 10 coefficients, extract with 24 Mel channels,
+# random and by-channel train and eval, an eval of the random model on the
+# 24-channel caches (a model whose feature settings differ from its caches'),
+# scatter, and a few usage errors.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -50,6 +52,8 @@ run experiment-synth-first --seed 5 experiment seen-motor --synth-first \
     --epochs 1 --out "$out/synth-first-results"
 run extract-coeffs10 extract --manifest "$data/manifest.json" --coeffs 10 \
     --out "$out/features-coeffs10"
+run extract-mel24 extract --manifest "$data/manifest.json" --mel-channels 24 \
+    --out "$out/features-mel24"
 
 split=(--manifest "$data/manifest.json" --features "$data/features"
        --train-size 600 --test-size 200)
@@ -63,6 +67,9 @@ run eval-random --seed 5 eval "${split[@]}" --model "$out/models/random.abmm" \
     --out "$out/eval-random"
 run eval-by-channel --seed 5 eval "${split[@]}" "${by_channel[@]}" \
     --model "$out/models/by-channel.abmm" --out "$out/eval-by-channel"
+run eval-random-mel24 --seed 5 eval --manifest "$data/manifest.json" \
+    --features "$out/features-mel24" --train-size 600 --test-size 200 \
+    --model "$out/models/random.abmm" --out "$out/eval-random-mel24"
 run scatter scatter --manifest "$data/manifest.json" \
     --features "$data/features" --pair 1:2 --out "$out/scatter.tsv"
 
