@@ -13,6 +13,7 @@ Exit codes are stable for scripting: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -37,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_band(text: str) -> tuple[float, float]:
     try:
         low_text, high_text = text.split(":", 1)
-        low, high = float(low_text), float(high_text)
+        low, high = finite_float(low_text), finite_float(high_text)
     except ValueError:
         raise ConfigError(f"--band expects LO:HI, got {text!r}") from None
     if low > high:
@@ -53,6 +54,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _parse_channels(text: str) -> tuple[str, ...]:
     channels = tuple(c.strip() for c in text.split(",") if c.strip())
     if not channels:
@@ -62,12 +70,12 @@ def _parse_channels(text: str) -> tuple[str, ...]:
 
 
 def _add_mfcc_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fs", type=float, default=25600.0, help="sample rate in Hz")
+    p.add_argument("--fs", type=finite_float, default=25600.0, help="sample rate in Hz")
     p.add_argument("--mel-channels", type=int, default=26,
                    help="number of Mel filters")
     p.add_argument("--coeffs", type=int, default=13,
                    help="number of cepstral coefficients")
-    p.add_argument("--band", type=str, default="42:45",
+    p.add_argument("--band", type=_parse_band, default="42:45",
                    help="rotational gating band LO:HI in Hz")
 
 
@@ -83,7 +91,7 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--lr", type=finite_float, default=0.001)
     p.add_argument("--batch", type=int, default=32)
 
 
@@ -159,10 +167,9 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
     config = _mfcc_config(args)
-    band = _parse_band(args.band)
     channels = _listed_channels(args, manifest)
     features_dir = Path(args.out)
-    experiments.ensure_caches(manifest, channels, config, band, features_dir,
+    experiments.ensure_caches(manifest, channels, config, args.band, features_dir,
                               log=print)
     return EXIT_OK
 
@@ -232,13 +239,12 @@ def cmd_experiment(args) -> int:
                                                fs=args.fs), data_dir)
     manifest = dataset.load_manifest(manifest_path)
     config = _mfcc_config(args)
-    band = _parse_band(args.band)
     spec = experiments.named_experiment(
         args.name, manifest, seed=args.seed,
         train_size=args.train_size, test_size=args.test_size)
     out_dir = Path(args.out) if args.out else data_dir / "results" / args.name
     report = experiments.run_experiment(
-        manifest, spec, config, _train_config(args), band, out_dir=out_dir,
+        manifest, spec, config, _train_config(args), args.band, out_dir=out_dir,
         features_dir=data_dir / "features", log=print)
     print(f"{args.name}: accuracy {metrics.round_half_up(report.accuracy):.2f}%  "
           f"TPR {metrics.round_half_up(report.tpr):.2f}%  "
@@ -258,9 +264,9 @@ def build_parser() -> _Parser:
     source.add_argument("--default-campaign", action="store_true")
     source.add_argument("--scenario", type=str, default=None,
                         help="JSON scenario file")
-    p.add_argument("--duration", type=float, default=600.0,
+    p.add_argument("--duration", type=finite_float, default=600.0,
                    help="seconds of audio per channel")
-    p.add_argument("--fs", type=float, default=25600.0)
+    p.add_argument("--fs", type=finite_float, default=25600.0)
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -300,7 +306,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", type=str, required=True, help="campaign directory")
     p.add_argument("--synth-first", action="store_true",
                    help="generate the default campaign if the data dir is empty")
-    p.add_argument("--duration", type=float, default=600.0)
+    p.add_argument("--duration", type=finite_float, default=600.0)
     _add_mfcc_flags(p)
     p.add_argument("--train-size", type=positive_int, default=None)
     p.add_argument("--test-size", type=positive_int, default=None)

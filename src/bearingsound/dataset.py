@@ -341,11 +341,6 @@ def _parse_cache(path) -> tuple[dict, tuple]:
                                  data["idx"].astype(np.int64))
 
 
-def read_cache_signature(path) -> dict:
-    """The signature a cache was written with."""
-    return _parse_cache(path)[0]
-
-
 def read_cache(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (coeffs matrix, rotational frequencies, frame indices)."""
     return _parse_cache(path)[1]

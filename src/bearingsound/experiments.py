@@ -9,10 +9,10 @@ Four named experiments are built in:
 * unseen-A2b2:   train on A1_b1 + B1_b1, test on A2_b2 + B2_b2.
 * unseen-A1b1:   train on A2_b2 + B2_b2, test on A1_b1 + B1_b1.
 
-``ensure_caches`` hashes the sources and checks the cache signatures in the
-calling thread, in channel order, and extracts only the stale channels, on
-``synth.map_channels``'s worker threads; a run that reuses every cache starts
-no thread.
+``ensure_caches`` hashes the sources and parses each cache once in the calling
+thread, in channel order, extracts only the stale channels on
+``synth.map_channels``'s worker threads (none if every cache is reused) and
+returns every channel's frames, so an experiment reads no cache twice.
 
 Each run writes a self-contained results directory: the model, a training
 log (``training_log``, as ``train`` writes it), the evaluation report (JSON
@@ -96,10 +96,15 @@ def named_experiment(name: str, manifest: Manifest, seed: int,
 # --- feature extraction with cache reuse -------------------------------------
 
 
+def feature_settings(config: MfccConfig, band: tuple[float, float]) -> dict:
+    """The feature settings a cache's signature and a model record."""
+    return {**asdict(config), "band": list(band)}
+
+
 def extract_channel(manifest: Manifest, channel_id: str, config: MfccConfig,
                     band: tuple[float, float], cache_path,
-                    signature: dict) -> tuple[int, int]:
-    """Gate one channel and cache it with signature; returns (total, gated) frames."""
+                    signature: dict) -> tuple[int, dataset.Frames]:
+    """Gate one channel and cache it with signature; returns (total, gated frames)."""
     wav_path = manifest.wav_path(channel_id)
     samples, fs = audiofile.read_wav(wav_path)
     track = audiofile.read_rot_track(wav_path)
@@ -112,49 +117,50 @@ def extract_channel(manifest: Manifest, channel_id: str, config: MfccConfig,
     frames = dataset.gate_frames(recording, config, manifest.label(channel_id),
                                  band_low=band[0], band_high=band[1])
     dataset.write_cache(cache_path, frames, signature)
-    total = len(recording.samples) // config.dft_size
-    return total, len(frames)
+    return len(recording.samples) // config.dft_size, frames
 
 
 def ensure_caches(manifest: Manifest, channels, config: MfccConfig,
                   band: tuple[float, float], features_dir,
-                  log=None) -> dict[str, Path]:
-    """Extract any channel whose cache has another signature, on worker
-    threads; reuse the rest. Logs one line per channel, in channel order."""
+                  log=None) -> dict[str, dataset.Frames]:
+    """Each channel's gated frames, in order: read once from a cache with this
+    signature, else extracted on worker threads and cached. Logs each channel."""
     check_unique_ids(channels)
     features_dir = Path(features_dir)
     features_dir.mkdir(parents=True, exist_ok=True)
-    mfcc = {**asdict(config), "band": list(band)}
-    paths, stale = {}, {}
+    mfcc = feature_settings(config, band)
+    paths, frames, stale = {}, {}, {}
     for channel_id in channels:
         paths[channel_id] = features_dir / f"{channel_id}.abfc"
         source = audiofile.source_sha256(manifest.wav_path(channel_id))
         signature = {"mfcc": mfcc, "source_sha256": source}
-        if not _cache_matches(paths[channel_id], signature):
+        frames[channel_id] = _cached_frames(paths[channel_id], manifest.label(channel_id),
+                                            channel_id, signature)
+        if frames[channel_id] is None:
             stale[channel_id] = signature
-    counts = map_channels(
+    extracted = map_channels(
         lambda c: extract_channel(manifest, c, config, band, paths[c], stale[c]),
         stale)
-    extracted = dict(zip(stale, counts))
+    notes = dict.fromkeys(channels, "cache reused")
+    for channel_id, (total, gated) in zip(stale, extracted):
+        frames[channel_id] = gated
+        notes[channel_id] = f"{total} frames, {len(gated)} gated"
     if log:
-        for channel_id in channels:
-            if channel_id in extracted:
-                total, gated = extracted[channel_id]
-                log(f"{channel_id}: {total} frames, {gated} gated")
-            else:
-                log(f"{channel_id}: cache reused")
-    return paths
+        for channel_id, note in notes.items():
+            log(f"{channel_id}: {note}")
+    return frames
 
 
-def _cache_matches(cache_path: Path, signature: dict) -> bool:
-    """Whether a cache exists with this signature; an unreadable or older
-    cache does not match."""
+def _cached_frames(cache_path: Path, label: str, channel_id: str,
+                   signature: dict) -> dataset.Frames | None:
+    """The cache's frames if it exists with this signature, else None."""
     if not cache_path.exists():
-        return False
+        return None
     try:
-        return dataset.read_cache_signature(cache_path) == signature
+        frames, found = dataset.frames_from_cache(cache_path, label, channel_id)
     except DataError:
-        return False
+        return None
+    return frames if found == signature else None
 
 
 def load_frames(manifest: Manifest, channels,
@@ -226,9 +232,9 @@ def run_experiment(manifest: Manifest, spec: ExperimentSpec,
     test report."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ensure_caches(manifest, spec.channels, mfcc_config, band, features_dir,
-                  log=log)
-    frames, mfcc = load_frames(manifest, spec.channels, features_dir)
+    frames = dataset.Frames.concat(ensure_caches(
+        manifest, spec.channels, mfcc_config, band, features_dir, log=log).values())
+    mfcc = feature_settings(mfcc_config, band)
     run = split_and_train(frames, spec.split, train_config, mfcc)
     report = evaluate_frames(run["model"], run["test_frames"])
 

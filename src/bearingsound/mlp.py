@@ -306,10 +306,13 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     header, blob, start = read_framed(path, MODEL_MAGIC, MODEL_VERSION,
                                       "model file", "train")
-    dims, normalized = header.get("dims"), bool(header.get("normalized"))
+    dims, normalized = header.get("dims"), header.get("normalized")
     if not (isinstance(dims, list) and len(dims) >= 2
             and all(type(d) is int and d > 0 for d in dims)):
         raise FormatError(f"{path}: model needs at least 2 positive integer dims")
+    if (type(normalized) is not bool or "mfcc" not in header
+            or type(header["mfcc"]) not in (dict, type(None))):
+        raise FormatError(f"{path}: model needs a boolean normalized and an object or null mfcc")
     count = _param_count(dims)
     width = dims[0] if normalized else 0
     expected = start + 8 * (count + 2 * width)

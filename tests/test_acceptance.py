@@ -270,7 +270,7 @@ def test_criterion_9_round_trips(tmp_path):
             signature = {"mfcc": {"num_coeffs": 13}, "source_sha256": str(trial)}
             dataset.write_cache(cache_path, frames, signature)
             coeffs, rot, idx = dataset.read_cache(cache_path)
-            assert dataset.read_cache_signature(cache_path) == signature
+            assert dataset.frames_from_cache(cache_path, "D", "x")[1] == signature
             assert np.array_equal(coeffs, frames.coeffs)
             assert np.array_equal(rot, frames.rot)
             assert np.array_equal(idx, frames.index)

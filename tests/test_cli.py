@@ -531,6 +531,30 @@ class TestUsageErrors:
         assert rc == 1
         assert "LO:HI" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--manifest", "{t}/manifest.json", "--band", "nan:nan",
+         "--out", "{t}/f"],
+        ["extract", "--manifest", "{t}/manifest.json", "--band=0:inf",
+         "--out", "{t}/f"],
+        ["synth", "--default-campaign", "--duration", "nan", "--out", "{t}/s"],
+        ["synth", "--default-campaign", "--fs", "nan", "--out", "{t}/s"],
+        ["synth", "--default-campaign", "--fs", "inf", "--out", "{t}/s"],
+        ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
+         "--duration", "nan"],
+        ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
+         "--fs=-inf"],
+        ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
+         "--band", "42:nan"],
+        ["train", "--manifest", "{t}/manifest.json", "--features", "{t}/f",
+         "--lr", "nan", "--out", "{t}/m.abmm"]])
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, argv):
+        # No input exists: the check fires while the arguments are parsed.
+        rc, out, err = run([a.format(t=tmp_path) for a in argv], capsys)
+        assert rc == 1
+        assert "error: argument" in err and "must be finite" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_feature_flags_removed_where_caches_decide(self, campaign_dir,
                                                        features_dir, tmp_path,
                                                        capsys):

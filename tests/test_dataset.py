@@ -248,7 +248,7 @@ class TestFeatureCache:
             path = tmp_path / f"t{trial}.abfc"
             dataset.write_cache(path, frames, SIGNATURE)
             coeffs, rot, idx = dataset.read_cache(path)
-            assert dataset.read_cache_signature(path) == SIGNATURE
+            assert dataset.frames_from_cache(path, "D", "x")[1] == SIGNATURE
             assert np.array_equal(coeffs, frames.coeffs)
             assert np.array_equal(rot, frames.rot)
             assert np.array_equal(idx, frames.index)
@@ -282,17 +282,17 @@ class TestFeatureCache:
             with pytest.raises(FormatError, match="version.*re-run extract"):
                 dataset.read_cache(path)
             with pytest.raises(FormatError, match="version"):
-                dataset.read_cache_signature(path)
+                dataset.frames_from_cache(path, "D", "x")[1]
 
     def test_signature_must_be_an_object(self, tmp_path):
         path = tmp_path / "list.abfc"
         dataset.write_cache(path, make_frames(3), ["mfcc"])
         with pytest.raises(FormatError, match="JSON object"):
-            dataset.read_cache_signature(path)
+            dataset.frames_from_cache(path, "D", "x")[1]
         nested = b"[" * 100_000
         path.write_bytes(b"ABFC" + struct.pack("<HI", 3, len(nested)) + nested)
         with pytest.raises(FormatError, match="corrupt feature cache header"):
-            dataset.read_cache_signature(path)
+            dataset.frames_from_cache(path, "D", "x")[1]
 
     @pytest.mark.parametrize("counts", [
         {"coeffs": True, "frames": 0}, {"coeffs": 3, "frames": -1},

@@ -104,12 +104,20 @@ class TestCaches:
         experiments.ensure_caches(manifest, ("A1_b1", "B1_b1"), MfccConfig(),
                                   (30.0, 50.0), tmp_path / "f")
         messages = []
-        experiments.ensure_caches(manifest, channels, MfccConfig(),
-                                  (30.0, 50.0), tmp_path / "f",
-                                  log=messages.append)
+        result = experiments.ensure_caches(manifest, channels, MfccConfig(),
+                                           (30.0, 50.0), tmp_path / "f",
+                                           log=messages.append)
         reused = sorted(m.split(":")[0] for m in messages if "reused" in m)
         assert reused == ["A1_b1", "B1_b1"]
         assert len(messages) == len(channels)
+        # Reused and extracted frames come back in channel order, as cached.
+        assert list(result) == channels
+        for channel_id, frames in result.items():
+            cached, _ = dataset.frames_from_cache(
+                tmp_path / "f" / f"{channel_id}.abfc", manifest.label(channel_id),
+                channel_id)
+            assert np.array_equal(frames.coeffs, cached.coeffs)
+            assert np.array_equal(frames.index, cached.index)
         _, mfcc = experiments.load_frames(manifest, channels, tmp_path / "f")
         assert mfcc["band"] == [30.0, 50.0]
 
@@ -147,20 +155,43 @@ class TestCaches:
         # A missing cache is stale without a failed read; a v1 cache still
         # fails its read and is re-extracted (test above).
         errors = []
-        real = dataset.read_cache_signature
+        real = dataset.frames_from_cache
 
-        def read_cache_signature(path):
+        def frames_from_cache(*args):
             try:
-                return real(path)
+                return real(*args)
             except DataError as exc:
                 errors.append(exc)
                 raise
 
-        monkeypatch.setattr(dataset, "read_cache_signature", read_cache_signature)
+        monkeypatch.setattr(dataset, "frames_from_cache", frames_from_cache)
         experiments.ensure_caches(manifest, manifest.channels(), MfccConfig(),
                                   BAND, tmp_path / "f")
         assert errors == []
         assert len(list((tmp_path / "f").glob("*.abfc"))) == len(manifest.channels())
+
+    def test_experiment_parses_each_cache_once_warm_and_none_cold(
+            self, manifest, tmp_path, monkeypatch):
+        parsed = []
+        real = dataset._parse_cache
+        monkeypatch.setattr(dataset, "_parse_cache",
+                            lambda path: parsed.append(path.name) or real(path))
+        spec = experiments.named_experiment("seen-motor", manifest, seed=4,
+                                            train_size=300, test_size=100)
+        per_run, messages = [], []
+        for run in ("cold", "warm"):
+            parsed.clear()
+            experiments.run_experiment(
+                manifest, spec, MfccConfig(), mlp.TrainConfig(epochs=1, seed=4),
+                BAND, out_dir=tmp_path / run, features_dir=tmp_path / "f",
+                log=messages.append)
+            per_run.append(list(parsed))
+        assert per_run == [[], [f"{c}.abfc" for c in spec.channels]]
+        warm = messages[len(spec.channels):]
+        assert warm == [f"{c}: cache reused" for c in spec.channels]
+        # Frames just extracted train the same model as frames read back.
+        assert ((tmp_path / "cold" / "model.abmm").read_bytes()
+                == (tmp_path / "warm" / "model.abmm").read_bytes())
 
     def test_duplicate_channels_rejected(self, manifest, tmp_path):
         with pytest.raises(DataError, match="duplicate channel id: B1_b1"):

@@ -471,6 +471,23 @@ class TestModelFile:
             with pytest.raises(FormatError, match="at least 2"):
                 mlp.load_model(path)
 
+    @pytest.mark.parametrize("header", [
+        {"dims": [4, 2], "mfcc": None, "normalized": "false"},
+        {"dims": [4, 2], "mfcc": None, "normalized": [1]},
+        {"dims": [4, 2], "mfcc": None},
+        {"dims": [4, 2], "mfcc": 5, "normalized": False},
+        {"dims": [4, 2], "normalized": False}])
+    def test_header_types_rejected(self, tmp_path, header):
+        # The payload is sized as if a truthy normalized meant normalized, so
+        # only the types of normalized and mfcc are wrong.
+        path = tmp_path / "m.abmm"
+        head = json.dumps(header).encode()
+        floats = 10 + (8 if header.get("normalized") else 0)
+        path.write_bytes(mlp.MODEL_MAGIC + struct.pack("<HI", 2, len(head))
+                         + head + np.ones(floats, dtype="<f8").tobytes())
+        with pytest.raises(FormatError, match="boolean normalized"):
+            mlp.load_model(path)
+
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "m.abmm"
         mlp.save_model(mlp.init_model((4, 3, 2), seed=0), path)

@@ -15,7 +15,9 @@
 #
 # The set: a seed-5 40 s default campaign, the four named experiments
 # (600/200 split, 2 epochs), seen-motor with --synth-first on an 8 s
-# campaign, extract with 10 coefficients, extract with 24 Mel channels,
+# campaign, seen-motor again on that campaign after one of its caches was
+# truncated (that channel is extracted again, the others are reused),
+# extract with 10 coefficients, extract with 24 Mel channels,
 # random and by-channel train and eval, an eval of the random model on the
 # 24-channel caches (a model whose feature settings differ from its caches'),
 # scatter, and a few usage errors.
@@ -50,6 +52,10 @@ done
 run experiment-synth-first --seed 5 experiment seen-motor --synth-first \
     --data "$out/synth-first" --duration 8 --train-size 200 --test-size 50 \
     --epochs 1 --out "$out/synth-first-results"
+truncate -s -100 "$out/synth-first/features/A2_b2.abfc"
+run experiment-stale-cache --seed 5 experiment seen-motor \
+    --data "$out/synth-first" --train-size 200 --test-size 50 --epochs 1 \
+    --out "$out/stale-cache-results"
 run extract-coeffs10 extract --manifest "$data/manifest.json" --coeffs 10 \
     --out "$out/features-coeffs10"
 run extract-mel24 extract --manifest "$data/manifest.json" --mel-channels 24 \
