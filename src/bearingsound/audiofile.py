@@ -1,14 +1,16 @@
-"""Single-channel 16-bit PCM WAV files plus the rotational-track sidecar.
+"""Single-channel 16-bit PCM WAV files plus the rotational-track sidecar,
+and ``AudioRecording``, the samples and track held in memory.
 
 The sidecar is a plain text file next to the WAV (same stem, ``.rot``
-extension) holding one ASCII float per frame-sized block: the mean shaft
-rotational frequency of that block in Hz.
+extension) holding one ASCII float per ``FRAME_SAMPLES``-sample block: the
+mean shaft rotational frequency of that block in Hz.
 """
 
 from __future__ import annotations
 
 import hashlib
 import wave
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,30 @@ import numpy as np
 from .errors import DataError
 
 PCM_FULL_SCALE = 32767
+FRAME_SAMPLES = 2048
+
+
+@dataclass
+class AudioRecording:
+    """Sampled waveform with its sample rate, channel identity, and the
+    per-block mean rotational frequency track (one value per FRAME_SAMPLES)."""
+
+    samples: np.ndarray
+    fs: float
+    channel_id: str
+    rotational_freq_track: np.ndarray
+
+    def __post_init__(self):
+        self.samples = np.asarray(self.samples, dtype=float)
+        self.rotational_freq_track = np.asarray(self.rotational_freq_track, dtype=float)
+        if not np.all(np.isfinite(self.samples)):
+            raise DataError(f"{self.channel_id}: non-finite samples")
+        expected = len(self.samples) // FRAME_SAMPLES
+        if len(self.rotational_freq_track) != expected:
+            raise DataError(
+                f"{self.channel_id}: track has {len(self.rotational_freq_track)} "
+                f"entries, expected {expected}"
+            )
 
 
 def write_wav(path, samples: np.ndarray, fs: float) -> None:

@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import audiofile, dataset, experiments, metrics, mlp, synth
+from . import audiofile, common, dataset, experiments, metrics, mlp, synth
 from .dataset import SplitSpec
 from .dsp import MfccConfig
 from .errors import ConfigError, DataError, NumericError
@@ -61,16 +61,24 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_float(text: str) -> float:
+    """--fs and --duration: checked before synth divides by fs or makes --out."""
+    value = finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _parse_channels(text: str) -> tuple[str, ...]:
     channels = tuple(c.strip() for c in text.split(",") if c.strip())
     if not channels:
         raise ConfigError("expected a comma-separated channel list")
-    synth.check_unique_ids(channels, error=ConfigError)
+    common.check_unique_ids(channels, error=ConfigError)
     return channels
 
 
 def _add_mfcc_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fs", type=finite_float, default=25600.0, help="sample rate in Hz")
+    p.add_argument("--fs", type=positive_float, default=25600.0, help="sample rate in Hz")
     p.add_argument("--mel-channels", type=int, default=26,
                    help="number of Mel filters")
     p.add_argument("--coeffs", type=int, default=13,
@@ -187,7 +195,7 @@ def cmd_train(args) -> int:
     log = {"seed": args.seed, **experiments.training_log(
         manifest, channels, mfcc, split, train_config, run)}
     log_path = model_path.with_suffix(".train_log.json")
-    synth.write_json(log_path, log)
+    common.write_json(log_path, log)
     print(f"trained {run['model'].dims} on {len(run['train_frames'])} frames; "
           f"train accuracy {100 * run['train_accuracy']:.2f}%")
     print(f"model: {model_path}")
@@ -264,9 +272,9 @@ def build_parser() -> _Parser:
     source.add_argument("--default-campaign", action="store_true")
     source.add_argument("--scenario", type=str, default=None,
                         help="JSON scenario file")
-    p.add_argument("--duration", type=finite_float, default=600.0,
+    p.add_argument("--duration", type=positive_float, default=600.0,
                    help="seconds of audio per channel")
-    p.add_argument("--fs", type=finite_float, default=25600.0)
+    p.add_argument("--fs", type=positive_float, default=25600.0)
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -306,7 +314,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", type=str, required=True, help="campaign directory")
     p.add_argument("--synth-first", action="store_true",
                    help="generate the default campaign if the data dir is empty")
-    p.add_argument("--duration", type=finite_float, default=600.0)
+    p.add_argument("--duration", type=positive_float, default=600.0)
     _add_mfcc_flags(p)
     p.add_argument("--train-size", type=positive_int, default=None)
     p.add_argument("--test-size", type=positive_int, default=None)

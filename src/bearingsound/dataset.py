@@ -4,27 +4,30 @@ A campaign on disk is a set of WAV files plus a JSON manifest mapping channel
 ids to file, label (H/D), axle, component and a free-text damage description.
 Frames whose mean shaft frequency falls outside the gating band are dropped;
 the survivors are held as parallel arrays of features, label, channel, shaft
-frequency and original frame index.
+frequency and original frame index, and each channel's are cached in a framed
+file (``common.write_framed``). ``fit_normalization`` fits the z-scoring that
+an ``mlp.MlpModel`` stores and applies.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .audiofile import AudioRecording
+from .common import (LABELS, check_channel, read_framed, read_json, write_framed,
+                     write_json)
 from .dsp import MfccConfig, feature_matrix
 from .errors import ConfigError, DataError, FormatError
-from .synth import LABELS, AudioRecording, check_channel, read_json, write_json
+from .mlp import NormalizationStats
 
 BAND_LOW_HZ = 42.0
 BAND_HIGH_HZ = 45.0
 
 CACHE_MAGIC = b"ABFC"
 CACHE_VERSION = 3
-_FRAME_BYTES = 10  # magic, u16 version, u32 header length of a framed file
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ def gate_frames(recording: AudioRecording, config: MfccConfig, label: str,
     """Features for the frames whose mean rotational frequency lies in
     [band_low, band_high] (both ends inclusive)."""
     track = recording.rotational_freq_track
-    if track is None or len(track) == 0:
+    if len(track) == 0:
         raise DataError(f"{recording.channel_id}: recording has no rotational track")
     num_frames = len(recording.samples) // config.dft_size
     if len(track) != num_frames:
@@ -238,22 +241,6 @@ def label_counts(labels: np.ndarray) -> dict[str, int]:
 # --- feature normalization ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalizationStats:
-    """Per-coefficient z-scoring parameters, fitted on training data only."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "std", np.asarray(self.std, dtype=float))
-        if self.mean.shape != self.std.shape:
-            raise DataError("normalization mean/std shapes differ")
-        if np.any(self.std <= 0):
-            raise DataError("normalization std must be strictly positive")
-
-
 def fit_normalization(x: np.ndarray) -> NormalizationStats:
     """Per-coefficient mean and std of a (frames, coeffs) training matrix."""
     if len(x) < 2:
@@ -267,42 +254,6 @@ def fit_normalization(x: np.ndarray) -> NormalizationStats:
             "zero-variance coefficient(s): "
             + ", ".join(f"c{i + 1}" for i in degenerate))
     return NormalizationStats(mean=mean, std=std)
-
-
-# --- framed files: the one layout of feature caches and models ----------------
-
-
-def write_framed(path, magic: bytes, version: int, header: dict, arrays) -> None:
-    """magic | u16 version | u32 header length | sorted-key JSON header | the
-    arrays' bytes in turn, all little-endian."""
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    Path(path).write_bytes(b"".join(
-        [magic, version.to_bytes(2, "little"), len(head).to_bytes(4, "little"),
-         head, *(array.tobytes() for array in arrays)]))
-
-
-def read_framed(path, magic: bytes, version: int, what: str,
-                producer: str) -> tuple[dict, bytes, int]:
-    """A framed file's header, its bytes and the payload's offset; the caller
-    checks the payload's length, which the header fixes."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{what} not found: {path} (run {producer} first)")
-    blob = path.read_bytes()
-    if blob[:4] != magic:
-        raise FormatError(f"{path}: not a {what} (bad magic)")
-    found = int.from_bytes(blob[4:6], "little")
-    if found != version:
-        raise FormatError(f"{path}: {what} version {found} is not the supported "
-                          f"{version}; re-run {producer}")
-    start = _FRAME_BYTES + int.from_bytes(blob[6:_FRAME_BYTES], "little")
-    try:
-        header = json.loads(blob[_FRAME_BYTES:start])
-    except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-        raise FormatError(f"{path}: truncated or corrupt {what} header ({exc})") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: {what} header is not a JSON object")
-    return header, blob, start
 
 
 # --- per-channel feature cache -----------------------------------------------

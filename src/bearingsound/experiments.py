@@ -11,7 +11,7 @@ Four named experiments are built in:
 
 ``ensure_caches`` hashes the sources and parses each cache once in the calling
 thread, in channel order, extracts only the stale channels on
-``synth.map_channels``'s worker threads (none if every cache is reused) and
+``common.map_channels``'s worker threads (none if every cache is reused) and
 returns every channel's frames, so an experiment reads no cache twice.
 
 Each run writes a self-contained results directory: the model, a training
@@ -29,11 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from . import audiofile, dataset, metrics, mlp
+from .audiofile import AudioRecording
+from .common import check_unique_ids, map_channels, write_json
 from .dataset import Manifest, SplitSpec
 from .dsp import MfccConfig
 from .errors import ConfigError, DataError
 from .mlp import TrainConfig
-from .synth import AudioRecording, check_unique_ids, map_channels, write_json
 
 EXPERIMENT_NAMES = ("seen-motor", "seen-gearbox", "unseen-A2b2", "unseen-A1b1")
 

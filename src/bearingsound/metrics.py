@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LABELS, Frames
+from .common import LABELS, write_json
+from .dataset import Frames
 from .errors import DataError
-from .synth import write_json
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 The default network is 13 -> 1024 -> 100 -> 2: two hidden layers with ReLU
 and a two-way softmax head for the Healthy/Damaged decision. Everything is
 plain numpy; training is a deterministic single-threaded loop given the seed.
-A model stores the feature z-scoring fitted at training time and applies it
-to the raw features it is given.
+A model stores the feature z-scoring fitted at training time
+(``NormalizationStats``, which ``dataset.fit_normalization`` fits) and applies
+it to the raw features it is given; its file is a framed file
+(``common.write_framed``).
 
 Parameters live in one flat vector, ``MlpModel.params``: per layer W_i
 (row-major), then b_i, the order of the model file; ``weights``/``biases``
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LABELS, NormalizationStats, read_framed, write_framed
+from .common import LABELS, read_framed, write_framed
 from .errors import ConfigError, DataError, FormatError, NumericError
 
 POSTERIOR_FLOOR = 1e-12
@@ -64,6 +66,22 @@ def _layer_views(flat: np.ndarray, dims) -> tuple[list, list]:
         weights.append(flat[start : end - fan_out].reshape(fan_in, fan_out))
         biases.append(flat[end - fan_out : end])
     return weights, biases
+
+
+@dataclass(frozen=True)
+class NormalizationStats:
+    """Per-coefficient z-scoring parameters, fitted on training data only."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
+        object.__setattr__(self, "std", np.asarray(self.std, dtype=float))
+        if self.mean.shape != self.std.shape:
+            raise DataError("normalization mean/std shapes differ")
+        if np.any(self.std <= 0):
+            raise DataError("normalization std must be strictly positive")
 
 
 @dataclass

@@ -11,33 +11,26 @@ zone once per revolution), outer-ring trains are not.
 The harmonic sum takes one sin and one cos of the shaft angle per sample and
 gets every higher harmonic from the Chebyshev three-term recurrence.
 
-A campaign's channels are independent, so ``map_channels`` runs them on one
-worker thread per available CPU (numpy releases the interpreter lock inside
-its array loops, FFTs and BLAS calls). Each channel's output depends only on
-its own config, so the bytes written are the same for any worker count.
+A campaign's channels are independent, so ``common.map_channels`` runs them
+on worker threads. Each channel's output depends only on its own config, so
+the bytes written are the same for any worker count.
 
 Everything is deterministic given the config seed: the harmonic-phase, noise
 and fault randomness come from three independent child streams, so a healthy
 and a damaged recording that share a seed differ exactly by the injected
 impact component.
-
-The lowest module, it also holds what the others share: ``LABELS``, the
-channel checks and ``read_json``/``write_json`` for the JSON files.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .audiofile import FRAME_SAMPLES, AudioRecording
+from .common import check_channel, check_unique_ids, map_channels, read_json
 from .errors import ConfigError, DataError
-
-FRAME_SAMPLES = 2048
 
 OUTER_RING = "outer_ring"
 INNER_RING = "inner_ring"
@@ -102,29 +95,6 @@ class SynthConfig:
             raise ConfigError("noise_level must be non-negative")
         if self.fault is not None and self.fault.resonance_freq >= self.fs / 2:
             raise ConfigError("resonance_freq must be below fs/2")
-
-
-@dataclass
-class AudioRecording:
-    """Sampled waveform with its sample rate, channel identity, and the
-    per-block mean rotational frequency track (one value per FRAME_SAMPLES)."""
-
-    samples: np.ndarray
-    fs: float
-    channel_id: str
-    rotational_freq_track: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        self.rotational_freq_track = np.asarray(self.rotational_freq_track, dtype=float)
-        if not np.all(np.isfinite(self.samples)):
-            raise DataError(f"{self.channel_id}: non-finite samples")
-        expected = len(self.samples) // FRAME_SAMPLES
-        if len(self.rotational_freq_track) != expected:
-            raise DataError(
-                f"{self.channel_id}: track has {len(self.rotational_freq_track)} "
-                f"entries, expected {expected}"
-            )
 
 
 def sample_profile(profile, t: np.ndarray) -> np.ndarray:
@@ -195,16 +165,6 @@ def _fault_impulses(config: SynthConfig, freq: np.ndarray, revs: np.ndarray,
     if fault.amplitude_modulated_by_shaft:
         amps *= 1.0 + np.cos(2.0 * np.pi * revs[indices])
     return indices, amps
-
-
-def fault_impulse_indices(config: SynthConfig) -> np.ndarray:
-    """Impact sample positions the generator will use for this config."""
-    if config.fault is None:
-        return np.zeros(0, dtype=int)
-    freq, revs = _shaft_revolutions(config)
-    rng = _child_rngs(config.seed)[2]
-    indices, _ = _fault_impulses(config, freq, revs, rng)
-    return indices
 
 
 def _child_rngs(seed: int) -> list[np.random.Generator]:
@@ -295,79 +255,7 @@ def synth_recording(config: SynthConfig, channel_id: str = "synth") -> AudioReco
                           rotational_freq_track=track)
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def map_channels(fn, items) -> list:
-    """[fn(item) for item in items], run on min(len(items), available CPUs)
-    worker threads; with one worker it is that plain loop and starts no
-    thread. Results come back in input order. On a failure the items not
-    yet started are cancelled and the error of the earliest failing item in
-    input order is raised."""
-    items = list(items)
-    workers = min(len(items), _available_cpus())
-    if workers <= 1:
-        return [fn(item) for item in items]
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        futures = [pool.submit(fn, item) for item in items]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    # Items run in submission order, so every item before the first failure
-    # ran to completion and no cancelled future is reached.
-    return [future.result() for future in futures]
-
-
 # --- campaign scenarios ----------------------------------------------------
-
-# Class index of each label, fixed project-wide: H is 0, D is 1.
-LABELS = ("H", "D")
-
-
-def check_unique_ids(channel_ids, error=DataError) -> None:
-    """Raise error naming the first id that repeats: each channel owns the
-    files <id>.wav and <id>.abfc, and its frames must be counted once."""
-    seen = set()
-    for channel_id in channel_ids:
-        if channel_id in seen:
-            raise error(f"duplicate channel id: {channel_id}")
-        seen.add(channel_id)
-
-
-def check_channel(channel_id: str, label: str, component: str) -> None:
-    """Reject ids that are not a plain file name (<id>.wav and <id>.abfc must
-    land in their directory), labels not H/D, components not motor/gearbox."""
-    if channel_id in ("", ".", "..") or "/" in channel_id or "\\" in channel_id:
-        raise DataError(f"bad channel id {channel_id!r}: it must name a file, "
-                        "not a path")
-    if label not in LABELS:
-        raise DataError(f"{channel_id}: label must be H or D, got {label!r}")
-    if component not in ("motor", "gearbox"):
-        raise DataError(
-            f"{channel_id}: component must be motor or gearbox, got {component!r}")
-
-
-def read_json(path, what: str, **json_kwargs):
-    """The JSON value in a file; a missing file, bad JSON or bad UTF-8 is a
-    DataError, and json_kwargs go to json.loads."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{what} not found: {path}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"), **json_kwargs)
-    except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def write_json(path, value) -> None:
-    """value as JSON with sorted keys, a two-space indent and a newline."""
-    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 @dataclass(frozen=True)

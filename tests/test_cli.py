@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bearingsound
-from bearingsound import audiofile, cli, dataset, experiments, mlp, synth
+from bearingsound import audiofile, cli, common, dataset, experiments, mlp, synth
 from bearingsound.errors import DataError
 
 
@@ -85,7 +85,7 @@ class TestSynthCommand:
                 threads.add(threading.current_thread())
                 return real_extract(*args, **kwargs)
 
-            monkeypatch.setattr(synth, "_available_cpus", lambda: cpus)
+            monkeypatch.setattr(common, "_available_cpus", lambda: cpus)
             monkeypatch.setattr(synth, "synth_recording", synth_recording)
             monkeypatch.setattr(experiments, "extract_channel", extract_channel)
             out = tmp_path / f"cpus{cpus}"
@@ -110,7 +110,7 @@ class TestSynthCommand:
                 raise DataError(f"{channel_id}: synthesis failed")
             return real_synth(config, channel_id)
 
-        monkeypatch.setattr(synth, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(common, "_available_cpus", lambda: cpus)
         monkeypatch.setattr(synth, "synth_recording", synth_recording)
         out = tmp_path / "out"
         rc, _, err = run(["--seed", "1", "synth", "--default-campaign",
@@ -552,6 +552,24 @@ class TestUsageErrors:
         rc, out, err = run([a.format(t=tmp_path) for a in argv], capsys)
         assert rc == 1
         assert "error: argument" in err and "must be finite" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--default-campaign", "--fs", "0", "--out", "{t}/s"],
+        ["synth", "--default-campaign", "--fs", "-5", "--out", "{t}/s"],
+        ["synth", "--default-campaign", "--duration", "0", "--out", "{t}/s"],
+        ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
+         "--fs", "0"],
+        ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
+         "--duration=-1"],
+        ["extract", "--manifest", "{t}/manifest.json", "--fs", "0",
+         "--out", "{t}/f"]])
+    def test_non_positive_number_is_usage_error(self, tmp_path, capsys, argv):
+        # A zero fs used to end in a ZeroDivisionError inside synth.
+        rc, out, err = run([a.format(t=tmp_path) for a in argv], capsys)
+        assert rc == 1
+        assert "error: argument" in err and "must be positive" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 

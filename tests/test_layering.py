@@ -1,0 +1,83 @@
+"""The package's import graph: which module may import which, and that every
+name is imported from the module that defines it."""
+
+import ast
+from pathlib import Path
+
+import bearingsound
+
+PACKAGE_DIR = Path(bearingsound.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in PACKAGE_DIR.glob("*.py")}
+
+_BELOW_EXPERIMENTS = {"errors", "common", "audiofile", "dsp", "mlp", "dataset",
+                      "metrics"}
+# The generator stands in for a measurement campaign, so only the front end
+# imports it.
+ALLOWED = {
+    "__init__": set(),
+    "errors": set(),
+    "common": {"errors"},
+    "audiofile": {"errors"},
+    "dsp": {"errors"},
+    "synth": {"audiofile", "common", "errors"},
+    "mlp": {"common", "errors"},
+    "dataset": {"audiofile", "common", "dsp", "errors", "mlp"},
+    "metrics": {"common", "dataset", "errors"},
+    "experiments": _BELOW_EXPERIMENTS,
+    "cli": _BELOW_EXPERIMENTS | {"experiments", "synth"},
+}
+
+
+def _package_imports(tree):
+    """(module, name or None) for each package-relative import in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    yield alias.name, None
+                else:
+                    yield node.module, alias.name
+
+
+def _defined_names(tree) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_no_absolute_imports_of_the_package():
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "bearingsound"
+                           for name in imported), module
+
+
+def test_import_edges_match_the_layers():
+    edges = {module: {target for target, _ in _package_imports(tree)}
+             for module, tree in MODULES.items()}
+    assert edges == ALLOWED
+
+
+def test_each_name_comes_from_the_module_that_defines_it():
+    defined = {module: _defined_names(tree) for module, tree in MODULES.items()}
+    for module, tree in MODULES.items():
+        for target, name in _package_imports(tree):
+            if name is None:
+                assert target in MODULES, f"{module}: no module {target}"
+            else:
+                assert name in defined[target], (
+                    f"{module} imports {name} from {target}, which does not "
+                    "define it")

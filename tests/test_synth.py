@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bearingsound import audiofile, dsp, synth
+from bearingsound import audiofile, common, dsp, synth
 from bearingsound.errors import ConfigError, DataError
 
 
@@ -17,6 +17,13 @@ def tone_config(seed=123, duration=4.0, fault=None, noise=0.0,
         fs=25600.0, duration=duration, seed=seed,
         rotational_freq_profile=((0.0, f_r),),
         harmonic_amplitudes=harmonics, noise_level=noise, fault=fault)
+
+
+def impulse_indices(config):
+    """The impact sample positions synth_recording draws for a faulted config."""
+    freq, revs = synth._shaft_revolutions(config)
+    rng_fault = synth._child_rngs(config.seed)[2]
+    return synth._fault_impulses(config, freq, revs, rng_fault)[0]
 
 
 def outer_fault(amplitude=2.0, ratio=3.5, jitter=0.0):
@@ -96,7 +103,7 @@ class TestHarmonicSum:
 class TestFaultTrain:
     def test_impulse_spacing_matches_rate_arithmetic(self):
         config = tone_config(fault=outer_fault())
-        indices = synth.fault_impulse_indices(config)
+        indices = impulse_indices(config)
         expected = 25600.0 / (3.5 * 43.0)  # ~170.1 samples
         spacing = np.diff(indices)
         assert abs(spacing.mean() - expected) < 0.5
@@ -116,7 +123,13 @@ class TestFaultTrain:
         assert abs(peak_lag - expected) <= 1.0
 
     def test_no_fault_means_no_impulses(self):
-        assert synth.fault_impulse_indices(tone_config()).size == 0
+        # Without a fault the recording is its harmonic sum and nothing else.
+        config = tone_config()
+        _, revs = synth._shaft_revolutions(config)
+        harmonics = synth._harmonic_sum(config.harmonic_amplitudes, revs,
+                                        synth._child_rngs(config.seed)[0])
+        residual = synth.synth_recording(config, "h").samples - harmonics
+        assert np.flatnonzero(residual).size == 0
 
 
 class TestDeterminismAndSeparation:
@@ -138,7 +151,7 @@ class TestDeterminismAndSeparation:
             harmonic_amplitudes=tuple((h, 0.0) for h, _ in config.harmonic_amplitudes),
             noise_level=0.0), "f")
         diff = faulted.samples - healthy.samples
-        first = synth.fault_impulse_indices(config).min()
+        first = impulse_indices(config).min()
         assert np.all(diff[:first] == 0.0)
         np.testing.assert_allclose(diff, fault_only.samples, atol=1e-9)
 
@@ -221,27 +234,27 @@ class TestCampaign:
 
 class TestMapChannels:
     def test_results_in_input_order_on_worker_threads(self, monkeypatch):
-        monkeypatch.setattr(synth, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(common, "_available_cpus", lambda: 3)
         threads = []
 
         def square(x):
             threads.append(threading.current_thread())
             return x * x
 
-        assert synth.map_channels(square, range(7)) == [x * x for x in range(7)]
+        assert common.map_channels(square, range(7)) == [x * x for x in range(7)]
         assert threading.main_thread() not in threads
 
     def test_one_worker_is_a_plain_loop(self, monkeypatch):
-        monkeypatch.setattr(synth, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(common, "_available_cpus", lambda: 1)
         threads = []
-        assert synth.map_channels(
+        assert common.map_channels(
             lambda x: threads.append(threading.current_thread()) or x,
             "abc") == ["a", "b", "c"]
         assert set(threads) == {threading.main_thread()}
-        assert synth.map_channels(lambda x: 1 / 0, []) == []
+        assert common.map_channels(lambda x: 1 / 0, []) == []
 
     def test_earliest_failure_raised_and_queue_cancelled(self, monkeypatch):
-        monkeypatch.setattr(synth, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(common, "_available_cpus", lambda: 2)
         started = []
         item_1_failed = threading.Event()
 
@@ -258,7 +271,7 @@ class TestMapChannels:
             return x
 
         with pytest.raises(KeyError, match="item 0"):
-            synth.map_channels(work, range(50))
+            common.map_channels(work, range(50))
         assert started[:2] in ([0, 1], [1, 0])
         assert len(started) < 50
 

@@ -20,7 +20,8 @@
 # extract with 10 coefficients, extract with 24 Mel channels,
 # random and by-channel train and eval, an eval of the random model on the
 # 24-channel caches (a model whose feature settings differ from its caches'),
-# scatter, and a few usage errors.
+# scatter, and a few usage errors (among them a zero --fs for synth and for
+# experiment --synth-first).
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -90,6 +91,9 @@ run error-eval-by-channel-no-lists eval --manifest "$data/manifest.json" \
     --split by-channel --out "$out/error-eval"
 run error-experiment-size-zero experiment seen-motor --data "$data" \
     --train-size 0 --test-size 50 --out "$out/error-experiment"
+run error-synth-fs-zero synth --default-campaign --fs 0 --out "$out/error-synth"
+run error-experiment-fs-zero experiment seen-motor --synth-first --fs 0 \
+    --data "$out/error-data"
 
 cd "$out"
 find . -type f -print0 | LC_ALL=C sort -z | xargs -0 sha256sum \
