@@ -78,12 +78,14 @@ def _parse_channels(text: str) -> tuple[str, ...]:
 
 
 def _add_mfcc_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fs", type=positive_float, default=25600.0, help="sample rate in Hz")
-    p.add_argument("--mel-channels", type=int, default=26,
+    p.add_argument("--fs", type=positive_float, default=MfccConfig.sample_rate,
+                   help="sample rate in Hz")
+    p.add_argument("--mel-channels", type=int, default=MfccConfig.num_channels,
                    help="number of Mel filters")
-    p.add_argument("--coeffs", type=int, default=13,
+    p.add_argument("--coeffs", type=int, default=MfccConfig.num_coeffs,
                    help="number of cepstral coefficients")
-    p.add_argument("--band", type=_parse_band, default="42:45",
+    p.add_argument("--band", type=_parse_band,
+                   default=(dataset.BAND_LOW_HZ, dataset.BAND_HIGH_HZ),
                    help="rotational gating band LO:HI in Hz")
 
 
@@ -98,9 +100,9 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=finite_float, default=0.001)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=finite_float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
 
 
 def _mfcc_config(args) -> MfccConfig:
@@ -187,17 +189,15 @@ def cmd_train(args) -> int:
     split = _split_spec(args)
     channels = _pool_channels(args, split, manifest)
     frames, mfcc = experiments.load_frames(manifest, channels, args.features)
-    train_config = _train_config(args)
-    run = experiments.split_and_train(frames, split, train_config, mfcc)
+    model, log, _ = experiments.train_on_split(
+        manifest, channels, frames, mfcc, split, _train_config(args))
     model_path = Path(args.out)
     model_path.parent.mkdir(parents=True, exist_ok=True)
-    mlp.save_model(run["model"], model_path)
-    log = {"seed": args.seed, **experiments.training_log(
-        manifest, channels, mfcc, split, train_config, run)}
+    mlp.save_model(model, model_path)
     log_path = model_path.with_suffix(".train_log.json")
-    common.write_json(log_path, log)
-    print(f"trained {run['model'].dims} on {len(run['train_frames'])} frames; "
-          f"train accuracy {100 * run['train_accuracy']:.2f}%")
+    common.write_json(log_path, {"seed": args.seed, **log})
+    print(f"trained {model.dims} on {split.train_size} frames; "
+          f"train accuracy {100 * log['final_train_accuracy']:.2f}%")
     print(f"model: {model_path}")
     print(f"log:   {log_path}")
     return EXIT_OK
@@ -237,6 +237,7 @@ def cmd_scatter(args) -> int:
 def cmd_experiment(args) -> int:
     data_dir = Path(args.data)
     manifest_path = data_dir / "manifest.json"
+    config, train_config = _mfcc_config(args), _train_config(args)
     if not manifest_path.exists():
         if not args.synth_first:
             raise DataError(
@@ -246,13 +247,12 @@ def cmd_experiment(args) -> int:
         _write_campaign(synth.default_scenario(args.seed, duration=args.duration,
                                                fs=args.fs), data_dir)
     manifest = dataset.load_manifest(manifest_path)
-    config = _mfcc_config(args)
     spec = experiments.named_experiment(
         args.name, manifest, seed=args.seed,
         train_size=args.train_size, test_size=args.test_size)
     out_dir = Path(args.out) if args.out else data_dir / "results" / args.name
     report = experiments.run_experiment(
-        manifest, spec, config, _train_config(args), args.band, out_dir=out_dir,
+        manifest, spec, config, train_config, args.band, out_dir=out_dir,
         features_dir=data_dir / "features", log=print)
     print(f"{args.name}: accuracy {metrics.round_half_up(report.accuracy):.2f}%  "
           f"TPR {metrics.round_half_up(report.tpr):.2f}%  "
@@ -272,9 +272,10 @@ def build_parser() -> _Parser:
     source.add_argument("--default-campaign", action="store_true")
     source.add_argument("--scenario", type=str, default=None,
                         help="JSON scenario file")
-    p.add_argument("--duration", type=positive_float, default=600.0,
+    p.add_argument("--duration", type=positive_float,
+                   default=synth.CAMPAIGN_DURATION_S,
                    help="seconds of audio per channel")
-    p.add_argument("--fs", type=positive_float, default=25600.0)
+    p.add_argument("--fs", type=positive_float, default=synth.SynthConfig.fs)
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -314,7 +315,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", type=str, required=True, help="campaign directory")
     p.add_argument("--synth-first", action="store_true",
                    help="generate the default campaign if the data dir is empty")
-    p.add_argument("--duration", type=positive_float, default=600.0)
+    p.add_argument("--duration", type=positive_float,
+                   default=synth.CAMPAIGN_DURATION_S)
     _add_mfcc_flags(p)
     p.add_argument("--train-size", type=positive_int, default=None)
     p.add_argument("--test-size", type=positive_int, default=None)

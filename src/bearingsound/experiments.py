@@ -14,9 +14,9 @@ thread, in channel order, extracts only the stale channels on
 ``common.map_channels``'s worker threads (none if every cache is reused) and
 returns every channel's frames, so an experiment reads no cache twice.
 
-Each run writes a self-contained results directory: the model, a training
-log (``training_log``, as ``train`` writes it), the evaluation report (JSON
-and text, also returned) and a config echo sufficient to replay the run.
+Each run writes a self-contained results directory: the model, the training
+log ``train_on_split`` returns (as ``train`` writes it), the evaluation report
+(JSON and text, also returned) and a config echo sufficient to replay the run.
 Nothing written depends on wall-clock time or absolute paths, so identical
 inputs and seeds reproduce identical bytes.
 """
@@ -184,24 +184,27 @@ def load_frames(manifest: Manifest, channels,
 # --- the run itself -----------------------------------------------------------
 
 
-def split_and_train(frames: dataset.Frames, split: SplitSpec,
-                    train_config: TrainConfig, mfcc: dict | None = None):
-    """Split, train (z-scoring with stats fitted on the training rows);
-    returns a run dict. The model records mfcc, the frames' feature settings."""
+def train_on_split(manifest: Manifest, channels, frames: dataset.Frames,
+                   mfcc: dict | None, split: SplitSpec, train_config: TrainConfig):
+    """Split, fit the z-scoring on the training rows and train; returns
+    (model, training log, test frames). The model records mfcc, the frames'
+    feature settings."""
     train_rows, test_rows = dataset.make_split(frames, split)
     x_train, y_train = frames.coeffs[train_rows], frames.labels[train_rows]
-    stats = dataset.fit_normalization(x_train)
-    model, history = mlp.train(x_train, y_train, train_config, norm_stats=stats)
+    model, history = mlp.train(x_train, y_train, train_config,
+                               norm_stats=dataset.fit_normalization(x_train))
     model.mfcc = mfcc
     train_probs = mlp.predict_batch(model, x_train)
-    train_accuracy = float(np.mean(train_probs.argmax(axis=1) == y_train))
-    return {
-        "model": model,
-        "loss_history": history,
-        "train_frames": frames.take(train_rows),
-        "test_frames": frames.take(test_rows),
-        "train_accuracy": train_accuracy,
+    log = {
+        "channels": {c: manifest.label(c) for c in channels},
+        "mfcc": mfcc,
+        "split": asdict(split),
+        "train_config": asdict(train_config),
+        "train_class_counts": dataset.label_counts(y_train),
+        "per_epoch_loss": history,
+        "final_train_accuracy": float(np.mean(train_probs.argmax(axis=1) == y_train)),
     }
+    return model, log, frames.take(test_rows)
 
 
 def evaluate_frames(model: mlp.MlpModel,
@@ -209,20 +212,6 @@ def evaluate_frames(model: mlp.MlpModel,
     """Score raw frames with a model, which applies its stored normalization."""
     probs = mlp.predict_batch(model, frames.coeffs)
     return metrics.metrics(metrics.confusion(probs.argmax(axis=1), frames.labels))
-
-
-def training_log(manifest: Manifest, channels, mfcc: dict, split: SplitSpec,
-                 train_config: TrainConfig, run: dict) -> dict:
-    """The settings a split_and_train run used and what it gave, for its logs."""
-    return {
-        "channels": {c: manifest.label(c) for c in channels},
-        "mfcc": mfcc,
-        "split": asdict(split),
-        "train_config": asdict(train_config),
-        "train_class_counts": dataset.label_counts(run["train_frames"].labels),
-        "per_epoch_loss": run["loss_history"],
-        "final_train_accuracy": run["train_accuracy"],
-    }
 
 
 def run_experiment(manifest: Manifest, spec: ExperimentSpec,
@@ -235,16 +224,14 @@ def run_experiment(manifest: Manifest, spec: ExperimentSpec,
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = dataset.Frames.concat(ensure_caches(
         manifest, spec.channels, mfcc_config, band, features_dir, log=log).values())
-    mfcc = feature_settings(mfcc_config, band)
-    run = split_and_train(frames, spec.split, train_config, mfcc)
-    report = evaluate_frames(run["model"], run["test_frames"])
+    model, run_log, test_frames = train_on_split(
+        manifest, spec.channels, frames, feature_settings(mfcc_config, band),
+        spec.split, train_config)
+    report = evaluate_frames(model, test_frames)
 
-    mlp.save_model(run["model"], out_dir / "model.abmm")
-    train_log = {
-        "experiment": spec.name,
-        **training_log(manifest, spec.channels, mfcc, spec.split, train_config, run),
-        "test_class_counts": dataset.label_counts(run["test_frames"].labels),
-    }
+    mlp.save_model(model, out_dir / "model.abmm")
+    train_log = {"experiment": spec.name, **run_log,
+                 "test_class_counts": dataset.label_counts(test_frames.labels)}
     write_json(out_dir / "train_log.json", train_log)
     metrics.write_report(report, out_dir / "report.json", out_dir / "report.txt")
     write_json(out_dir / "experiment.json",

@@ -23,14 +23,17 @@ with one division and one sqrt: M = b1 M + g, V = b2 V + g^2, then
 p -= a_t M / (sqrt(V) + eps / s) with s = sqrt((1 - b2) / (1 - b2^t)) and
 a_t = lr (1 - b1) / ((1 - b1^t) s).
 
-float32 training flushes subnormals where they arise, since arithmetic on
-them is many times slower. Saturated softmax posteriors give subnormal
-output errors, which ``_gradients`` zeroes below sqrt(tiny): every backprop
-product of two values at least that large is normal. The moments of dead
-ReLU units decay geometrically, so every 64 steps ``adam_step`` zeroes
+float32 training flushes most subnormals, since arithmetic on them is many
+times slower. Saturated softmax posteriors give subnormal output errors,
+which ``_gradients`` zeroes below sqrt(tiny): every backprop product of two
+values at least that large is normal. The moments of dead ReLU units decay
+geometrically, so every 64 steps ``adam_step`` zeroes
 |M| < tiny / b1^64 and V < tiny / b2^64 (computed as |M| b1^64 < tiny, so
 no beta overflows the bound): a moment above its bound cannot decay below
-tiny before the next flush. tiny is ``np.finfo(dtype).tiny``.
+tiny before the next flush. The flush bounds decay, not arrival: any step's
+g * g can add a subnormal to V, which stays until the next flush, at most 63
+steps later; one added after the last flush remains when training ends. tiny
+is ``np.finfo(dtype).tiny``.
 
 Label convention, fixed project-wide: H is class index 0 and the positive
 class, D is index 1 and the negative class.

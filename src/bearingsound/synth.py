@@ -273,6 +273,8 @@ class ChannelSpec:
         check_channel(self.channel_id, self.label, self.component)
 
 
+CAMPAIGN_DURATION_S = 600.0
+
 _BASE_HARMONICS = ((1, 1.00), (2, 0.55), (3, 0.40), (4, 0.28),
                    (5, 0.20), (6, 0.14), (7, 0.10), (8, 0.07))
 _NOISE_LEVEL = 0.35
@@ -329,44 +331,53 @@ def impulse_amplitude_for_power(power_db: float, harmonics, profile,
     return float(np.sqrt(target_ms * fs / (rate * kernel_energy * modulation_ms)))
 
 
-def default_scenario(seed: int, duration: float = 600.0,
-                     fs: float = 25600.0) -> list[ChannelSpec]:
+def default_scenario(seed: int, duration: float = CAMPAIGN_DURATION_S,
+                     fs: float = SynthConfig.fs) -> list[ChannelSpec]:
     """Six-channel campaign: three damaged bearings (inner-ring motor,
-    outer-ring motor, outer-ring gearbox) and their healthy references."""
+    outer-ring motor, outer-ring gearbox) and their healthy references, built
+    in ``scenario_from_json``'s schema by ``channel_from_json``."""
     channels = []
     for index, row in enumerate(_DEFAULT_CHANNELS):
         (channel_id, label, axle, component, description,
          kind, ratio, db, res_f, decay, jitter) = row
         channel_rng = np.random.default_rng(np.random.SeedSequence([seed, 977, index]))
-        harmonics = tuple(
-            (h, a * channel_rng.uniform(0.97, 1.03)) for h, a in _BASE_HARMONICS
-        )
+        harmonics = [(h, a * channel_rng.uniform(0.97, 1.03)) for h, a in _BASE_HARMONICS]
         profile = _default_profile(duration, index)
-        fault = None
-        if kind is not None:
-            amplitude = impulse_amplitude_for_power(
-                db, harmonics, profile, kind, ratio, res_f, decay, fs, duration)
-            fault = FaultSpec(
-                fault_kind=kind,
-                fault_freq_ratio=ratio,
-                impulse_amplitude=amplitude,
-                resonance_freq=res_f,
-                resonance_decay=decay,
-                amplitude_modulated_by_shaft=(kind == INNER_RING),
-                severity_jitter=jitter,
-            )
-        config = SynthConfig(
-            fs=fs,
-            duration=duration,
-            seed=_channel_seed(seed, index),
-            rotational_freq_profile=profile,
-            harmonic_amplitudes=harmonics,
-            noise_level=_NOISE_LEVEL,
-            fault=fault,
-        )
-        channels.append(ChannelSpec(channel_id, label, axle, component,
-                                    description, config))
+        fault = None if kind is None else {
+            "kind": kind, "freq_ratio": ratio,
+            "amplitude": impulse_amplitude_for_power(
+                db, harmonics, profile, kind, ratio, res_f, decay, fs, duration),
+            "resonance_freq": res_f, "resonance_decay": decay,
+            "modulated": kind == INNER_RING, "jitter": jitter}
+        channels.append(channel_from_json({
+            "channel": channel_id, "label": label, "axle": axle,
+            "component": component, "description": description,
+            "seed": _channel_seed(seed, index), "fs": fs, "duration": duration,
+            "profile": profile, "harmonics": harmonics,
+            "noise_level": _NOISE_LEVEL, "fault": fault}))
     return channels
+
+
+def channel_from_json(entry: dict) -> ChannelSpec:
+    """One channel object of ``scenario_from_json``'s schema as a ChannelSpec."""
+    fault = None
+    if entry.get("fault"):
+        f = entry["fault"]
+        fault = FaultSpec(
+            f["kind"], float(f["freq_ratio"]), float(f["amplitude"]),
+            float(f["resonance_freq"]), float(f["resonance_decay"]),
+            amplitude_modulated_by_shaft=bool(f.get("modulated", False)),
+            severity_jitter=float(f.get("jitter", 0.0)))
+    config = SynthConfig(
+        fs=float(entry.get("fs", SynthConfig.fs)), duration=float(entry["duration"]),
+        seed=int(entry["seed"]), rotational_freq_profile=entry["profile"],
+        harmonic_amplitudes=entry.get("harmonics", SynthConfig.harmonic_amplitudes),
+        noise_level=float(entry.get("noise_level", SynthConfig.noise_level)),
+        fault=fault)
+    return ChannelSpec(
+        str(entry["channel"]), str(entry["label"]), str(entry.get("axle", "")),
+        str(entry.get("component", "motor")), str(entry.get("description", "")),
+        config)
 
 
 def scenario_from_json(path) -> list[ChannelSpec]:
@@ -385,37 +396,7 @@ def scenario_from_json(path) -> list[ChannelSpec]:
     channels = []
     for entry in raw:
         try:
-            fault = None
-            if entry.get("fault"):
-                f = entry["fault"]
-                fault = FaultSpec(
-                    fault_kind=f["kind"],
-                    fault_freq_ratio=float(f["freq_ratio"]),
-                    impulse_amplitude=float(f["amplitude"]),
-                    resonance_freq=float(f["resonance_freq"]),
-                    resonance_decay=float(f["resonance_decay"]),
-                    amplitude_modulated_by_shaft=bool(f.get("modulated", False)),
-                    severity_jitter=float(f.get("jitter", 0.0)),
-                )
-            config = SynthConfig(
-                fs=float(entry.get("fs", 25600.0)),
-                duration=float(entry["duration"]),
-                seed=int(entry["seed"]),
-                rotational_freq_profile=tuple(
-                    (float(t), float(f)) for t, f in entry["profile"]),
-                harmonic_amplitudes=tuple(
-                    (int(h), float(a)) for h, a in entry.get("harmonics", [[1, 1.0]])),
-                noise_level=float(entry.get("noise_level", 0.0)),
-                fault=fault,
-            )
-            channels.append(ChannelSpec(
-                channel_id=str(entry["channel"]),
-                label=str(entry["label"]),
-                axle=str(entry.get("axle", "")),
-                component=str(entry.get("component", "motor")),
-                description=str(entry.get("description", "")),
-                config=config,
-            ))
+            channels.append(channel_from_json(entry))
         except (AttributeError, ConfigError, DataError, KeyError, OverflowError,
                 TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad channel entry ({exc})") from exc

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from bearingsound import cli, dataset, dsp, metrics, mlp
+from bearingsound.audiofile import AudioRecording
 from bearingsound.dsp import MfccConfig
 from bearingsound.metrics import ConfusionMatrix, round_half_up
-from bearingsound.synth import AudioRecording
 
 
 @contextmanager

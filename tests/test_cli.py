@@ -11,6 +11,7 @@ import pytest
 
 import bearingsound
 from bearingsound import audiofile, cli, common, dataset, experiments, mlp, synth
+from bearingsound.dsp import MfccConfig
 from bearingsound.errors import DataError
 
 
@@ -690,3 +691,28 @@ class TestSplitUsageErrors:
         assert out == ""
         assert not list(tmp_path.rglob("*.wav"))
         assert not list(tmp_path.rglob("manifest.json"))
+
+    @pytest.mark.parametrize("flag", [
+        ["--epochs", "-1"], ["--batch", "0"], ["--lr", "-0.5"],
+        ["--coeffs", "0"], ["--mel-channels", "2000"]], ids=lambda f: f[0])
+    def test_bad_training_or_mfcc_flag_stops_synth_first_before_synthesis(
+            self, tmp_path, capsys, flag):
+        # The configs are built from the flags before the campaign is written.
+        rc, out, err = run(["experiment", "seen-motor", "--synth-first",
+                            "--duration", "2", "--data", str(tmp_path / "data"),
+                            *flag, "--out", str(tmp_path / "res")], capsys)
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestDefaults:
+    def test_flag_defaults_are_the_library_defaults(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["experiment", "seen-motor", "--data", "d"])
+        assert cli._mfcc_config(args) == MfccConfig()
+        assert cli._train_config(args) == mlp.TrainConfig()
+        assert args.band == (dataset.BAND_LOW_HZ, dataset.BAND_HIGH_HZ)
+        args = parser.parse_args(["synth", "--default-campaign", "--out", "o"])
+        assert args.fs == synth.SynthConfig().fs

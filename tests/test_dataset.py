@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from bearingsound import dataset, mlp, synth
-from bearingsound.dataset import (LABELS, Frames, Manifest, ManifestEntry,
-                                  NormalizationStats, SplitSpec)
+from bearingsound.audiofile import AudioRecording
+from bearingsound.common import LABELS
+from bearingsound.dataset import Frames, Manifest, ManifestEntry, SplitSpec
 from bearingsound.dsp import MfccConfig
 from bearingsound.errors import ConfigError, DataError, FormatError
-from bearingsound.synth import AudioRecording
+from bearingsound.mlp import NormalizationStats
 
 FRAME = 2048
 FS = 25600.0

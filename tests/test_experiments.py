@@ -216,21 +216,23 @@ class TestCaches:
 
 
 class TestRun:
-    def test_split_and_train_reports_run_details(self, manifest, tmp_path):
+    def test_train_on_split_reports_run_details(self, manifest, tmp_path):
         config = MfccConfig()
         channels = ("A1_b1", "A2_b2", "B1_b1", "B2_b2")
         experiments.ensure_caches(manifest, channels, config, BAND,
                                   tmp_path / "f")
-        frames, _ = experiments.load_frames(manifest, channels, tmp_path / "f")
+        frames, mfcc = experiments.load_frames(manifest, channels, tmp_path / "f")
         split = dataset.SplitSpec(mode="random", train_size=300, test_size=100,
                                   seed=2)
-        run = experiments.split_and_train(
-            frames, split, mlp.TrainConfig(epochs=3, seed=2))
-        assert len(run["train_frames"]) == 300
-        assert len(run["test_frames"]) == 100
-        assert len(run["loss_history"]) == 3
-        assert run["model"].norm_stats is not None
-        report = experiments.evaluate_frames(run["model"], run["test_frames"])
+        model, log, test_frames = experiments.train_on_split(
+            manifest, channels, frames, mfcc, split,
+            mlp.TrainConfig(epochs=3, seed=2))
+        assert sum(log["train_class_counts"].values()) == 300
+        assert len(test_frames) == 100
+        assert len(log["per_epoch_loss"]) == 3
+        assert model.norm_stats is not None
+        assert model.mfcc == mfcc == log["mfcc"]
+        report = experiments.evaluate_frames(model, test_frames)
         assert 0.0 <= report.accuracy <= 100.0
 
     def test_evaluate_applies_stored_normalization_to_raw_frames(self, manifest,
@@ -242,16 +244,15 @@ class TestRun:
                                             tmp_path / "f")
         split = dataset.SplitSpec(mode="random", train_size=200, test_size=80,
                                   seed=5)
-        run = experiments.split_and_train(
-            frames, split, mlp.TrainConfig(epochs=3, seed=5))
+        model, _, test_frames = experiments.train_on_split(
+            manifest, ("A2_b2", "B2_b2"), frames, None, split,
+            mlp.TrainConfig(epochs=3, seed=5))
         _, test_rows = dataset.make_split(frames, split)
-        raw_report = experiments.evaluate_frames(run["model"],
-                                                 frames.take(test_rows))
-        stats = run["model"].norm_stats
-        bare = dataclasses.replace(run["model"], norm_stats=None)
+        raw_report = experiments.evaluate_frames(model, frames.take(test_rows))
+        stats = model.norm_stats
+        bare = dataclasses.replace(model, norm_stats=None)
         normalized = dataclasses.replace(
-            run["test_frames"],
-            coeffs=(run["test_frames"].coeffs - stats.mean) / stats.std)
+            test_frames, coeffs=(test_frames.coeffs - stats.mean) / stats.std)
         normalized_report = experiments.evaluate_frames(bare, normalized)
         np.testing.assert_array_equal(raw_report.counts,
                                       normalized_report.counts)

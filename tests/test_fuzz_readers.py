@@ -10,8 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bearingsound import audiofile, dataset, mlp, synth  # noqa: E402
-from bearingsound.dataset import NormalizationStats  # noqa: E402
 from bearingsound.errors import DataError  # noqa: E402
+from bearingsound.mlp import NormalizationStats  # noqa: E402
 
 SCENARIO = [{
     "channel": "C1", "label": "D", "axle": "A1", "component": "motor",

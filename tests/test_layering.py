@@ -1,5 +1,6 @@
 """The package's import graph: which module may import which, and that every
-name is imported from the module that defines it."""
+name, in the package and in its tests, is imported from the module that
+defines it."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import bearingsound
 PACKAGE_DIR = Path(bearingsound.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in PACKAGE_DIR.glob("*.py")}
+TESTS = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+         for path in Path(__file__).parent.glob("*.py")}
 
 _BELOW_EXPERIMENTS = {"errors", "common", "audiofile", "dsp", "mlp", "dataset",
                       "metrics"}
@@ -38,6 +41,17 @@ def _package_imports(tree):
                     yield alias.name, None
                 else:
                     yield node.module, alias.name
+
+
+def _absolute_imports(tree):
+    """(module, name or None) for each ``from bearingsound[.module] import
+    name`` in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            package, _, module = (node.module or "").partition(".")
+            if package == "bearingsound":
+                for alias in node.names:
+                    yield (module, alias.name) if module else (alias.name, None)
 
 
 def _defined_names(tree) -> set:
@@ -71,13 +85,21 @@ def test_import_edges_match_the_layers():
     assert edges == ALLOWED
 
 
-def test_each_name_comes_from_the_module_that_defines_it():
+def _assert_imported_from_definition(sources, imports):
     defined = {module: _defined_names(tree) for module, tree in MODULES.items()}
-    for module, tree in MODULES.items():
-        for target, name in _package_imports(tree):
+    for source, tree in sources.items():
+        for target, name in imports(tree):
             if name is None:
-                assert target in MODULES, f"{module}: no module {target}"
+                assert target in MODULES, f"{source}: no module {target}"
             else:
-                assert name in defined[target], (
-                    f"{module} imports {name} from {target}, which does not "
+                assert name in defined.get(target, ()), (
+                    f"{source} imports {name} from {target}, which does not "
                     "define it")
+
+
+def test_each_name_comes_from_the_module_that_defines_it():
+    _assert_imported_from_definition(MODULES, _package_imports)
+
+
+def test_tests_take_each_name_from_the_module_that_defines_it():
+    _assert_imported_from_definition(TESTS, _absolute_imports)

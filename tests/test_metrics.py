@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bearingsound import metrics
-from bearingsound.dataset import LABELS, Frames
+from bearingsound.common import LABELS
+from bearingsound.dataset import Frames
 from bearingsound.errors import DataError
 from bearingsound.metrics import ConfusionMatrix, confusion, round_half_up
 

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from bearingsound import mlp
-from bearingsound.dataset import NormalizationStats
+from bearingsound.common import LABELS
 from bearingsound.errors import ConfigError, DataError, FormatError, NumericError
+from bearingsound.mlp import NormalizationStats
 
 
 def zero_model(dims=(13, 4, 3, 2)):
@@ -35,7 +36,7 @@ class TestForward:
     def test_zero_parameters_give_even_posteriors(self):
         posteriors = mlp.predict_batch(zero_model(), np.zeros(13))[0]
         np.testing.assert_array_equal(posteriors, [0.5, 0.5])
-        assert mlp.LABELS[posteriors.argmax()] == "H"  # ties go to H
+        assert LABELS[posteriors.argmax()] == "H"  # ties go to H
 
     def test_posteriors_sum_to_one(self):
         rng = np.random.default_rng(2)

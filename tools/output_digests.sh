@@ -21,7 +21,8 @@
 # random and by-channel train and eval, an eval of the random model on the
 # 24-channel caches (a model whose feature settings differ from its caches'),
 # scatter, and a few usage errors (among them a zero --fs for synth and for
-# experiment --synth-first).
+# experiment --synth-first, and an experiment --synth-first whose --epochs is
+# rejected before any campaign is written).
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -94,6 +95,8 @@ run error-experiment-size-zero experiment seen-motor --data "$data" \
 run error-synth-fs-zero synth --default-campaign --fs 0 --out "$out/error-synth"
 run error-experiment-fs-zero experiment seen-motor --synth-first --fs 0 \
     --data "$out/error-data"
+run error-experiment-epochs-negative experiment seen-motor --synth-first \
+    --duration 2 --epochs -1 --data "$out/error-epochs-data"
 
 cd "$out"
 find . -type f -print0 | LC_ALL=C sort -z | xargs -0 sha256sum \
