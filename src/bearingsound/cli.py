@@ -69,6 +69,15 @@ def positive_float(text: str) -> float:
     return value
 
 
+def _parse_pair(text: str) -> tuple[int, int]:
+    try:
+        a_text, b_text = text.split(":", 1)
+        return int(a_text), int(b_text)
+    except ValueError:
+        raise ConfigError(
+            f"--pair expects A:B coefficient indices, got {text!r}") from None
+
+
 def _parse_channels(text: str) -> tuple[str, ...]:
     channels = tuple(c.strip() for c in text.split(",") if c.strip())
     if not channels:
@@ -127,38 +136,33 @@ def _train_config(args) -> TrainConfig:
                        batch_size=args.batch, seed=args.seed)
 
 
-def _listed_channels(args, manifest) -> tuple[str, ...]:
-    """--channels, else every manifest channel."""
-    if args.channels:
-        return _parse_channels(args.channels)
-    return tuple(manifest.channels())
-
-
-def _pool_channels(args, split: SplitSpec, manifest) -> tuple[str, ...]:
-    if split.mode == "by_channel":
+def _listed_channels(args, split: SplitSpec | None = None) -> tuple[str, ...] | None:
+    """A by-channel split's two lists, else --channels; None stands for every
+    manifest channel. Parsed before any file is read."""
+    if split is not None and split.mode == "by_channel":
         return split.train_channels + split.test_channels
-    return _listed_channels(args, manifest)
+    return _parse_channels(args.channels) if args.channels else None
 
 
 def _write_campaign(scenario, out_dir: Path) -> None:
-    """Synthesize a scenario into out_dir: WAVs, .rot tracks, manifest."""
-    def write(spec, recording):
-        wav_path = out_dir / f"{spec.channel_id}.wav"
-        audiofile.write_wav(wav_path, recording.samples, recording.fs)
-        audiofile.write_rot_track(wav_path, recording.rotational_freq_track)
-        duration = len(recording.samples) / recording.fs
-        return duration, len(recording.rotational_freq_track)
+    """Synthesize a scenario into out_dir: WAVs, .rot tracks, then the
+    manifest once every channel is written. Each worker drops its recording
+    as soon as it is on disk, so the campaign is never held in memory whole."""
+    common.check_unique_ids(spec.channel_id for spec in scenario)
 
-    written = synth.synth_campaign(scenario, write)
-    entries = {}
-    for spec in scenario:
-        duration, frames = written[spec.channel_id]
-        entries[spec.channel_id] = dataset.ManifestEntry(
-            file=f"{spec.channel_id}.wav", label=spec.label, axle=spec.axle,
-            component=spec.component, description=spec.description)
-        print(f"{spec.channel_id}: {duration:.1f} s, {frames} frames [{spec.label}]")
-    manifest = dataset.Manifest(entries=entries, base_dir=out_dir)
-    dataset.save_manifest(manifest, out_dir / "manifest.json")
+    def write(spec):
+        recording = synth.synth_recording(spec.config, spec.channel_id)
+        wav_path, track = out_dir / spec.entry.file, recording.rotational_freq_track
+        audiofile.write_wav(wav_path, recording.samples, recording.fs)
+        audiofile.write_rot_track(wav_path, track)
+        return len(recording.samples) / recording.fs, len(track)
+
+    for spec, (duration, frames) in zip(scenario, common.map_channels(write, scenario)):
+        print(f"{spec.channel_id}: {duration:.1f} s, {frames} frames "
+              f"[{spec.entry.label}]")
+    entries = {spec.channel_id: spec.entry for spec in scenario}
+    dataset.save_manifest(dataset.Manifest(entries=entries, base_dir=out_dir),
+                          out_dir / "manifest.json")
     print(f"wrote {len(entries)} channels to {out_dir}")
 
 
@@ -175,22 +179,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    config, channels = _mfcc_config(args), _listed_channels(args)
     manifest = dataset.load_manifest(args.manifest)
-    config = _mfcc_config(args)
-    channels = _listed_channels(args, manifest)
-    features_dir = Path(args.out)
-    experiments.ensure_caches(manifest, channels, config, args.band, features_dir,
-                              log=print)
+    experiments.ensure_caches(manifest, channels or tuple(manifest.channels()),
+                              config, args.band, Path(args.out), log=print)
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
+    split, train_config = _split_spec(args), _train_config(args)
+    channels = _listed_channels(args, split)
     manifest = dataset.load_manifest(args.manifest)
-    split = _split_spec(args)
-    channels = _pool_channels(args, split, manifest)
+    channels = channels or tuple(manifest.channels())
     frames, mfcc = experiments.load_frames(manifest, channels, args.features)
     model, log, _ = experiments.train_on_split(
-        manifest, channels, frames, mfcc, split, _train_config(args))
+        manifest, channels, frames, mfcc, split, train_config)
     model_path = Path(args.out)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     mlp.save_model(model, model_path)
@@ -204,11 +207,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    split = _split_spec(args)
+    channels = _listed_channels(args, split)
     manifest = dataset.load_manifest(args.manifest)
     model = mlp.load_model(args.model)
-    split = _split_spec(args)
     frames, mfcc = experiments.load_frames(
-        manifest, _pool_channels(args, split, manifest), args.features)
+        manifest, channels or tuple(manifest.channels()), args.features)
     if model.mfcc != mfcc:
         raise DataError(f"model features {model.mfcc} differ from the caches' {mfcc}")
     _, test_rows = dataset.make_split(frames, split)
@@ -221,15 +225,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scatter(args) -> int:
+    channels = _listed_channels(args)
     manifest = dataset.load_manifest(args.manifest)
-    try:
-        a_text, b_text = args.pair.split(":", 1)
-        pair = (int(a_text), int(b_text))
-    except ValueError:
-        raise ConfigError(f"--pair expects A:B coefficient indices, got {args.pair!r}")
-    channels = _listed_channels(args, manifest)
-    frames, _ = experiments.load_frames(manifest, channels, args.features)
-    rows = metrics.export_scatter(frames, pair, args.out)
+    frames, _ = experiments.load_frames(
+        manifest, channels or tuple(manifest.channels()), args.features)
+    rows = metrics.export_scatter(frames, args.pair, args.out)
     print(f"wrote {rows} rows to {args.out}")
     return EXIT_OK
 
@@ -306,7 +306,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", type=str, required=True)
     p.add_argument("--features", type=str, required=True)
     p.add_argument("--channels", type=str, default=None)
-    p.add_argument("--pair", type=str, required=True, help="A:B, 1-based")
+    p.add_argument("--pair", type=_parse_pair, required=True, help="A:B, 1-based")
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_scatter)
 

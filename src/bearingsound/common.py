@@ -1,13 +1,14 @@
-"""What the other modules share: the labels, the channel checks, JSON I/O,
-the framed layout of feature caches and models, and ``map_channels``, whose
-worker threads run in parallel because numpy releases the interpreter lock
-inside its array loops, FFTs and BLAS calls."""
+"""What the other modules share: the labels, a channel's record and its
+checks, JSON I/O, the framed layout of feature caches and models, and
+``map_channels``, whose worker threads run in parallel because numpy releases
+the interpreter lock inside its array loops, FFTs and BLAS calls."""
 
 from __future__ import annotations
 
 import json
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError, FormatError
@@ -39,6 +40,29 @@ def check_channel(channel_id: str, label: str, component: str) -> None:
     if component not in ("motor", "gearbox"):
         raise DataError(
             f"{channel_id}: component must be motor or gearbox, got {component!r}")
+
+
+@dataclass(frozen=True)
+class ManifestEntry:
+    """A channel's record: its WAV file, label and where it was measured."""
+
+    file: str
+    label: str
+    axle: str
+    component: str
+    description: str
+
+
+def manifest_entry(channel_id: str, fields) -> ManifestEntry:
+    """fields (a manifest or scenario object) as a checked ManifestEntry; a
+    missing file or label is a KeyError, as for any mapping."""
+    entry = ManifestEntry(
+        file=str(fields["file"]), label=str(fields["label"]),
+        axle=str(fields.get("axle", "")),
+        component=str(fields.get("component", "motor")),
+        description=str(fields.get("description", "")))
+    check_channel(channel_id, entry.label, entry.component)
+    return entry
 
 
 def read_json(path, what: str, **json_kwargs):

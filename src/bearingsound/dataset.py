@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .audiofile import AudioRecording
-from .common import (LABELS, check_channel, read_framed, read_json, write_framed,
-                     write_json)
+from .common import (LABELS, ManifestEntry, manifest_entry, read_framed, read_json,
+                     write_framed, write_json)
 from .dsp import MfccConfig, feature_matrix
 from .errors import ConfigError, DataError, FormatError
 from .mlp import NormalizationStats
@@ -28,15 +28,6 @@ BAND_HIGH_HZ = 45.0
 
 CACHE_MAGIC = b"ABFC"
 CACHE_VERSION = 3
-
-
-@dataclass(frozen=True)
-class ManifestEntry:
-    file: str
-    label: str
-    axle: str
-    component: str
-    description: str
 
 
 @dataclass
@@ -96,17 +87,9 @@ def load_manifest(path) -> Manifest:
     entries = {}
     for channel_id, fields in raw.items():
         try:
-            entry = ManifestEntry(
-                file=str(fields["file"]),
-                label=str(fields["label"]),
-                axle=str(fields.get("axle", "")),
-                component=str(fields.get("component", "motor")),
-                description=str(fields.get("description", "")),
-            )
+            entries[channel_id] = manifest_entry(channel_id, fields)
         except (KeyError, TypeError) as exc:
             raise DataError(f"{path}: bad entry for {channel_id} ({exc})") from exc
-        check_channel(channel_id, entry.label, entry.component)
-        entries[channel_id] = entry
     return Manifest(entries=entries, base_dir=path.parent)
 
 

@@ -11,9 +11,10 @@ zone once per revolution), outer-ring trains are not.
 The harmonic sum takes one sin and one cos of the shaft angle per sample and
 gets every higher harmonic from the Chebyshev three-term recurrence.
 
-A campaign's channels are independent, so ``common.map_channels`` runs them
-on worker threads. Each channel's output depends only on its own config, so
-the bytes written are the same for any worker count.
+A scenario lists a campaign's channels, each a ``ChannelSpec``: its id, its
+manifest record (``common.ManifestEntry``) and its ``SynthConfig``. A
+recording depends only on its own config, so ``cli`` writes the channels on
+worker threads and the bytes are the same for any worker count.
 
 Everything is deterministic given the config seed: the harmonic-phase, noise
 and fault randomness come from three independent child streams, so a healthy
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .audiofile import FRAME_SAMPLES, AudioRecording
-from .common import check_channel, check_unique_ids, map_channels, read_json
+from .common import ManifestEntry, manifest_entry, read_json
 from .errors import ConfigError, DataError
 
 OUTER_RING = "outer_ring"
@@ -260,17 +261,12 @@ def synth_recording(config: SynthConfig, channel_id: str = "synth") -> AudioReco
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One channel of a measurement campaign: identity, metadata, generator."""
+    """One channel of a measurement campaign: its id, its manifest record and
+    its generator."""
 
     channel_id: str
-    label: str
-    axle: str
-    component: str
-    description: str
+    entry: ManifestEntry
     config: SynthConfig
-
-    def __post_init__(self):
-        check_channel(self.channel_id, self.label, self.component)
 
 
 CAMPAIGN_DURATION_S = 600.0
@@ -374,10 +370,9 @@ def channel_from_json(entry: dict) -> ChannelSpec:
         harmonic_amplitudes=entry.get("harmonics", SynthConfig.harmonic_amplitudes),
         noise_level=float(entry.get("noise_level", SynthConfig.noise_level)),
         fault=fault)
-    return ChannelSpec(
-        str(entry["channel"]), str(entry["label"]), str(entry.get("axle", "")),
-        str(entry.get("component", "motor")), str(entry.get("description", "")),
-        config)
+    channel_id = str(entry["channel"])
+    return ChannelSpec(channel_id, manifest_entry(
+        channel_id, {**entry, "file": f"{channel_id}.wav"}), config)
 
 
 def scenario_from_json(path) -> list[ChannelSpec]:
@@ -401,22 +396,3 @@ def scenario_from_json(path) -> list[ChannelSpec]:
                 TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad channel entry ({exc})") from exc
     return channels
-
-
-def synth_campaign(scenario: list[ChannelSpec], write=None) -> dict:
-    """Generate every channel of a scenario on map_channels; raises DataError
-    on duplicate channel ids before generating any.
-
-    Returns {channel_id: recording}, or with write, {channel_id: write(spec,
-    recording)}: each worker hands its recording to write as soon as it is
-    generated and keeps only the result, so the campaign is never held in
-    memory whole.
-    """
-    check_unique_ids(spec.channel_id for spec in scenario)
-
-    def channel(spec: ChannelSpec):
-        recording = synth_recording(spec.config, spec.channel_id)
-        return recording if write is None else write(spec, recording)
-
-    results = map_channels(channel, scenario)
-    return {spec.channel_id: result for spec, result in zip(scenario, results)}

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from bearingsound import cli, dataset, dsp, metrics, mlp
+from bearingsound import cli, common, dataset, dsp, metrics, mlp
 from bearingsound.audiofile import AudioRecording
 from bearingsound.dsp import MfccConfig
 from bearingsound.metrics import ConfusionMatrix, round_half_up
@@ -262,7 +262,7 @@ def test_criterion_9_round_trips(tmp_path):
                      rng.integers(0, 1 << 40)) for _ in range(count)]
             frames = dataset.Frames(
                 coeffs=np.array([r[0] for r in rows]),
-                labels=np.full(count, dataset.LABELS.index("D")),
+                labels=np.full(count, common.LABELS.index("D")),
                 channels=np.zeros(count, dtype=np.int64),
                 rot=np.array([r[1] for r in rows]),
                 index=np.array([r[2] for r in rows]), channel_ids=("x",))

@@ -169,7 +169,7 @@ class TestExtractCommand:
     def test_missing_wav_names_file(self, campaign_dir, tmp_path, capsys):
         manifest = dataset.load_manifest(campaign_dir / "manifest.json")
         broken = dataset.Manifest(
-            entries={"ghost": dataset.ManifestEntry(
+            entries={"ghost": common.ManifestEntry(
                 file="ghost.wav", label="H", axle="B1", component="motor",
                 description="")},
             base_dir=tmp_path)
@@ -701,6 +701,45 @@ class TestSplitUsageErrors:
         rc, out, err = run(["experiment", "seen-motor", "--synth-first",
                             "--duration", "2", "--data", str(tmp_path / "data"),
                             *flag, "--out", str(tmp_path / "res")], capsys)
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestFlagsBeforeFiles:
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--coeffs", "0"],
+        ["extract", "--mel-channels", "2000"],
+        ["extract", "--channels", "A1,A1"],
+        ["train", "--epochs", "-1"],
+        ["train", "--split", "by-channel"],
+        ["train", "--channels", "A1,A1"],
+        ["eval", "--split", "by-channel"],
+        ["eval", "--train-channels", "A"],
+        ["scatter", "--pair", "x"],
+        ["scatter", "--channels", "A1,A1"]], ids=" ".join)
+    def test_bad_flag_is_a_usage_error_before_the_manifest_is_read(
+            self, tmp_path, capsys, argv):
+        # No manifest exists: a flag error must still win, as exit 1.
+        command, *flags = argv
+        features = ["--features", f"{tmp_path}/f"]
+        extra = {"extract": [], "train": features,
+                 "eval": [*features, "--model", f"{tmp_path}/m.abmm"],
+                 "scatter": [*features, "--pair", "1:2"]}[command]
+        rc, out, err = run([command, "--manifest", f"{tmp_path}/manifest.json",
+                            *extra, *flags, "--out", f"{tmp_path}/out"], capsys)
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_train_flag_is_a_usage_error_before_the_caches_are_read(
+            self, campaign_dir, tmp_path, capsys):
+        rc, out, err = run(["train", "--manifest", str(campaign_dir / "manifest.json"),
+                            "--features", str(tmp_path / "missing"),
+                            "--epochs", "-1", "--out", str(tmp_path / "m.abmm")],
+                           capsys)
         assert rc == 1
         assert err.startswith("error: ")
         assert out == ""

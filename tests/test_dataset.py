@@ -6,8 +6,8 @@ import pytest
 
 from bearingsound import dataset, mlp, synth
 from bearingsound.audiofile import AudioRecording
-from bearingsound.common import LABELS
-from bearingsound.dataset import Frames, Manifest, ManifestEntry, SplitSpec
+from bearingsound.common import LABELS, ManifestEntry
+from bearingsound.dataset import Frames, Manifest, SplitSpec
 from bearingsound.dsp import MfccConfig
 from bearingsound.errors import ConfigError, DataError, FormatError
 from bearingsound.mlp import NormalizationStats
@@ -104,7 +104,7 @@ class TestGating:
         config = MfccConfig()
         for spec in scenario[:2]:
             recording = synth.synth_recording(spec.config, spec.channel_id)
-            frames = dataset.gate_frames(recording, config, spec.label)
+            frames = dataset.gate_frames(recording, config, spec.entry.label)
             num_frames = len(recording.samples) // FRAME
             means = profile_frame_means(spec.config.rotational_freq_profile,
                                         num_frames)

@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from bearingsound import audiofile, dataset, mlp, synth  # noqa: E402
+from bearingsound import audiofile, common, dataset, mlp, synth  # noqa: E402
 from bearingsound.errors import DataError  # noqa: E402
 from bearingsound.mlp import NormalizationStats  # noqa: E402
 
@@ -39,8 +39,8 @@ def _write_valid_inputs(directory):
     model.norm_stats = NormalizationStats(mean=np.zeros(3), std=np.ones(3))
     mlp.save_model(model, directory / "x.abmm")
     dataset.save_manifest(dataset.Manifest(entries={
-        "A1_b1": dataset.ManifestEntry("x.wav", "D", "A1", "motor", "inner"),
-        "B1_b1": dataset.ManifestEntry("y.wav", "H", "B1", "gearbox", ""),
+        "A1_b1": common.ManifestEntry("x.wav", "D", "A1", "motor", "inner"),
+        "B1_b1": common.ManifestEntry("y.wav", "H", "B1", "gearbox", ""),
     }, base_dir=directory), directory / "manifest.json")
     (directory / "scenario.json").write_text(json.dumps(SCENARIO))
     return {

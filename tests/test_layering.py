@@ -1,6 +1,6 @@
 """The package's import graph: which module may import which, and that every
-name, in the package and in its tests, is imported from the module that
-defines it."""
+name, in the package and in its tests, is imported (or, in the tests, read as
+``module.name``) from the module that defines it."""
 
 import ast
 from pathlib import Path
@@ -54,6 +54,21 @@ def _absolute_imports(tree):
                     yield (module, alias.name) if module else (alias.name, None)
 
 
+def _attribute_uses(tree):
+    """(module, name) for each ``module.name`` in tree whose ``module`` was
+    bound by ``from bearingsound import module [as alias]``."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module == "bearingsound"):
+            aliases.update((alias.asname or alias.name, alias.name)
+                           for alias in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            yield aliases[node.value.id], node.attr
+
+
 def _defined_names(tree) -> set:
     names = set()
     for node in tree.body:
@@ -93,7 +108,7 @@ def _assert_imported_from_definition(sources, imports):
                 assert target in MODULES, f"{source}: no module {target}"
             else:
                 assert name in defined.get(target, ()), (
-                    f"{source} imports {name} from {target}, which does not "
+                    f"{source} takes {name} from {target}, which does not "
                     "define it")
 
 
@@ -103,3 +118,7 @@ def test_each_name_comes_from_the_module_that_defines_it():
 
 def test_tests_take_each_name_from_the_module_that_defines_it():
     _assert_imported_from_definition(TESTS, _absolute_imports)
+
+
+def test_tests_read_each_attribute_from_the_module_that_defines_it():
+    _assert_imported_from_definition(TESTS, _attribute_uses)

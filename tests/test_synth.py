@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bearingsound import audiofile, common, dsp, synth
+from bearingsound import audiofile, cli, common, dataset, dsp, synth
 from bearingsound.errors import ConfigError, DataError
 
 
@@ -193,14 +193,14 @@ class TestCampaign:
         scenario = synth.default_scenario(seed=3, duration=2.0)
         assert [s.channel_id for s in scenario] == [
             "A1_b1", "A2_b2", "A2_b3", "B1_b1", "B2_b2", "B2_b3"]
-        labels = [s.label for s in scenario]
+        labels = [s.entry.label for s in scenario]
         assert labels.count("D") == 3 and labels.count("H") == 3
         by_id = {s.channel_id: s for s in scenario}
         assert by_id["A1_b1"].config.fault.fault_kind == synth.INNER_RING
         assert by_id["A1_b1"].config.fault.amplitude_modulated_by_shaft
         assert by_id["A2_b2"].config.fault.fault_kind == synth.OUTER_RING
         assert not by_id["A2_b2"].config.fault.amplitude_modulated_by_shaft
-        assert by_id["A2_b3"].component == "gearbox"
+        assert by_id["A2_b3"].entry.component == "gearbox"
         for channel in ("B1_b1", "B2_b2", "B2_b3"):
             assert by_id[channel].config.fault is None
 
@@ -211,18 +211,24 @@ class TestCampaign:
         developed = by_id["A2_b2"].config.fault.impulse_amplitude
         assert early < developed
 
-    def test_campaign_generates_every_channel(self):
+    def test_campaign_generates_every_channel(self, tmp_path):
         scenario = synth.default_scenario(seed=5, duration=1.0)
-        recordings = synth.synth_campaign(scenario)
-        assert set(recordings) == {s.channel_id for s in scenario}
+        cli._write_campaign(scenario, tmp_path)
+        manifest = dataset.load_manifest(tmp_path / "manifest.json")
+        assert set(manifest.channels()) == {s.channel_id for s in scenario}
+        assert {p.stem for p in tmp_path.glob("*.wav")} == set(manifest.channels())
 
-    def test_empty_scenario_gives_empty_campaign(self):
-        assert synth.synth_campaign([]) == {}
+    def test_empty_scenario_gives_empty_campaign(self, tmp_path):
+        cli._write_campaign([], tmp_path)
+        assert dataset.load_manifest(tmp_path / "manifest.json").entries == {}
 
-    def test_duplicate_channel_rejected(self):
+    def test_duplicate_channel_rejected(self, tmp_path, monkeypatch):
+        # The ids are checked before any channel is generated or written.
         scenario = synth.default_scenario(seed=5, duration=1.0)
+        monkeypatch.setattr(synth, "synth_recording", None)
         with pytest.raises(DataError, match="A1_b1"):
-            synth.synth_campaign([scenario[0], scenario[0]])
+            cli._write_campaign([scenario[0], scenario[0]], tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_profiles_dip_out_of_band(self):
         for spec in synth.default_scenario(seed=8, duration=100.0):
@@ -315,6 +321,25 @@ class TestScenarioFile:
         assert spec.channel_id == "C1"
         assert spec.config.fault.fault_freq_ratio == 3.5
         assert spec.config.rotational_freq_profile == ((0.0, 43.0), (0.5, 44.0))
+
+    def test_scenario_entry_is_the_manifest_entry(self, tmp_path):
+        # axle, component and description are left out: the manifest
+        # records the same defaults the scenario parser applied.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps([
+            {"channel": "C1", "label": "D", "seed": 1, "duration": 0.5,
+             "profile": [[0.0, 43.0]]},
+            {"channel": "C2", "label": "H", "axle": "B2", "component": "gearbox",
+             "description": "reference", "seed": 2, "duration": 0.5,
+             "profile": [[0.0, 44.0]]}]))
+        scenario = synth.scenario_from_json(path)
+        out = tmp_path / "out"
+        out.mkdir()
+        cli._write_campaign(scenario, out)
+        manifest = dataset.load_manifest(out / "manifest.json")
+        assert manifest.entries == {s.channel_id: s.entry for s in scenario}
+        assert manifest.entries["C1"] == common.ManifestEntry(
+            file="C1.wav", label="D", axle="", component="motor", description="")
 
     @pytest.mark.parametrize("field,value", [("label", "X"),
                                              ("component", "axle")])

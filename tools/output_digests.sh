@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Run a fixed set of bearingsound commands from one checkout and print a
 # sorted "sha256  path" line for every file they leave, including each
-# command's stdout, stderr and exit code.
+# command's stdout, stderr and exit code. The first line names the OpenBLAS
+# kernel (tools/blas_core.py): output bytes repeat for one kernel and thread
+# setting, not across kernels, so lists whose first lines differ are not
+# comparable.
 #
 #   tools/output_digests.sh <checkout> <out-dir>
 #
@@ -21,8 +24,9 @@
 # random and by-channel train and eval, an eval of the random model on the
 # 24-channel caches (a model whose feature settings differ from its caches'),
 # scatter, and a few usage errors (among them a zero --fs for synth and for
-# experiment --synth-first, and an experiment --synth-first whose --epochs is
-# rejected before any campaign is written).
+# experiment --synth-first, an experiment --synth-first whose --epochs is
+# rejected before any campaign is written, and a train whose --epochs is
+# rejected before its missing caches are looked for).
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -30,6 +34,7 @@ if [ $# -ne 2 ]; then
     exit 64
 fi
 src="$(cd "$1" && pwd)/src"
+core="$("${PYTHON:-python3}" "$(dirname "$0")/blas_core.py")"
 mkdir "$2"
 out="$(cd "$2" && pwd)"
 mkdir "$out/logs"
@@ -97,7 +102,10 @@ run error-experiment-fs-zero experiment seen-motor --synth-first --fs 0 \
     --data "$out/error-data"
 run error-experiment-epochs-negative experiment seen-motor --synth-first \
     --duration 2 --epochs -1 --data "$out/error-epochs-data"
+run error-train-epochs-negative train --manifest "$data/manifest.json" \
+    --features "$out/no-features" --epochs -1 --out "$out/error.abmm"
 
+echo "openblas-core  $core"
 cd "$out"
 find . -type f -print0 | LC_ALL=C sort -z | xargs -0 sha256sum \
     | sed 's|  \./|  |'

@@ -7,9 +7,10 @@ at the CLI's default duration, then runs seen-motor, seen-gearbox,
 unseen-A2b2 and unseen-A1b1 on it with seed E, at their default split sizes
 and training settings. Standard output gets one tab-separated row per run:
 campaign seed, experiment seed, experiment, accuracy, TPR and TNR (percent,
-as report.json rounds them) and the SHA-256 of report.json. Standard error
-gets the min and median accuracy and TNR per experiment once every pair has
-run.
+as report.json rounds them), the SHA-256 of report.json and the OpenBLAS
+kernel (tools/blas_core.py), since report bytes and metrics move with the
+kernel. Standard error gets the min and median accuracy and TNR per
+experiment once every pair has run.
 
 --src selects the package source (default: this checkout's src), so two
 checkouts can be swept by one script and their rows compared with diff. Each
@@ -28,6 +29,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from blas_core import core_name
 
 EXPERIMENTS = ("seen-motor", "seen-gearbox", "unseen-A2b2", "unseen-A1b1")
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
@@ -51,7 +54,7 @@ def cli(src: Path, *args) -> None:
 
 
 def sweep_pair(src: Path, campaign_seed: int, experiment_seed: int) -> list[tuple]:
-    rows = []
+    rows, core = [], core_name()
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "campaign"
         cli(src, "--seed", campaign_seed, "synth", "--default-campaign", "--out", data)
@@ -62,7 +65,8 @@ def sweep_pair(src: Path, campaign_seed: int, experiment_seed: int) -> list[tupl
             blob = (out / "report.json").read_bytes()
             report = json.loads(blob)
             rows.append((campaign_seed, experiment_seed, name, report["accuracy"],
-                         report["tpr"], report["tnr"], hashlib.sha256(blob).hexdigest()))
+                         report["tpr"], report["tnr"], hashlib.sha256(blob).hexdigest(),
+                         core))
     return rows
 
 
