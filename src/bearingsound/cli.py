@@ -100,10 +100,10 @@ def _add_mfcc_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--split", choices=("random", "by-channel"), default="random")
-    p.add_argument("--channels", type=str, default=None,
+    p.add_argument("--channels", type=_parse_channels, default=None,
                    help="channels to pool for a random split (default: all)")
-    p.add_argument("--train-channels", type=str, default=None)
-    p.add_argument("--test-channels", type=str, default=None)
+    p.add_argument("--train-channels", type=_parse_channels, default=None)
+    p.add_argument("--test-channels", type=_parse_channels, default=None)
     p.add_argument("--train-size", type=positive_int, default=experiments.SEEN_SPLIT[0])
     p.add_argument("--test-size", type=positive_int, default=experiments.SEEN_SPLIT[1])
 
@@ -124,11 +124,10 @@ def _split_spec(args) -> SplitSpec:
     for name in ("channels",) if mode == "by_channel" else ("train_channels", "test_channels"):
         if getattr(args, name) is not None:
             raise ConfigError(f"--{name.replace('_', '-')} does not apply to --split {args.split}")
-    train_channels = _parse_channels(args.train_channels) if args.train_channels else None
-    test_channels = _parse_channels(args.test_channels) if args.test_channels else None
     return SplitSpec(mode=mode, train_size=args.train_size,
                      test_size=args.test_size, seed=args.seed,
-                     train_channels=train_channels, test_channels=test_channels)
+                     train_channels=args.train_channels,
+                     test_channels=args.test_channels)
 
 
 def _train_config(args) -> TrainConfig:
@@ -136,12 +135,12 @@ def _train_config(args) -> TrainConfig:
                        batch_size=args.batch, seed=args.seed)
 
 
-def _listed_channels(args, split: SplitSpec | None = None) -> tuple[str, ...] | None:
-    """A by-channel split's two lists, else --channels; None stands for every
-    manifest channel. Parsed before any file is read."""
+def _listed_channels(args, manifest, split: SplitSpec | None = None) -> tuple[str, ...]:
+    """A by-channel split's two lists, else --channels, else every manifest
+    channel. argparse parsed the lists before any file was read."""
     if split is not None and split.mode == "by_channel":
         return split.train_channels + split.test_channels
-    return _parse_channels(args.channels) if args.channels else None
+    return args.channels or tuple(manifest.channels())
 
 
 def _write_campaign(scenario, out_dir: Path) -> None:
@@ -179,18 +178,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    config, channels = _mfcc_config(args), _listed_channels(args)
-    manifest = dataset.load_manifest(args.manifest)
-    experiments.ensure_caches(manifest, channels or tuple(manifest.channels()),
+    config, manifest = _mfcc_config(args), dataset.load_manifest(args.manifest)
+    experiments.ensure_caches(manifest, _listed_channels(args, manifest),
                               config, args.band, Path(args.out), log=print)
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     split, train_config = _split_spec(args), _train_config(args)
-    channels = _listed_channels(args, split)
     manifest = dataset.load_manifest(args.manifest)
-    channels = channels or tuple(manifest.channels())
+    channels = _listed_channels(args, manifest, split)
     frames, mfcc = experiments.load_frames(manifest, channels, args.features)
     model, log, _ = experiments.train_on_split(
         manifest, channels, frames, mfcc, split, train_config)
@@ -208,11 +205,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     split = _split_spec(args)
-    channels = _listed_channels(args, split)
     manifest = dataset.load_manifest(args.manifest)
     model = mlp.load_model(args.model)
     frames, mfcc = experiments.load_frames(
-        manifest, channels or tuple(manifest.channels()), args.features)
+        manifest, _listed_channels(args, manifest, split), args.features)
     if model.mfcc != mfcc:
         raise DataError(f"model features {model.mfcc} differ from the caches' {mfcc}")
     _, test_rows = dataset.make_split(frames, split)
@@ -225,10 +221,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    channels = _listed_channels(args)
     manifest = dataset.load_manifest(args.manifest)
     frames, _ = experiments.load_frames(
-        manifest, channels or tuple(manifest.channels()), args.features)
+        manifest, _listed_channels(args, manifest), args.features)
     rows = metrics.export_scatter(frames, args.pair, args.out)
     print(f"wrote {rows} rows to {args.out}")
     return EXIT_OK
@@ -281,7 +276,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("extract", help="extract per-channel feature caches")
     p.add_argument("--manifest", type=str, required=True)
-    p.add_argument("--channels", type=str, default=None)
+    p.add_argument("--channels", type=_parse_channels, default=None)
     _add_mfcc_flags(p)
     p.add_argument("--out", type=str, required=True, help="features directory")
     p.set_defaults(func=cmd_extract)
@@ -305,7 +300,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scatter", help="export a 2-D coefficient scatter table")
     p.add_argument("--manifest", type=str, required=True)
     p.add_argument("--features", type=str, required=True)
-    p.add_argument("--channels", type=str, default=None)
+    p.add_argument("--channels", type=_parse_channels, default=None)
     p.add_argument("--pair", type=_parse_pair, required=True, help="A:B, 1-based")
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_scatter)

@@ -50,20 +50,6 @@ class Manifest:
             raise DataError(f"channel not in manifest: {channel_id}")
         return self.entries[channel_id].label
 
-    def select(self, label: str | None = None, component: str | None = None,
-               axles: tuple[str, ...] | None = None) -> list[str]:
-        """Channel ids matching every given filter, in manifest order."""
-        out = []
-        for channel_id, e in self.entries.items():
-            if label is not None and e.label != label:
-                continue
-            if component is not None and e.component != component:
-                continue
-            if axles is not None and e.axle not in axles:
-                continue
-            out.append(channel_id)
-        return out
-
 
 def save_manifest(manifest: Manifest, path) -> None:
     write_json(path, {channel_id: asdict(e)
@@ -74,7 +60,7 @@ def _reject_duplicate_keys(pairs):
     seen = {}
     for key, value in pairs:
         if key in seen:
-            raise DataError(f"duplicate channel id in manifest: {key}")
+            raise DataError(f"duplicate key in manifest: {key}")
         seen[key] = value
     return seen
 

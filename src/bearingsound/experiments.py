@@ -50,48 +50,39 @@ class ExperimentSpec:
     split: SplitSpec
 
 
-def _require_channels(manifest: Manifest, channels) -> None:
-    missing = [c for c in channels if c not in manifest.entries]
-    if missing:
-        raise DataError(
-            "manifest is missing required channel(s): " + ", ".join(missing))
-
-
 def named_experiment(name: str, manifest: Manifest, seed: int,
                      train_size: int | None = None,
                      test_size: int | None = None) -> ExperimentSpec:
     """Resolve one of the built-in experiment names against a manifest."""
-    default = UNSEEN_SPLIT if name.startswith("unseen") else SEEN_SPLIT
-    sizes = {"train_size": default[0] if train_size is None else train_size,
-             "test_size": default[1] if test_size is None else test_size}
-    if name in ("seen-motor", "seen-gearbox"):
-        if name == "seen-motor":
-            channels = ("A1_b1", "A2_b2", "B1_b1", "B2_b2")
-            _require_channels(manifest, channels)
-        else:
-            _require_channels(manifest, ("A2_b3",))
-            healthy = tuple(manifest.select(label="H", component="gearbox",
-                                            axles=("B1", "B2", "A1")))
-            if not healthy:
-                raise DataError(
-                    "no healthy gearbox channels at axles B1/B2/A1 in the manifest")
-            channels = ("A2_b3",) + healthy
-        split = SplitSpec(mode="random", seed=seed, **sizes)
-        return ExperimentSpec(name=name, channels=channels, split=split)
-
-    if name in ("unseen-A2b2", "unseen-A1b1"):
-        if name == "unseen-A2b2":
-            train_channels, test_channels = ("A1_b1", "B1_b1"), ("A2_b2", "B2_b2")
-        else:
-            train_channels, test_channels = ("A2_b2", "B2_b2"), ("A1_b1", "B1_b1")
-        _require_channels(manifest, train_channels + test_channels)
-        split = SplitSpec(mode="by_channel", seed=seed, **sizes,
-                          train_channels=train_channels, test_channels=test_channels)
-        return ExperimentSpec(name=name, channels=train_channels + test_channels,
-                              split=split)
-
-    raise ConfigError(
-        f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENT_NAMES)}")
+    train_channels = test_channels = None
+    if name == "seen-motor":
+        channels = ("A1_b1", "A2_b2", "B1_b1", "B2_b2")
+    elif name == "seen-gearbox":
+        channels = ("A2_b3",)
+    elif name in ("unseen-A2b2", "unseen-A1b1"):
+        pair = (("A1_b1", "B1_b1"), ("A2_b2", "B2_b2"))
+        train_channels, test_channels = pair if name == "unseen-A2b2" else pair[::-1]
+        channels = train_channels + test_channels
+    else:
+        raise ConfigError(
+            f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENT_NAMES)}")
+    missing = [c for c in channels if c not in manifest.entries]
+    if missing:
+        raise DataError("manifest is missing required channel(s): " + ", ".join(missing))
+    if name == "seen-gearbox":
+        healthy = tuple(c for c, e in manifest.entries.items() if e.label == "H"
+                        and e.component == "gearbox" and e.axle in ("B1", "B2", "A1"))
+        if not healthy:
+            raise DataError(
+                "no healthy gearbox channels at axles B1/B2/A1 in the manifest")
+        channels += healthy
+    mode, default = (("random", SEEN_SPLIT) if train_channels is None
+                     else ("by_channel", UNSEEN_SPLIT))
+    split = SplitSpec(mode=mode, seed=seed,
+                      train_size=default[0] if train_size is None else train_size,
+                      test_size=default[1] if test_size is None else test_size,
+                      train_channels=train_channels, test_channels=test_channels)
+    return ExperimentSpec(name=name, channels=channels, split=split)
 
 
 # --- feature extraction with cache reuse -------------------------------------

@@ -203,6 +203,17 @@ class TestExtractCommand:
         assert "duplicate channel id: B1_b1" in err
         assert not (tmp_path / "f").exists()
 
+    def test_empty_channel_list_is_usage_error(self, campaign_dir, tmp_path,
+                                               capsys):
+        # An empty list is not "every channel": nothing is extracted.
+        rc, out, err = run(["extract", "--manifest",
+                            str(campaign_dir / "manifest.json"),
+                            "--channels", "", "--out", str(tmp_path / "f")], capsys)
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert out == ""
+        assert not (tmp_path / "f").exists()
+
     def test_sample_rate_mismatch(self, campaign_dir, tmp_path, capsys):
         rc, _, err = run(["extract", "--manifest",
                           str(campaign_dir / "manifest.json"),
@@ -718,7 +729,13 @@ class TestFlagsBeforeFiles:
         ["eval", "--split", "by-channel"],
         ["eval", "--train-channels", "A"],
         ["scatter", "--pair", "x"],
-        ["scatter", "--channels", "A1,A1"]], ids=" ".join)
+        ["scatter", "--channels", "A1,A1"],
+        ["extract", "--channels", ""],
+        ["train", "--channels", ""],
+        ["eval", "--channels", ""],
+        ["scatter", "--channels", ""],
+        ["train", "--split", "by-channel", "--train-channels", "",
+         "--test-channels", "B1_b1"]], ids=" ".join)
     def test_bad_flag_is_a_usage_error_before_the_manifest_is_read(
             self, tmp_path, capsys, argv):
         # No manifest exists: a flag error must still win, as exit 1.

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from bearingsound import dataset, mlp, synth
+from bearingsound import dataset, experiments, mlp, synth
 from bearingsound.audiofile import AudioRecording
 from bearingsound.common import LABELS, ManifestEntry
 from bearingsound.dataset import Frames, Manifest, SplitSpec
@@ -340,6 +340,13 @@ class TestManifest:
         with pytest.raises(DataError, match="duplicate"):
             dataset.load_manifest(path)
 
+    def test_duplicate_field_in_entry_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"A1_b1": {"file": "A1_b1.wav", "label": "H", "label": "D"}}')
+        with pytest.raises(DataError, match="duplicate key in manifest: label") as info:
+            dataset.load_manifest(path)
+        assert "channel id" not in str(info.value)
+
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"X": {"file": "a.wav", "label": "broken"}}))
@@ -362,15 +369,17 @@ class TestManifest:
                 dataset.load_manifest(path)
 
     def test_select_filters(self, tmp_path):
+        # seen-gearbox keeps the healthy gearbox channels at B1/B2/A1, in
+        # manifest order: not the A2 gearbox, not the motor channel.
         manifest = Manifest(entries={
-            "A2_b3": ManifestEntry("1.wav", "D", "A2", "gearbox", ""),
-            "B2_b3": ManifestEntry("2.wav", "H", "B2", "gearbox", ""),
-            "B1_b1": ManifestEntry("3.wav", "H", "B1", "motor", ""),
+            "A1_b3": ManifestEntry("1.wav", "H", "A1", "gearbox", ""),
+            "A2_b4": ManifestEntry("2.wav", "H", "A2", "gearbox", ""),
+            "A2_b3": ManifestEntry("3.wav", "D", "A2", "gearbox", ""),
+            "B1_b1": ManifestEntry("4.wav", "H", "B1", "motor", ""),
+            "B2_b3": ManifestEntry("5.wav", "H", "B2", "gearbox", ""),
         }, base_dir=tmp_path)
-        assert manifest.select(label="H", component="gearbox") == ["B2_b3"]
-        assert manifest.select(label="H", component="gearbox",
-                               axles=("B1", "B2", "A1")) == ["B2_b3"]
-        assert manifest.select() == ["A2_b3", "B2_b3", "B1_b1"]
+        spec = experiments.named_experiment("seen-gearbox", manifest, seed=0)
+        assert spec.channels == ("A2_b3", "A1_b3", "B2_b3")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):

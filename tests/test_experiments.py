@@ -65,6 +65,34 @@ class TestNamedExperiments:
         with pytest.raises(DataError, match="A2_b2"):
             experiments.named_experiment("seen-motor", partial, seed=3)
 
+    @staticmethod
+    def _without(manifest, keep):
+        return dataset.Manifest(
+            entries={k: v for k, v in manifest.entries.items() if keep(k, v)},
+            base_dir=manifest.base_dir)
+
+    def test_seen_gearbox_needs_the_damaged_gearbox(self, manifest):
+        partial = self._without(manifest, lambda k, v: k != "A2_b3")
+        with pytest.raises(DataError, match="missing required channel.*A2_b3"):
+            experiments.named_experiment("seen-gearbox", partial, seed=3)
+
+    def test_seen_gearbox_needs_a_healthy_gearbox(self, manifest):
+        partial = self._without(manifest, lambda k, v: k == "A2_b3" or not (
+            v.label == "H" and v.component == "gearbox"))
+        assert "A2_b3" in partial.entries
+        with pytest.raises(DataError, match="no healthy gearbox channels"):
+            experiments.named_experiment("seen-gearbox", partial, seed=3)
+
+    def test_unseen_needs_its_channels(self, manifest):
+        partial = self._without(manifest, lambda k, v: k != "B1_b1")
+        with pytest.raises(DataError, match="missing required channel.*B1_b1"):
+            experiments.named_experiment("unseen-A1b1", partial, seed=3)
+
+    def test_unknown_name_rejected_before_the_manifest_is_read(self, manifest):
+        empty = self._without(manifest, lambda k, v: False)
+        with pytest.raises(ConfigError, match="unknown experiment"):
+            experiments.named_experiment("seen-everything", empty, seed=3)
+
 
 class TestCaches:
     def test_sample_rate_mismatch_rejected(self, manifest, tmp_path):

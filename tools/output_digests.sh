@@ -25,8 +25,9 @@
 # 24-channel caches (a model whose feature settings differ from its caches'),
 # scatter, and a few usage errors (among them a zero --fs for synth and for
 # experiment --synth-first, an experiment --synth-first whose --epochs is
-# rejected before any campaign is written, and a train whose --epochs is
-# rejected before its missing caches are looked for).
+# rejected before any campaign is written, a train whose --epochs is
+# rejected before its missing caches are looked for, and an extract whose
+# --channels list is empty).
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -104,6 +105,8 @@ run error-experiment-epochs-negative experiment seen-motor --synth-first \
     --duration 2 --epochs -1 --data "$out/error-epochs-data"
 run error-train-epochs-negative train --manifest "$data/manifest.json" \
     --features "$out/no-features" --epochs -1 --out "$out/error.abmm"
+run error-extract-channels-empty extract --manifest "$data/manifest.json" \
+    --channels "" --out "$out/error-features"
 
 echo "openblas-core  $core"
 cd "$out"
