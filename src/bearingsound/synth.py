@@ -8,8 +8,10 @@ frequency, a fixed multiple of the shaft frequency. Inner-ring trains are
 amplitude-modulated by the shaft rotation (the defect moves through the load
 zone once per revolution), outer-ring trains are not.
 
-The harmonic sum takes one sin and one cos of the shaft angle per sample and
-gets every higher harmonic from the Chebyshev three-term recurrence.
+The harmonic sum takes one sin and one cos of the shaft angle per sample,
+as the unit phasor z, and evaluates every harmonic at once as a complex
+polynomial in z by Horner's rule. The impacts are overlap-added: each chunk
+of impacts is scattered into the signal with one ``np.bincount``.
 
 A scenario lists a campaign's channels, each a ``ChannelSpec``: its id, its
 manifest record (``common.ManifestEntry``) and its ``SynthConfig``. A
@@ -105,9 +107,11 @@ def sample_profile(profile, t: np.ndarray) -> np.ndarray:
     return np.interp(t, times, freqs)
 
 
-def resonance_kernel(resonance_freq: float, resonance_decay: float, fs: float) -> np.ndarray:
-    """Impulse response of the excited resonance, truncated at -80 dB."""
-    length = int(np.ceil(fs * np.log(1e4) / resonance_decay))
+def resonance_kernel(resonance_freq: float, resonance_decay: float, fs: float,
+                     max_length: int) -> np.ndarray:
+    """Impulse response of the excited resonance, truncated at -80 dB or at
+    max_length samples, whichever is shorter."""
+    length = min(int(np.ceil(fs * np.log(1e4) / resonance_decay)), max_length)
     k = np.arange(length)
     return np.exp(-resonance_decay * k / fs) * np.sin(2.0 * np.pi * resonance_freq * k / fs)
 
@@ -133,7 +137,7 @@ _QUIET_SPELL_PROB = 0.1
 _STRONG_REGIME_LOW = -0.3
 
 
-def _fault_impulses(config: SynthConfig, freq: np.ndarray, revs: np.ndarray,
+def _fault_impulses(config: SynthConfig, revs: np.ndarray,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample indices and amplitudes of the impact train.
 
@@ -149,7 +153,10 @@ def _fault_impulses(config: SynthConfig, freq: np.ndarray, revs: np.ndarray,
     n = len(revs)
     jitter = fault.severity_jitter
     if jitter > 0:
-        period = config.fs / (fault.fault_freq_ratio * freq[indices])
+        # The profile at the impact times: the values _shaft_revolutions
+        # sampled there, without keeping its full-length array alive.
+        freq = sample_profile(config.rotational_freq_profile, indices / config.fs)
+        period = config.fs / (fault.fault_freq_ratio * freq)
         shift = np.rint(jitter * period
                         * rng.uniform(-1.0, 1.0, size=indices.size)).astype(int)
         indices = np.clip(indices + shift, 0, n - 1)
@@ -173,64 +180,69 @@ def _child_rngs(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in children]
 
 
-# Samples per block of the harmonic sum. A block's sin, cos and recurrence
-# arrays (256 KiB each) stay in cache while every harmonic is added, instead
-# of streaming the whole recording through memory once per harmonic.
-_HARMONIC_BLOCK = 1 << 15
+# Samples per block of the harmonic sum. A block's angle, phasor and Horner
+# arrays (64 KiB, 128 KiB and 128 KiB) stay in cache while every harmonic is
+# folded in, instead of streaming the whole recording through memory once per
+# harmonic.
+_HARMONIC_BLOCK = 1 << 13
 
 
 def _harmonic_sum(harmonics, revs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Sum of amp*sin(h*theta + phase), theta = 2*pi*revs, over (h, amp) in
-    harmonics, as amp*cos(phase)*sin(h*theta) + amp*sin(phase)*cos(h*theta).
-    One phase is drawn per entry in order, zero amplitudes too; sin and cos of
-    h*theta come from the recurrence x[h+1] = 2*cos(theta)*x[h] - x[h-1]."""
-    weights: dict[int, tuple[float, float]] = {}
+    harmonics, as Re(sum_h d_h*z**h) with z = exp(i*theta) and
+    d_h = amp*sin(phase) - i*amp*cos(phase) summed over the entries of h.
+    One phase is drawn per entry in order, zero amplitudes too; the
+    polynomial is evaluated by Horner's rule, one complex multiply per
+    harmonic."""
+    weights: dict[int, complex] = {}
     for h, amp in harmonics:
         phase = rng.uniform(0.0, 2.0 * np.pi)
         if amp > 0:
-            w_sin, w_cos = weights.get(h, (0.0, 0.0))
-            weights[h] = (w_sin + amp * np.cos(phase), w_cos + amp * np.sin(phase))
+            weights[h] = weights.get(h, 0j) + complex(amp * np.sin(phase),
+                                                      -amp * np.cos(phase))
     signal = np.zeros(len(revs))
     if not weights:
         return signal
     top = max(weights)
+    theta = np.empty(min(len(revs), _HARMONIC_BLOCK))
+    z = np.empty(len(theta), dtype=complex)
+    p = np.empty_like(z)
     for start in range(0, len(revs), _HARMONIC_BLOCK):
-        theta = 2.0 * np.pi * revs[start : start + _HARMONIC_BLOCK]
-        out = signal[start : start + len(theta)]
-        tmp = np.empty_like(theta)
-        sin_h, cos_h = np.sin(theta), np.cos(theta)
-        sin_prev, cos_prev = np.zeros_like(theta), np.ones_like(theta)
-        two_cos = 2.0 * cos_h
-        for h in range(1, top + 1):
+        m = min(_HARMONIC_BLOCK, len(revs) - start)
+        angle, zm, pm = theta[:m], z[:m], p[:m]
+        np.multiply(2.0 * np.pi, revs[start : start + m], out=angle)
+        np.cos(angle, out=zm.real)
+        np.sin(angle, out=zm.imag)
+        pm.fill(weights[top])
+        for h in range(top - 1, -1, -1):
+            pm *= zm
             if h in weights:
-                w_sin, w_cos = weights[h]
-                out += np.multiply(w_sin, sin_h, out=tmp)
-                out += np.multiply(w_cos, cos_h, out=tmp)
-            if h < top:
-                # Step to h + 1, overwriting the h - 1 arrays.
-                np.subtract(np.multiply(two_cos, sin_h, out=tmp), sin_prev, out=sin_prev)
-                np.subtract(np.multiply(two_cos, cos_h, out=tmp), cos_prev, out=cos_prev)
-                sin_h, sin_prev = sin_prev, sin_h
-                cos_h, cos_prev = cos_prev, cos_h
+                pm += weights[h]
+        signal[start : start + m] = pm.real
     return signal
+
+
+# Kernel samples per chunk of the impact overlap-add (at least one impact per
+# chunk): bounds the index and weight arrays of one np.bincount call.
+_IMPACT_CHUNK_SAMPLES = 1 << 16
 
 
 def synth_recording(config: SynthConfig, channel_id: str = "synth") -> AudioRecording:
     """Generate one channel; deterministic given config (including seed).
 
-    Peak memory is about three float64 arrays of the recording's length.
+    Peak memory is about two float64 arrays of the recording's length.
     """
     rng_phase, rng_noise, rng_fault = _child_rngs(config.seed)
     freq, revs = _shaft_revolutions(config)
     n = len(revs)
 
-    # Everything that needs freq comes first, so it is freed before the
-    # signal is allocated; the three rng streams are independent.
+    # freq is freed once the track is taken, before the impact search and the
+    # signal allocate; the three rng streams are independent.
     num_blocks = n // FRAME_SAMPLES
     track = freq[: num_blocks * FRAME_SAMPLES].reshape(num_blocks, FRAME_SAMPLES).mean(axis=1)
-    if config.fault is not None:
-        indices, amps = _fault_impulses(config, freq, revs, rng_fault)
     del freq
+    if config.fault is not None:
+        indices, amps = _fault_impulses(config, revs, rng_fault)
 
     signal = _harmonic_sum(config.harmonic_amplitudes, revs, rng_phase)
     del revs
@@ -245,12 +257,20 @@ def synth_recording(config: SynthConfig, channel_id: str = "synth") -> AudioReco
             block *= config.noise_level
             signal[start : start + len(block)] += block
 
-    if config.fault is not None:
+    if config.fault is not None and indices.size:
+        # Kernel samples past the end never land in the signal, so the kernel
+        # is no longer than the recording however slow its decay.
         kernel = resonance_kernel(config.fault.resonance_freq,
-                                  config.fault.resonance_decay, config.fs)
-        for idx, amp in zip(indices, amps):
-            stop = min(idx + len(kernel), n)
-            signal[idx:stop] += amp * kernel[: stop - idx]
+                                  config.fault.resonance_decay, config.fs, n)
+        offsets = np.arange(len(kernel))
+        chunk = max(1, _IMPACT_CHUNK_SAMPLES // len(kernel))
+        for first in range(0, len(indices), chunk):
+            idx = indices[first : first + chunk]
+            lo = idx.min()
+            hi = min(idx.max() + len(kernel), n)
+            spread = np.bincount((idx[:, None] - lo + offsets).ravel(),
+                                 (amps[first : first + chunk, None] * kernel).ravel())
+            signal[lo:hi] += spread[: hi - lo]
 
     return AudioRecording(samples=signal, fs=config.fs, channel_id=channel_id,
                           rotational_freq_track=track)
@@ -319,7 +339,8 @@ def impulse_amplitude_for_power(power_db: float, harmonics, profile,
     harmonic_ms = 0.5 * sum(a * a for _, a in harmonics)
     t = np.linspace(0.0, duration, 512)
     mean_fr = float(np.mean(sample_profile(profile, t)))
-    kernel = resonance_kernel(resonance_freq, resonance_decay, fs)
+    kernel = resonance_kernel(resonance_freq, resonance_decay, fs,
+                              int(round(duration * fs)))
     kernel_energy = float(np.sum(kernel**2))
     rate = fault_freq_ratio * mean_fr
     modulation_ms = 1.5 if fault_kind == INNER_RING else 1.0

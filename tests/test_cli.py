@@ -120,6 +120,24 @@ class TestSynthCommand:
         assert "A2_b2: synthesis failed" in err
         assert not (out / "manifest.json").exists()
 
+    def test_slow_resonance_decay_writes_its_wav(self, tmp_path, capsys):
+        # A -80 dB kernel of fs*ln(1e4)/1e-6 samples would need terabytes;
+        # the kernel stops at the end of the 2 s recording instead.
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps([{
+            "channel": "S1", "label": "D", "seed": 1, "duration": 2.0,
+            "profile": [[0.0, 43.0]], "harmonics": [[1, 1.0]],
+            "fault": {"kind": "outer_ring", "freq_ratio": 3.5,
+                      "amplitude": 0.01, "resonance_freq": 4000.0,
+                      "resonance_decay": 1e-6}}]))
+        out = tmp_path / "out"
+        rc, _, err = run(["synth", "--scenario", str(scenario),
+                          "--out", str(out)], capsys)
+        assert rc == 0, err
+        samples, fs = audiofile.read_wav(out / "S1.wav")
+        assert (len(samples), fs) == (51200, 25600.0)
+        assert (out / "manifest.json").exists()
+
     def test_requires_a_source(self, tmp_path, capsys):
         rc, _, err = run(["synth", "--out", str(tmp_path / "o")], capsys)
         assert rc == 1

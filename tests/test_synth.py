@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 import threading
 import time
 import tracemalloc
@@ -19,11 +20,16 @@ def tone_config(seed=123, duration=4.0, fault=None, noise=0.0,
         harmonic_amplitudes=harmonics, noise_level=noise, fault=fault)
 
 
-def impulse_indices(config):
-    """The impact sample positions synth_recording draws for a faulted config."""
-    freq, revs = synth._shaft_revolutions(config)
+def impulse_train(config):
+    """The impact sample positions and amplitudes synth_recording draws for a
+    faulted config."""
+    _, revs = synth._shaft_revolutions(config)
     rng_fault = synth._child_rngs(config.seed)[2]
-    return synth._fault_impulses(config, freq, revs, rng_fault)[0]
+    return synth._fault_impulses(config, revs, rng_fault)
+
+
+def impulse_indices(config):
+    return impulse_train(config)[0]
 
 
 def outer_fault(amplitude=2.0, ratio=3.5, jitter=0.0):
@@ -130,6 +136,71 @@ class TestFaultTrain:
                                         synth._child_rngs(config.seed)[0])
         residual = synth.synth_recording(config, "h").samples - harmonics
         assert np.flatnonzero(residual).size == 0
+
+
+class TestImpactOverlapAdd:
+    """The chunked np.bincount overlap-add against a per-impact loop that
+    adds each impact's kernel, cut at the end of the recording."""
+
+    @staticmethod
+    def impact_component(config):
+        silent = dataclasses.replace(config, harmonic_amplitudes=((1, 0.0),),
+                                     noise_level=0.0)
+        return synth.synth_recording(silent, "f").samples
+
+    @staticmethod
+    def loop_reference(config, indices, amps):
+        fault = config.fault
+        kernel = synth.resonance_kernel(fault.resonance_freq, fault.resonance_decay,
+                                        config.fs, sys.maxsize)
+        n = int(round(config.duration * config.fs))
+        expected = np.zeros(n)
+        for idx, amp in zip(indices, amps):
+            stop = min(idx + len(kernel), n)
+            expected[idx:stop] += amp * kernel[: stop - idx]
+        return expected
+
+    def check(self, config, indices, amps):
+        np.testing.assert_allclose(self.impact_component(config),
+                                   self.loop_reference(config, indices, amps),
+                                   rtol=0, atol=1e-12)
+
+    def test_jittered_inner_ring_train(self):
+        # Jitter 0.75 moves neighbouring impacts past each other, so the
+        # indices are unsorted; four seconds span several chunks.
+        fault = synth.FaultSpec(
+            fault_kind=synth.INNER_RING, fault_freq_ratio=5.4,
+            impulse_amplitude=0.8, resonance_freq=4300.0, resonance_decay=900.0,
+            amplitude_modulated_by_shaft=True, severity_jitter=0.75)
+        config = tone_config(seed=31, fault=fault)
+        indices, amps = impulse_train(config)
+        assert np.any(np.diff(indices) < 0)
+        self.check(config, indices, amps)
+
+    def test_repeated_and_clipped_indices(self, monkeypatch):
+        # Impacts clipped to the first and last sample land on one index.
+        config = tone_config(duration=1.0, fault=outer_fault(jitter=0.5))
+        n = int(round(config.duration * config.fs))
+        indices = np.concatenate([impulse_indices(config), [n - 1, 0, n - 1, n - 1, 0]])
+        amps = np.linspace(0.5, 2.0, indices.size)
+        monkeypatch.setattr(synth, "_fault_impulses", lambda *args: (indices, amps))
+        self.check(config, indices, amps)
+
+    def test_kernel_longer_than_recording(self):
+        # The -80 dB kernel of a 5/s decay is 47 000 samples, the recording
+        # 12 800: the kernel stops at the recording's end, and every impact
+        # is its own chunk.
+        fault = dataclasses.replace(outer_fault(amplitude=0.05, jitter=0.3),
+                                    resonance_decay=5.0)
+        config = tone_config(seed=8, duration=0.5, fault=fault)
+        n = int(round(config.duration * config.fs))
+        assert len(synth.resonance_kernel(4000.0, 5.0, config.fs, sys.maxsize)) > n
+        self.check(config, *impulse_train(config))
+
+    def test_recording_of_no_samples(self):
+        # 1e-5 s rounds to zero samples: no impacts, and no kernel to spread.
+        config = tone_config(duration=1e-5, fault=outer_fault())
+        assert synth.synth_recording(config, "f").samples.size == 0
 
 
 class TestDeterminismAndSeparation:
@@ -285,7 +356,7 @@ class TestMapChannels:
 class TestMemory:
     def test_synth_recording_and_write_wav_peaks(self, tmp_path):
         # A long damaged channel: both peaks are measured in float64 arrays
-        # of the recording's length (about 3.1 and 1.25 of them).
+        # of the recording's length (about 2.1 and 1.25 of them).
         spec = synth.default_scenario(seed=1, duration=120.0)[0]
         assert spec.config.fault is not None
         n = int(round(spec.config.duration * spec.config.fs))

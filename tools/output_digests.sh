@@ -16,7 +16,10 @@
 #   tools/output_digests.sh . /tmp/after > after.txt
 #   diff before.txt after.txt
 #
-# The set: a seed-5 40 s default campaign, the four named experiments
+# The set: a seed-5 40 s default campaign, a two-channel scenario file (a
+# jittered inner-ring fault, and an outer-ring fault whose resonance kernel
+# outlasts its 1 s recording), the same file with a resonance so slow that
+# its -80 dB kernel would span days, the four named experiments
 # (600/200 split, 2 epochs), seen-motor with --synth-first on an 8 s
 # campaign, seen-motor again on that campaign after one of its caches was
 # truncated (that channel is extracted again, the others are reused),
@@ -52,6 +55,30 @@ run() {
 
 data="$out/campaign"
 run synth --seed 5 synth --default-campaign --duration 40 --out "$data"
+# scenario_file FILE DECAY: two faulted channels, the second on a 1 s
+# recording with a resonance that decays at DECAY per second.
+scenario_file() {
+    cat > "$1" <<EOF
+[{"channel": "J1", "label": "D", "seed": 11, "duration": 4,
+  "profile": [[0, 43.0], [2, 44.5], [3, 36.0]],
+  "harmonics": [[1, 1.0], [2, 0.5], [5, 0.2]], "noise_level": 0.3,
+  "fault": {"kind": "inner_ring", "freq_ratio": 5.4, "amplitude": 0.9,
+            "resonance_freq": 4300, "resonance_decay": 900,
+            "modulated": true, "jitter": 0.75}},
+ {"channel": "K1", "label": "D", "seed": 12, "duration": 1,
+  "profile": [[0, 44.0]], "harmonics": [[1, 1.0], [3, 0.3]],
+  "noise_level": 0.2,
+  "fault": {"kind": "outer_ring", "freq_ratio": 3.5, "amplitude": 0.02,
+            "resonance_freq": 3000, "resonance_decay": $2, "jitter": 0.1}}]
+EOF
+}
+scenario_file "$out/scenario.json" 5
+run synth-scenario synth --scenario "$out/scenario.json" \
+    --out "$out/scenario-campaign"
+scenario_file "$out/scenario-slow-decay.json" 1e-6
+run synth-scenario-slow-decay synth --scenario "$out/scenario-slow-decay.json" \
+    --out "$out/scenario-slow-decay-campaign"
+
 for name in seen-motor seen-gearbox unseen-A2b2 unseen-A1b1; do
     run "experiment-$name" --seed 5 experiment "$name" --data "$data" \
         --train-size 600 --test-size 200 --epochs 2 \
