@@ -41,8 +41,6 @@ def _parse_band(text: str) -> tuple[float, float]:
         low, high = finite_float(low_text), finite_float(high_text)
     except ValueError:
         raise ConfigError(f"--band expects LO:HI, got {text!r}") from None
-    if low > high:
-        raise ConfigError(f"--band low {low} exceeds high {high}")
     return low, high
 
 
@@ -94,7 +92,7 @@ def _add_mfcc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coeffs", type=int, default=MfccConfig.num_coeffs,
                    help="number of cepstral coefficients")
     p.add_argument("--band", type=_parse_band,
-                   default=(dataset.BAND_LOW_HZ, dataset.BAND_HIGH_HZ),
+                   default=(MfccConfig.band_low, MfccConfig.band_high),
                    help="rotational gating band LO:HI in Hz")
 
 
@@ -115,8 +113,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _mfcc_config(args) -> MfccConfig:
+    """The whole feature record; MfccConfig rejects a reversed --band."""
     return MfccConfig(num_channels=args.mel_channels, sample_rate=args.fs,
-                      num_coeffs=args.coeffs)
+                      num_coeffs=args.coeffs, band_low=args.band[0],
+                      band_high=args.band[1])
 
 
 def _split_spec(args) -> SplitSpec:
@@ -180,7 +180,7 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     config, manifest = _mfcc_config(args), dataset.load_manifest(args.manifest)
     experiments.ensure_caches(manifest, _listed_channels(args, manifest),
-                              config, args.band, Path(args.out), log=print)
+                              config, Path(args.out), log=print)
     return EXIT_OK
 
 
@@ -247,7 +247,7 @@ def cmd_experiment(args) -> int:
         train_size=args.train_size, test_size=args.test_size)
     out_dir = Path(args.out) if args.out else data_dir / "results" / args.name
     report = experiments.run_experiment(
-        manifest, spec, config, train_config, args.band, out_dir=out_dir,
+        manifest, spec, config, train_config, out_dir=out_dir,
         features_dir=data_dir / "features", log=print)
     print(f"{args.name}: accuracy {metrics.round_half_up(report.accuracy):.2f}%  "
           f"TPR {metrics.round_half_up(report.tpr):.2f}%  "
@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -23,9 +23,6 @@ from .dsp import MfccConfig, feature_matrix
 from .errors import ConfigError, DataError, FormatError
 from .mlp import NormalizationStats
 
-BAND_LOW_HZ = 42.0
-BAND_HIGH_HZ = 45.0
-
 CACHE_MAGIC = b"ABFC"
 CACHE_VERSION = 3
 
@@ -123,11 +120,9 @@ def _channel_frames(coeffs, rot, index, label: str, channel_id: str) -> Frames:
                   channel_ids=(channel_id,))
 
 
-def gate_frames(recording: AudioRecording, config: MfccConfig, label: str,
-                band_low: float = BAND_LOW_HZ,
-                band_high: float = BAND_HIGH_HZ) -> Frames:
-    """Features for the frames whose mean rotational frequency lies in
-    [band_low, band_high] (both ends inclusive)."""
+def gate_frames(recording: AudioRecording, config: MfccConfig, label: str) -> Frames:
+    """Features for the frames whose mean rotational frequency lies in the
+    config's [band_low, band_high] (both ends inclusive)."""
     track = recording.rotational_freq_track
     if len(track) == 0:
         raise DataError(f"{recording.channel_id}: recording has no rotational track")
@@ -136,7 +131,7 @@ def gate_frames(recording: AudioRecording, config: MfccConfig, label: str,
         raise DataError(
             f"{recording.channel_id}: track length {len(track)} does not match "
             f"{num_frames} frames of {config.dft_size} samples")
-    keep = (track >= band_low) & (track <= band_high)
+    keep = (track >= config.band_low) & (track <= config.band_high)
     rows = feature_matrix(recording.samples, config)
     return _channel_frames(rows[keep], track[keep], np.flatnonzero(keep), label,
                            recording.channel_id)

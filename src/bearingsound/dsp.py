@@ -10,6 +10,7 @@ All functions are pure; nothing here holds mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,21 +32,22 @@ def mel_to_hz(m):
 
 @dataclass(frozen=True)
 class MfccConfig:
-    """Parameters of the feature front end.
+    """The feature settings, which a cache's signature and a model record.
 
     dft_size is the frame length in samples and must be a power of two.
-    num_channels is the Mel filter count, num_coeffs the number of cepstral
-    coefficients kept (c1..c_num_coeffs; there is no c0 term).
+    num_channels is the Mel filter count over 0..fs/2, num_coeffs the number
+    of cepstral coefficients kept (c1..c_num_coeffs; there is no c0 term).
+    Frames are Hann-windowed. band_low..band_high is the rotational gating
+    band in Hz, both ends inclusive.
     """
 
     dft_size: int = 2048
     num_channels: int = 26
     sample_rate: float = 25600.0
-    freq_low: float = 0.0
-    freq_high: float | None = None
     num_coeffs: int = 13
-    window_kind: str = "hann"
-    log_floor: float = 1e-10
+    band_low: float = 42.0
+    band_high: float = 45.0
+    log_floor: ClassVar[float] = 1e-10
 
     def __post_init__(self):
         n = self.dft_size
@@ -53,23 +55,15 @@ class MfccConfig:
             raise ConfigError(f"dft_size must be a power of two >= 2, got {n}")
         if self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.freq_high is None:
-            object.__setattr__(self, "freq_high", self.sample_rate / 2.0)
-        if not (0.0 <= self.freq_low < self.freq_high <= self.sample_rate / 2.0):
-            raise ConfigError(
-                f"need 0 <= freq_low < freq_high <= fs/2, got "
-                f"[{self.freq_low}, {self.freq_high}] at fs={self.sample_rate}"
-            )
         if not (1 <= self.num_coeffs <= self.num_channels <= n // 2):
             raise ConfigError(
                 f"need 1 <= num_coeffs <= num_channels <= dft_size/2, got "
                 f"num_coeffs={self.num_coeffs}, num_channels={self.num_channels}, "
                 f"dft_size={n}"
             )
-        if self.window_kind not in ("rectangular", "hann"):
-            raise ConfigError(f"unknown window kind: {self.window_kind!r}")
-        if self.log_floor <= 0:
-            raise ConfigError(f"log_floor must be positive, got {self.log_floor}")
+        if self.band_low > self.band_high:
+            raise ConfigError(
+                f"band low {self.band_low} exceeds high {self.band_high}")
 
 
 def window_samples(kind: str, n: int) -> np.ndarray:
@@ -104,23 +98,21 @@ def build_filterbank(config: MfccConfig) -> MelFilterbank:
     """Construct the Mel filterbank for a config.
 
     Centers sit at num_channels + 2 equidistant points on the Mel scale
-    between freq_low and freq_high; each triangle rises from the previous
-    center bin to 1.0 at its own and falls to zero at the next. Raises
-    ConfigError when the Mel points collapse onto non-distinct DFT bins,
-    i.e. when fs/dft_size is too coarse for the requested channel count.
+    between 0 and fs/2; each triangle rises from the previous center bin to
+    1.0 at its own and falls to zero at the next. Raises ConfigError when the
+    Mel points collapse onto non-distinct DFT bins, i.e. when fs/dft_size is
+    too coarse for the requested channel count.
     """
     n = config.dft_size
     k = config.num_channels
-    mel_points = np.linspace(
-        hz_to_mel(config.freq_low), hz_to_mel(config.freq_high), k + 2
-    )
+    mel_points = np.linspace(0.0, hz_to_mel(config.sample_rate / 2.0), k + 2)
     hz_points = mel_to_hz(mel_points)
     bins = np.floor((n + 1) * hz_points / config.sample_rate).astype(int)
     bins = np.minimum(bins, n // 2)
     if np.any(np.diff(bins) < 1):
         raise ConfigError(
-            f"{k} Mel channels do not fit between {config.freq_low} and "
-            f"{config.freq_high} Hz at a bin width of {config.sample_rate / n:.3f} Hz"
+            f"{k} Mel channels do not fit below {config.sample_rate / 2.0} Hz "
+            f"at a bin width of {config.sample_rate / n:.3f} Hz"
         )
 
     weights = np.zeros((k, n // 2 + 1))
@@ -197,7 +189,7 @@ def feature_matrix(samples: np.ndarray, config: MfccConfig) -> np.ndarray:
     if num_frames == 0:
         return np.zeros((0, config.num_coeffs))
     fb = build_filterbank(config)
-    window = window_samples(config.window_kind, n)
+    window = window_samples("hann", n)
     frames = samples[: num_frames * n].reshape(num_frames, n)
     out = np.zeros((num_frames, config.num_coeffs))
     # Chunks of 2^20 samples keep the windowed frames, their spectra and the

@@ -88,14 +88,8 @@ def named_experiment(name: str, manifest: Manifest, seed: int,
 # --- feature extraction with cache reuse -------------------------------------
 
 
-def feature_settings(config: MfccConfig, band: tuple[float, float]) -> dict:
-    """The feature settings a cache's signature and a model record."""
-    return {**asdict(config), "band": list(band)}
-
-
 def extract_channel(manifest: Manifest, channel_id: str, config: MfccConfig,
-                    band: tuple[float, float], cache_path,
-                    signature: dict) -> tuple[int, dataset.Frames]:
+                    cache_path, signature: dict) -> tuple[int, dataset.Frames]:
     """Gate one channel and cache it with signature; returns (total, gated frames)."""
     wav_path = manifest.wav_path(channel_id)
     samples, fs = audiofile.read_wav(wav_path)
@@ -106,21 +100,20 @@ def extract_channel(manifest: Manifest, channel_id: str, config: MfccConfig,
         raise DataError(
             f"{channel_id}: WAV sample rate {recording.fs} Hz does not match "
             f"configured {config.sample_rate} Hz")
-    frames = dataset.gate_frames(recording, config, manifest.label(channel_id),
-                                 band_low=band[0], band_high=band[1])
+    frames = dataset.gate_frames(recording, config, manifest.label(channel_id))
     dataset.write_cache(cache_path, frames, signature)
     return len(recording.samples) // config.dft_size, frames
 
 
-def ensure_caches(manifest: Manifest, channels, config: MfccConfig,
-                  band: tuple[float, float], features_dir,
+def ensure_caches(manifest: Manifest, channels, config: MfccConfig, features_dir,
                   log=None) -> dict[str, dataset.Frames]:
-    """Each channel's gated frames, in order: read once from a cache with this
-    signature, else extracted on worker threads and cached. Logs each channel."""
+    """Each channel's gated frames, in order: read once from a cache whose
+    signature holds these settings (``asdict(config)``) and the source's
+    hash, else extracted on worker threads and cached. Logs each channel."""
     check_unique_ids(channels)
     features_dir = Path(features_dir)
     features_dir.mkdir(parents=True, exist_ok=True)
-    mfcc = feature_settings(config, band)
+    mfcc = asdict(config)
     paths, frames, stale = {}, {}, {}
     for channel_id in channels:
         paths[channel_id] = features_dir / f"{channel_id}.abfc"
@@ -131,7 +124,7 @@ def ensure_caches(manifest: Manifest, channels, config: MfccConfig,
         if frames[channel_id] is None:
             stale[channel_id] = signature
     extracted = map_channels(
-        lambda c: extract_channel(manifest, c, config, band, paths[c], stale[c]),
+        lambda c: extract_channel(manifest, c, config, paths[c], stale[c]),
         stale)
     notes = dict.fromkeys(channels, "cache reused")
     for channel_id, (total, gated) in zip(stale, extracted):
@@ -207,16 +200,15 @@ def evaluate_frames(model: mlp.MlpModel,
 
 def run_experiment(manifest: Manifest, spec: ExperimentSpec,
                    mfcc_config: MfccConfig, train_config: TrainConfig,
-                   band: tuple[float, float], out_dir, features_dir,
-                   log=None) -> metrics.MetricsReport:
+                   out_dir, features_dir, log=None) -> metrics.MetricsReport:
     """Extract, split, train and evaluate one named experiment; returns the
     test report."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = dataset.Frames.concat(ensure_caches(
-        manifest, spec.channels, mfcc_config, band, features_dir, log=log).values())
+        manifest, spec.channels, mfcc_config, features_dir, log=log).values())
     model, run_log, test_frames = train_on_split(
-        manifest, spec.channels, frames, feature_settings(mfcc_config, band),
+        manifest, spec.channels, frames, asdict(mfcc_config),
         spec.split, train_config)
     report = evaluate_frames(model, test_frames)
 

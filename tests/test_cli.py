@@ -120,6 +120,16 @@ class TestSynthCommand:
         assert "A2_b2: synthesis failed" in err
         assert not (out / "manifest.json").exists()
 
+    def test_duration_too_large_to_allocate_is_a_data_error(self, tmp_path,
+                                                            capsys):
+        # 1e9 s at 25.6 kHz asks for 186 TiB per channel, which fails at once.
+        out = tmp_path / "out"
+        rc, _, err = run(["synth", "--default-campaign", "--duration", "1e9",
+                          "--out", str(out)], capsys)
+        assert rc == 2
+        assert err.startswith("data error: ") and "allocate" in err
+        assert not (out / "manifest.json").exists()
+
     def test_slow_resonance_decay_writes_its_wav(self, tmp_path, capsys):
         # A -80 dB kernel of fs*ln(1e4)/1e-6 samples would need terabytes;
         # the kernel stops at the end of the 2 s recording instead.
@@ -562,6 +572,19 @@ class TestUsageErrors:
         assert "LO:HI" in err
 
     @pytest.mark.parametrize("argv", [
+        ["extract", "--manifest", "{t}/manifest.json", "--band", "45:42",
+         "--out", "{t}/f"],
+        ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
+         "--band", "45:42"]])
+    def test_reversed_band_is_usage_error(self, tmp_path, capsys, argv):
+        # MfccConfig rejects the band before any input is read or written.
+        rc, out, err = run([a.format(t=tmp_path) for a in argv], capsys)
+        assert rc == 1
+        assert err.startswith("error: ") and "exceeds" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
         ["extract", "--manifest", "{t}/manifest.json", "--band", "nan:nan",
          "--out", "{t}/f"],
         ["extract", "--manifest", "{t}/manifest.json", "--band=0:inf",
@@ -787,6 +810,5 @@ class TestDefaults:
         args = parser.parse_args(["experiment", "seen-motor", "--data", "d"])
         assert cli._mfcc_config(args) == MfccConfig()
         assert cli._train_config(args) == mlp.TrainConfig()
-        assert args.band == (dataset.BAND_LOW_HZ, dataset.BAND_HIGH_HZ)
         args = parser.parse_args(["synth", "--default-campaign", "--out", "o"])
         assert args.fs == synth.SynthConfig().fs

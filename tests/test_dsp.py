@@ -40,18 +40,14 @@ class TestConfig:
         assert cfg.dft_size == 2048
         assert cfg.num_channels == 26
         assert cfg.num_coeffs == 13
-        assert cfg.freq_high == 12800.0
+        assert (cfg.band_low, cfg.band_high) == (42.0, 45.0)
 
     @pytest.mark.parametrize("kwargs", [
         {"dft_size": 1000},                      # not a power of two
         {"dft_size": 0},
-        {"freq_low": -1.0},
-        {"freq_low": 500.0, "freq_high": 400.0},
-        {"freq_high": 99999.0},
         {"num_coeffs": 30},                      # > num_channels
         {"num_channels": 2000},                  # > N/2
-        {"window_kind": "blackman"},
-        {"log_floor": 0.0},
+        {"band_low": 45.0, "band_high": 42.0},   # reversed gating band
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):

@@ -4,11 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from bearingsound import cli, dataset, experiments, mlp
+from bearingsound import audiofile, cli, dataset, experiments, mlp
 from bearingsound.dsp import MfccConfig
 from bearingsound.errors import ConfigError, DataError
-
-BAND = (42.0, 45.0)
 
 
 @pytest.fixture(scope="module")
@@ -98,27 +96,27 @@ class TestCaches:
     def test_sample_rate_mismatch_rejected(self, manifest, tmp_path):
         config = MfccConfig(sample_rate=16000.0)  # the campaign is 25.6 kHz
         with pytest.raises(DataError, match="sample rate"):
-            experiments.extract_channel(manifest, "B1_b1", config, BAND,
+            experiments.extract_channel(manifest, "B1_b1", config,
                                         tmp_path / "B1_b1.abfc", {})
 
     def test_caches_are_reused_when_config_matches(self, manifest, tmp_path):
         config = MfccConfig()
         messages = []
-        experiments.ensure_caches(manifest, ("B1_b1",), config, BAND,
+        experiments.ensure_caches(manifest, ("B1_b1",), config,
                                   tmp_path / "f", log=messages.append)
         assert "gated" in messages[0]
         messages.clear()
-        experiments.ensure_caches(manifest, ("B1_b1",), config, BAND,
+        experiments.ensure_caches(manifest, ("B1_b1",), config,
                                   tmp_path / "f", log=messages.append)
         assert messages == ["B1_b1: cache reused"]
         assert sorted(p.name for p in (tmp_path / "f").iterdir()) == ["B1_b1.abfc"]
 
     def test_config_change_invalidates_caches(self, manifest, tmp_path):
-        experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(), BAND,
+        experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(),
                                   tmp_path / "f")
         messages = []
         experiments.ensure_caches(manifest, ("B1_b1",),
-                                  MfccConfig(num_coeffs=10), BAND,
+                                  MfccConfig(num_coeffs=10),
                                   tmp_path / "f", log=messages.append)
         assert "gated" in messages[0]
 
@@ -127,14 +125,14 @@ class TestCaches:
         # Extract everything at 42:45, two channels at 30:50, then everything
         # at 30:50: only the two re-extracted caches hold 30:50 features.
         channels = manifest.channels()
-        experiments.ensure_caches(manifest, channels, MfccConfig(), BAND,
+        wide = MfccConfig(band_low=30.0, band_high=50.0)
+        experiments.ensure_caches(manifest, channels, MfccConfig(),
                                   tmp_path / "f")
-        experiments.ensure_caches(manifest, ("A1_b1", "B1_b1"), MfccConfig(),
-                                  (30.0, 50.0), tmp_path / "f")
+        experiments.ensure_caches(manifest, ("A1_b1", "B1_b1"), wide,
+                                  tmp_path / "f")
         messages = []
-        result = experiments.ensure_caches(manifest, channels, MfccConfig(),
-                                           (30.0, 50.0), tmp_path / "f",
-                                           log=messages.append)
+        result = experiments.ensure_caches(manifest, channels, wide,
+                                           tmp_path / "f", log=messages.append)
         reused = sorted(m.split(":")[0] for m in messages if "reused" in m)
         assert reused == ["A1_b1", "B1_b1"]
         assert len(messages) == len(channels)
@@ -147,7 +145,7 @@ class TestCaches:
             assert np.array_equal(frames.coeffs, cached.coeffs)
             assert np.array_equal(frames.index, cached.index)
         _, mfcc = experiments.load_frames(manifest, channels, tmp_path / "f")
-        assert mfcc["band"] == [30.0, 50.0]
+        assert (mfcc["band_low"], mfcc["band_high"]) == (30.0, 50.0)
 
     def test_new_audio_invalidates_caches(self, tmp_path):
         data = tmp_path / "data"
@@ -156,7 +154,7 @@ class TestCaches:
             assert cli.main(["--seed", seed, "synth", "--default-campaign",
                              "--duration", "2", "--out", str(data)]) == 0
             manifest = dataset.load_manifest(data / "manifest.json")
-            experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(), BAND,
+            experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(),
                                       tmp_path / "f", log=messages.append)
         assert "gated" in messages[0]
         assert messages[1] == "B1_b1: cache reused"  # same seed, same bytes
@@ -171,12 +169,34 @@ class TestCaches:
         with pytest.raises(DataError, match="re-run extract"):
             experiments.load_frames(manifest, ("B1_b1",), features)
         messages = []
-        experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(), BAND,
+        experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(),
                                   features, log=messages.append)
         assert "gated" in messages[0]
         frames, mfcc = experiments.load_frames(manifest, ("B1_b1",), features)
-        assert mfcc == {**dataclasses.asdict(MfccConfig()), "band": list(BAND)}
+        assert mfcc == dataclasses.asdict(MfccConfig())
         assert len(frames) > 1
+
+    def test_cache_with_the_older_signature_layout_is_re_extracted(
+            self, manifest, tmp_path):
+        # Older caches recorded the window, Mel range and log floor, and the
+        # band as a separate list; the same frames under that signature are
+        # stale, so they are extracted again and recorded with the new one.
+        features = tmp_path / "f"
+        frames = experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(),
+                                           features)["B1_b1"]
+        older = {"dft_size": 2048, "num_channels": 26, "sample_rate": 25600.0,
+                 "freq_low": 0.0, "freq_high": 12800.0, "num_coeffs": 13,
+                 "window_kind": "hann", "log_floor": 1e-10, "band": [42.0, 45.0]}
+        source = audiofile.source_sha256(manifest.wav_path("B1_b1"))
+        dataset.write_cache(features / "B1_b1.abfc", frames,
+                            {"mfcc": older, "source_sha256": source})
+        messages = []
+        experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(), features,
+                                  log=messages.append)
+        assert len(messages) == 1
+        assert messages[0].endswith(f"{len(frames)} gated")
+        _, mfcc = experiments.load_frames(manifest, ("B1_b1",), features)
+        assert mfcc == dataclasses.asdict(MfccConfig())
 
     def test_fresh_directory_probes_without_errors(self, manifest, tmp_path,
                                                    monkeypatch):
@@ -194,7 +214,7 @@ class TestCaches:
 
         monkeypatch.setattr(dataset, "frames_from_cache", frames_from_cache)
         experiments.ensure_caches(manifest, manifest.channels(), MfccConfig(),
-                                  BAND, tmp_path / "f")
+                                  tmp_path / "f")
         assert errors == []
         assert len(list((tmp_path / "f").glob("*.abfc"))) == len(manifest.channels())
 
@@ -211,7 +231,7 @@ class TestCaches:
             parsed.clear()
             experiments.run_experiment(
                 manifest, spec, MfccConfig(), mlp.TrainConfig(epochs=1, seed=4),
-                BAND, out_dir=tmp_path / run, features_dir=tmp_path / "f",
+                out_dir=tmp_path / run, features_dir=tmp_path / "f",
                 log=messages.append)
             per_run.append(list(parsed))
         assert per_run == [[], [f"{c}.abfc" for c in spec.channels]]
@@ -224,9 +244,9 @@ class TestCaches:
     def test_duplicate_channels_rejected(self, manifest, tmp_path):
         with pytest.raises(DataError, match="duplicate channel id: B1_b1"):
             experiments.ensure_caches(manifest, ("B1_b1", "A1_b1", "B1_b1"),
-                                      MfccConfig(), BAND, tmp_path / "f")
+                                      MfccConfig(), tmp_path / "f")
         assert not (tmp_path / "f").exists()
-        experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(), BAND,
+        experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(),
                                   tmp_path / "f")
         with pytest.raises(DataError, match="duplicate channel id: B1_b1"):
             experiments.load_frames(manifest, ("B1_b1", "B1_b1"), tmp_path / "f")
@@ -234,9 +254,9 @@ class TestCaches:
     def test_mixed_settings_are_rejected_naming_channels(self, manifest,
                                                          tmp_path):
         experiments.ensure_caches(manifest, ("A1_b1", "B1_b1"), MfccConfig(),
-                                  BAND, tmp_path / "f")
+                                  tmp_path / "f")
         experiments.ensure_caches(manifest, ("B1_b1",),
-                                  MfccConfig(num_coeffs=10), BAND,
+                                  MfccConfig(num_coeffs=10),
                                   tmp_path / "f")
         with pytest.raises(DataError, match="B1_b1.*A1_b1"):
             experiments.load_frames(manifest, ("A1_b1", "B1_b1"),
@@ -247,7 +267,7 @@ class TestRun:
     def test_train_on_split_reports_run_details(self, manifest, tmp_path):
         config = MfccConfig()
         channels = ("A1_b1", "A2_b2", "B1_b1", "B2_b2")
-        experiments.ensure_caches(manifest, channels, config, BAND,
+        experiments.ensure_caches(manifest, channels, config,
                                   tmp_path / "f")
         frames, mfcc = experiments.load_frames(manifest, channels, tmp_path / "f")
         split = dataset.SplitSpec(mode="random", train_size=300, test_size=100,
@@ -267,7 +287,7 @@ class TestRun:
                                                                  tmp_path):
         config = MfccConfig()
         experiments.ensure_caches(
-            manifest, ("A2_b2", "B2_b2"), config, BAND, tmp_path / "f")
+            manifest, ("A2_b2", "B2_b2"), config, tmp_path / "f")
         frames, _ = experiments.load_frames(manifest, ("A2_b2", "B2_b2"),
                                             tmp_path / "f")
         split = dataset.SplitSpec(mode="random", train_size=200, test_size=80,
@@ -288,7 +308,7 @@ class TestRun:
     def test_evaluate_rejects_dimension_mismatch(self, manifest, tmp_path):
         model = mlp.init_model((10, 4, 2), seed=0)
         experiments.ensure_caches(
-            manifest, ("B1_b1",), MfccConfig(), BAND, tmp_path / "f")
+            manifest, ("B1_b1",), MfccConfig(), tmp_path / "f")
         frames, _ = experiments.load_frames(manifest, ("B1_b1",), tmp_path / "f")
         with pytest.raises(DataError, match="dimension"):
             experiments.evaluate_frames(model, frames)
@@ -302,7 +322,7 @@ class TestRun:
                                             train_size=300, test_size=100)
         result = experiments.run_experiment(
             manifest, spec, MfccConfig(), mlp.TrainConfig(epochs=3, seed=4),
-            BAND, out_dir=tmp_path / "out",
+            out_dir=tmp_path / "out",
             features_dir=tmp_path / "f")
         out = tmp_path / "out"
         for name in ("model.abmm", "train_log.json", "report.json",

@@ -370,7 +370,7 @@ class TestMemory:
             wav_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert synth_peak <= 3.5 * n * 8
+        assert synth_peak <= 2.5 * n * 8
         assert wav_peak <= 2.0 * n * 8
 
 

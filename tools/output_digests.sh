@@ -29,8 +29,9 @@
 # scatter, and a few usage errors (among them a zero --fs for synth and for
 # experiment --synth-first, an experiment --synth-first whose --epochs is
 # rejected before any campaign is written, a train whose --epochs is
-# rejected before its missing caches are looked for, and an extract whose
-# --channels list is empty).
+# rejected before its missing caches are looked for, an extract whose
+# --channels list is empty and an extract whose --band is reversed), and a
+# synth whose 1e9 s channels are too large to allocate (a data error).
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -134,6 +135,11 @@ run error-train-epochs-negative train --manifest "$data/manifest.json" \
     --features "$out/no-features" --epochs -1 --out "$out/error.abmm"
 run error-extract-channels-empty extract --manifest "$data/manifest.json" \
     --channels "" --out "$out/error-features"
+run error-extract-band-reversed extract --manifest "$data/manifest.json" \
+    --band 45:42 --out "$out/error-features"
+# 186 TiB per channel: the first allocation fails, so nothing is written.
+run error-synth-huge-duration synth --default-campaign --duration 1e9 \
+    --out "$out/error-huge"
 
 echo "openblas-core  $core"
 cd "$out"
