@@ -146,11 +146,14 @@ def _listed_channels(args, manifest, split: SplitSpec | None = None) -> tuple[st
 def _write_campaign(scenario, out_dir: Path) -> None:
     """Synthesize a scenario into out_dir: WAVs, .rot tracks, then the
     manifest once every channel is written. Each worker drops its recording
-    as soon as it is on disk, so the campaign is never held in memory whole."""
+    as soon as it is on disk, so the campaign is never held in memory whole.
+    out_dir is made only once a channel has been synthesized, so a campaign
+    that fails before that leaves no directory behind."""
     common.check_unique_ids(spec.channel_id for spec in scenario)
 
     def write(spec):
         recording = synth.synth_recording(spec.config, spec.channel_id)
+        out_dir.mkdir(parents=True, exist_ok=True)
         wav_path, track = out_dir / spec.entry.file, recording.rotational_freq_track
         audiofile.write_wav(wav_path, recording.samples, recording.fs)
         audiofile.write_rot_track(wav_path, track)
@@ -160,20 +163,19 @@ def _write_campaign(scenario, out_dir: Path) -> None:
         print(f"{spec.channel_id}: {duration:.1f} s, {frames} frames "
               f"[{spec.entry.label}]")
     entries = {spec.channel_id: spec.entry for spec in scenario}
+    out_dir.mkdir(parents=True, exist_ok=True)  # also for no channels
     dataset.save_manifest(dataset.Manifest(entries=entries, base_dir=out_dir),
                           out_dir / "manifest.json")
     print(f"wrote {len(entries)} channels to {out_dir}")
 
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.scenario:
         scenario = synth.scenario_from_json(args.scenario)
     else:
         scenario = synth.default_scenario(args.seed, duration=args.duration,
                                           fs=args.fs)
-    _write_campaign(scenario, out_dir)
+    _write_campaign(scenario, Path(args.out))
     return EXIT_OK
 
 
@@ -238,7 +240,6 @@ def cmd_experiment(args) -> int:
             raise DataError(
                 f"no manifest at {manifest_path}; synthesize a campaign first "
                 "or pass --synth-first")
-        data_dir.mkdir(parents=True, exist_ok=True)
         _write_campaign(synth.default_scenario(args.seed, duration=args.duration,
                                                fs=args.fs), data_dir)
     manifest = dataset.load_manifest(manifest_path)

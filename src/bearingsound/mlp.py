@@ -12,6 +12,9 @@ Parameters live in one flat vector, ``MlpModel.params``: per layer W_i
 (row-major), then b_i, the order of the model file; ``weights``/``biases``
 are views into it, and gradients and Adam's moments share its layout and its
 dtype. Models are float64: the model file, ``predict_batch`` and ``backward``.
+Training and prediction share one forward pass, which writes the hidden
+activations in place into buffers allocated once per call; ``predict_batch``
+scores in 256-row blocks, so its memory does not grow with the batch.
 ``train`` alone runs in float32: it z-scores its rows in float64, casts them
 to float32 once, trains a float32 copy of ``init_model``'s parameters (whose
 draws are rounded to float32, so the copy is exact) and returns their exact
@@ -141,15 +144,26 @@ def init_model(dims, seed: int = 0) -> MlpModel:
     return model
 
 
-def _forward_pass(model: MlpModel, x: np.ndarray):
-    """Returns (pre-activations, layer inputs, posteriors) for a batch."""
-    pre, inputs = [], [x]
-    for w, b in zip(model.weights, model.biases):
-        if pre:
-            inputs.append(np.maximum(pre[-1], 0.0))
-        pre.append(inputs[-1] @ w + b)
-    e = np.exp(pre[-1] - pre[-1].max(axis=-1, keepdims=True))
-    return pre, inputs, e / e.sum(axis=-1, keepdims=True)
+def _hidden_buffers(dims, rows: int, dtype) -> list[np.ndarray]:
+    """One (rows, width) activation buffer per hidden layer."""
+    return [np.empty((rows, width), dtype=dtype) for width in dims[1:-1]]
+
+
+def _forward_pass(model: MlpModel, x: np.ndarray, hidden=None):
+    """Returns (layer inputs, posteriors) for a batch. Each hidden layer's
+    matmul, bias and ReLU are written in place into the first len(x) rows of
+    its buffer in hidden (``_hidden_buffers``, allocated here when None)."""
+    if hidden is None:
+        hidden = _hidden_buffers(model.dims, len(x), np.result_type(x, model.params))
+    inputs = [x]
+    for w, b, buffer in zip(model.weights, model.biases, hidden):
+        z = np.matmul(inputs[-1], w, out=buffer[: len(x)])
+        z += b
+        np.maximum(z, 0.0, out=z)
+        inputs.append(z)
+    logits = inputs[-1] @ model.weights[-1] + model.biases[-1]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return inputs, e / e.sum(axis=-1, keepdims=True)
 
 
 def _model_inputs(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -163,9 +177,21 @@ def _model_inputs(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return x if stats is None else (x - stats.mean) / stats.std
 
 
+_PREDICT_ROWS = 256
+
+
 def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Posterior matrix (n, num_classes) for a batch of raw feature rows."""
-    return _forward_pass(model, _model_inputs(model, x))[2]
+    """Posterior matrix (n, num_classes) for a batch of raw feature rows,
+    scored in blocks of _PREDICT_ROWS rows through one set of buffers. BLAS
+    picks its kernel by row count, so a row's last bits can differ from
+    those of one unblocked pass over all n rows."""
+    x = _model_inputs(model, x)
+    probs = np.empty((len(x), model.dims[-1]))
+    hidden = _hidden_buffers(model.dims, min(len(x), _PREDICT_ROWS), x.dtype)
+    for start in range(0, len(x), _PREDICT_ROWS):
+        block = slice(start, start + _PREDICT_ROWS)
+        probs[block] = _forward_pass(model, x[block], hidden)[1]
+    return probs
 
 
 def loss(posteriors: np.ndarray, labels: np.ndarray) -> float:
@@ -182,12 +208,13 @@ def loss(posteriors: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(picked, POSTERIOR_FLOOR))))
 
 
-def _gradients(model: MlpModel, pre, inputs, probs: np.ndarray, labels: np.ndarray,
+def _gradients(model: MlpModel, inputs, probs: np.ndarray, labels: np.ndarray,
                grad: np.ndarray) -> None:
     """Backpropagate the mean cross-entropy of one forward pass into grad, a
     flat vector in the layout of model.params. Output errors below
     sqrt(tiny) are zeroed, so saturated posteriors feed no subnormal into
-    the backprop's products."""
+    the backprop's products. A hidden layer's ReLU mask is its output > 0,
+    which holds exactly where its pre-activation is > 0."""
     batch = len(labels)
     delta = probs.copy()
     delta[np.arange(batch), labels] -= 1.0
@@ -199,7 +226,7 @@ def _gradients(model: MlpModel, pre, inputs, probs: np.ndarray, labels: np.ndarr
         np.sum(delta, axis=0, out=grad_b[layer])
         if layer > 0:
             delta = delta @ model.weights[layer].T
-            delta *= pre[layer - 1] > 0
+            delta *= inputs[layer] > 0
 
 
 def backward(model: MlpModel, x: np.ndarray, labels: np.ndarray):
@@ -288,6 +315,7 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
     model32 = MlpModel(dims=dims, params=model.params.astype(np.float32))
     state = AdamState.for_model(model32)
     grad = np.empty_like(model32.params)
+    hidden = _hidden_buffers(dims, min(len(x), config.batch_size), np.float32)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 97]))
     history: list[float] = []
     n = len(x)
@@ -297,14 +325,14 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             xb, yb = x[batch_idx], labels[batch_idx]
-            pre, inputs, probs = _forward_pass(model32, xb)
+            inputs, probs = _forward_pass(model32, xb, hidden)
             batch_loss = loss(probs, yb)
             if not np.isfinite(batch_loss):
                 raise NumericError(
                     f"training diverged: non-finite loss in epoch {epoch + 1} "
                     f"at sample offset {start}")
             loss_sum += batch_loss * len(yb)
-            _gradients(model32, pre, inputs, probs, yb, grad)
+            _gradients(model32, inputs, probs, yb, grad)
             adam_step(model32, state, grad, config)
         history.append(loss_sum / n)
     model.params[:] = model32.params

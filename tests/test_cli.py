@@ -68,7 +68,7 @@ class TestSynthCommand:
         assert rc == 2
         assert "../evil" in err
         assert list(tmp_path.rglob("evil*")) == []
-        assert list((tmp_path / "run" / "out").iterdir()) == []
+        assert not (tmp_path / "run" / "out").exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         # Synth and extract of the six-channel campaign on one worker (the
@@ -128,7 +128,17 @@ class TestSynthCommand:
                           "--out", str(out)], capsys)
         assert rc == 2
         assert err.startswith("data error: ") and "allocate" in err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    def test_rejected_scenario_leaves_no_directory(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps([{"channel": "Z1", "label": "H", "seed": 1,
+                                     "duration": 0, "profile": [[0.0, 43.0]]}]))
+        out = tmp_path / "out"
+        rc, _, err = run(["synth", "--scenario", str(path), "--out", str(out)],
+                         capsys)
+        assert rc == 2, err
+        assert not out.exists()
 
     def test_slow_resonance_decay_writes_its_wav(self, tmp_path, capsys):
         # A -80 dB kernel of fs*ln(1e4)/1e-6 samples would need terabytes;
@@ -493,6 +503,15 @@ class TestExperimentCommand:
                           "--data", str(tmp_path / "empty")], capsys)
         assert rc == 2
         assert "synth" in err
+
+    def test_failed_synth_first_leaves_no_data_directory(self, tmp_path, capsys):
+        # 186 TiB per channel: the first allocation fails at once.
+        data = tmp_path / "data"
+        rc, _, err = run(["experiment", "seen-motor", "--synth-first",
+                          "--duration", "1e9", "--data", str(data)], capsys)
+        assert rc == 2
+        assert "allocate" in err
+        assert not data.exists()
 
     def test_synth_first_writes_the_synth_campaign(self, tmp_path, capsys):
         rc, synth_out, _ = run(["--seed", "3", "synth", "--default-campaign",

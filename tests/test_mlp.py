@@ -73,6 +73,48 @@ class TestForward:
             mlp.predict_batch(zero_model(), np.zeros(7))
 
 
+def normalized_default_model(x, seed=0):
+    model = mlp.init_model((13, 1024, 100, 2), seed=seed)
+    model.norm_stats = NormalizationStats(x.mean(axis=0), x.std(axis=0))
+    return model
+
+
+class TestBlockedPrediction:
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 3 * 256 + 5])
+    def test_blocks_score_like_unblocked_passes(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(2.0, 3.0, size=(n, 13))
+        model = normalized_default_model(rng.normal(2.0, 3.0, size=(50, 13)))
+        got = mlp.predict_batch(model, x)
+        z = mlp._model_inputs(model, x)
+        # One unblocked pass per block: the reused buffers carry nothing
+        # from one block into the next, so the bytes agree exactly.
+        blocks = [mlp._forward_pass(model, z[start : start + 256])[1]
+                  for start in range(0, n, 256)]
+        assert np.array_equal(got, np.concatenate(blocks or [np.empty((0, 2))]))
+        # One unblocked pass over all n rows: BLAS may pick another kernel
+        # for another row count (gemv for one row, a small-matrix kernel
+        # for few), so rows agree to rounding and in every decision.
+        whole = mlp._forward_pass(model, z)[1]
+        assert got.shape == whole.shape == (n, 2)
+        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-12)
+        assert np.array_equal(got.argmax(axis=1), whole.argmax(axis=1))
+
+    def test_memory_does_not_grow_with_the_batch(self):
+        # One block's buffers are 2.2 MB on the default net; an unblocked
+        # pass over 4096 rows would allocate several 32 MB activations.
+        rng = np.random.default_rng(4)
+        x = rng.normal(2.0, 3.0, size=(4096, 13))
+        model = normalized_default_model(x)
+        tracemalloc.start()
+        try:
+            mlp.predict_batch(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestLoss:
     def test_confident_correct_prediction_has_tiny_loss(self):
         assert mlp.loss(np.array([[1.0, 0.0]]), np.array([0])) == 0.0
@@ -313,7 +355,7 @@ def float32_train_without_flushes(x, y, config, hidden_dims):
         order = rng.permutation(len(x))
         for start in range(0, len(x), config.batch_size):
             rows = order[start : start + config.batch_size]
-            pre, inputs, probs = mlp._forward_pass(model, x[rows])
+            inputs, probs = mlp._forward_pass(model, x[rows])
             delta = probs.copy()
             delta[np.arange(len(rows)), y[rows]] -= 1.0
             delta /= len(rows)
@@ -323,7 +365,7 @@ def float32_train_without_flushes(x, y, config, hidden_dims):
                 grads[:0] = [(inputs[layer].T @ delta).ravel(), delta.sum(axis=0)]
                 if layer > 0:
                     delta = delta @ model.weights[layer].T
-                    delta *= pre[layer - 1] > 0
+                    delta *= inputs[layer] > 0
             g = np.concatenate(grads)
             t += 1
             s = math.sqrt((1.0 - b2) / (1.0 - b2 ** t))

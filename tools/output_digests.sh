@@ -24,7 +24,8 @@
 # campaign, seen-motor again on that campaign after one of its caches was
 # truncated (that channel is extracted again, the others are reused),
 # extract with 10 coefficients, extract with 24 Mel channels,
-# random and by-channel train and eval, an eval of the random model on the
+# random and by-channel train and eval, an eval of the random model on a
+# 1000-frame test split (several prediction blocks), an eval of it on the
 # 24-channel caches (a model whose feature settings differ from its caches'),
 # scatter, and a few usage errors (among them a zero --fs for synth and for
 # experiment --synth-first, an experiment --synth-first whose --epochs is
@@ -107,6 +108,11 @@ run train-by-channel --seed 5 train "${split[@]}" "${by_channel[@]}" \
     --epochs 2 --out "$out/models/by-channel.abmm"
 run eval-random --seed 5 eval "${split[@]}" --model "$out/models/random.abmm" \
     --out "$out/eval-random"
+# 1000 test frames of the campaign's ~1740 gated ones: prediction runs in
+# several 256-row blocks and a partial last one.
+run eval-random-large --seed 5 eval --manifest "$data/manifest.json" \
+    --features "$data/features" --train-size 600 --test-size 1000 \
+    --model "$out/models/random.abmm" --out "$out/eval-random-large"
 run eval-by-channel --seed 5 eval "${split[@]}" "${by_channel[@]}" \
     --model "$out/models/by-channel.abmm" --out "$out/eval-by-channel"
 run eval-random-mel24 --seed 5 eval --manifest "$data/manifest.json" \
