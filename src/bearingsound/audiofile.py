@@ -24,7 +24,11 @@ FRAME_SAMPLES = 2048
 @dataclass
 class AudioRecording:
     """Sampled waveform with its sample rate, channel identity, and the
-    per-block mean rotational frequency track (one value per FRAME_SAMPLES)."""
+    per-block mean rotational frequency track (one value per FRAME_SAMPLES).
+
+    samples are float64, or the int16 PCM ``read_pcm`` returns, kept without
+    a float copy (full scale PCM_FULL_SCALE).
+    """
 
     samples: np.ndarray
     fs: float
@@ -32,10 +36,15 @@ class AudioRecording:
     rotational_freq_track: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
+        self.samples = np.asarray(self.samples)
+        if self.samples.dtype != np.int16:
+            self.samples = np.asarray(self.samples, dtype=float)
+            # Every sample is finite exactly when the extremes are (NaN
+            # propagates), and the extremes need no full-length mask.
+            if self.samples.size and not np.isfinite(
+                    [self.samples.min(), self.samples.max()]).all():
+                raise DataError(f"{self.channel_id}: non-finite samples")
         self.rotational_freq_track = np.asarray(self.rotational_freq_track, dtype=float)
-        if not np.all(np.isfinite(self.samples)):
-            raise DataError(f"{self.channel_id}: non-finite samples")
         expected = len(self.samples) // FRAME_SAMPLES
         if len(self.rotational_freq_track) != expected:
             raise DataError(
@@ -44,8 +53,11 @@ class AudioRecording:
             )
 
 
+_WRITE_BLOCK = 1 << 17
+
+
 def write_wav(path, samples: np.ndarray, fs: float) -> None:
-    """Write samples as mono 16-bit little-endian PCM.
+    """Write samples as mono 16-bit little-endian PCM, block by block.
 
     Floating-point input is scaled so the peak sits at 95% of full scale;
     a silent signal is written as zeros.
@@ -53,21 +65,21 @@ def write_wav(path, samples: np.ndarray, fs: float) -> None:
     samples = np.asarray(samples, dtype=float)
     # max(max, -min) is max(abs) without a full-length temporary.
     peak = max(samples.max(), -samples.min()) if samples.size else 0.0
-    if peak > 0:
-        scaled = samples * (0.95 * PCM_FULL_SCALE / peak)
-        np.rint(scaled, out=scaled)
-    else:
-        scaled = np.rint(samples)
-    pcm = scaled.astype("<i2")
+    gain = 0.95 * PCM_FULL_SCALE / peak if peak > 0 else 1.0
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(int(round(fs)))
-        w.writeframes(pcm)
+        w.setnframes(len(samples))
+        for start in range(0, len(samples), _WRITE_BLOCK):
+            scaled = samples[start : start + _WRITE_BLOCK] * gain
+            np.rint(scaled, out=scaled)
+            w.writeframesraw(scaled.astype("<i2"))
 
 
-def read_wav(path) -> tuple[np.ndarray, float]:
-    """Read a mono 16-bit PCM WAV; returns (float samples in [-1, 1], fs)."""
+def read_pcm(path) -> tuple[np.ndarray, float]:
+    """Read a mono 16-bit PCM WAV; returns (int16 samples, fs), the samples
+    a read-only view of the file's data chunk."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"audio file not found: {path}")
@@ -85,7 +97,13 @@ def read_wav(path) -> tuple[np.ndarray, float]:
                 raise DataError(f"{path}: truncated WAV data chunk")
     except (wave.Error, EOFError, RuntimeError) as exc:
         raise DataError(f"{path}: not a readable WAV file ({exc!r})") from exc
-    samples = np.frombuffer(raw, dtype="<i2").astype(float)
+    return np.frombuffer(raw, dtype="<i2"), fs
+
+
+def read_wav(path) -> tuple[np.ndarray, float]:
+    """Read a mono 16-bit PCM WAV; returns (float samples in [-1, 1], fs)."""
+    pcm, fs = read_pcm(path)
+    samples = pcm.astype(float)
     samples /= PCM_FULL_SCALE
     return samples, fs
 

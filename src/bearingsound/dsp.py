@@ -177,13 +177,29 @@ def mfcc(energies: np.ndarray, config: MfccConfig) -> np.ndarray:
     return log_e @ basis.T
 
 
+# Frames per filterbank and cosine product: _PRODUCT_SAMPLES // dft_size.
+# OpenBLAS picks its kernel by a product's row count (a short last group
+# takes another one), and the kernel sets the last bits of every row, so
+# another grouping would move cache bytes. A row's power spectrum does not
+# depend on its batch, so the spectra are taken in sub-blocks small enough
+# to keep the float copy, windowed frames and complex spectra in cache, and
+# large enough that few numpy calls hand the GIL to other workers.
+_PRODUCT_SAMPLES = 1 << 20
+_SPECTRUM_SAMPLES = 1 << 17
+
+
 def feature_matrix(samples: np.ndarray, config: MfccConfig) -> np.ndarray:
     """Feature vectors for every complete non-overlapping frame, as rows.
 
-    Trailing samples that do not fill a frame are dropped. Returns an array
-    of shape (num_frames, num_coeffs).
+    Integer samples are PCM: each block is cast to float and divided by the
+    dtype's maximum just before windowing, so the recording is never copied
+    to float whole. Trailing samples that do not fill a frame are dropped.
+    Returns an array of shape (num_frames, num_coeffs).
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = np.asarray(samples)
+    pcm_scale = np.iinfo(samples.dtype).max if samples.dtype.kind == "i" else None
+    if pcm_scale is None:
+        samples = np.asarray(samples, dtype=float)
     n = config.dft_size
     num_frames = len(samples) // n
     if num_frames == 0:
@@ -192,13 +208,17 @@ def feature_matrix(samples: np.ndarray, config: MfccConfig) -> np.ndarray:
     window = window_samples("hann", n)
     frames = samples[: num_frames * n].reshape(num_frames, n)
     out = np.zeros((num_frames, config.num_coeffs))
-    # Chunks of 2^20 samples keep the windowed frames, their spectra and the
-    # energies small next to the recording itself.
-    chunk = max(1, (1 << 20) // n)
-    for start in range(0, num_frames, chunk):
-        block = frames[start : start + chunk]
-        # spectra stays alive until the next chunk's replaces it; freeing it
-        # at once measured 20 MB more peak RSS on a six-channel campaign.
-        spectra = power_spectrum(block, window)
-        out[start : start + chunk] = mfcc(filterbank_energies(spectra, fb), config)
+    rows = max(1, _PRODUCT_SAMPLES // n)
+    sub = max(1, _SPECTRUM_SAMPLES // n)
+    spectra = np.empty((min(rows, num_frames), n // 2 + 1))
+    for start in range(0, num_frames, rows):
+        stop = min(start + rows, num_frames)
+        for first in range(start, stop, sub):
+            block = frames[first : min(first + sub, stop)]
+            if pcm_scale is not None:
+                block = block.astype(float)
+                block /= pcm_scale
+            spectra[first - start : first - start + len(block)] = power_spectrum(
+                block, window)
+        out[start:stop] = mfcc(filterbank_energies(spectra[: stop - start], fb), config)
     return out

@@ -92,9 +92,9 @@ def extract_channel(manifest: Manifest, channel_id: str, config: MfccConfig,
                     cache_path, signature: dict) -> tuple[int, dataset.Frames]:
     """Gate one channel and cache it with signature; returns (total, gated frames)."""
     wav_path = manifest.wav_path(channel_id)
-    samples, fs = audiofile.read_wav(wav_path)
+    pcm, fs = audiofile.read_pcm(wav_path)
     track = audiofile.read_rot_track(wav_path)
-    recording = AudioRecording(samples=samples, fs=fs, channel_id=channel_id,
+    recording = AudioRecording(samples=pcm, fs=fs, channel_id=channel_id,
                                rotational_freq_track=track)
     if float(recording.fs) != float(config.sample_rate):
         raise DataError(

@@ -1,4 +1,5 @@
 import struct
+import wave
 
 import numpy as np
 import pytest
@@ -37,6 +38,59 @@ class TestReadWav:
             path.write_bytes(blob)
             with pytest.raises(DataError, match="bad.wav"):
                 audiofile.read_wav(path)
+
+
+    def test_pcm_is_the_int16_data_chunk(self, tmp_path):
+        path = tmp_path / "a.wav"
+        audiofile.write_wav(path, np.sin(np.arange(5000)), 8000.0)
+        pcm, fs = audiofile.read_pcm(path)
+        samples, _ = audiofile.read_wav(path)
+        assert (pcm.dtype, fs) == (np.dtype(np.int16), 8000.0)
+        assert np.array_equal(pcm / audiofile.PCM_FULL_SCALE, samples)
+
+
+class TestWriteWav:
+    @pytest.mark.parametrize("kind", ["noise", "silence"])
+    def test_blocks_write_the_whole_array_rounding(self, tmp_path, monkeypatch,
+                                                   kind):
+        # Two full blocks and a partial one, at the default block and at a
+        # block that divides nothing.
+        n = 2 * audiofile._WRITE_BLOCK + 12345
+        x = (np.random.default_rng(3).standard_normal(n) if kind == "noise"
+             else np.zeros(n))
+        peak = np.abs(x).max()
+        scale = 0.95 * audiofile.PCM_FULL_SCALE / peak if peak > 0 else 1.0
+        expected = np.rint(x * scale).astype("<i2").tobytes()
+        blobs = []
+        for block in (audiofile._WRITE_BLOCK, 1000):
+            monkeypatch.setattr(audiofile, "_WRITE_BLOCK", block)
+            path = tmp_path / f"{block}.wav"
+            audiofile.write_wav(path, x, 25600.0)
+            with wave.open(str(path), "rb") as w:
+                assert w.getnframes() == n
+                assert w.readframes(n) == expected
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_empty_signal(self, tmp_path):
+        audiofile.write_wav(tmp_path / "e.wav", np.zeros(0), 25600.0)
+        samples, fs = audiofile.read_wav(tmp_path / "e.wav")
+        assert (samples.size, fs) == (0, 25600.0)
+
+
+class TestAudioRecording:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.zeros(3000)
+        samples[1234] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            audiofile.AudioRecording(samples, 25600.0, "c", [0.0])
+
+    def test_pcm_is_kept_without_a_float_copy(self):
+        pcm = np.arange(-2048, 2048, dtype=np.int16)
+        recording = audiofile.AudioRecording(pcm, 25600.0, "c", [43.0, 43.0])
+        assert recording.samples is pcm
+        assert audiofile.AudioRecording([], 25600.0, "c", []).samples.dtype == float
 
 
 class TestRotTrack:

@@ -140,6 +140,20 @@ class TestSynthCommand:
         assert rc == 2, err
         assert not out.exists()
 
+    def test_harmonic_above_nyquist_is_a_data_error(self, tmp_path, capsys):
+        # The 3 000 000th harmonic of 43 Hz would alias; the scenario is
+        # rejected before any sample is made.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps([{
+            "channel": "N1", "label": "H", "seed": 1, "duration": 0.05,
+            "profile": [[0.0, 43.0]], "harmonics": [[1, 1.0], [3000000, 0.5]]}]))
+        out = tmp_path / "out"
+        rc, _, err = run(["synth", "--scenario", str(path), "--out", str(out)],
+                         capsys)
+        assert rc == 2
+        assert err.startswith("data error: ") and "fs/2" in err
+        assert not out.exists()
+
     def test_slow_resonance_decay_writes_its_wav(self, tmp_path, capsys):
         # A -80 dB kernel of fs*ln(1e4)/1e-6 samples would need terabytes;
         # the kernel stops at the end of the 2 s recording instead.

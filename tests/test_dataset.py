@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from bearingsound import dataset, experiments, mlp, synth
+from bearingsound import audiofile, dataset, dsp, experiments, mlp, synth
 from bearingsound.audiofile import AudioRecording
 from bearingsound.common import LABELS, ManifestEntry
 from bearingsound.dataset import Frames, Manifest, SplitSpec
@@ -43,6 +43,32 @@ def profile_frame_means(profile, num_frames, fs=FS, frame=FRAME):
         area = np.trapezoid(f, knots) if hasattr(np, "trapezoid") else np.trapz(f, knots)
         means.append(area / (t1 - t0))
     return np.asarray(means)
+
+
+class TestPcmFeatures:
+    def test_extract_from_pcm_chunks_caches_the_float_samples_features(self, tmp_path):
+        # Two full product groups, a partial one and a partial last frame;
+        # some frames fall outside the gating band.
+        n = 2 * dsp._PRODUCT_SAMPLES + 5 * FRAME + 300
+        wav = tmp_path / "c.wav"
+        audiofile.write_wav(wav, np.random.default_rng(6).standard_normal(n), FS)
+        track = np.where(np.arange(n // FRAME) % 7 == 3, 40.0, 43.0)
+        audiofile.write_rot_track(wav, track)
+        manifest = Manifest({"c": ManifestEntry(file="c.wav", label="D", axle="",
+                                                component="motor", description="")},
+                            tmp_path)
+        total, frames = experiments.extract_channel(
+            manifest, "c", MfccConfig(), tmp_path / "pcm.abfc", SIGNATURE)
+
+        samples, _ = audiofile.read_wav(wav)
+        recording = AudioRecording(samples=samples, fs=FS, channel_id="c",
+                                   rotational_freq_track=track)
+        expected = dataset.gate_frames(recording, MfccConfig(), "D")
+        dataset.write_cache(tmp_path / "float.abfc", expected, SIGNATURE)
+        assert total == n // FRAME
+        assert frames.coeffs.tobytes() == expected.coeffs.tobytes()
+        assert ((tmp_path / "pcm.abfc").read_bytes()
+                == (tmp_path / "float.abfc").read_bytes())
 
 
 class TestGating:

@@ -255,6 +255,29 @@ class TestExtractFeatures:
         for row in features[1:]:
             np.testing.assert_allclose(row, base, atol=1e-6)
 
+    @pytest.mark.parametrize("pcm", [False, True])
+    def test_products_take_the_frames_in_fixed_groups(self, pcm):
+        # OpenBLAS picks its kernel by a product's row count, and a row's last
+        # bits follow the kernel, so the frames go through the filterbank and
+        # cosine products in groups of _PRODUCT_SAMPLES // dft_size whatever
+        # the spectrum sub-blocks are. 588 frames make groups of 512 and 76;
+        # groups of 64 would leave a last one of 12 rows, a kernel switch on
+        # OpenBLAS SkylakeX.
+        cfg = dsp.MfccConfig()
+        n = cfg.dft_size
+        rows = dsp._PRODUCT_SAMPLES // n
+        assert dsp._SPECTRUM_SAMPLES // n < rows
+        ints = np.random.default_rng(8).integers(-32767, 32768, (rows + 76) * n + 5)
+        floats = ints / 32767
+        samples = ints.astype(np.int16) if pcm else floats
+        fb = dsp.build_filterbank(cfg)
+        window = dsp.window_samples("hann", n)
+        frames = floats[: (rows + 76) * n].reshape(-1, n)
+        expected = np.concatenate([
+            dsp.mfcc(dsp.filterbank_energies(dsp.power_spectrum(group, window), fb), cfg)
+            for group in (frames[:rows], frames[rows:])])
+        assert dsp.feature_matrix(samples, cfg).tobytes() == expected.tobytes()
+
 
 class TestPipelineProperties:
     def test_amplitude_invariance(self):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bearingsound import audiofile, cli, common, dataset, dsp, synth
+from bearingsound import audiofile, cli, common, dataset, dsp, experiments, synth
 from bearingsound.errors import ConfigError, DataError
 
 
@@ -63,6 +63,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             synth.SynthConfig(noise_level=-0.1)
 
+    def test_harmonic_at_or_above_nyquist_rejected(self):
+        # The 3 000 000th harmonic of 43 Hz would alias, and its Horner sum
+        # once ran for seconds on a 0.05 s channel.
+        with pytest.raises(ConfigError, match="fs/2"):
+            synth.SynthConfig(duration=0.05,
+                              harmonic_amplitudes=((1, 1.0), (3000000, 0.5)))
+        # The fastest point of the profile counts: 10 x 50 Hz is fs/2 exactly.
+        profile = ((0.0, 40.0), (1.0, 50.0))
+        with pytest.raises(ConfigError, match="fs/2"):
+            synth.SynthConfig(fs=1000.0, rotational_freq_profile=profile,
+                              harmonic_amplitudes=((1, 1.0), (10, 0.0)))
+        synth.SynthConfig(fs=1001.0, rotational_freq_profile=profile,
+                          harmonic_amplitudes=((1, 1.0), (10, 0.0)))
+
 
 class TestSingleToneRecording:
     def test_energy_concentrates_at_the_shaft_line(self):
@@ -86,12 +100,13 @@ class TestSingleToneRecording:
 
 class TestHarmonicSum:
     def test_matches_direct_sine_sum(self):
-        # 600 s at 2 kHz: revolutions reach about 25 000, and 1.2 M samples
-        # end in a partial block. The harmonics leave gaps, repeat h = 3,
-        # carry a zero amplitude that still draws its phase, and reach h = 23.
+        # 600 s at 2.1 kHz: revolutions reach about 25 000, and 1.26 M
+        # samples end in a partial block. The harmonics leave gaps, repeat
+        # h = 3, carry a zero amplitude that still draws its phase, and reach
+        # h = 23 (1023.5 Hz, below fs/2).
         harmonics = ((1, 1.0), (3, 0.4), (4, 0.0), (3, 0.25), (8, 0.1), (23, 0.05))
         config = synth.SynthConfig(
-            fs=2000.0, duration=600.0, seed=17,
+            fs=2100.0, duration=600.0, seed=17,
             rotational_freq_profile=((0.0, 43.0), (250.0, 44.5), (400.0, 38.0)),
             harmonic_amplitudes=harmonics)
         recording = synth.synth_recording(config, "h")
@@ -203,6 +218,61 @@ class TestImpactOverlapAdd:
         assert synth.synth_recording(config, "f").samples.size == 0
 
 
+class TestStreamedBlocks:
+    """The full-length passes run block by block, and the blocks repeat the
+    one-shot arithmetic exactly. 11.3 s is 289 280 samples: 141.25 frames,
+    so the last block and the last frame are partial at any block size."""
+
+    PROFILE = ((0.0, 43.0), (0.6, 44.5), (1.2, 41.0), (9.0, 43.5))
+
+    def config(self, fault=None, noise=0.0):
+        return synth.SynthConfig(
+            fs=25600.0, duration=11.3, seed=5, rotational_freq_profile=self.PROFILE,
+            harmonic_amplitudes=((1, 1.0), (2, 0.5), (7, 0.1)),
+            noise_level=noise, fault=fault)
+
+    @staticmethod
+    def inner_fault(jitter):
+        # Ratio 5.4 on this profile crosses a turn on sample 4 * FRAME_SAMPLES.
+        return synth.FaultSpec(
+            fault_kind=synth.INNER_RING, fault_freq_ratio=5.4,
+            impulse_amplitude=0.8, resonance_freq=4300.0, resonance_decay=900.0,
+            amplitude_modulated_by_shaft=True, severity_jitter=jitter)
+
+    @pytest.mark.parametrize("block", [None, audiofile.FRAME_SAMPLES])
+    def test_revolutions_equal_one_sequential_sum(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(synth, "_STREAM_BLOCK", block)
+        config = self.config()
+        n = int(round(config.duration * config.fs))
+        freq = np.interp(np.arange(n) / config.fs, [t for t, _ in self.PROFILE],
+                         [f for _, f in self.PROFILE])
+        frames = n // audiofile.FRAME_SAMPLES
+        track, revs = synth._shaft_revolutions(config)
+        assert np.array_equal(revs, np.cumsum(freq) / config.fs)
+        assert np.array_equal(track, freq[: frames * audiofile.FRAME_SAMPLES]
+                              .reshape(frames, -1).mean(axis=1))
+
+    def test_impact_search_carries_the_turn_count_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(synth, "_STREAM_BLOCK", audiofile.FRAME_SAMPLES)
+        config = self.config(fault=self.inner_fault(jitter=0.0))
+        _, revs = synth._shaft_revolutions(config)
+        turns = np.floor(5.4 * revs)
+        expected = np.flatnonzero(turns[1:] > turns[:-1]) + 1
+        assert 4 * audiofile.FRAME_SAMPLES in expected
+        indices, _ = synth._fault_impulses(config, revs, synth._child_rngs(5)[2])
+        assert np.array_equal(indices, expected)
+
+    def test_recording_is_the_same_for_any_stream_block(self, monkeypatch):
+        config = self.config(fault=self.inner_fault(jitter=0.75), noise=0.3)
+        default = synth.synth_recording(config, "s")
+        monkeypatch.setattr(synth, "_STREAM_BLOCK", audiofile.FRAME_SAMPLES)
+        small = synth.synth_recording(config, "s")
+        assert default.samples.tobytes() == small.samples.tobytes()
+        assert (default.rotational_freq_track.tobytes()
+                == small.rotational_freq_track.tobytes())
+
+
 class TestDeterminismAndSeparation:
     def test_same_seed_is_bit_identical(self):
         config = tone_config(fault=outer_fault(jitter=0.3), noise=0.1)
@@ -238,7 +308,7 @@ class TestDeterminismAndSeparation:
     def test_blocked_noise_is_one_draw(self):
         # Zero harmonics leave only the noise, drawn block by block into one
         # buffer; it must equal one standard_normal(n) draw of its stream.
-        n = 3 * synth._HARMONIC_BLOCK + 1234
+        n = 3 * synth._STREAM_BLOCK + 1234
         config = synth.SynthConfig(
             fs=1000.0, duration=n / 1000.0, seed=21,
             rotational_freq_profile=((0.0, 43.0),),
@@ -356,7 +426,7 @@ class TestMapChannels:
 class TestMemory:
     def test_synth_recording_and_write_wav_peaks(self, tmp_path):
         # A long damaged channel: both peaks are measured in float64 arrays
-        # of the recording's length (about 2.1 and 1.25 of them).
+        # of the recording's length (about 1.13 and 0.09 of them).
         spec = synth.default_scenario(seed=1, duration=120.0)[0]
         assert spec.config.fault is not None
         n = int(round(spec.config.duration * spec.config.fs))
@@ -370,8 +440,28 @@ class TestMemory:
             wav_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert synth_peak <= 2.5 * n * 8
-        assert wav_peak <= 2.0 * n * 8
+        assert synth_peak <= 1.3 * n * 8
+        assert wav_peak <= 0.2 * n * 8
+
+    def test_extract_channel_peak(self, tmp_path):
+        # 120 s of int16 PCM is a quarter of a float64 array; the features are
+        # made block by block, with no float copy of the recording (about 0.57
+        # arrays in all, 0.17 of them the spectra of one 512-frame product).
+        n = 120 * 25600
+        wav = tmp_path / "c.wav"
+        audiofile.write_wav(wav, np.random.default_rng(4).standard_normal(n), 25600.0)
+        audiofile.write_rot_track(wav, np.full(n // audiofile.FRAME_SAMPLES, 43.0))
+        manifest = dataset.Manifest({"c": common.ManifestEntry(
+            file="c.wav", label="H", axle="", component="motor", description="")},
+            tmp_path)
+        tracemalloc.start()
+        try:
+            experiments.extract_channel(manifest, "c", dsp.MfccConfig(),
+                                        tmp_path / "c.abfc", {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.7 * n * 8
 
 
 class TestScenarioFile:

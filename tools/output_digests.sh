@@ -16,10 +16,13 @@
 #   tools/output_digests.sh . /tmp/after > after.txt
 #   diff before.txt after.txt
 #
-# The set: a seed-5 40 s default campaign, a two-channel scenario file (a
-# jittered inner-ring fault, and an outer-ring fault whose resonance kernel
-# outlasts its 1 s recording), the same file with a resonance so slow that
-# its -80 dB kernel would span days, the four named experiments
+# The set: a seed-5 40 s default campaign, a 6.13 s one (it ends inside a
+# synthesis block and inside a frame) and its extract, a two-channel
+# scenario file (a jittered inner-ring fault, and an outer-ring fault whose
+# resonance kernel outlasts its 1 s recording), the same file with a
+# resonance so slow that its -80 dB kernel would span days, a scenario
+# whose harmonic lies far above fs/2 (a data error), the four named
+# experiments
 # (600/200 split, 2 epochs), seen-motor with --synth-first on an 8 s
 # campaign, seen-motor again on that campaign after one of its caches was
 # truncated (that channel is extracted again, the others are reused),
@@ -57,6 +60,10 @@ run() {
 
 data="$out/campaign"
 run synth --seed 5 synth --default-campaign --duration 40 --out "$data"
+run synth-odd --seed 5 synth --default-campaign --duration 6.13 \
+    --out "$out/campaign-odd"
+run extract-odd extract --manifest "$out/campaign-odd/manifest.json" \
+    --out "$out/campaign-odd/features"
 # scenario_file FILE DECAY: two faulted channels, the second on a 1 s
 # recording with a resonance that decays at DECAY per second.
 scenario_file() {
@@ -80,6 +87,12 @@ run synth-scenario synth --scenario "$out/scenario.json" \
 scenario_file "$out/scenario-slow-decay.json" 1e-6
 run synth-scenario-slow-decay synth --scenario "$out/scenario-slow-decay.json" \
     --out "$out/scenario-slow-decay-campaign"
+cat > "$out/scenario-above-nyquist.json" <<EOF
+[{"channel": "N1", "label": "H", "seed": 13, "duration": 0.05,
+  "profile": [[0, 43.0]], "harmonics": [[1, 1.0], [3000000, 0.5]]}]
+EOF
+run error-synth-above-nyquist synth --scenario "$out/scenario-above-nyquist.json" \
+    --out "$out/error-above-nyquist"
 
 for name in seen-motor seen-gearbox unseen-A2b2 unseen-A1b1; do
     run "experiment-$name" --seed 5 experiment "$name" --data "$data" \
