@@ -9,6 +9,7 @@ mean shaft rotational frequency of that block in Hz.
 from __future__ import annotations
 
 import hashlib
+import os
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,8 +27,8 @@ class AudioRecording:
     """Sampled waveform with its sample rate, channel identity, and the
     per-block mean rotational frequency track (one value per FRAME_SAMPLES).
 
-    samples are float64, or the int16 PCM ``read_pcm`` returns, kept without
-    a float copy (full scale PCM_FULL_SCALE).
+    samples are float64, or the int16 PCM ``read_pcm`` maps from the file,
+    kept without a copy (full scale PCM_FULL_SCALE).
     """
 
     samples: np.ndarray
@@ -79,12 +80,17 @@ def write_wav(path, samples: np.ndarray, fs: float) -> None:
 
 def read_pcm(path) -> tuple[np.ndarray, float]:
     """Read a mono 16-bit PCM WAV; returns (int16 samples, fs), the samples
-    a read-only view of the file's data chunk."""
+    a read-only ``np.memmap`` of the file's data chunk.
+
+    The pages are the file cache's, not a copy on the caller's heap, so a
+    worker thread's allocator keeps nothing after the array is dropped.
+    The file must not be rewritten while the array is alive."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"audio file not found: {path}")
     try:
-        with wave.open(str(path), "rb") as w:
+        # wave.open leaves f at the first byte of the data chunk.
+        with path.open("rb") as f, wave.open(f) as w:
             if w.getsampwidth() != 2:
                 raise DataError(f"{path}: expected 16-bit PCM, got "
                                 f"{8 * w.getsampwidth()}-bit")
@@ -92,12 +98,14 @@ def read_pcm(path) -> tuple[np.ndarray, float]:
                 raise DataError(f"{path}: expected mono, got "
                                 f"{w.getnchannels()} channels")
             fs = float(w.getframerate())
-            raw = w.readframes(w.getnframes())
-            if len(raw) != 2 * w.getnframes():
+            n, offset = w.getnframes(), f.tell()
+            if offset + 2 * n > os.fstat(f.fileno()).st_size:
                 raise DataError(f"{path}: truncated WAV data chunk")
     except (wave.Error, EOFError, RuntimeError) as exc:
         raise DataError(f"{path}: not a readable WAV file ({exc!r})") from exc
-    return np.frombuffer(raw, dtype="<i2"), fs
+    if n == 0:
+        return np.zeros(0, dtype="<i2"), fs
+    return np.memmap(path, dtype="<i2", mode="r", offset=offset, shape=(n,)), fs
 
 
 def read_wav(path) -> tuple[np.ndarray, float]:

@@ -8,10 +8,11 @@ frequency, a fixed multiple of the shaft frequency. Inner-ring trains are
 amplitude-modulated by the shaft rotation (the defect moves through the load
 zone once per revolution), outer-ring trains are not.
 
-The harmonic sum takes one sin and one cos of the shaft angle per sample,
-as the unit phasor z, and evaluates every harmonic at once as a complex
-polynomial in z by Horner's rule. The impacts are overlap-added: each chunk
-of impacts is scattered into the signal with one ``np.bincount``.
+The harmonic sum calls no sin or cos per sample: the channel's Taylor
+tables, built once per recording, hold the sum and its derivatives at a grid
+of shaft angles, and each sample gathers its grid point's row and evaluates
+it as a polynomial in the angle's remainder. The impacts are overlap-added:
+each chunk of impacts is scattered into the signal with one ``np.bincount``.
 
 A scenario lists a campaign's channels, each a ``ChannelSpec``: its id, its
 manifest record (``common.ManifestEntry``) and its ``SynthConfig``. A
@@ -26,6 +27,7 @@ impact component.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,8 +96,7 @@ class SynthConfig:
         if any(a < 0 for _, a in harmonics):
             raise ConfigError("harmonic amplitudes must be non-negative")
         object.__setattr__(self, "harmonic_amplitudes", harmonics)
-        # A harmonic at or above fs/2 would alias, and the Horner sum costs one
-        # pass per harmonic number up to the top one.
+        # A harmonic at or above fs/2 would alias.
         top = max((h for h, _ in harmonics), default=0)
         fastest = max(f for _, f in profile)
         if top * fastest >= self.fs / 2:
@@ -215,13 +216,50 @@ def _child_rngs(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in children]
 
 
-# Samples per block of the harmonic sum. A block's angle, phasor and Horner
-# arrays (256 KiB, 512 KiB and 512 KiB) fit a core's L2 cache while every
-# harmonic is folded in, instead of streaming the whole recording through
-# memory once per harmonic. Smaller blocks cost more than they save: each
-# numpy call hands the GIL to the other channel workers, and at 2^13 samples
-# six 170 s channels took 1.80 s to synthesize on two threads against 1.53 s.
+# Samples per block of the harmonic sum. A block's angle, table index and
+# term arrays fit a core's L2 cache with the Taylor tables. Smaller blocks
+# cost more than they save: each numpy call hands the GIL to the other
+# channel workers. Six 170 s channels took 1.27 / 1.01 / 0.88 / 0.87 / 1.06 s
+# to synthesize and write on two threads at 2^13 / 2^14 / 2^15 / 2^16 / 2^17.
 _HARMONIC_BLOCK = 1 << 15
+
+# Least grid points per turn of the Taylor tables, and the truncation error
+# their terms leave, relative to the sum of the amplitudes.
+_TABLE_SIZE = 4096
+_TAYLOR_TOLERANCE = 2.0**-60
+_TWO_PI = 8 * np.arctan(np.longdouble(1))
+
+
+def _split_bits(x: float) -> float:
+    """x cut to its leading 26 significant bits: a product with an integer
+    below 2^27 is exact."""
+    mantissa, exponent = math.frexp(x)
+    return math.ldexp(math.floor(math.ldexp(mantissa, 26)), exponent - 26)
+
+
+def _taylor_tables(weights: dict, size: int) -> np.ndarray:
+    """Row k holds A_k[j] = Re sum_h w_h (ih)^k / k! T[h*j mod size], with
+    T[j] = exp(2*pi*i*j/size) rounded from long double, for k = 0..K.
+
+    sum_k A_k[j] r^k is the sum at angle 2*pi*j/size + r. K is the least
+    order whose remainder for |r| <= pi/size, at most x^(K+1)/(K+1)! of the
+    sum of the amplitudes with x = pi*top/size, is within
+    _TAYLOR_TOLERANCE."""
+    x = np.pi * max(weights) / size
+    order = 0
+    while x ** (order + 1) / math.factorial(order + 1) > _TAYLOR_TOLERANCE:
+        order += 1
+    angles = np.arange(size, dtype=np.longdouble) * (_TWO_PI / size)
+    cos_t, sin_t = np.cos(angles).astype(float), np.sin(angles).astype(float)
+    grid = np.arange(size)
+    tables = np.zeros((order + 1, size))
+    for h, w in weights.items():
+        at = (h * grid) & (size - 1)
+        tr, ti = cos_t[at], sin_t[at]
+        for k in range(order + 1):
+            tables[k] += w.real * tr - w.imag * ti
+            w *= 1j * h / (k + 1)
+    return tables
 
 
 def _harmonic_sum(harmonics, revs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -229,11 +267,14 @@ def _harmonic_sum(harmonics, revs: np.ndarray, rng: np.random.Generator) -> np.n
     harmonics, written over revs (each block is read before it is
     overwritten) and returned.
 
-    The sum is Re(sum_h d_h*z**h) with z = exp(i*theta) and
-    d_h = amp*sin(phase) - i*amp*cos(phase) summed over the entries of h.
-    One phase is drawn per entry in order, zero amplitudes too; the
-    polynomial is evaluated by Horner's rule, one complex multiply per
-    harmonic."""
+    The sum is s(theta) = Re(sum_h w_h*exp(i*h*theta)), with w_h =
+    amp*sin(phase) - i*amp*cos(phase) summed over the entries of h; one
+    phase is drawn per entry in order, zero amplitudes too. theta is split
+    into the nearest of size grid points per turn, j, and a remainder r
+    (Cody-Waite: 2*pi/size in three parts, the first two exact in their
+    products with j < 2^27, i.e. theta below 2e5 rad at the least size),
+    and s is the Taylor polynomial in r of ``_taylor_tables`` row j. size
+    grows with the top harmonic so that top*|r| stays within pi/4."""
     weights: dict[int, complex] = {}
     for h, amp in harmonics:
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -243,27 +284,39 @@ def _harmonic_sum(harmonics, revs: np.ndarray, rng: np.random.Generator) -> np.n
     if not weights:
         revs.fill(0.0)
         return revs
-    top = max(weights)
-    theta = np.empty(min(len(revs), _HARMONIC_BLOCK))
-    z = np.empty(len(theta), dtype=complex)
-    p = np.empty_like(z)
+    size = max(_TABLE_SIZE, 4 << (max(weights) - 1).bit_length())
+    tables = _taylor_tables(weights, size)
+    step = _TWO_PI / size
+    c_hi = _split_bits(float(step))
+    c_mid = _split_bits(float(step - c_hi))
+    c_lo = float(step - c_hi - c_mid)
+    to_grid = float(size / _TWO_PI)
+    angle = np.empty(min(len(revs), _HARMONIC_BLOCK))
+    nearest, term = np.empty_like(angle), np.empty_like(angle)
+    index = np.empty(len(angle), dtype=np.intp)
     for start in range(0, len(revs), _HARMONIC_BLOCK):
-        m = min(_HARMONIC_BLOCK, len(revs) - start)
-        angle, zm, pm = theta[:m], z[:m], p[:m]
-        np.multiply(2.0 * np.pi, revs[start : start + m], out=angle)
-        np.cos(angle, out=zm.real)
-        np.sin(angle, out=zm.imag)
-        pm.fill(weights[top])
-        for h in range(top - 1, -1, -1):
-            pm *= zm
-            if h in weights:
-                pm += weights[h]
-        revs[start : start + m] = pm.real
+        out = revs[start : start + _HARMONIC_BLOCK]
+        m = len(out)
+        r, k, t, j = angle[:m], nearest[:m], term[:m], index[:m]
+        np.multiply(2.0 * np.pi, out, out=r)
+        np.multiply(r, to_grid, out=k)
+        np.rint(k, out=k)
+        j[...] = k
+        j &= size - 1
+        for part in (c_hi, c_mid, c_lo):
+            np.multiply(k, part, out=t)
+            r -= t
+        np.take(tables[-1], j, out=out, mode="clip")
+        for table in tables[-2::-1]:
+            out *= r
+            np.take(table, j, out=t, mode="clip")
+            out += t
     return revs
 
 
 # Kernel samples per chunk of the impact overlap-add (at least one impact per
-# chunk): bounds the index and weight arrays of one np.bincount call.
+# chunk), and the bound on the span of its impacts: bounds the index, weight
+# and output arrays of one np.bincount call, however sparse the impacts.
 _IMPACT_CHUNK_SAMPLES = 1 << 16
 
 
@@ -302,13 +355,19 @@ def synth_recording(config: SynthConfig, channel_id: str = "synth") -> AudioReco
                                   config.fault.resonance_decay, config.fs, n)
         offsets = np.arange(len(kernel))
         chunk = max(1, _IMPACT_CHUNK_SAMPLES // len(kernel))
-        for first in range(0, len(indices), chunk):
+        first = 0
+        while first < len(indices):
+            # Jitter can reorder neighbouring impacts, so the span is taken
+            # between the running extremes; it never decreases.
             idx = indices[first : first + chunk]
+            span = np.maximum.accumulate(idx) - np.minimum.accumulate(idx)
+            idx = idx[: np.searchsorted(span, _IMPACT_CHUNK_SAMPLES)]
             lo = idx.min()
             hi = min(idx.max() + len(kernel), n)
             spread = np.bincount((idx[:, None] - lo + offsets).ravel(),
-                                 (amps[first : first + chunk, None] * kernel).ravel())
+                                 (amps[first : first + len(idx), None] * kernel).ravel())
             signal[lo:hi] += spread[: hi - lo]
+            first += len(idx)
 
     return AudioRecording(samples=signal, fs=config.fs, channel_id=channel_id,
                           rotational_freq_track=track)

@@ -49,6 +49,43 @@ class TestReadWav:
         assert np.array_equal(pcm / audiofile.PCM_FULL_SCALE, samples)
 
 
+class TestReadPcm:
+    @staticmethod
+    def readframes(path):
+        with wave.open(str(path), "rb") as w:
+            return w.readframes(w.getnframes())
+
+    def test_mapped_read_only_and_equal_to_readframes(self, tmp_path):
+        path = tmp_path / "a.wav"
+        audiofile.write_wav(path, np.sin(np.arange(5000)), 8000.0)
+        pcm, _ = audiofile.read_pcm(path)
+        assert isinstance(pcm, np.memmap)
+        assert not pcm.flags.writeable
+        with pytest.raises(ValueError):
+            pcm[0] = 1
+        assert pcm.tobytes() == self.readframes(path)
+
+    def test_list_chunk_before_and_chunk_after_the_data(self, tmp_path, wav_bytes):
+        # The data starts at byte 58, not 44, and a chunk follows it.
+        data_at = wav_bytes.index(b"data")
+        info = b"LIST" + struct.pack("<I", 6) + b"INFOab"
+        tail = b"junk" + struct.pack("<I", 2) + b"\x01\x02"
+        blob = bytearray(wav_bytes[:data_at] + info + wav_bytes[data_at:] + tail)
+        blob[4:8] = struct.pack("<I", len(blob) - 8)
+        path = tmp_path / "list.wav"
+        path.write_bytes(bytes(blob))
+        pcm, fs = audiofile.read_pcm(path)
+        assert pcm.offset == data_at + len(info) + 8 == 58
+        assert fs == 25600.0
+        assert pcm.tobytes() == self.readframes(path) == wav_bytes[data_at + 8 :]
+
+    def test_zero_frames(self, tmp_path):
+        path = tmp_path / "e.wav"
+        audiofile.write_wav(path, np.zeros(0), 25600.0)
+        pcm, fs = audiofile.read_pcm(path)
+        assert (pcm.dtype, pcm.size, fs) == (np.dtype(np.int16), 0, 25600.0)
+
+
 class TestWriteWav:
     @pytest.mark.parametrize("kind", ["noise", "silence"])
     def test_blocks_write_the_whole_array_rounding(self, tmp_path, monkeypatch,

@@ -20,9 +20,10 @@
 # synthesis block and inside a frame) and its extract, a two-channel
 # scenario file (a jittered inner-ring fault, and an outer-ring fault whose
 # resonance kernel outlasts its 1 s recording), the same file with a
-# resonance so slow that its -80 dB kernel would span days, a scenario
-# whose harmonic lies far above fs/2 (a data error), the four named
-# experiments
+# resonance so slow that its -80 dB kernel would span days, a 30 s
+# scenario with harmonics up to h = 40 and a sparse fault (one impact per
+# 20 turns) and its extract, a scenario whose harmonic lies far above fs/2
+# (a data error), the four named experiments
 # (600/200 split, 2 epochs), seen-motor with --synth-first on an 8 s
 # campaign, seen-motor again on that campaign after one of its caches was
 # truncated (that channel is extracted again, the others are reused),
@@ -87,6 +88,21 @@ run synth-scenario synth --scenario "$out/scenario.json" \
 scenario_file "$out/scenario-slow-decay.json" 1e-6
 run synth-scenario-slow-decay synth --scenario "$out/scenario-slow-decay.json" \
     --out "$out/scenario-slow-decay-campaign"
+# Harmonics up to h = 40 (more Taylor terms in the harmonic sum) and an
+# outer-ring fault at 0.05 impacts per turn (impact chunks ended by span).
+cat > "$out/scenario-rich-sparse.json" <<EOF
+[{"channel": "R1", "label": "D", "seed": 14, "duration": 30,
+  "profile": [[0, 43.0], [12, 44.0], [20, 35.0]],
+  "harmonics": [[1, 1.0], [2, 0.5], [7, 0.2], [19, 0.1], [33, 0.05],
+                [40, 0.03]], "noise_level": 0.1,
+  "fault": {"kind": "outer_ring", "freq_ratio": 0.05, "amplitude": 2.0,
+            "resonance_freq": 4000, "resonance_decay": 900, "jitter": 0.1}}]
+EOF
+run synth-scenario-rich-sparse synth --scenario "$out/scenario-rich-sparse.json" \
+    --out "$out/scenario-rich-sparse-campaign"
+run extract-rich-sparse extract \
+    --manifest "$out/scenario-rich-sparse-campaign/manifest.json" \
+    --out "$out/scenario-rich-sparse-campaign/features"
 cat > "$out/scenario-above-nyquist.json" <<EOF
 [{"channel": "N1", "label": "H", "seed": 13, "duration": 0.05,
   "profile": [[0, 43.0]], "harmonics": [[1, 1.0], [3000000, 0.5]]}]
