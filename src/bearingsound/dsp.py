@@ -149,7 +149,7 @@ def filterbank_energies(spectrum: np.ndarray, fb: MelFilterbank) -> np.ndarray:
             f"spectrum has {spectrum.shape[-1]} bins, filterbank expects "
             f"{fb.weights.shape[1]}"
         )
-    return spectrum @ fb.weights.T
+    return np.einsum("...k,ck->...c", spectrum, fb.weights)
 
 
 def cepstral_basis(num_channels: int, num_coeffs: int) -> np.ndarray:
@@ -174,17 +174,11 @@ def mfcc(energies: np.ndarray, config: MfccConfig) -> np.ndarray:
         )
     log_e = np.log(np.maximum(energies, config.log_floor))
     basis = cepstral_basis(config.num_channels, config.num_coeffs)
-    return log_e @ basis.T
+    return np.einsum("...k,ck->...c", log_e, basis)
 
 
-# Frames per filterbank and cosine product: _PRODUCT_SAMPLES // dft_size.
-# OpenBLAS picks its kernel by a product's row count (a short last group
-# takes another one), and the kernel sets the last bits of every row, so
-# another grouping would move cache bytes. A row's power spectrum does not
-# depend on its batch, so the spectra are taken in sub-blocks small enough
-# to keep the float copy, windowed frames and complex spectra in cache, and
-# large enough that few numpy calls hand the GIL to other workers.
-_PRODUCT_SAMPLES = 1 << 20
+# Samples per block of feature_matrix: its float copy, windowed frames and
+# spectra stay in cache, and few numpy calls hand the GIL to other workers.
 _SPECTRUM_SAMPLES = 1 << 17
 
 
@@ -194,12 +188,16 @@ def feature_matrix(samples: np.ndarray, config: MfccConfig) -> np.ndarray:
     Integer samples are PCM: each block is cast to float and divided by the
     dtype's maximum just before windowing, so the recording is never copied
     to float whole. Trailing samples that do not fill a frame are dropped.
-    Returns an array of shape (num_frames, num_coeffs).
+    Returns an array of shape (num_frames, num_coeffs). The products are
+    np.einsum calls, summed in numpy's own loop rather than BLAS (so no
+    optimize=True), and a row's bytes depend neither on its block nor on the
+    OpenBLAS kernel.
     """
     samples = np.asarray(samples)
-    pcm_scale = np.iinfo(samples.dtype).max if samples.dtype.kind == "i" else None
-    if pcm_scale is None:
-        samples = np.asarray(samples, dtype=float)
+    if samples.dtype.kind == "i":
+        scale = np.iinfo(samples.dtype).max
+    else:
+        samples, scale = np.asarray(samples, dtype=float), 1
     n = config.dft_size
     num_frames = len(samples) // n
     if num_frames == 0:
@@ -207,18 +205,10 @@ def feature_matrix(samples: np.ndarray, config: MfccConfig) -> np.ndarray:
     fb = build_filterbank(config)
     window = window_samples("hann", n)
     frames = samples[: num_frames * n].reshape(num_frames, n)
-    out = np.zeros((num_frames, config.num_coeffs))
-    rows = max(1, _PRODUCT_SAMPLES // n)
-    sub = max(1, _SPECTRUM_SAMPLES // n)
-    spectra = np.empty((min(rows, num_frames), n // 2 + 1))
+    out = np.empty((num_frames, config.num_coeffs))
+    rows = max(1, _SPECTRUM_SAMPLES // n)
     for start in range(0, num_frames, rows):
-        stop = min(start + rows, num_frames)
-        for first in range(start, stop, sub):
-            block = frames[first : min(first + sub, stop)]
-            if pcm_scale is not None:
-                block = block.astype(float)
-                block /= pcm_scale
-            spectra[first - start : first - start + len(block)] = power_spectrum(
-                block, window)
-        out[start:stop] = mfcc(filterbank_energies(spectra[: stop - start], fb), config)
+        block = frames[start : start + rows] / scale
+        energies = filterbank_energies(power_spectrum(block, window), fb)
+        out[start : start + rows] = mfcc(energies, config)
     return out

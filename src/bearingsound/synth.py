@@ -102,6 +102,9 @@ class SynthConfig:
         if top * fastest >= self.fs / 2:
             raise ConfigError(f"harmonic {top} of the {fastest} Hz shaft speed "
                               f"is at or above fs/2 = {self.fs / 2} Hz")
+        # Bounds the Taylor tables (131072 points per turn) on a slow shaft.
+        if top > 1 << 15:
+            raise ConfigError(f"harmonic {top} is above 32768, the tables' limit")
         if self.noise_level < 0:
             raise ConfigError("noise_level must be non-negative")
         if self.fault is not None and self.fault.resonance_freq >= self.fs / 2:
@@ -216,8 +219,8 @@ def _child_rngs(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in children]
 
 
-# Samples per block of the harmonic sum. A block's angle, table index and
-# term arrays fit a core's L2 cache with the Taylor tables. Smaller blocks
+# Samples per block of the harmonic sum. A block's remainder, table index
+# and term arrays fit a core's L2 cache with the Taylor tables. Smaller blocks
 # cost more than they save: each numpy call hands the GIL to the other
 # channel workers. Six 170 s channels took 1.27 / 1.01 / 0.88 / 0.87 / 1.06 s
 # to synthesize and write on two threads at 2^13 / 2^14 / 2^15 / 2^16 / 2^17.
@@ -228,13 +231,6 @@ _HARMONIC_BLOCK = 1 << 15
 _TABLE_SIZE = 4096
 _TAYLOR_TOLERANCE = 2.0**-60
 _TWO_PI = 8 * np.arctan(np.longdouble(1))
-
-
-def _split_bits(x: float) -> float:
-    """x cut to its leading 26 significant bits: a product with an integer
-    below 2^27 is exact."""
-    mantissa, exponent = math.frexp(x)
-    return math.ldexp(math.floor(math.ldexp(mantissa, 26)), exponent - 26)
 
 
 def _taylor_tables(weights: dict, size: int) -> np.ndarray:
@@ -269,12 +265,12 @@ def _harmonic_sum(harmonics, revs: np.ndarray, rng: np.random.Generator) -> np.n
 
     The sum is s(theta) = Re(sum_h w_h*exp(i*h*theta)), with w_h =
     amp*sin(phase) - i*amp*cos(phase) summed over the entries of h; one
-    phase is drawn per entry in order, zero amplitudes too. theta is split
-    into the nearest of size grid points per turn, j, and a remainder r
-    (Cody-Waite: 2*pi/size in three parts, the first two exact in their
-    products with j < 2^27, i.e. theta below 2e5 rad at the least size),
-    and s is the Taylor polynomial in r of ``_taylor_tables`` row j. size
-    grows with the top harmonic so that top*|r| stays within pi/4."""
+    phase is drawn per entry in order, zero amplitudes too. The angle is
+    reduced in turns, exactly at any length: x = revs*size is exact (size is
+    a power of two), k = rint(x) gives grid point j = k mod size, and
+    r = (x - k)*2*pi/size; s is the Taylor polynomial in r of
+    ``_taylor_tables`` row j. size grows with the top harmonic so that
+    top*|r| stays within pi/4."""
     weights: dict[int, complex] = {}
     for h, amp in harmonics:
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -286,26 +282,20 @@ def _harmonic_sum(harmonics, revs: np.ndarray, rng: np.random.Generator) -> np.n
         return revs
     size = max(_TABLE_SIZE, 4 << (max(weights) - 1).bit_length())
     tables = _taylor_tables(weights, size)
-    step = _TWO_PI / size
-    c_hi = _split_bits(float(step))
-    c_mid = _split_bits(float(step - c_hi))
-    c_lo = float(step - c_hi - c_mid)
-    to_grid = float(size / _TWO_PI)
+    step = float(_TWO_PI / size)
     angle = np.empty(min(len(revs), _HARMONIC_BLOCK))
-    nearest, term = np.empty_like(angle), np.empty_like(angle)
+    term = np.empty_like(angle)
     index = np.empty(len(angle), dtype=np.intp)
     for start in range(0, len(revs), _HARMONIC_BLOCK):
         out = revs[start : start + _HARMONIC_BLOCK]
         m = len(out)
-        r, k, t, j = angle[:m], nearest[:m], term[:m], index[:m]
-        np.multiply(2.0 * np.pi, out, out=r)
-        np.multiply(r, to_grid, out=k)
-        np.rint(k, out=k)
-        j[...] = k
+        r, t, j = angle[:m], term[:m], index[:m]
+        np.multiply(out, size, out=r)
+        np.rint(r, out=t)
+        j[...] = t
         j &= size - 1
-        for part in (c_hi, c_mid, c_lo):
-            np.multiply(k, part, out=t)
-            r -= t
+        r -= t
+        r *= step
         np.take(tables[-1], j, out=out, mode="clip")
         for table in tables[-2::-1]:
             out *= r

@@ -154,6 +154,21 @@ class TestSynthCommand:
         assert err.startswith("data error: ") and "fs/2" in err
         assert not out.exists()
 
+    def test_top_harmonic_on_a_slow_shaft_is_a_data_error(self, tmp_path, capsys):
+        # Harmonic 10^6 of a 0.01 Hz shaft lies below fs/2, but its Taylor
+        # tables would take over 900 MB for one 80 ms frame; the scenario is
+        # rejected before any sample is made.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps([{
+            "channel": "T1", "label": "H", "seed": 1, "duration": 0.1,
+            "profile": [[0.0, 0.01]], "harmonics": [[1, 1.0], [1000000, 0.5]]}]))
+        out = tmp_path / "out"
+        rc, _, err = run(["synth", "--scenario", str(path), "--out", str(out)],
+                         capsys)
+        assert rc == 2
+        assert err.startswith("data error: ") and "above 32768" in err
+        assert not out.exists()
+
     def test_slow_resonance_decay_writes_its_wav(self, tmp_path, capsys):
         # A -80 dB kernel of fs*ln(1e4)/1e-6 samples would need terabytes;
         # the kernel stops at the end of the 2 s recording instead.

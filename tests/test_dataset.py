@@ -47,9 +47,9 @@ def profile_frame_means(profile, num_frames, fs=FS, frame=FRAME):
 
 class TestPcmFeatures:
     def test_extract_from_pcm_chunks_caches_the_float_samples_features(self, tmp_path):
-        # Two full product groups, a partial one and a partial last frame;
+        # Two full spectrum blocks, a partial one and a partial last frame;
         # some frames fall outside the gating band.
-        n = 2 * dsp._PRODUCT_SAMPLES + 5 * FRAME + 300
+        n = 2 * dsp._SPECTRUM_SAMPLES + 5 * FRAME + 300
         wav = tmp_path / "c.wav"
         audiofile.write_wav(wav, np.random.default_rng(6).standard_normal(n), FS)
         track = np.where(np.arange(n // FRAME) % 7 == 3, 40.0, 43.0)

@@ -1,8 +1,14 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bearingsound
 from bearingsound import dsp
 from bearingsound.errors import ConfigError
 
@@ -255,28 +261,52 @@ class TestExtractFeatures:
         for row in features[1:]:
             np.testing.assert_allclose(row, base, atol=1e-6)
 
+    @staticmethod
+    def pcm_and_floats():
+        """600 frames and 5 more samples of random int16 PCM, and the same
+        samples as floats in [-1, 1]."""
+        ints = np.random.default_rng(8).integers(-32767, 32768, 600 * 2048 + 5)
+        return ints.astype(np.int16), ints / 32767
+
     @pytest.mark.parametrize("pcm", [False, True])
-    def test_products_take_the_frames_in_fixed_groups(self, pcm):
-        # OpenBLAS picks its kernel by a product's row count, and a row's last
-        # bits follow the kernel, so the frames go through the filterbank and
-        # cosine products in groups of _PRODUCT_SAMPLES // dft_size whatever
-        # the spectrum sub-blocks are. 588 frames make groups of 512 and 76;
-        # groups of 64 would leave a last one of 12 rows, a kernel switch on
-        # OpenBLAS SkylakeX.
+    def test_a_row_does_not_depend_on_its_block(self, pcm):
+        # 600 frames make blocks of 64 and a partial last one of 24; pieces
+        # cut at frames 1, 63, 64, 65 and 588 put every frame in other blocks,
+        # of 1 to 64 rows. The chain over all 600 frames at once agrees too.
         cfg = dsp.MfccConfig()
         n = cfg.dft_size
-        rows = dsp._PRODUCT_SAMPLES // n
-        assert dsp._SPECTRUM_SAMPLES // n < rows
-        ints = np.random.default_rng(8).integers(-32767, 32768, (rows + 76) * n + 5)
-        floats = ints / 32767
-        samples = ints.astype(np.int16) if pcm else floats
+        ints, floats = self.pcm_and_floats()
+        samples = ints if pcm else floats
+        whole = dsp.feature_matrix(samples, cfg)
+        cuts = (0, 1, 63, 64, 65, 588, 600)
+        pieces = [dsp.feature_matrix(samples[a * n : b * n], cfg)
+                  for a, b in zip(cuts, cuts[1:])]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
         fb = dsp.build_filterbank(cfg)
-        window = dsp.window_samples("hann", n)
-        frames = floats[: (rows + 76) * n].reshape(-1, n)
-        expected = np.concatenate([
-            dsp.mfcc(dsp.filterbank_energies(dsp.power_spectrum(group, window), fb), cfg)
-            for group in (frames[:rows], frames[rows:])])
-        assert dsp.feature_matrix(samples, cfg).tobytes() == expected.tobytes()
+        spectra = dsp.power_spectrum(floats[: 600 * n].reshape(-1, n),
+                                     dsp.window_samples("hann", n))
+        chain = dsp.mfcc(dsp.filterbank_energies(spectra, fb), cfg)
+        assert chain.tobytes() == whole.tobytes()
+
+    def test_same_bytes_on_another_blas_kernel(self):
+        # OpenBLAS's Prescott kernel sums a float64 matrix product in another
+        # order than the kernels it picks on current x86 CPUs; the features
+        # do not move.
+        script = ("import hashlib, numpy as np; from bearingsound import dsp; "
+                  "ints = np.random.default_rng(8).integers(-32767, 32768, "
+                  "600 * 2048 + 5).astype(np.int16); "
+                  "print(hashlib.sha256(dsp.feature_matrix(ints, dsp.MfccConfig())"
+                  ".tobytes()).hexdigest())")
+        package_root = str(Path(bearingsound.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        ints, _ = self.pcm_and_floats()
+        here = dsp.feature_matrix(ints, dsp.MfccConfig()).tobytes()
+        assert proc.stdout.strip() == hashlib.sha256(here).hexdigest()
 
 
 class TestPipelineProperties:

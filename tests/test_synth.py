@@ -59,6 +59,16 @@ class TestConfigValidation:
             synth.SynthConfig(fault=dataclasses.replace(
                 outer_fault(), resonance_freq=20000.0))
 
+    def test_harmonic_above_table_bound_rejected(self):
+        # 2^15 + 1 times a 0.01 Hz shaft is far below fs/2; the bound is on
+        # the Taylor tables, which would grow past 131072 points per turn.
+        slow = ((0.0, 0.01),)
+        synth.SynthConfig(duration=0.1, rotational_freq_profile=slow,
+                          harmonic_amplitudes=((1, 1.0), (1 << 15, 0.5)))
+        with pytest.raises(ConfigError, match="above 32768"):
+            synth.SynthConfig(duration=0.1, rotational_freq_profile=slow,
+                              harmonic_amplitudes=((1, 1.0), ((1 << 15) + 1, 0.5)))
+
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigError):
             synth.SynthConfig(noise_level=-0.1)
@@ -124,14 +134,16 @@ class TestHarmonicSum:
     def horner_sum(harmonics, revs, rng):
         """One np.cos and one np.sin per sample, as the unit phasor z, and
         Re(sum_h w_h z^h) by Horner's rule, one complex multiply per
-        harmonic number up to the top one."""
+        harmonic number up to the top one. The angle is taken from the
+        fractional turn, 2*pi*(revs - floor(revs)), so that it carries no
+        rounding that grows with revs."""
         weights = {}
         for h, amp in harmonics:
             phase = rng.uniform(0.0, 2.0 * np.pi)
             if amp > 0:
                 weights[h] = weights.get(h, 0j) + complex(amp * np.sin(phase),
                                                           -amp * np.cos(phase))
-        theta = 2.0 * np.pi * revs
+        theta = 2.0 * np.pi * (revs - np.floor(revs))
         z = np.cos(theta) + 1j * np.sin(theta)
         top = max(weights)
         p = np.full(len(revs), weights[top])
@@ -177,9 +189,10 @@ class TestHarmonicSum:
             expected += amp * np.sin(2.0 * np.pi * h * revs + phase)
         np.testing.assert_allclose(recording.samples, expected, rtol=0, atol=1e-9)
 
-    def test_angle_past_exact_reduction(self):
-        # 120 s of a 300 Hz shaft: theta reaches 2.26e5 rad, past the 2e5
-        # below which the reduction's products are exact.
+    def test_long_recording_matches_horner_sum(self):
+        # 120 s of a 300 Hz shaft: theta reaches 2.26e5 rad, where rounding
+        # 2*pi*revs moves it by up to 1.5e-11 rad; the reduction in turns
+        # takes no such rounding.
         harmonics = ((1, 1.0), (3, 0.4))
         config = synth.SynthConfig(fs=2100.0, duration=120.0, seed=9,
                                    rotational_freq_profile=((0.0, 300.0),),
@@ -187,12 +200,9 @@ class TestHarmonicSum:
         recording = synth.synth_recording(config, "h")
         _, revs = synth._shaft_revolutions(config)
         assert 2.0 * np.pi * revs[-1] > 2e5
-        rng_phase = synth._child_rngs(config.seed)[0]
-        expected = np.zeros(len(revs))
-        for h, amp in harmonics:
-            phase = rng_phase.uniform(0.0, 2.0 * np.pi)
-            expected += amp * np.sin(2.0 * np.pi * h * revs + phase)
-        np.testing.assert_allclose(recording.samples, expected, rtol=0, atol=1e-9)
+        expected = self.horner_sum(harmonics, revs, synth._child_rngs(config.seed)[0])
+        tolerance = 1e-13 * sum(amp for _, amp in harmonics)
+        np.testing.assert_allclose(recording.samples, expected, rtol=0, atol=tolerance)
 
 
 class TestFaultTrain:

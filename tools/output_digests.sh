@@ -2,9 +2,12 @@
 # Run a fixed set of bearingsound commands from one checkout and print a
 # sorted "sha256  path" line for every file they leave, including each
 # command's stdout, stderr and exit code. The first line names the OpenBLAS
-# kernel (tools/blas_core.py): output bytes repeat for one kernel and thread
-# setting, not across kernels, so lists whose first lines differ are not
-# comparable.
+# kernel (tools/blas_core.py). Synthesized campaigns and feature caches
+# repeat on every kernel: the 6.13 s campaign is extracted a second time
+# under OPENBLAS_CORETYPE=Prescott, and its caches' digests equal the
+# first run's. Models and reports repeat for one kernel and thread setting
+# only, so lists whose first lines differ are comparable in their WAVs and
+# caches alone.
 #
 #   tools/output_digests.sh <checkout> <out-dir>
 #
@@ -17,13 +20,16 @@
 #   diff before.txt after.txt
 #
 # The set: a seed-5 40 s default campaign, a 6.13 s one (it ends inside a
-# synthesis block and inside a frame) and its extract, a two-channel
+# synthesis block and inside a frame) and its extract, on this CPU's
+# kernel and on Prescott's, a two-channel
 # scenario file (a jittered inner-ring fault, and an outer-ring fault whose
 # resonance kernel outlasts its 1 s recording), the same file with a
 # resonance so slow that its -80 dB kernel would span days, a 30 s
 # scenario with harmonics up to h = 40 and a sparse fault (one impact per
 # 20 turns) and its extract, a scenario whose harmonic lies far above fs/2
-# (a data error), the four named experiments
+# (a data error), a scenario whose harmonic 10^6 of a 0.01 Hz shaft lies
+# below fs/2 but above the Taylor tables' bound (a data error), the four
+# named experiments
 # (600/200 split, 2 epochs), seen-motor with --synth-first on an 8 s
 # campaign, seen-motor again on that campaign after one of its caches was
 # truncated (that channel is extracted again, the others are reused),
@@ -65,6 +71,9 @@ run synth-odd --seed 5 synth --default-campaign --duration 6.13 \
     --out "$out/campaign-odd"
 run extract-odd extract --manifest "$out/campaign-odd/manifest.json" \
     --out "$out/campaign-odd/features"
+OPENBLAS_CORETYPE=Prescott run extract-odd-prescott extract \
+    --manifest "$out/campaign-odd/manifest.json" \
+    --out "$out/campaign-odd/features-prescott"
 # scenario_file FILE DECAY: two faulted channels, the second on a 1 s
 # recording with a resonance that decays at DECAY per second.
 scenario_file() {
@@ -109,6 +118,12 @@ cat > "$out/scenario-above-nyquist.json" <<EOF
 EOF
 run error-synth-above-nyquist synth --scenario "$out/scenario-above-nyquist.json" \
     --out "$out/error-above-nyquist"
+cat > "$out/scenario-slow-shaft.json" <<EOF
+[{"channel": "T1", "label": "H", "seed": 13, "duration": 0.1,
+  "profile": [[0, 0.01]], "harmonics": [[1, 1.0], [1000000, 0.5]]}]
+EOF
+run error-synth-slow-shaft synth --scenario "$out/scenario-slow-shaft.json" \
+    --out "$out/error-slow-shaft"
 
 for name in seen-motor seen-gearbox unseen-A2b2 unseen-A1b1; do
     run "experiment-$name" --seed 5 experiment "$name" --data "$data" \
