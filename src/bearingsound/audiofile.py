@@ -2,13 +2,14 @@
 and ``AudioRecording``, the samples and track held in memory.
 
 The sidecar is a plain text file next to the WAV (same stem, ``.rot``
-extension) holding one ASCII float per ``FRAME_SAMPLES``-sample block: the
-mean shaft rotational frequency of that block in Hz.
+extension) holding one finite ASCII float per ``FRAME_SAMPLES``-sample
+block: the mean shaft rotational frequency of that block in Hz.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import wave
 from dataclasses import dataclass
@@ -108,14 +109,6 @@ def read_pcm(path) -> tuple[np.ndarray, float]:
     return np.memmap(path, dtype="<i2", mode="r", offset=offset, shape=(n,)), fs
 
 
-def read_wav(path) -> tuple[np.ndarray, float]:
-    """Read a mono 16-bit PCM WAV; returns (float samples in [-1, 1], fs)."""
-    pcm, fs = read_pcm(path)
-    samples = pcm.astype(float)
-    samples /= PCM_FULL_SCALE
-    return samples, fs
-
-
 def source_sha256(wav_path) -> str:
     """Hex SHA-256 of a WAV file's bytes followed by its sidecar's bytes."""
     digest = hashlib.sha256()
@@ -151,4 +144,6 @@ def read_rot_track(wav_path) -> np.ndarray:
             values.append(float(line))
         except ValueError as exc:
             raise DataError(f"{path}:{line_no}: bad float {line!r}") from exc
+        if not math.isfinite(values[-1]):
+            raise DataError(f"{path}:{line_no}: non-finite value {values[-1]}")
     return np.asarray(values, dtype=float)

@@ -97,10 +97,10 @@ def _add_mfcc_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--split", choices=("random", "by-channel"), default="random")
     p.add_argument("--channels", type=_parse_channels, default=None,
                    help="channels to pool for a random split (default: all)")
-    p.add_argument("--train-channels", type=_parse_channels, default=None)
+    p.add_argument("--train-channels", type=_parse_channels, default=None,
+                   help="with --test-channels: a by-channel split")
     p.add_argument("--test-channels", type=_parse_channels, default=None)
     p.add_argument("--train-size", type=positive_int, default=experiments.SEEN_SPLIT[0])
     p.add_argument("--test-size", type=positive_int, default=experiments.SEEN_SPLIT[1])
@@ -120,13 +120,13 @@ def _mfcc_config(args) -> MfccConfig:
 
 
 def _split_spec(args) -> SplitSpec:
-    mode = args.split.replace("-", "_")
-    for name in ("channels",) if mode == "by_channel" else ("train_channels", "test_channels"):
-        if getattr(args, name) is not None:
-            raise ConfigError(f"--{name.replace('_', '-')} does not apply to --split {args.split}")
-    return SplitSpec(mode=mode, train_size=args.train_size,
-                     test_size=args.test_size, seed=args.seed,
-                     train_channels=args.train_channels,
+    """By-channel when a channel list is given, else random."""
+    by_channel = args.train_channels is not None or args.test_channels is not None
+    if by_channel and args.channels is not None:
+        raise ConfigError("--channels does not apply to a by-channel split")
+    return SplitSpec(mode="by_channel" if by_channel else "random",
+                     train_size=args.train_size, test_size=args.test_size,
+                     seed=args.seed, train_channels=args.train_channels,
                      test_channels=args.test_channels)
 
 

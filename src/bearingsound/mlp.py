@@ -20,7 +20,8 @@ to float32 once, trains a float32 copy of ``init_model``'s parameters (whose
 draws are rounded to float32, so the copy is exact) and returns their exact
 float64 widening.
 
-``adam_step`` is Kingma & Ba's section 2 form (arXiv 1412.6980) with the
+``adam_step`` is Kingma & Ba's section 2 form (arXiv 1412.6980) at their
+defaults (b1, b2, eps are ``BETA1``, ``BETA2``, ``ADAM_EPS``), with the
 moments kept without their (1 - beta) factors, 10 passes over the parameters
 with one division and one sqrt: M = b1 M + g, V = b2 V + g^2, then
 p -= a_t M / (sqrt(V) + eps / s) with s = sqrt((1 - b2) / (1 - b2^t)) and
@@ -30,10 +31,9 @@ float32 training flushes most subnormals, since arithmetic on them is many
 times slower. Saturated softmax posteriors give subnormal output errors,
 which ``_gradients`` zeroes below sqrt(tiny): every backprop product of two
 values at least that large is normal. The moments of dead ReLU units decay
-geometrically, so every 64 steps ``adam_step`` zeroes
-|M| < tiny / b1^64 and V < tiny / b2^64 (computed as |M| b1^64 < tiny, so
-no beta overflows the bound): a moment above its bound cannot decay below
-tiny before the next flush. The flush bounds decay, not arrival: any step's
+geometrically, so every 64 steps ``adam_step`` zeroes |M| < tiny / b1^64
+and V < tiny / b2^64: a moment above its bound cannot decay below tiny
+before the next flush. The flush bounds decay, not arrival: any step's
 g * g can add a subnormal to V, which stays until the next flush, at most 63
 steps later; one added after the last flush remains when training ends. tiny
 is ``np.finfo(dtype).tiny``.
@@ -58,6 +58,10 @@ MODEL_MAGIC = b"ABMM"
 MODEL_VERSION = 2
 
 DEFAULT_HIDDEN_DIMS = (1024, 100)
+
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _param_count(dims) -> int:
@@ -115,9 +119,6 @@ class TrainConfig:
     epochs: int = 20
     learning_rate: float = 0.001
     batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -127,10 +128,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be >= 0")
         if self.batch_size <= 0:
             raise ConfigError("batch_size must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ConfigError("beta1 and beta2 must lie in (0, 1)")
-        if self.adam_eps <= 0:
-            raise ConfigError("adam_eps must be positive")
 
 
 def init_model(dims, seed: int = 0) -> MlpModel:
@@ -195,13 +192,11 @@ def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def loss(posteriors: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy, with the true-class posterior floored at 1e-12."""
+    """Mean cross-entropy over class indices, true-class posterior floored at 1e-12."""
     posteriors = np.atleast_2d(np.asarray(posteriors, dtype=float))
     labels = np.asarray(labels)
-    if labels.ndim == 2:
-        labels = labels.argmax(axis=1)
-    if len(posteriors) != len(labels):
-        raise DataError("posteriors and labels have different lengths")
+    if labels.shape != (len(posteriors),):
+        raise DataError("labels must be one class index per posterior row")
     if len(labels) == 0:
         raise DataError("empty batch")
     picked = posteriors[np.arange(len(labels)), labels.astype(int)]
@@ -267,7 +262,7 @@ def adam_step(model: MlpModel, state: AdamState, grad: np.ndarray,
     Every _FLUSH_INTERVAL steps it first zeroes the moments that would fall
     below tiny if they decayed for _FLUSH_INTERVAL steps."""
     state.t += 1
-    b1, b2, tmp = config.beta1, config.beta2, state.scratch
+    b1, b2, tmp = BETA1, BETA2, state.scratch
     if state.t % _FLUSH_INTERVAL == 0:
         for moment, beta in ((state.m, b1), (state.v, b2)):
             np.abs(moment, out=tmp)
@@ -280,7 +275,7 @@ def adam_step(model: MlpModel, state: AdamState, grad: np.ndarray,
     np.multiply(grad, grad, out=tmp)
     state.v += tmp
     np.sqrt(state.v, out=tmp)
-    tmp += config.adam_eps / s
+    tmp += ADAM_EPS / s
     np.divide(state.m, tmp, out=tmp)
     tmp *= config.learning_rate * (1.0 - b1) / ((1.0 - b1 ** state.t) * s)
     model.params -= tmp

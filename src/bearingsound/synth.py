@@ -4,9 +4,9 @@ A recording is the sum of three parts: harmonics of the shaft rotational
 frequency (with random phases), broadband Gaussian noise, and, for a damaged
 bearing, a train of impacts. Each impact excites an exponentially decaying
 structural resonance; impact repetition follows the characteristic fault
-frequency, a fixed multiple of the shaft frequency. Inner-ring trains are
-amplitude-modulated by the shaft rotation (the defect moves through the load
-zone once per revolution), outer-ring trains are not.
+frequency, a fixed multiple of the shaft frequency. Inner-ring trains, and
+only they, are amplitude-modulated by the shaft rotation (the defect moves
+through the load zone once per revolution): the fault kind alone decides.
 
 The harmonic sum calls no sin or cos per sample: the channel's Taylor
 tables, built once per recording, hold the sum and its derivatives at a grid
@@ -50,16 +50,17 @@ class FaultSpec:
     impulse_amplitude: float
     resonance_freq: float
     resonance_decay: float
-    amplitude_modulated_by_shaft: bool = False
     severity_jitter: float = 0.0
 
     def __post_init__(self):
         if self.fault_kind not in (OUTER_RING, INNER_RING):
             raise ConfigError(f"unknown fault kind: {self.fault_kind!r}")
-        if self.fault_freq_ratio <= 0:
-            raise ConfigError("fault_freq_ratio must be positive")
-        if self.resonance_decay <= 0:
-            raise ConfigError("resonance_decay must be positive")
+        if not 0 < self.fault_freq_ratio < math.inf:
+            raise ConfigError("fault_freq_ratio must be positive and finite")
+        if not 0 < self.resonance_decay < math.inf:
+            raise ConfigError("resonance_decay must be positive and finite")
+        if not (math.isfinite(self.impulse_amplitude) and math.isfinite(self.resonance_freq)):
+            raise ConfigError("impulse_amplitude and resonance_freq must be finite")
         if not (0.0 <= self.severity_jitter < 1.0):
             raise ConfigError("severity_jitter must be in [0, 1)")
 
@@ -77,24 +78,24 @@ class SynthConfig:
     fault: FaultSpec | None = None
 
     def __post_init__(self):
-        if self.fs <= 0:
-            raise ConfigError("fs must be positive")
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
+        if not 0 < self.fs < math.inf:
+            raise ConfigError("fs must be positive and finite")
+        if not 0 < self.duration < math.inf:
+            raise ConfigError("duration must be positive and finite")
         profile = tuple((float(t), float(f)) for t, f in self.rotational_freq_profile)
         if not profile:
             raise ConfigError("rotational_freq_profile must not be empty")
         times = [t for t, _ in profile]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigError("profile breakpoint times must be strictly increasing")
-        if any(f <= 0 for _, f in profile):
-            raise ConfigError("rotational frequency must stay positive")
+        if not np.isfinite(times).all() or any(b <= a for a, b in zip(times, times[1:])):
+            raise ConfigError("profile breakpoint times must be finite and strictly increasing")
+        if not all(0 < f < math.inf for _, f in profile):
+            raise ConfigError("rotational frequency must stay positive and finite")
         object.__setattr__(self, "rotational_freq_profile", profile)
         harmonics = tuple((int(h), float(a)) for h, a in self.harmonic_amplitudes)
         if any(h <= 0 for h, _ in harmonics):
             raise ConfigError("harmonic numbers must be positive")
-        if any(a < 0 for _, a in harmonics):
-            raise ConfigError("harmonic amplitudes must be non-negative")
+        if not all(0 <= a < math.inf for _, a in harmonics):
+            raise ConfigError("harmonic amplitudes must be non-negative and finite")
         object.__setattr__(self, "harmonic_amplitudes", harmonics)
         # A harmonic at or above fs/2 would alias.
         top = max((h for h, _ in harmonics), default=0)
@@ -105,8 +106,8 @@ class SynthConfig:
         # Bounds the Taylor tables (131072 points per turn) on a slow shaft.
         if top > 1 << 15:
             raise ConfigError(f"harmonic {top} is above 32768, the tables' limit")
-        if self.noise_level < 0:
-            raise ConfigError("noise_level must be non-negative")
+        if not 0 <= self.noise_level < math.inf:
+            raise ConfigError("noise_level must be non-negative and finite")
         if self.fault is not None and self.fault.resonance_freq >= self.fs / 2:
             raise ConfigError("resonance_freq must be below fs/2")
 
@@ -209,7 +210,7 @@ def _fault_impulses(config: SynthConfig, revs: np.ndarray,
                               num_blocks - 1)
         amps *= 1.0 + jitter * levels[block_of]
         amps *= 1.0 + (jitter / 3.0) * rng.uniform(-1.0, 1.0, size=indices.size)
-    if fault.amplitude_modulated_by_shaft:
+    if fault.fault_kind == INNER_RING:
         amps *= 1.0 + np.cos(2.0 * np.pi * revs[indices])
     return indices, amps
 
@@ -451,8 +452,7 @@ def default_scenario(seed: int, duration: float = CAMPAIGN_DURATION_S,
             "kind": kind, "freq_ratio": ratio,
             "amplitude": impulse_amplitude_for_power(
                 db, harmonics, profile, kind, ratio, res_f, decay, fs, duration),
-            "resonance_freq": res_f, "resonance_decay": decay,
-            "modulated": kind == INNER_RING, "jitter": jitter}
+            "resonance_freq": res_f, "resonance_decay": decay, "jitter": jitter}
         channels.append(channel_from_json({
             "channel": channel_id, "label": label, "axle": axle,
             "component": component, "description": description,
@@ -462,16 +462,23 @@ def default_scenario(seed: int, duration: float = CAMPAIGN_DURATION_S,
     return channels
 
 
+# Keys of a scenario's channel and fault objects: any other is a data error.
+_CHANNEL_KEYS = {"channel", "label", "axle", "component", "description", "seed",
+                 "fs", "duration", "profile", "harmonics", "noise_level", "fault"}
+_FAULT_KEYS = {"kind", "freq_ratio", "amplitude", "resonance_freq",
+               "resonance_decay", "jitter"}
+
+
 def channel_from_json(entry: dict) -> ChannelSpec:
     """One channel object of ``scenario_from_json``'s schema as a ChannelSpec."""
-    fault = None
-    if entry.get("fault"):
-        f = entry["fault"]
-        fault = FaultSpec(
-            f["kind"], float(f["freq_ratio"]), float(f["amplitude"]),
-            float(f["resonance_freq"]), float(f["resonance_decay"]),
-            amplitude_modulated_by_shaft=bool(f.get("modulated", False)),
-            severity_jitter=float(f.get("jitter", 0.0)))
+    f = entry.get("fault") or {}
+    for what, fields, known in (("channel", entry, _CHANNEL_KEYS), ("fault", f, _FAULT_KEYS)):
+        if unknown := sorted(fields.keys() - known):
+            raise DataError(f"unknown {what} keys: {', '.join(unknown)}")
+    fault = FaultSpec(
+        f["kind"], float(f["freq_ratio"]), float(f["amplitude"]),
+        float(f["resonance_freq"]), float(f["resonance_decay"]),
+        severity_jitter=float(f.get("jitter", 0.0))) if f else None
     config = SynthConfig(
         fs=float(entry.get("fs", SynthConfig.fs)), duration=float(entry["duration"]),
         seed=int(entry["seed"]), rotational_freq_profile=entry["profile"],
@@ -490,7 +497,7 @@ def scenario_from_json(path) -> list[ChannelSpec]:
     component, description, seed, fs, duration, profile ([[t, hz], ...]),
     harmonics ([[h, amp], ...]), noise_level, and fault (null or an object
     with kind, freq_ratio, amplitude, resonance_freq, resonance_decay,
-    modulated, jitter).
+    jitter). Any other key, or a number that is not finite, is a DataError.
     """
     path = Path(path)
     raw = read_json(path, "scenario file")

@@ -19,9 +19,10 @@ class TestReadWav:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "a.wav"
         audiofile.write_wav(path, np.array([0.0, 1.0, -1.0]), 25600.0)
-        samples, fs = audiofile.read_wav(path)
+        pcm, fs = audiofile.read_pcm(path)
         assert fs == 25600.0
-        np.testing.assert_allclose(samples, [0.0, 0.95, -0.95], atol=1e-4)
+        np.testing.assert_allclose(pcm / audiofile.PCM_FULL_SCALE,
+                                   [0.0, 0.95, -0.95], atol=1e-4)
 
     def test_malformed_files_are_data_errors(self, tmp_path, wav_bytes):
         # Each of these escaped as a non-DataError exception before.
@@ -37,16 +38,17 @@ class TestReadWav:
             path = tmp_path / "bad.wav"
             path.write_bytes(blob)
             with pytest.raises(DataError, match="bad.wav"):
-                audiofile.read_wav(path)
+                audiofile.read_pcm(path)
 
 
     def test_pcm_is_the_int16_data_chunk(self, tmp_path):
         path = tmp_path / "a.wav"
-        audiofile.write_wav(path, np.sin(np.arange(5000)), 8000.0)
+        x = np.sin(np.arange(5000))
+        audiofile.write_wav(path, x, 8000.0)
         pcm, fs = audiofile.read_pcm(path)
-        samples, _ = audiofile.read_wav(path)
         assert (pcm.dtype, fs) == (np.dtype(np.int16), 8000.0)
-        assert np.array_equal(pcm / audiofile.PCM_FULL_SCALE, samples)
+        scale = 0.95 * audiofile.PCM_FULL_SCALE / np.abs(x).max()
+        assert np.array_equal(pcm, np.rint(x * scale))
 
 
 class TestReadPcm:
@@ -111,8 +113,8 @@ class TestWriteWav:
 
     def test_empty_signal(self, tmp_path):
         audiofile.write_wav(tmp_path / "e.wav", np.zeros(0), 25600.0)
-        samples, fs = audiofile.read_wav(tmp_path / "e.wav")
-        assert (samples.size, fs) == (0, 25600.0)
+        pcm, fs = audiofile.read_pcm(tmp_path / "e.wav")
+        assert (pcm.size, fs) == (0, 25600.0)
 
 
 class TestAudioRecording:
@@ -141,6 +143,13 @@ class TestRotTrack:
             (tmp_path / "a.rot").write_bytes(body)
             with pytest.raises(DataError, match="bad float"):
                 audiofile.read_rot_track(tmp_path / "a.wav")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_values_are_data_errors(self, tmp_path, bad):
+        # A non-finite speed fails every band test, so it was silently gated out.
+        (tmp_path / "a.rot").write_text(f"43.0\n{bad}\n44.0\n")
+        with pytest.raises(DataError, match=rf"a.rot:2: non-finite value {bad}$"):
+            audiofile.read_rot_track(tmp_path / "a.wav")
 
 
 class TestSourceHash:

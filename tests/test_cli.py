@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 import shutil
 import struct
@@ -169,6 +171,62 @@ class TestSynthCommand:
         assert err.startswith("data error: ") and "above 32768" in err
         assert not out.exists()
 
+    SCENARIO = {
+        "channel": "F1", "label": "D", "seed": 1, "fs": 25600.0, "duration": 0.5,
+        "profile": [[0.0, 43.0], [0.25, 44.0]], "harmonics": [[1, 1.0], [2, 0.5]],
+        "noise_level": 0.1,
+        "fault": {"kind": "inner_ring", "freq_ratio": 5.4, "amplitude": 0.5,
+                  "resonance_freq": 4000.0, "resonance_decay": 900.0,
+                  "jitter": 0.1}}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("path,message", [
+        (("duration",), "duration"), (("fs",), "fs"),
+        (("noise_level",), "noise_level"),
+        (("profile", 1, 0), "breakpoint times"),
+        (("profile", 0, 1), "rotational frequency"),
+        (("harmonics", 1, 1), "harmonic amplitudes"),
+        (("fault", "freq_ratio"), "fault_freq_ratio"),
+        (("fault", "amplitude"), "impulse_amplitude"),
+        (("fault", "resonance_freq"), "resonance_freq"),
+        (("fault", "resonance_decay"), "resonance_decay"),
+        (("fault", "jitter"), "severity_jitter")],
+        ids=lambda p: "/".join(map(str, p)) if isinstance(p, tuple) else None)
+    def test_non_finite_scenario_number_is_a_data_error(self, tmp_path, capsys,
+                                                        path, message, value):
+        # These once raised a traceback or synthesized something else (a NaN
+        # fault ratio: no impacts at all), exit 0.
+        channel = copy.deepcopy(self.SCENARIO)
+        *parents, last = path
+        target = channel
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps([channel]))
+        out = tmp_path / "out"
+        rc, _, err = run(["synth", "--scenario", str(scenario), "--out", str(out)],
+                         capsys)
+        assert rc == 2, err
+        assert err.startswith("data error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where,key", [(None, "noise"), ("fault", "modulated")])
+    def test_unknown_scenario_key_is_a_data_error(self, tmp_path, capsys, where,
+                                                  key):
+        # "noise" for noise_level used to be dropped, and the WAV written
+        # without noise; "modulated" is decided by the fault kind.
+        channel = copy.deepcopy(self.SCENARIO)
+        (channel[where] if where else channel)[key] = 0.3
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps([channel]))
+        out = tmp_path / "out"
+        rc, _, err = run(["synth", "--scenario", str(scenario), "--out", str(out)],
+                         capsys)
+        assert rc == 2
+        assert f"unknown {where or 'channel'} keys: {key}" in err
+        assert not out.exists()
+
     def test_slow_resonance_decay_writes_its_wav(self, tmp_path, capsys):
         # A -80 dB kernel of fs*ln(1e4)/1e-6 samples would need terabytes;
         # the kernel stops at the end of the 2 s recording instead.
@@ -183,8 +241,8 @@ class TestSynthCommand:
         rc, _, err = run(["synth", "--scenario", str(scenario),
                           "--out", str(out)], capsys)
         assert rc == 0, err
-        samples, fs = audiofile.read_wav(out / "S1.wav")
-        assert (len(samples), fs) == (51200, 25600.0)
+        pcm, fs = audiofile.read_pcm(out / "S1.wav")
+        assert (len(pcm), fs) == (51200, 25600.0)
         assert (out / "manifest.json").exists()
 
     def test_requires_a_source(self, tmp_path, capsys):
@@ -230,8 +288,8 @@ class TestExtractCommand:
                        "--out", str(tmp_path / "f")])
         assert rc == 0
         coeffs, _, _ = dataset.read_cache(tmp_path / "f" / "B1_b1.abfc")
-        samples, _ = audiofile.read_wav(campaign_dir / "B1_b1.wav")
-        assert len(coeffs) == len(samples) // 2048
+        pcm, _ = audiofile.read_pcm(campaign_dir / "B1_b1.wav")
+        assert len(coeffs) == len(pcm) // 2048
 
     def test_missing_wav_names_file(self, campaign_dir, tmp_path, capsys):
         manifest = dataset.load_manifest(campaign_dir / "manifest.json")
@@ -309,6 +367,31 @@ class TestTrainEvalCommands:
         log = json.loads(model_path.with_suffix(".train_log.json").read_text())
         assert len(log["per_epoch_loss"]) == 3
         assert log["train_class_counts"]["H"] + log["train_class_counts"]["D"] == 400
+        assert log["split"]["mode"] == "random"
+        assert sorted(log["train_config"]) == ["batch_size", "epochs",
+                                               "learning_rate", "seed"]
+
+    def test_two_channel_lists_alone_split_by_channel(self, campaign_dir,
+                                                      features_dir, tmp_path,
+                                                      capsys):
+        # No mode flag: the two lists are what asks for a by-channel split.
+        split = ["--manifest", str(campaign_dir / "manifest.json"),
+                 "--features", str(features_dir),
+                 "--train-channels", "A1_b1,B1_b1", "--test-channels", "A2_b2,B2_b2",
+                 "--train-size", "100", "--test-size", "50"]
+        model_path = tmp_path / "m.abmm"
+        rc, _, err = run(["--seed", "5", "train", *split, "--epochs", "1",
+                          "--out", str(model_path)], capsys)
+        assert rc == 0, err
+        log = json.loads(model_path.with_suffix(".train_log.json").read_text())
+        assert log["split"]["mode"] == "by_channel"
+        assert log["split"]["train_channels"] == ["A1_b1", "B1_b1"]
+        assert log["split"]["test_channels"] == ["A2_b2", "B2_b2"]
+        rc, _, err = run(["--seed", "5", "eval", *split, "--model", str(model_path),
+                          "--out", str(tmp_path / "rep")], capsys)
+        assert rc == 0, err
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert sum(map(sum, report["counts"])) == 50
 
     def test_fixed_seed_reproduces_model_bytes(self, campaign_dir, features_dir,
                                                tmp_path):
@@ -469,10 +552,8 @@ class TestTrainEvalCommands:
 
     @pytest.mark.parametrize("flags", [
         ["--channels", "A1_b1,A1_b1,B1_b1"],
-        ["--split", "by-channel", "--train-channels", "A1_b1,B1_b1,B1_b1",
-         "--test-channels", "A2_b2,B2_b2"],
-        ["--split", "by-channel", "--train-channels", "A1_b1,B1_b1",
-         "--test-channels", "A2_b2,A2_b2"],
+        ["--train-channels", "A1_b1,B1_b1,B1_b1", "--test-channels", "A2_b2,B2_b2"],
+        ["--train-channels", "A1_b1,B1_b1", "--test-channels", "A2_b2,A2_b2"],
     ])
     def test_duplicate_channel_is_usage_error(self, campaign_dir, features_dir,
                                               tmp_path, capsys, flags):
@@ -696,6 +777,17 @@ class TestUsageErrors:
             assert flag in err
         assert not (tmp_path / "m.abmm").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_split_flag_removed(self, tmp_path, capsys, command):
+        # The channel lists decide the split mode.
+        model = ["--model", f"{tmp_path}/m.abmm"] if command == "eval" else []
+        rc, _, err = run([command, "--manifest", f"{tmp_path}/manifest.json",
+                          "--features", f"{tmp_path}/f", *model, "--split",
+                          "by-channel", "--out", f"{tmp_path}/out"], capsys)
+        assert rc == 1
+        assert "--split" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_frame_len_flag_removed(self, campaign_dir, tmp_path, capsys):
         rc, _, err = run(["extract", "--manifest",
                           str(campaign_dir / "manifest.json"),
@@ -729,8 +821,8 @@ class TestSplitUsageErrors:
     @pytest.mark.parametrize("flags,message", [
         (["--train-size", "0"], "must be positive"),
         (["--test-size", "-5"], "must be positive"),
-        (["--split", "by-channel"], "channel lists"),
-        (["--split", "by-channel", "--train-channels", "A1_b1"], "channel lists"),
+        (["--train-channels", "A1_b1"], "channel lists"),
+        (["--test-channels", "B1_b1"], "channel lists"),
     ])
     def test_exit_1(self, campaign_dir, features_dir, small_model, tmp_path,
                     capsys, command, flags, message):
@@ -745,23 +837,24 @@ class TestSplitUsageErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("flags,misfit", [
-        (["--train-channels", "A1_b1", "--test-channels", "B1_b1"], "--train-channels"),
-        (["--split", "random", "--test-channels", "B1_b1"], "--test-channels"),
-        (["--split", "by-channel", "--train-channels", "A1_b1",
-          "--test-channels", "B1_b1", "--channels", "A2_b3"], "--channels"),
-    ])
-    def test_channel_flag_outside_its_split_mode(
+    @pytest.mark.parametrize("lists", [
+        ["--train-channels", "A1_b1", "--test-channels", "B1_b1"],
+        ["--train-channels", "A1_b1"],
+        ["--test-channels", "B1_b1"],
+    ], ids=" ".join)
+    def test_channels_beside_a_channel_list(
             self, campaign_dir, features_dir, small_model, tmp_path, capsys,
-            command, flags, misfit):
+            command, lists):
+        # --channels pools a random split; a list asks for a by-channel one.
         argv = [command, "--manifest", str(campaign_dir / "manifest.json"),
                 "--features", str(features_dir), "--train-size", "40",
-                "--test-size", "10", *flags, "--out", str(tmp_path / "out")]
+                "--test-size", "10", "--channels", "A2_b3", *lists,
+                "--out", str(tmp_path / "out")]
         if command == "eval":
             argv += ["--model", str(small_model)]
         rc, out, err = run(argv, capsys)
         assert rc == 1
-        assert f"{misfit} does not apply to --split" in err
+        assert "--channels does not apply to a by-channel split" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -813,9 +906,9 @@ class TestFlagsBeforeFiles:
         ["extract", "--mel-channels", "2000"],
         ["extract", "--channels", "A1,A1"],
         ["train", "--epochs", "-1"],
-        ["train", "--split", "by-channel"],
+        ["train", "--test-channels", "B1"],
         ["train", "--channels", "A1,A1"],
-        ["eval", "--split", "by-channel"],
+        ["eval", "--channels", "A1", "--train-channels", "A", "--test-channels", "B"],
         ["eval", "--train-channels", "A"],
         ["scatter", "--pair", "x"],
         ["scatter", "--channels", "A1,A1"],
@@ -823,8 +916,7 @@ class TestFlagsBeforeFiles:
         ["train", "--channels", ""],
         ["eval", "--channels", ""],
         ["scatter", "--channels", ""],
-        ["train", "--split", "by-channel", "--train-channels", "",
-         "--test-channels", "B1_b1"]], ids=" ".join)
+        ["train", "--train-channels", "", "--test-channels", "B1_b1"]], ids=" ".join)
     def test_bad_flag_is_a_usage_error_before_the_manifest_is_read(
             self, tmp_path, capsys, argv):
         # No manifest exists: a flag error must still win, as exit 1.

@@ -60,7 +60,7 @@ class TestPcmFeatures:
         total, frames = experiments.extract_channel(
             manifest, "c", MfccConfig(), tmp_path / "pcm.abfc", SIGNATURE)
 
-        samples, _ = audiofile.read_wav(wav)
+        samples = audiofile.read_pcm(wav)[0] / audiofile.PCM_FULL_SCALE
         recording = AudioRecording(samples=samples, fs=FS, channel_id="c",
                                    rotational_freq_track=track)
         expected = dataset.gate_frames(recording, MfccConfig(), "D")

@@ -20,7 +20,7 @@ SCENARIO = [{
     "noise_level": 0.1,
     "fault": {"kind": "inner_ring", "freq_ratio": 5.4, "amplitude": 1.0,
               "resonance_freq": 4000.0, "resonance_decay": 800.0,
-              "modulated": True, "jitter": 0.1},
+              "jitter": 0.1},
 }]
 
 
@@ -46,7 +46,7 @@ def _write_valid_inputs(directory):
     return {
         "ABFC": (directory / "x.abfc", dataset.read_cache),
         "ABMM": (directory / "x.abmm", mlp.load_model),
-        "WAV": (wav, audiofile.read_wav),
+        "WAV": (wav, lambda p: audiofile.read_pcm(p)[0] / audiofile.PCM_FULL_SCALE),
         "rot": (directory / "x.rot", lambda _: audiofile.read_rot_track(wav)),
         "manifest": (directory / "manifest.json", dataset.load_manifest),
         "scenario": (directory / "scenario.json", synth.scenario_from_json),

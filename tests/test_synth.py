@@ -73,6 +73,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             synth.SynthConfig(noise_level=-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_numbers_rejected(self, bad):
+        for kwargs in ({"fs": bad}, {"duration": bad}, {"noise_level": bad},
+                       {"rotational_freq_profile": ((0.0, 43.0), (bad, 44.0))},
+                       {"rotational_freq_profile": ((0.0, bad),)},
+                       {"harmonic_amplitudes": ((1, 1.0), (2, bad))}):
+            with pytest.raises(ConfigError, match="finite"):
+                synth.SynthConfig(**kwargs)
+        for field in ("fault_freq_ratio", "impulse_amplitude", "resonance_freq",
+                      "resonance_decay", "severity_jitter"):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(outer_fault(), **{field: bad})
+
     def test_harmonic_at_or_above_nyquist_rejected(self):
         # The 3 000 000th harmonic of 43 Hz would alias, and its Horner sum
         # once ran for seconds on a 0.05 s channel.
@@ -227,6 +240,18 @@ class TestFaultTrain:
         expected = 25600.0 / (3.5 * 43.0)
         assert abs(peak_lag - expected) <= 1.0
 
+    def test_only_inner_ring_trains_follow_the_shaft(self):
+        # Without jitter every impact has the fault's amplitude, times
+        # 1 + cos(shaft angle) for an inner-ring fault.
+        outer = tone_config(fault=outer_fault(amplitude=0.8))
+        inner = tone_config(fault=dataclasses.replace(
+            outer.fault, fault_kind=synth.INNER_RING))
+        indices, amps = impulse_train(outer)
+        assert np.array_equal(amps, np.full(indices.size, 0.8))
+        _, revs = synth._shaft_revolutions(inner)
+        indices, amps = impulse_train(inner)
+        assert np.array_equal(amps, 0.8 * (1.0 + np.cos(2.0 * np.pi * revs[indices])))
+
     def test_no_fault_means_no_impulses(self):
         # Without a fault the recording is its harmonic sum and nothing else.
         config = tone_config()
@@ -270,7 +295,7 @@ class TestImpactOverlapAdd:
         fault = synth.FaultSpec(
             fault_kind=synth.INNER_RING, fault_freq_ratio=5.4,
             impulse_amplitude=0.8, resonance_freq=4300.0, resonance_decay=900.0,
-            amplitude_modulated_by_shaft=True, severity_jitter=0.75)
+            severity_jitter=0.75)
         config = tone_config(seed=31, fault=fault)
         indices, amps = impulse_train(config)
         assert np.any(np.diff(indices) < 0)
@@ -340,7 +365,7 @@ class TestStreamedBlocks:
         return synth.FaultSpec(
             fault_kind=synth.INNER_RING, fault_freq_ratio=5.4,
             impulse_amplitude=0.8, resonance_freq=4300.0, resonance_decay=900.0,
-            amplitude_modulated_by_shaft=True, severity_jitter=jitter)
+            severity_jitter=jitter)
 
     @pytest.mark.parametrize("block", [None, audiofile.FRAME_SAMPLES])
     def test_revolutions_equal_one_sequential_sum(self, monkeypatch, block):
@@ -441,9 +466,7 @@ class TestCampaign:
         assert labels.count("D") == 3 and labels.count("H") == 3
         by_id = {s.channel_id: s for s in scenario}
         assert by_id["A1_b1"].config.fault.fault_kind == synth.INNER_RING
-        assert by_id["A1_b1"].config.fault.amplitude_modulated_by_shaft
         assert by_id["A2_b2"].config.fault.fault_kind == synth.OUTER_RING
-        assert not by_id["A2_b2"].config.fault.amplitude_modulated_by_shaft
         assert by_id["A2_b3"].entry.component == "gearbox"
         for channel in ("B1_b1", "B2_b2", "B2_b3"):
             assert by_id[channel].config.fault is None
@@ -595,8 +618,7 @@ class TestScenarioFile:
             "harmonics": [[1, 1.0], [2, 0.5]], "noise_level": 0.1,
             "fault": {"kind": "outer_ring", "freq_ratio": 3.5,
                       "amplitude": 1.5, "resonance_freq": 4000.0,
-                      "resonance_decay": 900.0, "modulated": False,
-                      "jitter": 0.1},
+                      "resonance_decay": 900.0, "jitter": 0.1},
         }]
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(payload))
@@ -634,6 +656,22 @@ class TestScenarioFile:
         path.write_text(json.dumps([entry]))
         with pytest.raises(DataError, match=rf"scenario.json: bad channel entry "
                                             rf"\(C1: {field} must be"):
+            synth.scenario_from_json(path)
+
+    def test_unknown_keys_are_named(self, tmp_path):
+        channel = {"channel": "C1", "label": "D", "seed": 1, "duration": 0.5,
+                   "profile": [[0.0, 43.0]], "noise": 0.3, "file": "x.wav",
+                   "fault": {"kind": "inner_ring", "freq_ratio": 5.4,
+                             "amplitude": 1.0, "resonance_freq": 4000.0,
+                             "resonance_decay": 900.0}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps([channel]))
+        with pytest.raises(DataError, match="unknown channel keys: file, noise"):
+            synth.scenario_from_json(path)
+        del channel["noise"], channel["file"]
+        channel["fault"]["modulated"] = True
+        path.write_text(json.dumps([channel]))
+        with pytest.raises(DataError, match="unknown fault keys: modulated"):
             synth.scenario_from_json(path)
 
     def test_missing_and_invalid_files(self, tmp_path):

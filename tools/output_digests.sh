@@ -28,13 +28,16 @@
 # scenario with harmonics up to h = 40 and a sparse fault (one impact per
 # 20 turns) and its extract, a scenario whose harmonic lies far above fs/2
 # (a data error), a scenario whose harmonic 10^6 of a 0.01 Hz shaft lies
-# below fs/2 but above the Taylor tables' bound (a data error), the four
+# below fs/2 but above the Taylor tables' bound (a data error), a scenario
+# with a NaN duration and one with an unknown key (data errors), an
+# extract of a channel whose .rot file holds nan (a data error), the four
 # named experiments
 # (600/200 split, 2 epochs), seen-motor with --synth-first on an 8 s
 # campaign, seen-motor again on that campaign after one of its caches was
 # truncated (that channel is extracted again, the others are reused),
 # extract with 10 coefficients, extract with 24 Mel channels,
-# random and by-channel train and eval, an eval of the random model on a
+# random and by-channel (two channel lists, no mode flag) train and eval,
+# an eval of the random model on a
 # 1000-frame test split (several prediction blocks), an eval of it on the
 # 24-channel caches (a model whose feature settings differ from its caches'),
 # scatter, and a few usage errors (among them a zero --fs for synth and for
@@ -82,8 +85,7 @@ scenario_file() {
   "profile": [[0, 43.0], [2, 44.5], [3, 36.0]],
   "harmonics": [[1, 1.0], [2, 0.5], [5, 0.2]], "noise_level": 0.3,
   "fault": {"kind": "inner_ring", "freq_ratio": 5.4, "amplitude": 0.9,
-            "resonance_freq": 4300, "resonance_decay": 900,
-            "modulated": true, "jitter": 0.75}},
+            "resonance_freq": 4300, "resonance_decay": 900, "jitter": 0.75}},
  {"channel": "K1", "label": "D", "seed": 12, "duration": 1,
   "profile": [[0, 44.0]], "harmonics": [[1, 1.0], [3, 0.3]],
   "noise_level": 0.2,
@@ -124,6 +126,23 @@ cat > "$out/scenario-slow-shaft.json" <<EOF
 EOF
 run error-synth-slow-shaft synth --scenario "$out/scenario-slow-shaft.json" \
     --out "$out/error-slow-shaft"
+cat > "$out/scenario-nan-duration.json" <<EOF
+[{"channel": "U1", "label": "H", "seed": 13, "duration": NaN,
+  "profile": [[0, 43.0]], "harmonics": [[1, 1.0]]}]
+EOF
+run error-synth-nan-duration synth --scenario "$out/scenario-nan-duration.json" \
+    --out "$out/error-nan-duration"
+cat > "$out/scenario-unknown-key.json" <<EOF
+[{"channel": "V1", "label": "H", "seed": 13, "duration": 0.5,
+  "profile": [[0, 43.0]], "harmonics": [[1, 1.0]], "noise": 0.3}]
+EOF
+run error-synth-unknown-key synth --scenario "$out/scenario-unknown-key.json" \
+    --out "$out/error-unknown-key"
+mkdir "$out/rot-nan"
+cp "$out/campaign-odd/manifest.json" "$out/campaign-odd/A1_b1.wav" "$out/rot-nan/"
+sed '2s/.*/nan/' "$out/campaign-odd/A1_b1.rot" > "$out/rot-nan/A1_b1.rot"
+run error-extract-rot-nan extract --manifest "$out/rot-nan/manifest.json" \
+    --channels A1_b1 --out "$out/rot-nan/features"
 
 for name in seen-motor seen-gearbox unseen-A2b2 unseen-A1b1; do
     run "experiment-$name" --seed 5 experiment "$name" --data "$data" \
@@ -144,8 +163,7 @@ run extract-mel24 extract --manifest "$data/manifest.json" --mel-channels 24 \
 
 split=(--manifest "$data/manifest.json" --features "$data/features"
        --train-size 600 --test-size 200)
-by_channel=(--split by-channel --train-channels A1_b1,B1_b1
-            --test-channels A2_b2,B2_b2)
+by_channel=(--train-channels A1_b1,B1_b1 --test-channels A2_b2,B2_b2)
 run train-random --seed 5 train "${split[@]}" --epochs 2 \
     --out "$out/models/random.abmm"
 run train-by-channel --seed 5 train "${split[@]}" "${by_channel[@]}" \
@@ -173,7 +191,7 @@ run error-train-size-zero train --manifest "$data/manifest.json" \
     --features "$data/features" --train-size 0 --out "$out/error.abmm"
 run error-eval-by-channel-no-lists eval --manifest "$data/manifest.json" \
     --features "$data/features" --model "$out/models/random.abmm" \
-    --split by-channel --out "$out/error-eval"
+    --train-channels A1_b1 --out "$out/error-eval"
 run error-experiment-size-zero experiment seen-motor --data "$data" \
     --train-size 0 --test-size 50 --out "$out/error-experiment"
 run error-synth-fs-zero synth --default-campaign --fs 0 --out "$out/error-synth"
