@@ -121,11 +121,9 @@ def _mfcc_config(args) -> MfccConfig:
 
 def _split_spec(args) -> SplitSpec:
     """By-channel when a channel list is given, else random."""
-    by_channel = args.train_channels is not None or args.test_channels is not None
-    if by_channel and args.channels is not None:
+    if args.channels and (args.train_channels or args.test_channels):
         raise ConfigError("--channels does not apply to a by-channel split")
-    return SplitSpec(mode="by_channel" if by_channel else "random",
-                     train_size=args.train_size, test_size=args.test_size,
+    return SplitSpec(train_size=args.train_size, test_size=args.test_size,
                      seed=args.seed, train_channels=args.train_channels,
                      test_channels=args.test_channels)
 
@@ -138,7 +136,7 @@ def _train_config(args) -> TrainConfig:
 def _listed_channels(args, manifest, split: SplitSpec | None = None) -> tuple[str, ...]:
     """A by-channel split's two lists, else --channels, else every manifest
     channel. argparse parsed the lists before any file was read."""
-    if split is not None and split.mode == "by_channel":
+    if split is not None and split.train_channels is not None:
         return split.train_channels + split.test_channels
     return args.channels or tuple(manifest.channels())
 

@@ -142,9 +142,8 @@ def gate_frames(recording: AudioRecording, config: MfccConfig, label: str) -> Fr
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """How to partition gated frames into train and test sets."""
+    """A train/test partition of gated frames: by channel if it has channel lists."""
 
-    mode: str
     train_size: int
     test_size: int
     seed: int = 0
@@ -152,11 +151,9 @@ class SplitSpec:
     test_channels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.mode not in ("random", "by_channel"):
-            raise ConfigError(f"unknown split mode: {self.mode!r}")
         if self.train_size <= 0 or self.test_size <= 0:
             raise ConfigError("train_size and test_size must be positive")
-        if self.mode == "by_channel":
+        if self.train_channels is not None or self.test_channels is not None:
             if not self.train_channels or not self.test_channels:
                 raise ConfigError("by_channel split needs train and test channel lists")
             overlap = set(self.train_channels) & set(self.test_channels)
@@ -184,7 +181,7 @@ def _subsample_per_channel(frames: Frames, channels: tuple[str, ...],
 def make_split(frames: Frames, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Train and test row indices into frames; deterministic given spec.seed."""
     rng = np.random.default_rng(spec.seed)
-    if spec.mode == "random":
+    if spec.train_channels is None:
         total = spec.train_size + spec.test_size
         if total > len(frames):
             raise DataError(

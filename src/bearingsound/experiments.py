@@ -76,9 +76,8 @@ def named_experiment(name: str, manifest: Manifest, seed: int,
             raise DataError(
                 "no healthy gearbox channels at axles B1/B2/A1 in the manifest")
         channels += healthy
-    mode, default = (("random", SEEN_SPLIT) if train_channels is None
-                     else ("by_channel", UNSEEN_SPLIT))
-    split = SplitSpec(mode=mode, seed=seed,
+    default = SEEN_SPLIT if train_channels is None else UNSEEN_SPLIT
+    split = SplitSpec(seed=seed,
                       train_size=default[0] if train_size is None else train_size,
                       test_size=default[1] if test_size is None else test_size,
                       train_channels=train_channels, test_channels=test_channels)

@@ -11,8 +11,8 @@ through the load zone once per revolution): the fault kind alone decides.
 The harmonic sum calls no sin or cos per sample: the channel's Taylor
 tables, built once per recording, hold the sum and its derivatives at a grid
 of shaft angles, and each sample gathers its grid point's row and evaluates
-it as a polynomial in the angle's remainder. The impacts are overlap-added:
-each chunk of impacts is scattered into the signal with one ``np.bincount``.
+it as a polynomial in the angle's remainder. One recursion, run in blocks,
+adds every impact's resonance to the end of the recording at any decay.
 
 A scenario lists a campaign's channels, each a ``ChannelSpec``: its id, its
 manifest record (``common.ManifestEntry``) and its ``SynthConfig``. A
@@ -119,15 +119,6 @@ def sample_profile(profile, t: np.ndarray) -> np.ndarray:
     return np.interp(t, times, freqs)
 
 
-def resonance_kernel(resonance_freq: float, resonance_decay: float, fs: float,
-                     max_length: int) -> np.ndarray:
-    """Impulse response of the excited resonance, truncated at -80 dB or at
-    max_length samples, whichever is shorter."""
-    length = min(int(np.ceil(fs * np.log(1e4) / resonance_decay)), max_length)
-    k = np.arange(length)
-    return np.exp(-resonance_decay * k / fs) * np.sin(2.0 * np.pi * resonance_freq * k / fs)
-
-
 # Samples per block of every full-length pass: the time axis, the profile,
 # the running sum, the turn crossings and the noise. A multiple of
 # FRAME_SAMPLES, so each block holds whole track frames. Each numpy call on a
@@ -188,9 +179,7 @@ def _fault_impulses(config: SynthConfig, revs: np.ndarray,
         np.floor(turns, out=turns)
         found.append(np.flatnonzero(turns[1:] > turns[:-1]) + lo + 1)
     indices = np.concatenate(found)
-    if indices.size == 0:
-        return indices, np.zeros(0)
-    n = len(revs)
+    amps = np.full(indices.size, fault.impulse_amplitude)
     jitter = fault.severity_jitter
     if jitter > 0:
         # The profile at the impact times: the values _shaft_revolutions
@@ -199,9 +188,7 @@ def _fault_impulses(config: SynthConfig, revs: np.ndarray,
         period = config.fs / (fault.fault_freq_ratio * freq)
         shift = np.rint(jitter * period
                         * rng.uniform(-1.0, 1.0, size=indices.size)).astype(int)
-        indices = np.clip(indices + shift, 0, n - 1)
-    amps = np.full(indices.size, fault.impulse_amplitude)
-    if jitter > 0:
+        indices = np.clip(indices + shift, 0, len(revs) - 1)
         num_blocks = int(np.ceil(config.duration / _SEVERITY_BLOCK_S)) + 1
         quiet = rng.uniform(size=num_blocks) < _QUIET_SPELL_PROB
         levels = rng.uniform(_STRONG_REGIME_LOW, 1.0, size=num_blocks)
@@ -305,10 +292,41 @@ def _harmonic_sum(harmonics, revs: np.ndarray, rng: np.random.Generator) -> np.n
     return revs
 
 
-# Kernel samples per chunk of the impact overlap-add (at least one impact per
-# chunk), and the bound on the span of its impacts: bounds the index, weight
-# and output arrays of one np.bincount call, however sparse the impacts.
-_IMPACT_CHUNK_SAMPLES = 1 << 16
+# Samples per block of the resonance recursion. A block spans at most
+# _RESONANCE_SPANS falls of the resonance by 80 dB, so |a|^-k stays below 1e128.
+_RESONANCE_BLOCK = 1 << 13
+_RESONANCE_SPANS = 32
+
+
+def _add_resonances(signal: np.ndarray, indices: np.ndarray, amps: np.ndarray,
+                    fault: FaultSpec, fs: float) -> None:
+    """Add each impact's resonance amp*Im(a^k), a = exp((2*pi*i*resonance_freq
+    - resonance_decay)/fs), k samples after it to the end of signal: the
+    recursion z[m] = a*z[m-1] + x[m] over impacts x, per block from sample m0
+    z = a^k*(a*z[m0-1] + cumsum(x*a^-k)), k = m - m0, with a^k and a^-k
+    rounded from long double. A resonance that falls 80 dB within one sample
+    adds nothing (its response is sin 0 = 0)."""
+    spans = fs * math.log(1e4) / fault.resonance_decay
+    if spans <= 1:
+        return
+    block = int(min(_RESONANCE_BLOCK, _RESONANCE_SPANS * spans))
+    k = np.arange(block, dtype=np.longdouble)
+    step = np.longdouble(-fault.resonance_decay) / fs + 1j * (_TWO_PI * fault.resonance_freq / fs)
+    power, inverse = np.exp(k * step).astype(complex), np.exp(-k * step).astype(complex)
+    order = np.argsort(indices, kind="stable")
+    indices, amps = indices[order], amps[order]
+    starts = range(indices[0], len(signal), block)
+    bounds = np.searchsorted(indices, [*starts, len(signal)])
+    z, carry = np.empty(block, complex), 0j
+    for start, lo, hi in zip(starts, bounds, bounds[1:]):
+        zb, at = z[: len(signal) - start], indices[lo:hi] - start
+        zb.fill(0.0)
+        np.add.at(zb, at, amps[lo:hi] * inverse[at])
+        zb[0] += carry
+        np.cumsum(zb, out=zb)
+        zb *= power[: len(zb)]
+        signal[start : start + len(zb)] += zb.imag
+        carry = zb[-1] * power[1]
 
 
 def synth_recording(config: SynthConfig, channel_id: str = "synth") -> AudioRecording:
@@ -327,7 +345,6 @@ def synth_recording(config: SynthConfig, channel_id: str = "synth") -> AudioReco
         indices, amps = _fault_impulses(config, revs, rng_fault)
 
     signal = _harmonic_sum(config.harmonic_amplitudes, revs, rng_phase)
-    del revs
 
     if config.noise_level > 0:
         # Drawn block by block into one buffer: the same stream as one
@@ -340,25 +357,7 @@ def synth_recording(config: SynthConfig, channel_id: str = "synth") -> AudioReco
             signal[start : start + len(block)] += block
 
     if config.fault is not None and indices.size:
-        # Kernel samples past the end never land in the signal, so the kernel
-        # is no longer than the recording however slow its decay.
-        kernel = resonance_kernel(config.fault.resonance_freq,
-                                  config.fault.resonance_decay, config.fs, n)
-        offsets = np.arange(len(kernel))
-        chunk = max(1, _IMPACT_CHUNK_SAMPLES // len(kernel))
-        first = 0
-        while first < len(indices):
-            # Jitter can reorder neighbouring impacts, so the span is taken
-            # between the running extremes; it never decreases.
-            idx = indices[first : first + chunk]
-            span = np.maximum.accumulate(idx) - np.minimum.accumulate(idx)
-            idx = idx[: np.searchsorted(span, _IMPACT_CHUNK_SAMPLES)]
-            lo = idx.min()
-            hi = min(idx.max() + len(kernel), n)
-            spread = np.bincount((idx[:, None] - lo + offsets).ravel(),
-                                 (amps[first : first + len(idx), None] * kernel).ravel())
-            signal[lo:hi] += spread[: hi - lo]
-            first += len(idx)
+        _add_resonances(signal, indices, amps, config.fault, config.fs)
 
     return AudioRecording(samples=signal, fs=config.fs, channel_id=channel_id,
                           rotational_freq_track=track)
@@ -427,9 +426,11 @@ def impulse_amplitude_for_power(power_db: float, harmonics, profile,
     harmonic_ms = 0.5 * sum(a * a for _, a in harmonics)
     t = np.linspace(0.0, duration, 512)
     mean_fr = float(np.mean(sample_profile(profile, t)))
-    kernel = resonance_kernel(resonance_freq, resonance_decay, fs,
-                              int(round(duration * fs)))
-    kernel_energy = float(np.sum(kernel**2))
+    # Resonance energy over the recording: sum over k < n of (|a|^2k - Re a^2k)/2.
+    n = int(round(duration * fs))
+    step = 2.0 * complex(-resonance_decay, 2.0 * np.pi * resonance_freq) / fs
+    kernel_energy = 0.5 * float(np.expm1(n * step.real) / np.expm1(step.real)
+                                - (np.expm1(n * step) / np.expm1(step)).real)
     rate = fault_freq_ratio * mean_fr
     modulation_ms = 1.5 if fault_kind == INNER_RING else 1.0
     target_ms = harmonic_ms * 10.0 ** (power_db / 10.0)
@@ -475,6 +476,11 @@ def channel_from_json(entry: dict) -> ChannelSpec:
     for what, fields, known in (("channel", entry, _CHANNEL_KEYS), ("fault", f, _FAULT_KEYS)):
         if unknown := sorted(fields.keys() - known):
             raise DataError(f"unknown {what} keys: {', '.join(unknown)}")
+    harmonics = entry.get("harmonics", SynthConfig.harmonic_amplitudes)
+    # int() would truncate a fraction and read a bool as 0 or 1.
+    for key, value in [("seed", entry["seed"]), *(("harmonics", h) for h, _ in harmonics)]:
+        if not (type(value) is int or type(value) is float and value.is_integer()):
+            raise DataError(f"{key}: {value!r} is not an integer")
     fault = FaultSpec(
         f["kind"], float(f["freq_ratio"]), float(f["amplitude"]),
         float(f["resonance_freq"]), float(f["resonance_decay"]),
@@ -482,7 +488,7 @@ def channel_from_json(entry: dict) -> ChannelSpec:
     config = SynthConfig(
         fs=float(entry.get("fs", SynthConfig.fs)), duration=float(entry["duration"]),
         seed=int(entry["seed"]), rotational_freq_profile=entry["profile"],
-        harmonic_amplitudes=entry.get("harmonics", SynthConfig.harmonic_amplitudes),
+        harmonic_amplitudes=harmonics,
         noise_level=float(entry.get("noise_level", SynthConfig.noise_level)),
         fault=fault)
     channel_id = str(entry["channel"])

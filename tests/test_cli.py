@@ -179,6 +179,22 @@ class TestSynthCommand:
                   "resonance_freq": 4000.0, "resonance_decay": 900.0,
                   "jitter": 0.1}}
 
+    def synth_with(self, tmp_path, capsys, path, value):
+        """synth --scenario of SCENARIO with the value at path replaced:
+        (exit code, stderr, --out directory)."""
+        channel = copy.deepcopy(self.SCENARIO)
+        *parents, last = path
+        target = channel
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps([channel]))
+        out = tmp_path / "out"
+        rc, _, err = run(["synth", "--scenario", str(scenario), "--out", str(out)],
+                         capsys)
+        return rc, err, out
+
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
     @pytest.mark.parametrize("path,message", [
         (("duration",), "duration"), (("fs",), "fs"),
@@ -196,20 +212,26 @@ class TestSynthCommand:
                                                         path, message, value):
         # These once raised a traceback or synthesized something else (a NaN
         # fault ratio: no impacts at all), exit 0.
-        channel = copy.deepcopy(self.SCENARIO)
-        *parents, last = path
-        target = channel
-        for key in parents:
-            target = target[key]
-        target[last] = value
-        scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps([channel]))
-        out = tmp_path / "out"
-        rc, _, err = run(["synth", "--scenario", str(scenario), "--out", str(out)],
-                         capsys)
+        rc, err, out = self.synth_with(tmp_path, capsys, path, value)
         assert rc == 2, err
         assert err.startswith("data error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("path,value", [
+        (("seed",), 2.9), (("seed",), True), (("seed",), "3"),
+        (("harmonics", 1, 0), 1.5), (("harmonics", 0, 0), True)],
+        ids=["seed-2.9", "seed-true", "seed-string", "harmonic-1.5", "harmonic-true"])
+    def test_non_integral_seed_or_harmonic_is_a_data_error(self, tmp_path, capsys,
+                                                           path, value):
+        # int() once read 2.9 as seed 2, 1.5 as harmonic 1 and true as 1.
+        rc, err, out = self.synth_with(tmp_path, capsys, path, value)
+        assert rc == 2, err
+        assert err.startswith("data error: ")
+        assert f"{path[0]}: {value!r} is not an integer" in err
+        assert not out.exists()
+        # A whole number written as a float reads as that integer.
+        rc, err, out = self.synth_with(tmp_path, capsys, path, 2.0)
+        assert rc == 0, err
 
     @pytest.mark.parametrize("where,key", [(None, "noise"), ("fault", "modulated")])
     def test_unknown_scenario_key_is_a_data_error(self, tmp_path, capsys, where,
@@ -227,16 +249,18 @@ class TestSynthCommand:
         assert f"unknown {where or 'channel'} keys: {key}" in err
         assert not out.exists()
 
-    def test_slow_resonance_decay_writes_its_wav(self, tmp_path, capsys):
+    @pytest.mark.parametrize("decay", [1e-6, 5e-324])
+    def test_slow_resonance_decay_writes_its_wav(self, tmp_path, capsys, decay):
         # A -80 dB kernel of fs*ln(1e4)/1e-6 samples would need terabytes;
-        # the kernel stops at the end of the 2 s recording instead.
+        # the resonance recursion runs to the end of the 2 s recording. At
+        # 5e-324/s that span overflows to inf, once an OverflowError.
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps([{
             "channel": "S1", "label": "D", "seed": 1, "duration": 2.0,
             "profile": [[0.0, 43.0]], "harmonics": [[1, 1.0]],
             "fault": {"kind": "outer_ring", "freq_ratio": 3.5,
                       "amplitude": 0.01, "resonance_freq": 4000.0,
-                      "resonance_decay": 1e-6}}]))
+                      "resonance_decay": decay}}]))
         out = tmp_path / "out"
         rc, _, err = run(["synth", "--scenario", str(scenario),
                           "--out", str(out)], capsys)
@@ -367,7 +391,8 @@ class TestTrainEvalCommands:
         log = json.loads(model_path.with_suffix(".train_log.json").read_text())
         assert len(log["per_epoch_loss"]) == 3
         assert log["train_class_counts"]["H"] + log["train_class_counts"]["D"] == 400
-        assert log["split"]["mode"] == "random"
+        assert log["split"] == {"seed": 5, "train_size": 400, "test_size": 100,
+                                "train_channels": None, "test_channels": None}
         assert sorted(log["train_config"]) == ["batch_size", "epochs",
                                                "learning_rate", "seed"]
 
@@ -384,7 +409,6 @@ class TestTrainEvalCommands:
                           "--out", str(model_path)], capsys)
         assert rc == 0, err
         log = json.loads(model_path.with_suffix(".train_log.json").read_text())
-        assert log["split"]["mode"] == "by_channel"
         assert log["split"]["train_channels"] == ["A1_b1", "B1_b1"]
         assert log["split"]["test_channels"] == ["A2_b2", "B2_b2"]
         rc, _, err = run(["--seed", "5", "eval", *split, "--model", str(model_path),

@@ -155,7 +155,7 @@ class TestSplits:
     def test_random_split_is_deterministic_partition(self):
         frames = Frames.concat([make_frames(60, "H"),
                                 make_frames(40, "D", channel="d", seed=1)])
-        spec = SplitSpec(mode="random", train_size=70, test_size=30, seed=9)
+        spec = SplitSpec(train_size=70, test_size=30, seed=9)
         train1, test1 = dataset.make_split(frames, spec)
         train2, test2 = dataset.make_split(frames, spec)
         assert frame_keys(frames.take(train1)) == frame_keys(frames.take(train2))
@@ -168,15 +168,15 @@ class TestSplits:
     def test_random_split_needs_enough_frames(self):
         frames = make_frames(10)
         with pytest.raises(DataError):
-            dataset.make_split(frames, SplitSpec(mode="random", train_size=8,
-                                                 test_size=3, seed=0))
+            dataset.make_split(frames, SplitSpec(train_size=8, test_size=3,
+                                                 seed=0))
 
     def test_by_channel_split_respects_assignment(self):
         frames = Frames.concat([
             make_frames(50, label, channel, seed=seed)
             for seed, (channel, label) in enumerate((("A1_b1", "D"), ("B1_b1", "H"),
                                                      ("A2_b2", "D"), ("B2_b2", "H")))])
-        spec = SplitSpec(mode="by_channel", train_size=60, test_size=60, seed=4,
+        spec = SplitSpec(train_size=60, test_size=60, seed=4,
                          train_channels=("A1_b1", "B1_b1"),
                          test_channels=("A2_b2", "B2_b2"))
         train, test = dataset.make_split(frames, spec)
@@ -186,25 +186,25 @@ class TestSplits:
 
     def test_by_channel_overlap_rejected(self):
         with pytest.raises(DataError):
-            SplitSpec(mode="by_channel", train_size=10, test_size=10, seed=0,
+            SplitSpec(train_size=10, test_size=10, seed=0,
                       train_channels=("a", "b"), test_channels=("b", "c"))
 
     @pytest.mark.parametrize("fields", [
-        {"mode": "shuffled"},
         {"train_size": 0},
         {"test_size": -1},
-        {"mode": "by_channel"},
-        {"mode": "by_channel", "train_channels": ("a",)},
+        {"train_channels": ()},
+        {"train_channels": ("a",)},
+        {"test_channels": ("b",)},
     ])
     def test_usage_errors_are_config_errors(self, fields):
+        # A channel list makes the split by-channel, which needs both lists.
         with pytest.raises(ConfigError):
-            SplitSpec(**{"mode": "random", "train_size": 10, "test_size": 10,
-                         **fields})
+            SplitSpec(**{"train_size": 10, "test_size": 10, **fields})
 
     def test_by_channel_insufficient_frames_names_channel(self):
         frames = Frames.concat([make_frames(5, "D", "small"),
                                 make_frames(50, "H", "big")])
-        spec = SplitSpec(mode="by_channel", train_size=20, test_size=10, seed=0,
+        spec = SplitSpec(train_size=20, test_size=10, seed=0,
                          train_channels=("small",), test_channels=("big",))
         with pytest.raises(DataError, match="small"):
             dataset.make_split(frames, spec)
@@ -246,7 +246,7 @@ class TestNormalization:
 
     def test_stats_depend_only_on_training_partition(self):
         frames = make_frames(100, seed=5)
-        spec = SplitSpec(mode="random", train_size=70, test_size=30, seed=1)
+        spec = SplitSpec(train_size=70, test_size=30, seed=1)
         train, _ = dataset.make_split(frames, spec)
         stats1 = dataset.fit_normalization(frames.coeffs[train])
         stats2 = dataset.fit_normalization(frames.coeffs[train].copy())

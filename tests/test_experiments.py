@@ -18,7 +18,7 @@ class TestNamedExperiments:
     def test_seen_motor_channels(self, manifest):
         spec = experiments.named_experiment("seen-motor", manifest, seed=3)
         assert spec.channels == ("A1_b1", "A2_b2", "B1_b1", "B2_b2")
-        assert spec.split.mode == "random"
+        assert spec.split.train_channels is spec.split.test_channels is None
         assert (spec.split.train_size, spec.split.test_size) == (8000, 2000)
 
     def test_seen_gearbox_resolves_healthy_gearbox_channels(self, manifest):
@@ -270,8 +270,7 @@ class TestRun:
         experiments.ensure_caches(manifest, channels, config,
                                   tmp_path / "f")
         frames, mfcc = experiments.load_frames(manifest, channels, tmp_path / "f")
-        split = dataset.SplitSpec(mode="random", train_size=300, test_size=100,
-                                  seed=2)
+        split = dataset.SplitSpec(train_size=300, test_size=100, seed=2)
         model, log, test_frames = experiments.train_on_split(
             manifest, channels, frames, mfcc, split,
             mlp.TrainConfig(epochs=3, seed=2))
@@ -290,8 +289,7 @@ class TestRun:
             manifest, ("A2_b2", "B2_b2"), config, tmp_path / "f")
         frames, _ = experiments.load_frames(manifest, ("A2_b2", "B2_b2"),
                                             tmp_path / "f")
-        split = dataset.SplitSpec(mode="random", train_size=200, test_size=80,
-                                  seed=5)
+        split = dataset.SplitSpec(train_size=200, test_size=80, seed=5)
         model, _, test_frames = experiments.train_on_split(
             manifest, ("A2_b2", "B2_b2"), frames, None, split,
             mlp.TrainConfig(epochs=3, seed=5))

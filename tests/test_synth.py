@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import sys
 import threading
 import time
 import tracemalloc
@@ -262,9 +261,9 @@ class TestFaultTrain:
         assert np.flatnonzero(residual).size == 0
 
 
-class TestImpactOverlapAdd:
-    """The chunked np.bincount overlap-add against a per-impact loop that
-    adds each impact's kernel, cut at the end of the recording."""
+class TestImpactResonance:
+    """The blocked resonance recursion against a per-impact loop that adds
+    each impact's kernel, cut only at the end of the recording."""
 
     @staticmethod
     def impact_component(config):
@@ -274,14 +273,17 @@ class TestImpactOverlapAdd:
 
     @staticmethod
     def loop_reference(config, indices, amps):
+        # Long-double angles: in float64, 2*pi*freq*k/fs alone is off by
+        # about 1e-12 rad after a second.
         fault = config.fault
-        kernel = synth.resonance_kernel(fault.resonance_freq, fault.resonance_decay,
-                                        config.fs, sys.maxsize)
         n = int(round(config.duration * config.fs))
+        k = np.arange(n, dtype=np.longdouble)
+        two_pi = 8 * np.arctan(np.longdouble(1))
+        kernel = (np.exp(-fault.resonance_decay * k / config.fs)
+                  * np.sin(k * (two_pi * fault.resonance_freq / config.fs))).astype(float)
         expected = np.zeros(n)
         for idx, amp in zip(indices, amps):
-            stop = min(idx + len(kernel), n)
-            expected[idx:stop] += amp * kernel[: stop - idx]
+            expected[idx:] += amp * kernel[: n - idx]
         return expected
 
     def check(self, config, indices, amps):
@@ -291,7 +293,7 @@ class TestImpactOverlapAdd:
 
     def test_jittered_inner_ring_train(self):
         # Jitter 0.75 moves neighbouring impacts past each other, so the
-        # indices are unsorted; four seconds span several chunks.
+        # indices are unsorted; four seconds span several blocks.
         fault = synth.FaultSpec(
             fault_kind=synth.INNER_RING, fault_freq_ratio=5.4,
             impulse_amplitude=0.8, resonance_freq=4300.0, resonance_decay=900.0,
@@ -311,39 +313,93 @@ class TestImpactOverlapAdd:
         self.check(config, indices, amps)
 
     def test_sparse_unsorted_impacts(self, monkeypatch):
-        # Impacts further apart than a chunk's span and out of order: a late
-        # impact's early neighbours, and an early one after late ones, each
-        # end a chunk.
+        # Impacts many blocks apart and out of order, with blocks holding no
+        # impact between them; the first block starts at the earliest impact
+        # and the last impact is the recording's last sample.
         config = tone_config(seed=4, duration=8.0, fault=outer_fault())
         indices = np.array([70000, 10, 5, 140000, 65600, 66000, 204700, 3, 204799])
         amps = np.linspace(0.5, 2.0, indices.size)
         monkeypatch.setattr(synth, "_fault_impulses", lambda *args: (indices, amps))
-        spreads, bincount = [], np.bincount
-
-        def recorded_bincount(*args):
-            spreads.append(bincount(*args))
-            return spreads[-1]
-
-        monkeypatch.setattr(np, "bincount", recorded_bincount)
         self.check(config, indices, amps)
-        kernel = synth.resonance_kernel(4000.0, 900.0, config.fs, sys.maxsize)
-        assert max(map(len, spreads)) < synth._IMPACT_CHUNK_SAMPLES + len(kernel)
 
     def test_kernel_longer_than_recording(self):
         # The -80 dB kernel of a 5/s decay is 47 000 samples, the recording
-        # 12 800: the kernel stops at the recording's end, and every impact
-        # is its own chunk.
+        # 12 800: every resonance runs to the recording's end.
         fault = dataclasses.replace(outer_fault(amplitude=0.05, jitter=0.3),
                                     resonance_decay=5.0)
         config = tone_config(seed=8, duration=0.5, fault=fault)
-        n = int(round(config.duration * config.fs))
-        assert len(synth.resonance_kernel(4000.0, 5.0, config.fs, sys.maxsize)) > n
+        self.check(config, *impulse_train(config))
+
+    def test_decay_slower_than_the_recording(self):
+        # At 1e-6/s the resonances barely decay: the recursion carries every
+        # impact so far across each block boundary.
+        fault = dataclasses.replace(outer_fault(jitter=0.3), resonance_decay=1e-6)
+        config = tone_config(seed=6, duration=1.0, fault=fault)
         self.check(config, *impulse_train(config))
 
     def test_recording_of_no_samples(self):
-        # 1e-5 s rounds to zero samples: no impacts, and no kernel to spread.
+        # 1e-5 s rounds to zero samples: no impacts, and no resonance to add.
         config = tone_config(duration=1e-5, fault=outer_fault())
         assert synth.synth_recording(config, "f").samples.size == 0
+
+    FS = 25600.0
+    LAST_DECAY = FS * np.log(1e4)  # falls 80 dB within one sample
+
+    def resonance_blocks(self, monkeypatch, decay, n):
+        """The np.cumsum calls, one per block, that adding impacts every 97
+        samples of an n-sample recording takes, and the signal they make."""
+        calls, cumsum = [], np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
+        signal, indices = np.zeros(n), np.arange(0, n, 97)
+        fault = dataclasses.replace(outer_fault(), resonance_decay=decay)
+        synth._add_resonances(signal, indices, np.ones(indices.size), fault, self.FS)
+        return len(calls), signal
+
+    @pytest.mark.parametrize("decay", [5e-324, 1e-6, 900.0, 1e4,
+                                       np.nextafter(LAST_DECAY, 0)])
+    def test_blocks_are_linear_in_the_recording(self, monkeypatch, decay):
+        # No block is shorter than _RESONANCE_SPANS samples at any decay
+        # below the last, so the work is linear in n. At the subnormal decay
+        # the -80 dB span, fs*ln(1e4)/decay, overflows to inf.
+        n = 100_000
+        blocks, signal = self.resonance_blocks(monkeypatch, decay, n)
+        assert 0 < blocks <= -(-n // synth._RESONANCE_SPANS) + 1
+        assert np.any(signal)
+
+    @pytest.mark.parametrize("decay", [LAST_DECAY, 2 * LAST_DECAY, 1e300])
+    def test_resonance_within_one_sample_adds_nothing(self, monkeypatch, decay):
+        # Its kernel, cut at -80 dB, is the one sample sin 0 = 0: no block
+        # is run, and the recording equals its fault-free twin.
+        blocks, signal = self.resonance_blocks(monkeypatch, decay, 10_000)
+        assert blocks == 0 and not np.any(signal)
+        fault = dataclasses.replace(outer_fault(), resonance_decay=decay)
+        config = tone_config(duration=0.5, fault=fault, noise=0.1)
+        faulted = synth.synth_recording(config, "f")
+        healthy = synth.synth_recording(dataclasses.replace(config, fault=None), "h")
+        assert faulted.samples.tobytes() == healthy.samples.tobytes()
+
+    def test_huge_amplitude_at_a_fast_decay_stays_finite(self):
+        # |a|^-k within a block stays below 1e128, so 1e100 times it is finite.
+        fault = dataclasses.replace(outer_fault(amplitude=1e100), resonance_decay=1e4)
+        config = tone_config(duration=1.0, fault=fault)
+        samples = self.impact_component(config) / 1e100
+        assert np.isfinite(samples).all()
+        np.testing.assert_allclose(
+            samples, self.loop_reference(config, *impulse_train(config)) / 1e100,
+            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("decay", [700.0, 900.0])
+    def test_closed_form_energy_matches_summed_kernel(self, decay):
+        # For an outer-ring train at 0 dB re one unit harmonic, amplitude^2 is
+        # 0.5 * fs / (rate * energy): the energy of the kernel to the end of
+        # the 3 s recording.
+        amp = synth.impulse_amplitude_for_power(
+            0.0, ((1, 1.0),), ((0.0, 43.0),), synth.OUTER_RING, 3.5, 4000.0,
+            decay, self.FS, 3.0)
+        k = np.arange(int(3.0 * self.FS))
+        kernel = np.exp(-decay * k / self.FS) * np.sin(2 * np.pi * 4000.0 * k / self.FS)
+        np.testing.assert_allclose(0.5 * self.FS / (3.5 * 43.0 * amp**2),
+                                   np.sum(kernel**2), rtol=1e-9)
 
 
 class TestStreamedBlocks:
@@ -570,10 +626,10 @@ class TestMemory:
         assert wav_peak <= 0.2 * n * 8
 
     def test_sparse_fault_synth_peak(self):
-        # A2_b2 at one impact per 20 turns: impacts 12 000 samples apart. A
-        # chunk of them ends at 2^16 samples' span, so the overlap-add
-        # spreads no array of the recording's length (2.07 arrays when only
-        # the kernel samples bounded a chunk, 1.13 since).
+        # A2_b2 at one impact per 20 turns: impacts 12 000 samples apart.
+        # The resonances are added block by block, so no array of the
+        # recording's length is made for them (2.07 arrays when the impact
+        # overlap-add spread such an array).
         spec = synth.default_scenario(seed=1, duration=120.0)[1]
         config = dataclasses.replace(spec.config, fault=dataclasses.replace(
             spec.config.fault, fault_freq_ratio=0.05))

@@ -23,13 +23,18 @@
 # synthesis block and inside a frame) and its extract, on this CPU's
 # kernel and on Prescott's, a two-channel
 # scenario file (a jittered inner-ring fault, and an outer-ring fault whose
-# resonance kernel outlasts its 1 s recording), the same file with a
-# resonance so slow that its -80 dB kernel would span days, a 30 s
+# resonance outlasts its 1 s recording), the same file with a
+# resonance so slow that its -80 dB kernel would span days, a 20 s channel
+# at that decay, channels whose decays lie just above and just below the
+# one at which a resonance falls 80 dB within a sample (the first beside
+# its fault-free twin), one at a subnormal decay (5e-324/s, an
+# OverflowError before), a channel of impact amplitude 1e100, a 30 s
 # scenario with harmonics up to h = 40 and a sparse fault (one impact per
 # 20 turns) and its extract, a scenario whose harmonic lies far above fs/2
 # (a data error), a scenario whose harmonic 10^6 of a 0.01 Hz shaft lies
 # below fs/2 but above the Taylor tables' bound (a data error), a scenario
-# with a NaN duration and one with an unknown key (data errors), an
+# with a NaN duration, one with an unknown key and one with seed 2.9 (data
+# errors), an
 # extract of a channel whose .rot file holds nan (a data error), the four
 # named experiments
 # (600/200 split, 2 epochs), seen-motor with --synth-first on an 8 s
@@ -99,8 +104,42 @@ run synth-scenario synth --scenario "$out/scenario.json" \
 scenario_file "$out/scenario-slow-decay.json" 1e-6
 run synth-scenario-slow-decay synth --scenario "$out/scenario-slow-decay.json" \
     --out "$out/scenario-slow-decay-campaign"
+# fault_channel ID SECONDS AMPLITUDE DECAY: one outer-ring channel object.
+fault_channel() {
+    cat <<EOF
+{"channel": "$1", "label": "D", "seed": 15, "duration": $2,
+ "profile": [[0, 43.0]], "harmonics": [[1, 1.0], [2, 0.4]], "noise_level": 0.2,
+ "fault": {"kind": "outer_ring", "freq_ratio": 3.5, "amplitude": $3,
+           "resonance_freq": 3000, "resonance_decay": $4, "jitter": 0.1}}
+EOF
+}
+# A 20 s channel whose resonances barely decay (1e-6/s).
+echo "[$(fault_channel L1 20 0.01 1e-6)]" > "$out/scenario-decay-20s.json"
+run synth-scenario-decay-20s synth --scenario "$out/scenario-decay-20s.json" \
+    --out "$out/scenario-decay-20s-campaign"
+# Decays on either side of fs*ln(1e4) = 235784.7/s, beyond which a resonance
+# falls 80 dB within one sample and adds nothing: E1's WAV equals that of
+# E0, its fault-free twin.
+cat > "$out/scenario-decay-edges.json" <<EOF
+[{"channel": "E0", "label": "H", "seed": 15, "duration": 1,
+  "profile": [[0, 43.0]], "harmonics": [[1, 1.0], [2, 0.4]], "noise_level": 0.2},
+ $(fault_channel E1 1 0.5 235785), $(fault_channel E2 1 0.5 235784)]
+EOF
+run synth-scenario-decay-edges synth --scenario "$out/scenario-decay-edges.json" \
+    --out "$out/scenario-decay-edges-campaign"
+# A subnormal decay, whose -80 dB span overflows to inf.
+echo "[$(fault_channel S1 1 0.5 5e-324)]" > "$out/scenario-decay-subnormal.json"
+run synth-scenario-decay-subnormal synth \
+    --scenario "$out/scenario-decay-subnormal.json" \
+    --out "$out/scenario-decay-subnormal-campaign"
+# Amplitude 1e100 at a fast decay (1e4/s): the samples stay finite.
+echo "[$(fault_channel H1 1 1e100 1e4)]" > "$out/scenario-huge-amplitude.json"
+run synth-scenario-huge-amplitude synth \
+    --scenario "$out/scenario-huge-amplitude.json" \
+    --out "$out/scenario-huge-amplitude-campaign"
 # Harmonics up to h = 40 (more Taylor terms in the harmonic sum) and an
-# outer-ring fault at 0.05 impacts per turn (impact chunks ended by span).
+# outer-ring fault at 0.05 impacts per turn (most resonance blocks hold no
+# impact).
 cat > "$out/scenario-rich-sparse.json" <<EOF
 [{"channel": "R1", "label": "D", "seed": 14, "duration": 30,
   "profile": [[0, 43.0], [12, 44.0], [20, 35.0]],
@@ -138,6 +177,12 @@ cat > "$out/scenario-unknown-key.json" <<EOF
 EOF
 run error-synth-unknown-key synth --scenario "$out/scenario-unknown-key.json" \
     --out "$out/error-unknown-key"
+cat > "$out/scenario-seed-fraction.json" <<EOF
+[{"channel": "W1", "label": "H", "seed": 2.9, "duration": 0.5,
+  "profile": [[0, 43.0]], "harmonics": [[1, 1.0]]}]
+EOF
+run error-synth-seed-fraction synth --scenario "$out/scenario-seed-fraction.json" \
+    --out "$out/error-seed-fraction"
 mkdir "$out/rot-nan"
 cp "$out/campaign-odd/manifest.json" "$out/campaign-odd/A1_b1.wav" "$out/rot-nan/"
 sed '2s/.*/nan/' "$out/campaign-odd/A1_b1.rot" > "$out/rot-nan/A1_b1.rot"
