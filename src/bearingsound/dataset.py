@@ -5,8 +5,7 @@ ids to file, label (H/D), axle, component and a free-text damage description.
 Frames whose mean shaft frequency falls outside the gating band are dropped;
 the survivors are held as parallel arrays of features, label, channel, shaft
 frequency and original frame index, and each channel's are cached in a framed
-file (``common.write_framed``). ``fit_normalization`` fits the z-scoring that
-an ``mlp.MlpModel`` stores and applies.
+file (``common.write_framed``).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .common import (LABELS, ManifestEntry, manifest_entry, read_framed, read_js
                      write_framed, write_json)
 from .dsp import MfccConfig, feature_matrix
 from .errors import ConfigError, DataError, FormatError
-from .mlp import NormalizationStats
 
 CACHE_MAGIC = b"ABFC"
 CACHE_VERSION = 3
@@ -197,24 +195,6 @@ def make_split(frames: Frames, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]
 def label_counts(labels: np.ndarray) -> dict[str, int]:
     counts = np.bincount(labels, minlength=len(LABELS))
     return {label: int(count) for label, count in zip(LABELS, counts)}
-
-
-# --- feature normalization ---------------------------------------------------
-
-
-def fit_normalization(x: np.ndarray) -> NormalizationStats:
-    """Per-coefficient mean and std of a (frames, coeffs) training matrix."""
-    if len(x) < 2:
-        raise DataError(
-            f"normalization needs at least two frames, got {len(x)}")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    degenerate = np.flatnonzero(std == 0)
-    if degenerate.size:
-        raise DataError(
-            "zero-variance coefficient(s): "
-            + ", ".join(f"c{i + 1}" for i in degenerate))
-    return NormalizationStats(mean=mean, std=std)
 
 
 # --- per-channel feature cache -----------------------------------------------

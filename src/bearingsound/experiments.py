@@ -169,13 +169,11 @@ def load_frames(manifest: Manifest, channels,
 
 def train_on_split(manifest: Manifest, channels, frames: dataset.Frames,
                    mfcc: dict | None, split: SplitSpec, train_config: TrainConfig):
-    """Split, fit the z-scoring on the training rows and train; returns
-    (model, training log, test frames). The model records mfcc, the frames'
-    feature settings."""
+    """Split and train; returns (model, training log, test frames). The model
+    records mfcc, the frames' feature settings."""
     train_rows, test_rows = dataset.make_split(frames, split)
     x_train, y_train = frames.coeffs[train_rows], frames.labels[train_rows]
-    model, history = mlp.train(x_train, y_train, train_config,
-                               norm_stats=dataset.fit_normalization(x_train))
+    model, history = mlp.train(x_train, y_train, train_config)
     model.mfcc = mfcc
     train_probs = mlp.predict_batch(model, x_train)
     log = {

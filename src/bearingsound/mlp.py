@@ -3,10 +3,10 @@
 The default network is 13 -> 1024 -> 100 -> 2: two hidden layers with ReLU
 and a two-way softmax head for the Healthy/Damaged decision. Everything is
 plain numpy; training is a deterministic single-threaded loop given the seed.
-A model stores the feature z-scoring fitted at training time
-(``NormalizationStats``, which ``dataset.fit_normalization`` fits) and applies
-it to the raw features it is given; its file is a framed file
-(``common.write_framed``).
+Every model owns its feature z-scoring (``NormalizationStats``): ``train``
+fits it on the rows it trains on, a model built without it holds the
+identity, and the model applies it to the raw features it is given; its
+file is a framed file (``common.write_framed``).
 
 Parameters live in one flat vector, ``MlpModel.params``: per layer W_i
 (row-major), then b_i, the order of the model file; ``weights``/``biases``
@@ -55,7 +55,7 @@ from .errors import ConfigError, DataError, FormatError, NumericError
 POSTERIOR_FLOOR = 1e-12
 
 MODEL_MAGIC = b"ABMM"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 DEFAULT_HIDDEN_DIMS = (1024, 100)
 
@@ -93,11 +93,23 @@ class NormalizationStats:
         if np.any(self.std <= 0):
             raise DataError("normalization std must be strictly positive")
 
+    @classmethod
+    def fit(cls, x: np.ndarray) -> "NormalizationStats":
+        """Per-coefficient mean and std of a (frames, coeffs) training matrix."""
+        if len(x) < 2:
+            raise DataError(f"normalization needs at least two frames, got {len(x)}")
+        std = x.std(axis=0)
+        degenerate = np.flatnonzero(std == 0)
+        if degenerate.size:
+            raise DataError("zero-variance coefficient(s): "
+                            + ", ".join(f"c{i + 1}" for i in degenerate))
+        return cls(mean=x.mean(axis=0), std=std)
+
 
 @dataclass
 class MlpModel:
-    """Layer dimensions, parameters, the z-scoring fitted at training time and
-    the feature settings of its training caches (each None when absent)."""
+    """Layer dimensions, parameters, input z-scoring (the identity unless
+    given) and the feature settings of its training caches (None if absent)."""
 
     dims: tuple[int, ...]
     params: np.ndarray
@@ -112,6 +124,8 @@ class MlpModel:
         if self.params.shape != (_param_count(self.dims),):
             raise ConfigError(f"{self.params.shape} parameters do not fit dims {self.dims}")
         self.weights, self.biases = _layer_views(self.params, self.dims)
+        if self.norm_stats is None:
+            self.norm_stats = NormalizationStats(np.zeros(self.dims[0]), np.ones(self.dims[0]))
 
 
 @dataclass(frozen=True)
@@ -170,8 +184,7 @@ def _model_inputs(model: MlpModel, x: np.ndarray) -> np.ndarray:
         raise DataError(
             f"feature dimension {x.shape[1]} does not match model input "
             f"{model.dims[0]}")
-    stats = model.norm_stats
-    return x if stats is None else (x - stats.mean) / stats.std
+    return (x - model.norm_stats.mean) / model.norm_stats.std
 
 
 _PREDICT_ROWS = 256
@@ -282,13 +295,12 @@ def adam_step(model: MlpModel, state: AdamState, grad: np.ndarray,
 
 
 def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
-          hidden_dims=DEFAULT_HIDDEN_DIMS,
-          norm_stats: NormalizationStats | None = None) -> tuple[MlpModel, list[float]]:
+          hidden_dims=DEFAULT_HIDDEN_DIMS) -> tuple[MlpModel, list[float]]:
     """Train a fresh model on raw feature rows; returns it with the per-epoch
     mean loss history.
 
-    norm_stats, when given, z-scores x during training and is stored in the
-    model so that prediction applies it too. x is z-scored in float64 and
+    The model stores ``NormalizationStats.fit(x)``, which z-scores x during
+    training and the rows prediction is given. x is z-scored in float64 and
     then cast to float32; both run once per call, not per batch, so their
     order does not matter for speed. The forward pass, backprop and Adam run
     on a float32 copy of the init_model parameters, whose exact float64
@@ -305,7 +317,7 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
         raise DataError("features and labels have different lengths")
     dims = (x.shape[1],) + tuple(int(d) for d in hidden_dims) + (len(LABELS),)
     model = init_model(dims, seed=config.seed)
-    model.norm_stats = norm_stats
+    model.norm_stats = NormalizationStats.fit(x)
     x = _model_inputs(model, x).astype(np.float32)
     model32 = MlpModel(dims=dims, params=model.params.astype(np.float32))
     state = AdamState.for_model(model32)
@@ -338,31 +350,27 @@ def train(x: np.ndarray, labels: np.ndarray, config: TrainConfig,
 
 
 def save_model(model: MlpModel, path) -> None:
-    """ABMM v2: a framed file headed by dims, mfcc and normalized; its float64
-    payload is params, then the z-scoring mean and std when normalized."""
-    stats = model.norm_stats
-    arrays = [model.params] + ([] if stats is None else [stats.mean, stats.std])
-    write_framed(path, MODEL_MAGIC, MODEL_VERSION, {
-        "dims": list(model.dims), "mfcc": model.mfcc, "normalized": stats is not None},
-        [np.asarray(a, dtype="<f8") for a in arrays])
+    """ABMM v3: a framed file headed by dims and mfcc; its float64 payload is
+    params, then the z-scoring mean and std."""
+    arrays = [model.params, model.norm_stats.mean, model.norm_stats.std]
+    write_framed(path, MODEL_MAGIC, MODEL_VERSION,
+                 {"dims": list(model.dims), "mfcc": model.mfcc},
+                 [np.asarray(a, dtype="<f8") for a in arrays])
 
 
 def load_model(path) -> MlpModel:
     header, blob, start = read_framed(path, MODEL_MAGIC, MODEL_VERSION,
                                       "model file", "train")
-    dims, normalized = header.get("dims"), header.get("normalized")
+    dims = header.get("dims")
     if not (isinstance(dims, list) and len(dims) >= 2
             and all(type(d) is int and d > 0 for d in dims)):
         raise FormatError(f"{path}: model needs at least 2 positive integer dims")
-    if (type(normalized) is not bool or "mfcc" not in header
-            or type(header["mfcc"]) not in (dict, type(None))):
-        raise FormatError(f"{path}: model needs a boolean normalized and an object or null mfcc")
-    count = _param_count(dims)
-    width = dims[0] if normalized else 0
-    expected = start + 8 * (count + 2 * width)
-    if len(blob) != expected:
+    if "mfcc" not in header or type(header["mfcc"]) not in (dict, type(None)):
+        raise FormatError(f"{path}: model needs an object or null mfcc")
+    count, width = _param_count(dims), dims[0]
+    if len(blob) != start + 8 * (count + 2 * width):
         raise FormatError(f"{path}: truncated or padded model file")
     values = np.frombuffer(blob, dtype="<f8", offset=start).astype(float)
     params, mean, std = np.split(values, [count, count + width])
-    return MlpModel(dims=tuple(dims), params=params, mfcc=header.get("mfcc"),
-                    norm_stats=NormalizationStats(mean, std) if normalized else None)
+    return MlpModel(dims=tuple(dims), params=params, mfcc=header["mfcc"],
+                    norm_stats=NormalizationStats(mean, std))

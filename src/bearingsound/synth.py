@@ -78,6 +78,7 @@ class SynthConfig:
     fault: FaultSpec | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if not 0 < self.fs < math.inf:
             raise ConfigError("fs must be positive and finite")
         if not 0 < self.duration < math.inf:
@@ -91,7 +92,8 @@ class SynthConfig:
         if not all(0 < f < math.inf for _, f in profile):
             raise ConfigError("rotational frequency must stay positive and finite")
         object.__setattr__(self, "rotational_freq_profile", profile)
-        harmonics = tuple((int(h), float(a)) for h, a in self.harmonic_amplitudes)
+        harmonics = tuple((_integer("harmonics", h), float(a))
+                          for h, a in self.harmonic_amplitudes)
         if any(h <= 0 for h, _ in harmonics):
             raise ConfigError("harmonic numbers must be positive")
         if not all(0 <= a < math.inf for _, a in harmonics):
@@ -110,6 +112,18 @@ class SynthConfig:
             raise ConfigError("noise_level must be non-negative and finite")
         if self.fault is not None and self.fault.resonance_freq >= self.fs / 2:
             raise ConfigError("resonance_freq must be below fs/2")
+        # Below fs/2 a sample crosses at most one turn of the impact train.
+        if self.fault is not None and self.fault.fault_freq_ratio * fastest >= self.fs / 2:
+            raise ConfigError(f"fault rate {self.fault.fault_freq_ratio} x {fastest} Hz "
+                              f"is at or above fs/2 = {self.fs / 2} Hz")
+
+
+def _integer(key: str, value) -> int:
+    """value as an int; int() alone would truncate 2.9 and read a bool as 0 or 1."""
+    if ((isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+            or (isinstance(value, float) and value.is_integer())):
+        return int(value)
+    raise ConfigError(f"{key}: {value!r} is not an integer")
 
 
 def sample_profile(profile, t: np.ndarray) -> np.ndarray:
@@ -120,9 +134,9 @@ def sample_profile(profile, t: np.ndarray) -> np.ndarray:
 
 
 # Samples per block of every full-length pass: the time axis, the profile,
-# the running sum, the turn crossings and the noise. A multiple of
-# FRAME_SAMPLES, so each block holds whole track frames. Each numpy call on a
-# channel worker hands the GIL on, so blocks this large keep the calls few.
+# the running sum and the noise. A multiple of FRAME_SAMPLES, so each block
+# holds whole track frames. Each numpy call on a channel worker hands the GIL
+# on, so blocks this large keep the calls few.
 _STREAM_BLOCK = 1 << 17
 
 
@@ -170,15 +184,11 @@ def _fault_impulses(config: SynthConfig, revs: np.ndarray,
     per-impact amplitude scatter, and the depth of the slow regime drift.
     """
     fault = config.fault
-    # An impact lands on each sample whose floored turn count exceeds the
-    # previous sample's; each block also reads the sample before it.
-    found = [np.zeros(0, dtype=np.intp)]
-    for start in range(0, len(revs), _STREAM_BLOCK):
-        lo = max(start - 1, 0)
-        turns = np.multiply(fault.fault_freq_ratio, revs[lo : start + _STREAM_BLOCK])
-        np.floor(turns, out=turns)
-        found.append(np.flatnonzero(turns[1:] > turns[:-1]) + lo + 1)
-    indices = np.concatenate(found)
+    # Impact k lands on the first sample at or past k / ratio revolutions; the
+    # last sample, past all `turns` of them, takes those no earlier one does.
+    ratio = fault.fault_freq_ratio
+    turns = math.floor(ratio * revs[-1]) if len(revs) else 0
+    indices = np.searchsorted(revs[:-1], np.arange(1, turns + 1) / ratio)
     amps = np.full(indices.size, fault.impulse_amplitude)
     jitter = fault.severity_jitter
     if jitter > 0:
@@ -476,19 +486,14 @@ def channel_from_json(entry: dict) -> ChannelSpec:
     for what, fields, known in (("channel", entry, _CHANNEL_KEYS), ("fault", f, _FAULT_KEYS)):
         if unknown := sorted(fields.keys() - known):
             raise DataError(f"unknown {what} keys: {', '.join(unknown)}")
-    harmonics = entry.get("harmonics", SynthConfig.harmonic_amplitudes)
-    # int() would truncate a fraction and read a bool as 0 or 1.
-    for key, value in [("seed", entry["seed"]), *(("harmonics", h) for h, _ in harmonics)]:
-        if not (type(value) is int or type(value) is float and value.is_integer()):
-            raise DataError(f"{key}: {value!r} is not an integer")
     fault = FaultSpec(
         f["kind"], float(f["freq_ratio"]), float(f["amplitude"]),
         float(f["resonance_freq"]), float(f["resonance_decay"]),
         severity_jitter=float(f.get("jitter", 0.0))) if f else None
     config = SynthConfig(
         fs=float(entry.get("fs", SynthConfig.fs)), duration=float(entry["duration"]),
-        seed=int(entry["seed"]), rotational_freq_profile=entry["profile"],
-        harmonic_amplitudes=harmonics,
+        seed=entry["seed"], rotational_freq_profile=entry["profile"],
+        harmonic_amplitudes=entry.get("harmonics", SynthConfig.harmonic_amplitudes),
         noise_level=float(entry.get("noise_level", SynthConfig.noise_level)),
         fault=fault)
     channel_id = str(entry["channel"])

@@ -233,6 +233,13 @@ class TestSynthCommand:
         rc, err, out = self.synth_with(tmp_path, capsys, path, 2.0)
         assert rc == 0, err
 
+    def test_fault_rate_above_nyquist_is_a_data_error(self, tmp_path, capsys):
+        # 300 impacts per turn of a 44 Hz shaft is 13 200 Hz, above fs/2.
+        rc, err, out = self.synth_with(tmp_path, capsys, ("fault", "freq_ratio"), 300.0)
+        assert rc == 2, err
+        assert err.startswith("data error: ") and "fault rate" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where,key", [(None, "noise"), ("fault", "modulated")])
     def test_unknown_scenario_key_is_a_data_error(self, tmp_path, capsys, where,
                                                   key):

@@ -217,11 +217,11 @@ def zscore(x, stats):
 class TestNormalization:
     def test_single_frame_is_degenerate(self):
         with pytest.raises(DataError):
-            dataset.fit_normalization(make_frames(1).coeffs)
+            NormalizationStats.fit(make_frames(1).coeffs)
 
     def test_fitted_stats_standardize_training_set(self):
         x = make_frames(500, seed=3).coeffs
-        stats = dataset.fit_normalization(x)
+        stats = NormalizationStats.fit(x)
         matrix = zscore(x, stats)
         np.testing.assert_allclose(matrix.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(matrix.std(axis=0), 1.0, atol=1e-9)
@@ -234,22 +234,22 @@ class TestNormalization:
     def test_shift_invariance(self):
         x = make_frames(200, seed=8).coeffs
         shifted = x + 17.5
-        base = zscore(x, dataset.fit_normalization(x))
-        other = zscore(shifted, dataset.fit_normalization(shifted))
+        base = zscore(x, NormalizationStats.fit(x))
+        other = zscore(shifted, NormalizationStats.fit(shifted))
         np.testing.assert_allclose(base, other, atol=1e-9)
 
     def test_zero_variance_coefficient_rejected(self):
         constant = make_frames(50, seed=2).coeffs
         constant[:, -1] = 3.0
         with pytest.raises(DataError, match="c13"):
-            dataset.fit_normalization(constant)
+            NormalizationStats.fit(constant)
 
     def test_stats_depend_only_on_training_partition(self):
         frames = make_frames(100, seed=5)
         spec = SplitSpec(train_size=70, test_size=30, seed=1)
         train, _ = dataset.make_split(frames, spec)
-        stats1 = dataset.fit_normalization(frames.coeffs[train])
-        stats2 = dataset.fit_normalization(frames.coeffs[train].copy())
+        stats1 = NormalizationStats.fit(frames.coeffs[train])
+        stats2 = NormalizationStats.fit(frames.coeffs[train].copy())
         assert np.array_equal(stats1.mean, stats2.mean)
         assert np.array_equal(stats1.std, stats2.std)
 

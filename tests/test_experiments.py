@@ -277,7 +277,10 @@ class TestRun:
         assert sum(log["train_class_counts"].values()) == 300
         assert len(test_frames) == 100
         assert len(log["per_epoch_loss"]) == 3
-        assert model.norm_stats is not None
+        train_rows, _ = dataset.make_split(frames, split)
+        fitted = mlp.NormalizationStats.fit(frames.coeffs[train_rows])
+        assert np.array_equal(model.norm_stats.mean, fitted.mean)
+        assert np.array_equal(model.norm_stats.std, fitted.std)
         assert model.mfcc == mfcc == log["mfcc"]
         report = experiments.evaluate_frames(model, test_frames)
         assert 0.0 <= report.accuracy <= 100.0

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bearingsound import audiofile, common, dataset, mlp, synth  # noqa: E402
 from bearingsound.errors import DataError  # noqa: E402
-from bearingsound.mlp import NormalizationStats  # noqa: E402
 
 SCENARIO = [{
     "channel": "C1", "label": "D", "axle": "A1", "component": "motor",
@@ -36,7 +35,6 @@ def _write_valid_inputs(directory):
     dataset.write_cache(directory / "x.abfc", frames,
                         {"mfcc": {"num_coeffs": 3}, "source_sha256": "ab"})
     model = mlp.init_model((3, 4, 2), seed=1)
-    model.norm_stats = NormalizationStats(mean=np.zeros(3), std=np.ones(3))
     mlp.save_model(model, directory / "x.abmm")
     dataset.save_manifest(dataset.Manifest(entries={
         "A1_b1": common.ManifestEntry("x.wav", "D", "A1", "motor", "inner"),

@@ -25,7 +25,7 @@ ALLOWED = {
     "dsp": {"errors"},
     "synth": {"audiofile", "common", "errors"},
     "mlp": {"common", "errors"},
-    "dataset": {"audiofile", "common", "dsp", "errors", "mlp"},
+    "dataset": {"audiofile", "common", "dsp", "errors"},
     "metrics": {"common", "dataset", "errors"},
     "experiments": _BELOW_EXPERIMENTS,
     "cli": _BELOW_EXPERIMENTS | {"experiments", "synth"},

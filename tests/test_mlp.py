@@ -71,6 +71,18 @@ class TestForward:
         with pytest.raises(DataError):
             mlp.predict_batch(zero_model(), np.zeros(7))
 
+    def test_model_without_stats_scores_raw_rows(self):
+        # A model built without z-scoring holds the identity, which leaves
+        # every row's bytes as they are.
+        x = np.random.default_rng(8).normal(2.0, 3.0, size=(20, 13))
+        built = mlp.init_model((13, 4, 3, 2), seed=5)
+        direct = mlp.MlpModel(dims=built.dims, params=built.params.copy())
+        for model in (built, direct):
+            assert np.array_equal(model.norm_stats.mean, np.zeros(13))
+            assert np.array_equal(model.norm_stats.std, np.ones(13))
+            assert np.array_equal(mlp.predict_batch(model, x),
+                                  mlp._forward_pass(model, x)[1])
+
 
 def normalized_default_model(x, seed=0):
     model = mlp.init_model((13, 1024, 100, 2), seed=seed)
@@ -300,8 +312,9 @@ class TestTraining:
             assert np.array_equal(a, b)
 
     def test_non_finite_loss_aborts_with_diagnostic(self):
-        # Values at the float64 ceiling overflow the first forward pass: the
-        # guard must stop training instead of looping on a non-finite loss.
+        # Values at the float64 ceiling overflow the z-scoring's mean, so the
+        # first forward pass is not finite: the guard must stop training
+        # instead of looping on a non-finite loss.
         x = np.full((8, 13), 1.7e308)
         y = np.array([0, 1] * 4)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch 1"):
@@ -311,6 +324,18 @@ class TestTraining:
     def test_empty_training_set_rejected(self):
         with pytest.raises(DataError):
             mlp.train(np.zeros((0, 13)), np.zeros(0), mlp.TrainConfig())
+
+    def test_one_row_is_too_few_to_fit_the_z_scoring(self):
+        x, y = toy_blobs(10, seed=2)
+        with pytest.raises(DataError, match="at least two frames, got 1"):
+            mlp.train(x[:1], y[:1], mlp.TrainConfig(epochs=1), hidden_dims=(4,))
+
+    def test_model_stores_the_z_scoring_of_its_training_rows(self):
+        x, y = toy_blobs(20, seed=4)
+        model, _ = mlp.train(x, y, mlp.TrainConfig(epochs=1), hidden_dims=(4,))
+        stats = NormalizationStats.fit(x)
+        assert np.array_equal(model.norm_stats.mean, stats.mean)
+        assert np.array_equal(model.norm_stats.std, stats.std)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -323,14 +348,16 @@ def subnormal_count(a):
 
 
 def float32_train_without_flushes(x, y, config, hidden_dims):
-    """mlp.train's float32 loop written out without the subnormal flushes:
+    """mlp.train's z-scoring and float32 loop written out without the
+    subnormal flushes:
     returns the trained float32 parameters and the subnormal entries seen in
     the output errors over the run and in the final first moments."""
     dims = (x.shape[1],) + hidden_dims + (2,)
     params = mlp.init_model(dims, seed=config.seed).params.astype(np.float32)
     model = mlp.MlpModel(dims=dims, params=params)
     m, v = np.zeros_like(params), np.zeros_like(params)
-    x = x.astype(np.float32)
+    stats = NormalizationStats.fit(x)
+    x = ((x - stats.mean) / stats.std).astype(np.float32)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 97]))
     b1, b2 = mlp.BETA1, mlp.BETA2
     t = subnormal_deltas = 0
@@ -386,9 +413,9 @@ class TestFloat32Training:
         # Far-apart blobs and a large step saturate the softmax, so float32
         # output errors underflow, and units that die stop getting gradient
         # while their first moments decay past the float32 normal range.
+        # train z-scores the blobs, so their scale does not count; the step does.
         x, y = toy_blobs(64, seed=3)
-        x *= 1.5
-        config = mlp.TrainConfig(epochs=200, learning_rate=0.05, seed=5)
+        config = mlp.TrainConfig(epochs=200, learning_rate=0.1, seed=5)
         last = {}
         adam_step = mlp.adam_step
 
@@ -451,7 +478,7 @@ class TestModelFile:
             assert m.params[-1] == -7.0
 
     def test_file_bytes_are_pinned(self, tmp_path):
-        # ABMM v2 is a fixed format: magic, <HI version and header length, the
+        # ABMM v3 is a fixed format: magic, <HI version and header length, the
         # sorted-key JSON header, then params, mean and std as <f8.
         model = mlp.init_model((13, 6, 4, 2), seed=77)
         model.norm_stats = NormalizationStats(mean=np.arange(13.0),
@@ -460,14 +487,14 @@ class TestModelFile:
         path = tmp_path / "m.abmm"
         mlp.save_model(model, path)
         header = (b'{"dims": [13, 6, 4, 2], "mfcc": {"band": [42.0, 45.0], '
-                  b'"num_coeffs": 13}, "normalized": true}')
+                  b'"num_coeffs": 13}}')
         assert path.read_bytes() == (
-            b"ABMM" + struct.pack("<HI", 2, len(header)) + header
+            b"ABMM" + struct.pack("<HI", 3, len(header)) + header
             + b"".join(a.astype("<f8").tobytes() for a in (
                 model.params, model.norm_stats.mean, model.norm_stats.std)))
-        assert path.stat().st_size == 1287
+        assert path.stat().st_size == 1267
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "fb7471d88af455ce7acfdd9a1376b33326b23b0bb66dd804eddc224c681b0c3b")
+            "2483bfa5ea86613594ad8b463a2f34503f8f7e7446d6cb1299b65a414fd653d5")
 
     def test_corrupted_magic_rejected(self, tmp_path):
         path = tmp_path / "m.abmm"
@@ -490,28 +517,32 @@ class TestModelFile:
     def test_too_few_dims_rejected(self, tmp_path):
         path = tmp_path / "m.abmm"
         for dims in ([], [4], "[4, 2]", [4, 0, 2], [4, 2.5, 2]):
-            header = json.dumps({"dims": dims, "mfcc": None,
-                                 "normalized": False}).encode()
-            path.write_bytes(mlp.MODEL_MAGIC + struct.pack("<HI", 2, len(header))
+            header = json.dumps({"dims": dims, "mfcc": None}).encode()
+            path.write_bytes(mlp.MODEL_MAGIC + struct.pack("<HI", 3, len(header))
                              + header + bytes(8 * 10))
             with pytest.raises(FormatError, match="at least 2"):
                 mlp.load_model(path)
 
     @pytest.mark.parametrize("header", [
-        {"dims": [4, 2], "mfcc": None, "normalized": "false"},
-        {"dims": [4, 2], "mfcc": None, "normalized": [1]},
-        {"dims": [4, 2], "mfcc": None},
-        {"dims": [4, 2], "mfcc": 5, "normalized": False},
-        {"dims": [4, 2], "normalized": False}])
+        {"dims": [4, 2], "mfcc": 5},
+        {"dims": [4, 2]}])
     def test_header_types_rejected(self, tmp_path, header):
-        # The payload is sized as if a truthy normalized meant normalized, so
-        # only the types of normalized and mfcc are wrong.
+        # The payload is sized for dims [4, 2] (10 params, 4 means, 4 stds),
+        # so only mfcc is wrong.
         path = tmp_path / "m.abmm"
         head = json.dumps(header).encode()
-        floats = 10 + (8 if header.get("normalized") else 0)
+        path.write_bytes(mlp.MODEL_MAGIC + struct.pack("<HI", 3, len(head))
+                         + head + np.ones(18, dtype="<f8").tobytes())
+        with pytest.raises(FormatError, match="object or null mfcc"):
+            mlp.load_model(path)
+
+    def test_v2_model_file_asks_for_a_new_train(self, tmp_path):
+        # A v2 file, as its writer left one without z-scoring.
+        path = tmp_path / "m.abmm"
+        head = json.dumps({"dims": [4, 2], "mfcc": None, "normalized": False}).encode()
         path.write_bytes(mlp.MODEL_MAGIC + struct.pack("<HI", 2, len(head))
-                         + head + np.ones(floats, dtype="<f8").tobytes())
-        with pytest.raises(FormatError, match="boolean normalized"):
+                         + head + np.ones(10, dtype="<f8").tobytes())
+        with pytest.raises(FormatError, match="version 2 is not the supported 3; re-run train"):
             mlp.load_model(path)
 
     def test_truncation_rejected(self, tmp_path):

@@ -99,6 +99,32 @@ class TestConfigValidation:
         synth.SynthConfig(fs=1001.0, rotational_freq_profile=profile,
                           harmonic_amplitudes=((1, 1.0), (10, 0.0)))
 
+    def test_fault_rate_at_or_above_nyquist_rejected(self):
+        # Below fs/2 a sample crosses at most one turn of the impact train.
+        # The fastest point of the profile counts: 10 x 50 Hz is fs/2 exactly.
+        profile = ((0.0, 40.0), (1.0, 50.0))
+        fault = dataclasses.replace(outer_fault(ratio=10.0), resonance_freq=300.0)
+        with pytest.raises(ConfigError, match="fault rate"):
+            synth.SynthConfig(fs=1000.0, rotational_freq_profile=profile, fault=fault)
+        synth.SynthConfig(fs=1001.0, rotational_freq_profile=profile, fault=fault)
+
+    @pytest.mark.parametrize("kwargs,shown", [
+        ({"seed": 2.9}, "seed: 2.9"), ({"seed": True}, "seed: True"),
+        ({"seed": "3"}, "seed: '3'"),
+        ({"harmonic_amplitudes": ((1.5, 1.0),)}, "harmonics: 1.5"),
+        ({"harmonic_amplitudes": ((1, 1.0), (True, 0.5))}, "harmonics: True")])
+    def test_non_integral_seed_or_harmonic_rejected(self, kwargs, shown):
+        with pytest.raises(ConfigError, match=f"{shown} is not an integer"):
+            synth.SynthConfig(**kwargs)
+
+    def test_numpy_and_whole_float_integers_accepted(self):
+        config = synth.SynthConfig(
+            seed=np.uint64(2**63 + 5),
+            harmonic_amplitudes=((np.int32(2), 1.0), (3.0, 0.5)))
+        assert config.seed == 2**63 + 5 and type(config.seed) is int
+        assert config.harmonic_amplitudes == ((2, 1.0), (3, 0.5))
+        assert all(type(h) is int for h, _ in config.harmonic_amplitudes)
+
 
 class TestSingleToneRecording:
     def test_energy_concentrates_at_the_shaft_line(self):
@@ -225,6 +251,31 @@ class TestFaultTrain:
         spacing = np.diff(indices)
         assert abs(spacing.mean() - expected) < 0.5
         assert np.all(np.abs(spacing - expected) <= 1.0)
+
+    def test_impacts_are_the_turn_crossings(self):
+        # Just below fs/2 nearly every other sample crosses a turn of the
+        # train; each crossing is one impact, on the first sample past it.
+        ratio = 12799.0 / 44.5
+        config = synth.SynthConfig(
+            duration=2.0, rotational_freq_profile=((0.0, 43.0), (1.0, 44.5)),
+            fault=outer_fault(ratio=ratio))
+        _, revs = synth._shaft_revolutions(config)
+        turns = np.floor(ratio * revs)
+        indices = impulse_indices(config)
+        assert np.array_equal(indices, np.flatnonzero(turns[1:] > turns[:-1]) + 1)
+        assert len(indices) == turns[-1] > 25000
+        # A recording too short for one sample has no impact.
+        short = dataclasses.replace(config, duration=1e-5)
+        assert synth.synth_recording(short).samples.size == 0
+        assert impulse_indices(short).size == 0
+        # 3 x 1.6666666666666665 rounds to 5.0, but 5 / 3 to 1.6666666666666667:
+        # the fifth turn is reached on the last sample, and lands there.
+        revs = np.append(np.arange(0.05, 1.6, 0.1), 1.6666666666666665)
+        indices, _ = synth._fault_impulses(tone_config(fault=outer_fault(ratio=3.0)),
+                                           revs, synth._child_rngs(0)[2])
+        turns = np.floor(3.0 * revs)
+        assert np.array_equal(indices, np.flatnonzero(turns[1:] > turns[:-1]) + 1)
+        assert indices[-1] == len(revs) - 1
 
     def test_squared_residual_autocorrelation_peaks_at_spacing(self):
         config = tone_config(fault=outer_fault(), noise=0.05)

@@ -33,8 +33,9 @@
 # 20 turns) and its extract, a scenario whose harmonic lies far above fs/2
 # (a data error), a scenario whose harmonic 10^6 of a 0.01 Hz shaft lies
 # below fs/2 but above the Taylor tables' bound (a data error), a scenario
-# with a NaN duration, one with an unknown key and one with seed 2.9 (data
-# errors), an
+# with a NaN duration, one with an unknown key, one with seed 2.9 and one
+# whose fault rate, 300 impacts per turn of a 43 Hz shaft, lies above fs/2
+# (data errors, no --out directory), an
 # extract of a channel whose .rot file holds nan (a data error), the four
 # named experiments
 # (600/200 split, 2 epochs), seen-motor with --synth-first on an 8 s
@@ -183,6 +184,14 @@ cat > "$out/scenario-seed-fraction.json" <<EOF
 EOF
 run error-synth-seed-fraction synth --scenario "$out/scenario-seed-fraction.json" \
     --out "$out/error-seed-fraction"
+cat > "$out/scenario-fault-rate.json" <<EOF
+[{"channel": "X1", "label": "D", "seed": 13, "duration": 0.5,
+  "profile": [[0, 43.0]], "harmonics": [[1, 1.0]],
+  "fault": {"kind": "outer_ring", "freq_ratio": 300, "amplitude": 0.5,
+            "resonance_freq": 4000, "resonance_decay": 900}}]
+EOF
+run error-synth-fault-rate synth --scenario "$out/scenario-fault-rate.json" \
+    --out "$out/error-fault-rate"
 mkdir "$out/rot-nan"
 cp "$out/campaign-odd/manifest.json" "$out/campaign-odd/A1_b1.wav" "$out/rot-nan/"
 sed '2s/.*/nan/' "$out/campaign-odd/A1_b1.rot" > "$out/rot-nan/A1_b1.rot"
