@@ -248,9 +248,8 @@ def cmd_experiment(args) -> int:
     report = experiments.run_experiment(
         manifest, spec, config, train_config, out_dir=out_dir,
         features_dir=data_dir / "features", log=print)
-    print(f"{args.name}: accuracy {metrics.round_half_up(report.accuracy):.2f}%  "
-          f"TPR {metrics.round_half_up(report.tpr):.2f}%  "
-          f"TNR {metrics.round_half_up(report.tnr):.2f}%")
+    print(f"{args.name}: accuracy {report['accuracy']:.2f}%  "
+          f"TPR {report['tpr']:.2f}%  TNR {report['tnr']:.2f}%")
     print(f"results: {out_dir}")
     return EXIT_OK
 

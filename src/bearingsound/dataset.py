@@ -229,6 +229,9 @@ def _parse_cache(path) -> tuple[dict, tuple]:
         raise FormatError(f"{path}: truncated or padded cache ({len(blob)} "
                           f"bytes, expected {expected})")
     data = np.frombuffer(blob, dtype=dtype, offset=start)
+    for name in ("coeffs", "rot"):
+        if not np.all(np.isfinite(data[name])):
+            raise FormatError(f"{path}: cache {name} holds a non-finite value")
     return header["signature"], (data["coeffs"].copy(), data["rot"].copy(),
                                  data["idx"].astype(np.int64))
 

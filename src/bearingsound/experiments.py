@@ -188,18 +188,17 @@ def train_on_split(manifest: Manifest, channels, frames: dataset.Frames,
     return model, log, frames.take(test_rows)
 
 
-def evaluate_frames(model: mlp.MlpModel,
-                    frames: dataset.Frames) -> metrics.MetricsReport:
-    """Score raw frames with a model, which applies its stored normalization."""
+def evaluate_frames(model: mlp.MlpModel, frames: dataset.Frames) -> dict:
+    """The report record of a model's verdicts on raw frames, which it z-scores."""
     probs = mlp.predict_batch(model, frames.coeffs)
     return metrics.metrics(metrics.confusion(probs.argmax(axis=1), frames.labels))
 
 
 def run_experiment(manifest: Manifest, spec: ExperimentSpec,
                    mfcc_config: MfccConfig, train_config: TrainConfig,
-                   out_dir, features_dir, log=None) -> metrics.MetricsReport:
+                   out_dir, features_dir, log=None) -> dict:
     """Extract, split, train and evaluate one named experiment; returns the
-    test report."""
+    test report record."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = dataset.Frames.concat(ensure_caches(
@@ -215,5 +214,5 @@ def run_experiment(manifest: Manifest, spec: ExperimentSpec,
     write_json(out_dir / "train_log.json", train_log)
     metrics.write_report(report, out_dir / "report.json", out_dir / "report.txt")
     write_json(out_dir / "experiment.json",
-               {**train_log, "report": metrics.report_to_dict(report)})
+               {**train_log, "report": report})
     return report

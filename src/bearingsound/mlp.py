@@ -90,8 +90,10 @@ class NormalizationStats:
         object.__setattr__(self, "std", np.asarray(self.std, dtype=float))
         if self.mean.shape != self.std.shape:
             raise DataError("normalization mean/std shapes differ")
-        if np.any(self.std <= 0):
-            raise DataError("normalization std must be strictly positive")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))
+                and np.all(self.std > 0)):
+            raise DataError("normalization needs a finite mean and a finite, "
+                            "strictly positive std")
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "NormalizationStats":
@@ -372,5 +374,8 @@ def load_model(path) -> MlpModel:
         raise FormatError(f"{path}: truncated or padded model file")
     values = np.frombuffer(blob, dtype="<f8", offset=start).astype(float)
     params, mean, std = np.split(values, [count, count + width])
+    for name, array in (("params", params), ("mean", mean), ("std", std)):
+        if not np.all(np.isfinite(array)):
+            raise FormatError(f"{path}: model {name} holds a non-finite value")
     return MlpModel(dims=tuple(dims), params=params, mfcc=header["mfcc"],
                     norm_stats=NormalizationStats(mean, std))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -599,6 +600,46 @@ class TestTrainEvalCommands:
         assert "duplicate channel id" in err
         assert not model_path.exists()
 
+    def test_model_with_a_nan_is_a_data_error(self, campaign_dir, features_dir,
+                                              small_model, tmp_path, capsys):
+        model_path = tmp_path / "nan.abmm"
+        model_path.write_bytes(small_model.read_bytes()[:-8]
+                               + struct.pack("<d", math.nan))  # the last std
+        rc, _, err = run(["eval", "--manifest", str(campaign_dir / "manifest.json"),
+                          "--features", str(features_dir),
+                          "--channels", "A1_b1,B1_b1",
+                          "--train-size", "40", "--test-size", "10",
+                          "--model", str(model_path),
+                          "--out", str(tmp_path / "rep")], capsys)
+        assert rc == 2
+        assert f"{model_path}: model std holds a non-finite value" in err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "scatter"])
+    def test_non_finite_cache_value_is_a_data_error(self, campaign_dir,
+                                                    features_dir, small_model,
+                                                    tmp_path, capsys, command):
+        features = tmp_path / "f"
+        shutil.copytree(features_dir, features)
+        frames, signature = dataset.frames_from_cache(
+            features / "B1_b1.abfc", "H", "B1_b1")
+        rot = frames.rot.copy()
+        rot[0] = math.inf
+        dataset.write_cache(features / "B1_b1.abfc",
+                            dataclasses.replace(frames, rot=rot), signature)
+        files = ["--manifest", str(campaign_dir / "manifest.json"),
+                 "--features", str(features), "--channels", "A1_b1,B1_b1"]
+        split = ["--train-size", "40", "--test-size", "10"]
+        argv = {"train": ["train", *files, *split, "--out", str(tmp_path / "m.abmm")],
+                "eval": ["eval", *files, *split, "--model", str(small_model),
+                         "--out", str(tmp_path / "rep")],
+                "scatter": ["scatter", *files, "--pair", "1:2",
+                            "--out", str(tmp_path / "s.tsv")]}[command]
+        rc, _, err = run(argv, capsys)
+        assert rc == 2
+        assert "B1_b1.abfc: cache rot holds a non-finite value" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
     def test_missing_cache_is_a_data_error(self, campaign_dir, tmp_path, capsys):
         rc, _, err = run(self.train_args(campaign_dir, tmp_path / "nowhere",
                                          tmp_path / "m.abmm"), capsys)
@@ -688,6 +729,19 @@ class TestExperimentCommand:
         assert echo["split"]["train_size"] == 400
         assert echo["train_config"]["epochs"] == 5
         assert "report" in echo
+
+    def test_summary_line_reads_the_report(self, campaign_dir, tmp_path, capsys):
+        rc, out, _ = run(["--seed", "9", "experiment", "seen-motor",
+                          "--data", str(campaign_dir),
+                          "--train-size", "400", "--test-size", "100",
+                          "--epochs", "1",
+                          "--out", str(tmp_path / "res")], capsys)
+        assert rc == 0
+        report = json.loads((tmp_path / "res" / "report.json").read_text())
+        summary = [line for line in out.splitlines()
+                   if line.startswith("seen-motor: ")]
+        assert summary == [f"seen-motor: accuracy {report['accuracy']:.2f}%  "
+                           f"TPR {report['tpr']:.2f}%  TNR {report['tnr']:.2f}%"]
 
     def test_bytes_identical_across_processes(self, campaign_dir, tmp_path):
         # Hash seed and BLAS thread count differ between the two processes;

@@ -6,7 +6,7 @@ import pytest
 
 from bearingsound import audiofile, cli, dataset, experiments, mlp
 from bearingsound.dsp import MfccConfig
-from bearingsound.errors import ConfigError, DataError
+from bearingsound.errors import ConfigError, DataError, FormatError
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +176,27 @@ class TestCaches:
         assert mfcc == dataclasses.asdict(MfccConfig())
         assert len(frames) > 1
 
+    def test_cache_with_a_non_finite_value_is_re_extracted(self, manifest,
+                                                           tmp_path):
+        # A NaN read back would score as a frame; the cache is stale instead.
+        features = tmp_path / "f"
+        experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(), features)
+        path = features / "B1_b1.abfc"
+        valid = path.read_bytes()
+        frames, signature = dataset.frames_from_cache(path, "H", "B1_b1")
+        coeffs = frames.coeffs.copy()
+        coeffs[3, 2] = np.nan
+        dataset.write_cache(path, dataclasses.replace(frames, coeffs=coeffs),
+                            signature)
+        with pytest.raises(FormatError, match="cache coeffs holds a non-finite"):
+            experiments.load_frames(manifest, ("B1_b1",), features)
+        messages = []
+        experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(), features,
+                                  log=messages.append)
+        assert len(messages) == 1
+        assert messages[0].endswith(f"{len(frames)} gated")
+        assert path.read_bytes() == valid
+
     def test_cache_with_the_older_signature_layout_is_re_extracted(
             self, manifest, tmp_path):
         # Older caches recorded the window, Mel range and log floor, and the
@@ -283,7 +304,7 @@ class TestRun:
         assert np.array_equal(model.norm_stats.std, fitted.std)
         assert model.mfcc == mfcc == log["mfcc"]
         report = experiments.evaluate_frames(model, test_frames)
-        assert 0.0 <= report.accuracy <= 100.0
+        assert 0.0 <= report["accuracy"] <= 100.0
 
     def test_evaluate_applies_stored_normalization_to_raw_frames(self, manifest,
                                                                  tmp_path):
@@ -303,8 +324,8 @@ class TestRun:
         normalized = dataclasses.replace(
             test_frames, coeffs=(test_frames.coeffs - stats.mean) / stats.std)
         normalized_report = experiments.evaluate_frames(bare, normalized)
-        np.testing.assert_array_equal(raw_report.counts,
-                                      normalized_report.counts)
+        np.testing.assert_array_equal(raw_report["counts"],
+                                      normalized_report["counts"])
 
     def test_evaluate_rejects_dimension_mismatch(self, manifest, tmp_path):
         model = mlp.init_model((10, 4, 2), seed=0)

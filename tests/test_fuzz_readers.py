@@ -2,6 +2,7 @@
 returns or raises DataError (exit 2), never another exception."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bearingsound import audiofile, common, dataset, mlp, synth  # noqa: E402
-from bearingsound.errors import DataError  # noqa: E402
+from bearingsound.errors import DataError, FormatError  # noqa: E402
 
 SCENARIO = [{
     "channel": "C1", "label": "D", "axle": "A1", "component": "motor",
@@ -91,3 +92,30 @@ def test_only_data_errors_escape(valid_inputs, fmt, data):
         pass
     finally:
         path.write_bytes(valid)
+
+
+
+# (format, field, offset of the field's first value from the payload's start)
+# in the valid cache, records of rot, coeffs and idx, and the valid model,
+# dims (3, 4, 2): 26 params, then 3 means and 3 stds.
+PAYLOAD_FIELDS = [("ABFC", "rot", 0), ("ABFC", "coeffs", 8),
+                  ("ABMM", "params", 0), ("ABMM", "mean", 8 * 26),
+                  ("ABMM", "std", 8 * 29)]
+
+
+@pytest.mark.parametrize("fmt,field,offset", PAYLOAD_FIELDS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_value_is_a_format_error(valid_inputs, fmt, field,
+                                                    offset, value):
+    # A NaN read as a feature or a model number would score every frame H.
+    path, reader, valid = valid_inputs[fmt]
+    offset += 10 + int.from_bytes(valid[6:10], "little")  # the framed header
+    path.write_bytes(valid[:offset] + struct.pack("<d", value)
+                     + valid[offset + 8:])
+    try:
+        with pytest.raises(FormatError) as caught:
+            reader(path)
+    finally:
+        path.write_bytes(valid)
+    what = "cache" if fmt == "ABFC" else "model"
+    assert str(caught.value) == f"{path}: {what} {field} holds a non-finite value"

@@ -7,7 +7,7 @@ from bearingsound import metrics
 from bearingsound.common import LABELS
 from bearingsound.dataset import Frames
 from bearingsound.errors import DataError
-from bearingsound.metrics import ConfusionMatrix, confusion, round_half_up
+from bearingsound.metrics import confusion, round_half_up
 
 # Published reference matrices for the four benchmark evaluations, as
 # (counts rows=predicted x cols=true, column percentages, accuracy).
@@ -25,9 +25,9 @@ H, D = LABELS.index("H"), LABELS.index("D")
 class TestConfusion:
     def test_all_correct_is_diagonal(self):
         labels = np.array([H] * 10 + [D] * 10)
-        cm = confusion(labels, labels)
-        np.testing.assert_array_equal(cm.counts, [[10, 0], [0, 10]])
-        assert cm.total == 20
+        counts = confusion(labels, labels)
+        np.testing.assert_array_equal(counts, [[10, 0], [0, 10]])
+        assert counts.sum() == 20
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -43,53 +43,50 @@ class TestConfusion:
         rng = np.random.default_rng(3)
         predicted = np.where(rng.integers(0, 2, size=200), H, D)
         true = np.where(rng.integers(0, 2, size=200), H, D)
-        base = confusion(predicted, true).counts
+        base = confusion(predicted, true)
         order = rng.permutation(200)
-        shuffled = confusion(predicted[order], true[order]).counts
+        shuffled = confusion(predicted[order], true[order])
         np.testing.assert_array_equal(base, shuffled)
 
 
 class TestMetrics:
     @pytest.mark.parametrize("counts,percentages,accuracy", REFERENCE_MATRICES)
     def test_reproduces_reference_values(self, counts, percentages, accuracy):
-        report = metrics.metrics(ConfusionMatrix(counts=np.array(counts)))
-        np.testing.assert_allclose(report.percentages, percentages, atol=0.01)
-        assert abs(round_half_up(report.accuracy) - accuracy) <= 0.01
+        report = metrics.metrics(np.array(counts))
+        np.testing.assert_allclose(report["percentages"], percentages, atol=0.01)
+        assert abs(round_half_up(report["accuracy"]) - accuracy) <= 0.01
 
     def test_reference_recalls(self):
-        report = metrics.metrics(ConfusionMatrix(
-            counts=np.array([[9987, 135], [56, 9822]])))
-        assert abs(round_half_up(report.tpr) - 99.44) <= 0.01
-        assert abs(round_half_up(report.tnr) - 98.64) <= 0.01
-        assert report.damage_detection_rate == report.tnr
+        report = metrics.metrics(np.array([[9987, 135], [56, 9822]]))
+        assert abs(round_half_up(report["tpr"]) - 99.44) <= 0.01
+        assert abs(round_half_up(report["tnr"]) - 98.64) <= 0.01
+        assert report["damage_detection_rate"] == report["tnr"]
 
     def test_symmetric_counts(self):
-        report = metrics.metrics(ConfusionMatrix(
-            counts=np.array([[50, 50], [50, 50]])))
-        np.testing.assert_array_equal(report.percentages,
+        report = metrics.metrics(np.array([[50, 50], [50, 50]]))
+        np.testing.assert_array_equal(report["percentages"],
                                       [[50.0, 50.0], [50.0, 50.0]])
-        assert report.accuracy == 50.0
+        assert report["accuracy"] == 50.0
 
     def test_columns_sum_to_hundred(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             counts = rng.integers(1, 1000, size=(2, 2))
-            report = metrics.metrics(ConfusionMatrix(counts=counts))
-            sums = report.percentages.sum(axis=0)
+            report = metrics.metrics(counts)
+            sums = np.sum(report["percentages"], axis=0)
             assert np.all(np.abs(sums - 100.0) <= 0.01)
 
     def test_prediction_swap_swaps_percentage_rows(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             counts = rng.integers(1, 500, size=(2, 2))
-            base = metrics.metrics(ConfusionMatrix(counts=counts)).percentages
-            swapped = metrics.metrics(
-                ConfusionMatrix(counts=counts[::-1])).percentages
+            base = metrics.metrics(counts)["percentages"]
+            swapped = metrics.metrics(counts[::-1])["percentages"]
             np.testing.assert_array_equal(swapped, base[::-1])
 
     def test_empty_true_class_rejected(self):
         with pytest.raises(DataError, match="true label D"):
-            metrics.metrics(ConfusionMatrix(counts=np.array([[5, 0], [5, 0]])))
+            metrics.metrics(np.array([[5, 0], [5, 0]]))
 
     def test_half_up_rounding(self):
         assert round_half_up(1.375) == 1.38
@@ -100,8 +97,7 @@ class TestMetrics:
 
 class TestReportFiles:
     def test_json_report_schema(self, tmp_path):
-        report = metrics.metrics(ConfusionMatrix(
-            counts=np.array([[9987, 135], [56, 9822]])))
+        report = metrics.metrics(np.array([[9987, 135], [56, 9822]]))
         metrics.write_report(report, tmp_path / "report.json",
                              tmp_path / "report.txt")
         payload = json.loads((tmp_path / "report.json").read_text())
@@ -111,6 +107,22 @@ class TestReportFiles:
         assert payload["accuracy"] == 99.04 or payload["accuracy"] == 99.05
         text = (tmp_path / "report.txt").read_text()
         assert "true H" in text and "accuracy" in text
+
+    def test_rates_are_rounded_once_half_up(self, tmp_path):
+        # TNR is exactly 1/800 = 0.125%: rounded half-up it is 0.13, while
+        # formatting the unrounded rate would print 0.12.
+        assert f"{100.0 * 1 / 800:.2f}" == "0.12"
+        report = metrics.metrics(np.array([[799, 799], [1, 1]]))
+        metrics.write_report(report, tmp_path / "report.json",
+                             tmp_path / "report.txt")
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload == report
+        assert payload["tnr"] == payload["damage_detection_rate"] == 0.13
+        assert payload["percentages"] == [[99.88, 99.88], [0.13, 0.13]]
+        text = (tmp_path / "report.txt").read_text()
+        assert "  TNR (damaged recall)     0.13%\n" in text
+        assert "  damage detection rate    0.13%\n" in text
+        assert "  predicted D      0.13%      0.13%\n" in text
 
 
 def frames_of(rows, label="H", channel="c"):

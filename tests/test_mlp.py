@@ -313,13 +313,31 @@ class TestTraining:
 
     def test_non_finite_loss_aborts_with_diagnostic(self):
         # Values at the float64 ceiling overflow the z-scoring's mean, so the
-        # first forward pass is not finite: the guard must stop training
-        # instead of looping on a non-finite loss.
+        # fit is refused before any forward pass could turn non-finite.
         x = np.full((8, 13), 1.7e308)
         y = np.array([0, 1] * 4)
-        with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch 1"):
+        with np.errstate(all="ignore"), pytest.raises(DataError, match="finite mean"):
             mlp.train(x, y, mlp.TrainConfig(epochs=2, seed=1),
                       hidden_dims=(1024, 100))
+
+    def test_diverging_training_aborts_with_diagnostic(self):
+        # A learning rate of 1e30 blows the weights up after the first step:
+        # the guard must stop training instead of looping on a non-finite loss.
+        x = np.random.default_rng(1).standard_normal((64, 13))
+        y = np.array([0, 1] * 32)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match="training diverged: non-finite loss in "
+                                    "epoch 1 at sample offset 32"):
+            mlp.train(x, y, mlp.TrainConfig(epochs=2, learning_rate=1e30, seed=1),
+                      hidden_dims=(16, 8))
+
+    @pytest.mark.parametrize("mean,std", [
+        ([0.0, 0.0], [np.nan, 1.0]), ([0.0, 0.0], [1.0, np.inf]),
+        ([np.nan, 0.0], [1.0, 1.0]), ([0.0, -np.inf], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, 0.0]), ([0.0, 0.0], [-1.0, 1.0])])
+    def test_z_scoring_needs_finite_mean_and_positive_finite_std(self, mean, std):
+        with pytest.raises(DataError, match="finite mean"):
+            NormalizationStats(np.array(mean), np.array(std))
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(DataError):

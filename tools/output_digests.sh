@@ -46,7 +46,8 @@
 # an eval of the random model on a
 # 1000-frame test split (several prediction blocks), an eval of it on the
 # 24-channel caches (a model whose feature settings differ from its caches'),
-# scatter, and a few usage errors (among them a zero --fs for synth and for
+# an eval of it with one std value set to NaN (a data error that writes no
+# report), scatter, and a few usage errors (among them a zero --fs for synth and for
 # experiment --synth-first, an experiment --synth-first whose --epochs is
 # rejected before any campaign is written, a train whose --epochs is
 # rejected before its missing caches are looked for, an extract whose
@@ -234,6 +235,14 @@ run eval-by-channel --seed 5 eval "${split[@]}" "${by_channel[@]}" \
 run eval-random-mel24 --seed 5 eval --manifest "$data/manifest.json" \
     --features "$out/features-mel24" --train-size 600 --test-size 200 \
     --model "$out/models/random.abmm" --out "$out/eval-random-mel24"
+# The random model with its last std value, the file's last 8 bytes, set to
+# NaN: a data error, and no report is written.
+cp "$out/models/random.abmm" "$out/models/eval-nan-std.abmm"
+printf '\0\0\0\0\0\0\370\177' | dd of="$out/models/eval-nan-std.abmm" bs=1 \
+    seek=$(($(stat -c %s "$out/models/eval-nan-std.abmm") - 8)) conv=notrunc \
+    status=none
+run eval-nan-std --seed 5 eval "${split[@]}" \
+    --model "$out/models/eval-nan-std.abmm" --out "$out/eval-nan-std"
 run scatter scatter --manifest "$data/manifest.json" \
     --features "$data/features" --pair 1:2 --out "$out/scatter.tsv"
 
