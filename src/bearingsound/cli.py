@@ -52,6 +52,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """--seed: numpy's seed sequences take no negative number."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -138,7 +146,7 @@ def _listed_channels(args, manifest, split: SplitSpec | None = None) -> tuple[st
     channel. argparse parsed the lists before any file was read."""
     if split is not None and split.train_channels is not None:
         return split.train_channels + split.test_channels
-    return args.channels or tuple(manifest.channels())
+    return args.channels or tuple(manifest.entries)
 
 
 def _write_campaign(scenario, out_dir: Path) -> None:
@@ -187,15 +195,15 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     split, train_config = _split_spec(args), _train_config(args)
     manifest = dataset.load_manifest(args.manifest)
-    channels = _listed_channels(args, manifest, split)
-    frames, mfcc = experiments.load_frames(manifest, channels, args.features)
+    frames, mfcc = experiments.load_frames(
+        manifest, _listed_channels(args, manifest, split), args.features)
     model, log, _ = experiments.train_on_split(
-        manifest, channels, frames, mfcc, split, train_config)
+        manifest, frames, mfcc, split, train_config)
     model_path = Path(args.out)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     mlp.save_model(model, model_path)
     log_path = model_path.with_suffix(".train_log.json")
-    common.write_json(log_path, {"seed": args.seed, **log})
+    common.write_json(log_path, log)
     print(f"trained {model.dims} on {split.train_size} frames; "
           f"train accuracy {100 * log['final_train_accuracy']:.2f}%")
     print(f"model: {model_path}")
@@ -213,9 +221,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"model features {model.mfcc} differ from the caches' {mfcc}")
     _, test_rows = dataset.make_split(frames, split)
     report = experiments.evaluate_frames(model, frames.take(test_rows))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics.write_report(report, out_dir / "report.json", out_dir / "report.txt")
+    metrics.write_report(report, args.out)
     print(metrics.report_to_text(report), end="")
     return EXIT_OK
 
@@ -257,7 +263,8 @@ def cmd_experiment(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="bearingsound",
                      description="Airborne bearing-fault detection pipeline")
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
+    parser.add_argument("--seed", type=non_negative_int, default=0,
+                        help="master random seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic campaign")

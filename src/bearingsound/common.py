@@ -65,14 +65,24 @@ def manifest_entry(channel_id: str, fields) -> ManifestEntry:
     return entry
 
 
-def read_json(path, what: str, **json_kwargs):
-    """The JSON value in a file; a missing file, bad JSON or bad UTF-8 is a
-    DataError, and json_kwargs go to json.loads."""
+def read_json(path, what: str):
+    """The JSON value in a file; a missing file, bad JSON, bad UTF-8 or an
+    object that repeats a key is a DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{what} not found: {path}")
+
+    def unique_keys(pairs):
+        seen = {}
+        for key, value in pairs:
+            if key in seen:
+                raise DataError(f"duplicate key in {what}: {key}")
+            seen[key] = value
+        return seen
+
     try:
-        return json.loads(path.read_text(encoding="utf-8"), **json_kwargs)
+        return json.loads(path.read_text(encoding="utf-8"),
+                          object_pairs_hook=unique_keys)
     except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
 

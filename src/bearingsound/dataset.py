@@ -32,9 +32,6 @@ class Manifest:
     entries: dict[str, ManifestEntry]
     base_dir: Path
 
-    def channels(self) -> list[str]:
-        return list(self.entries)
-
     def wav_path(self, channel_id: str) -> Path:
         if channel_id not in self.entries:
             raise DataError(f"channel not in manifest: {channel_id}")
@@ -51,18 +48,9 @@ def save_manifest(manifest: Manifest, path) -> None:
                       for channel_id, e in manifest.entries.items()})
 
 
-def _reject_duplicate_keys(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise DataError(f"duplicate key in manifest: {key}")
-        seen[key] = value
-    return seen
-
-
 def load_manifest(path) -> Manifest:
     path = Path(path)
-    raw = read_json(path, "manifest", object_pairs_hook=_reject_duplicate_keys)
+    raw = read_json(path, "manifest")
     if not isinstance(raw, dict):
         raise DataError(f"{path}: manifest must be a JSON object")
     entries = {}

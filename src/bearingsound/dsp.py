@@ -66,42 +66,21 @@ class MfccConfig:
                 f"band low {self.band_low} exceeds high {self.band_high}")
 
 
-def window_samples(kind: str, n: int) -> np.ndarray:
-    """Window of length n, values in [0, 1].
-
-    "rectangular" is all ones; "hann" is the symmetric raised cosine with
-    zero endpoints.
-    """
-    if kind == "rectangular":
-        return np.ones(n)
-    if kind == "hann":
-        k = np.arange(n)
-        return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1)))
-    raise ConfigError(f"unknown window kind: {kind!r}")
+def hann_window(n: int) -> np.ndarray:
+    """The symmetric raised cosine of length n, zero at both ends."""
+    k = np.arange(n)
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1)))
 
 
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular filters over the one-sided spectrum.
-
-    weights has shape (num_channels, dft_size//2 + 1). Row i is zero outside
-    its triangle and reaches exactly 1.0 at its center bin, which is the zero
-    of rows i-1 and i+1. center_freqs holds the analytic (unsnapped) center
-    frequencies in Hz, strictly increasing.
-    """
-
-    weights: np.ndarray
-    center_freqs: np.ndarray
-
-
-def build_filterbank(config: MfccConfig) -> MelFilterbank:
-    """Construct the Mel filterbank for a config.
+def build_filterbank(config: MfccConfig) -> np.ndarray:
+    """The triangular Mel filter weights, shape (num_channels, dft_size//2 + 1).
 
     Centers sit at num_channels + 2 equidistant points on the Mel scale
-    between 0 and fs/2; each triangle rises from the previous center bin to
-    1.0 at its own and falls to zero at the next. Raises ConfigError when the
-    Mel points collapse onto non-distinct DFT bins, i.e. when fs/dft_size is
-    too coarse for the requested channel count.
+    between 0 and fs/2, each snapped to bin min(floor((n + 1) f / fs), n/2).
+    Row i rises from the previous center bin to exactly 1.0 at its own,
+    which is the zero of rows i-1 and i+1, and falls to zero at the next.
+    Raises ConfigError when the Mel points collapse onto non-distinct DFT
+    bins, i.e. when fs/dft_size is too coarse for the channel count.
     """
     n = config.dft_size
     k = config.num_channels
@@ -122,7 +101,7 @@ def build_filterbank(config: MfccConfig) -> MelFilterbank:
         weights[i, up] = (up - left) / (center - left)
         down = np.arange(center, right)
         weights[i, down] = (right - down) / (right - center)
-    return MelFilterbank(weights=weights, center_freqs=hz_points[1:-1])
+    return weights
 
 
 def power_spectrum(frame: np.ndarray, window: np.ndarray) -> np.ndarray:
@@ -141,15 +120,16 @@ def power_spectrum(frame: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.rfft(frame * window)) ** 2
 
 
-def filterbank_energies(spectrum: np.ndarray, fb: MelFilterbank) -> np.ndarray:
-    """Per-channel energies: weighted sums of power-spectrum bins."""
+def filterbank_energies(spectrum: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-channel energies: sums of power-spectrum bins under each row of
+    ``build_filterbank``'s weights."""
     spectrum = np.asarray(spectrum, dtype=float)
-    if spectrum.shape[-1] != fb.weights.shape[1]:
+    if spectrum.shape[-1] != weights.shape[1]:
         raise ValueError(
             f"spectrum has {spectrum.shape[-1]} bins, filterbank expects "
-            f"{fb.weights.shape[1]}"
+            f"{weights.shape[1]}"
         )
-    return np.einsum("...k,ck->...c", spectrum, fb.weights)
+    return np.einsum("...k,ck->...c", spectrum, weights)
 
 
 def cepstral_basis(num_channels: int, num_coeffs: int) -> np.ndarray:
@@ -202,13 +182,13 @@ def feature_matrix(samples: np.ndarray, config: MfccConfig) -> np.ndarray:
     num_frames = len(samples) // n
     if num_frames == 0:
         return np.zeros((0, config.num_coeffs))
-    fb = build_filterbank(config)
-    window = window_samples("hann", n)
+    weights = build_filterbank(config)
+    window = hann_window(n)
     frames = samples[: num_frames * n].reshape(num_frames, n)
     out = np.empty((num_frames, config.num_coeffs))
     rows = max(1, _SPECTRUM_SAMPLES // n)
     for start in range(0, num_frames, rows):
         block = frames[start : start + rows] / scale
-        energies = filterbank_energies(power_spectrum(block, window), fb)
+        energies = filterbank_energies(power_spectrum(block, window), weights)
         out[start : start + rows] = mfcc(energies, config)
     return out

@@ -167,8 +167,8 @@ def load_frames(manifest: Manifest, channels,
 # --- the run itself -----------------------------------------------------------
 
 
-def train_on_split(manifest: Manifest, channels, frames: dataset.Frames,
-                   mfcc: dict | None, split: SplitSpec, train_config: TrainConfig):
+def train_on_split(manifest: Manifest, frames: dataset.Frames, mfcc: dict | None,
+                   split: SplitSpec, train_config: TrainConfig):
     """Split and train; returns (model, training log, test frames). The model
     records mfcc, the frames' feature settings."""
     train_rows, test_rows = dataset.make_split(frames, split)
@@ -177,7 +177,7 @@ def train_on_split(manifest: Manifest, channels, frames: dataset.Frames,
     model.mfcc = mfcc
     train_probs = mlp.predict_batch(model, x_train)
     log = {
-        "channels": {c: manifest.label(c) for c in channels},
+        "channels": {c: manifest.label(c) for c in frames.channel_ids},
         "mfcc": mfcc,
         "split": asdict(split),
         "train_config": asdict(train_config),
@@ -204,15 +204,14 @@ def run_experiment(manifest: Manifest, spec: ExperimentSpec,
     frames = dataset.Frames.concat(ensure_caches(
         manifest, spec.channels, mfcc_config, features_dir, log=log).values())
     model, run_log, test_frames = train_on_split(
-        manifest, spec.channels, frames, asdict(mfcc_config),
-        spec.split, train_config)
+        manifest, frames, asdict(mfcc_config), spec.split, train_config)
     report = evaluate_frames(model, test_frames)
 
     mlp.save_model(model, out_dir / "model.abmm")
     train_log = {"experiment": spec.name, **run_log,
                  "test_class_counts": dataset.label_counts(test_frames.labels)}
     write_json(out_dir / "train_log.json", train_log)
-    metrics.write_report(report, out_dir / "report.json", out_dir / "report.txt")
+    metrics.write_report(report, out_dir)
     write_json(out_dir / "experiment.json",
                {**train_log, "report": report})
     return report

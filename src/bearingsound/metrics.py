@@ -85,9 +85,12 @@ def report_to_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: dict, json_path, text_path) -> None:
-    write_json(json_path, report)
-    Path(text_path).write_text(report_to_text(report), encoding="utf-8")
+def write_report(report: dict, out_dir) -> None:
+    """report.json and report.txt in out_dir, which is made if missing."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(out_dir / "report.json", report)
+    (out_dir / "report.txt").write_text(report_to_text(report), encoding="utf-8")
 
 
 def export_scatter(frames: Frames, coeff_pair: tuple[int, int], path) -> int:

@@ -100,12 +100,15 @@ class NormalizationStats:
         """Per-coefficient mean and std of a (frames, coeffs) training matrix."""
         if len(x) < 2:
             raise DataError(f"normalization needs at least two frames, got {len(x)}")
-        std = x.std(axis=0)
+        # Rows near the float64 limit overflow to a non-finite mean or std,
+        # which __post_init__ reports as a DataError, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = x.mean(axis=0), x.std(axis=0)
         degenerate = np.flatnonzero(std == 0)
         if degenerate.size:
             raise DataError("zero-variance coefficient(s): "
                             + ", ".join(f"c{i + 1}" for i in degenerate))
-        return cls(mean=x.mean(axis=0), std=std)
+        return cls(mean=mean, std=std)
 
 
 @dataclass
@@ -196,13 +199,19 @@ def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Posterior matrix (n, num_classes) for a batch of raw feature rows,
     scored in blocks of _PREDICT_ROWS rows through one set of buffers. BLAS
     picks its kernel by row count, so a row's last bits can differ from
-    those of one unblocked pass over all n rows."""
+    those of one unblocked pass over all n rows. Raises NumericError if a
+    posterior is not finite, as a finite model's can be when its products
+    overflow."""
     x = _model_inputs(model, x)
     probs = np.empty((len(x), model.dims[-1]))
     hidden = _hidden_buffers(model.dims, min(len(x), _PREDICT_ROWS), x.dtype)
     for start in range(0, len(x), _PREDICT_ROWS):
         block = slice(start, start + _PREDICT_ROWS)
-        probs[block] = _forward_pass(model, x[block], hidden)[1]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            probs[block] = _forward_pass(model, x[block], hidden)[1]
+        if not np.all(np.isfinite(probs[block])):
+            raise NumericError(f"non-finite posterior in rows {start} to "
+                               f"{min(start + _PREDICT_ROWS, len(x)) - 1}")
     return probs
 
 

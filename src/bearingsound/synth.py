@@ -79,6 +79,8 @@ class SynthConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _integer("seed", self.seed))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0 < self.fs < math.inf:
             raise ConfigError("fs must be positive and finite")
         if not 0 < self.duration < math.inf:

@@ -29,11 +29,11 @@ def run(argv, capsys=None):
 class TestSynthCommand:
     def test_campaign_layout_and_manifest(self, campaign_dir):
         manifest = dataset.load_manifest(campaign_dir / "manifest.json")
-        assert sorted(manifest.channels()) == [
+        assert sorted(list(manifest.entries)) == [
             "A1_b1", "A2_b2", "A2_b3", "B1_b1", "B2_b2", "B2_b3"]
         labels = [e.label for e in manifest.entries.values()]
         assert labels.count("D") == 3 and labels.count("H") == 3
-        for channel in manifest.channels():
+        for channel in list(manifest.entries):
             assert manifest.wav_path(channel).exists()
             assert manifest.wav_path(channel).with_suffix(".rot").exists()
 
@@ -233,6 +233,28 @@ class TestSynthCommand:
         # A whole number written as a float reads as that integer.
         rc, err, out = self.synth_with(tmp_path, capsys, path, 2.0)
         assert rc == 0, err
+
+    def test_negative_scenario_seed_is_a_data_error(self, tmp_path, capsys):
+        # numpy's seed sequence once raised a ValueError traceback here.
+        rc, err, out = self.synth_with(tmp_path, capsys, ("seed",), -1)
+        assert rc == 2, err
+        assert err.startswith("data error: ")
+        assert "seed must be non-negative, got -1" in err
+        assert not out.exists()
+
+    def test_duplicate_scenario_key_is_a_data_error(self, tmp_path, capsys):
+        # json.loads keeps the last of two equal keys: this scenario once
+        # wrote B9.wav at the second duration and exited 0.
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            '[{"channel": "A1", "channel": "B9", "label": "H", "seed": 1, '
+            '"duration": 0.5, "duration": 1, "profile": [[0, 43.0]]}]')
+        out = tmp_path / "out"
+        rc, _, err = run(["synth", "--scenario", str(scenario), "--out", str(out)],
+                         capsys)
+        assert rc == 2, err
+        assert err == "data error: duplicate key in scenario file: channel\n"
+        assert not out.exists()
 
     def test_fault_rate_above_nyquist_is_a_data_error(self, tmp_path, capsys):
         # 300 impacts per turn of a 44 Hz shaft is 13 200 Hz, above fs/2.
@@ -484,6 +506,22 @@ class TestTrainEvalCommands:
         assert rc == 2
         assert "'num_coeffs': 13" in err and "'num_coeffs': 10" in err
         assert not (tmp_path / "rep2").exists()
+
+    def test_eval_of_overflowing_model_is_a_numeric_error(self, campaign_dir,
+                                                          features_dir, tmp_path,
+                                                          capsys):
+        # Every parameter finite but 1e300: the posteriors were NaN, each
+        # row's argmax read H, and the report was written.
+        model = mlp.init_model((13, 1024, 100, 2))
+        model.params[:] = 1e300
+        model.mfcc = dataclasses.asdict(MfccConfig())
+        model_path = tmp_path / "huge.abmm"
+        mlp.save_model(model, model_path)
+        rc, _, err = run(self.eval_args(campaign_dir, features_dir, model_path,
+                                        tmp_path / "rep"), capsys)
+        assert rc == 3, err
+        assert err == "numeric failure: non-finite posterior in rows 0 to 99\n"
+        assert not (tmp_path / "rep").exists()
 
     def eval_args(self, campaign_dir, features_dir, model_path, out):
         return ["--seed", "5", "eval",
@@ -777,6 +815,17 @@ class TestExperimentCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, seed):
+        # A negative seed once reached numpy's seed sequence as a traceback.
+        rc, out, err = run(["--seed", seed, "synth", "--default-campaign",
+                            "--duration", "1", "--out", str(tmp_path / "out")],
+                           capsys)
+        assert rc == 1
+        assert "argument --seed: " in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_band_syntax(self, campaign_dir, tmp_path, capsys):
         rc, _, err = run(["extract", "--manifest",
                           str(campaign_dir / "manifest.json"),

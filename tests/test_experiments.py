@@ -124,7 +124,7 @@ class TestCaches:
             self, manifest, tmp_path):
         # Extract everything at 42:45, two channels at 30:50, then everything
         # at 30:50: only the two re-extracted caches hold 30:50 features.
-        channels = manifest.channels()
+        channels = list(manifest.entries)
         wide = MfccConfig(band_low=30.0, band_high=50.0)
         experiments.ensure_caches(manifest, channels, MfccConfig(),
                                   tmp_path / "f")
@@ -234,10 +234,10 @@ class TestCaches:
                 raise
 
         monkeypatch.setattr(dataset, "frames_from_cache", frames_from_cache)
-        experiments.ensure_caches(manifest, manifest.channels(), MfccConfig(),
+        experiments.ensure_caches(manifest, list(manifest.entries), MfccConfig(),
                                   tmp_path / "f")
         assert errors == []
-        assert len(list((tmp_path / "f").glob("*.abfc"))) == len(manifest.channels())
+        assert len(list((tmp_path / "f").glob("*.abfc"))) == len(list(manifest.entries))
 
     def test_experiment_parses_each_cache_once_warm_and_none_cold(
             self, manifest, tmp_path, monkeypatch):
@@ -293,7 +293,7 @@ class TestRun:
         frames, mfcc = experiments.load_frames(manifest, channels, tmp_path / "f")
         split = dataset.SplitSpec(train_size=300, test_size=100, seed=2)
         model, log, test_frames = experiments.train_on_split(
-            manifest, channels, frames, mfcc, split,
+            manifest, frames, mfcc, split,
             mlp.TrainConfig(epochs=3, seed=2))
         assert sum(log["train_class_counts"].values()) == 300
         assert len(test_frames) == 100
@@ -315,7 +315,7 @@ class TestRun:
                                             tmp_path / "f")
         split = dataset.SplitSpec(train_size=200, test_size=80, seed=5)
         model, _, test_frames = experiments.train_on_split(
-            manifest, ("A2_b2", "B2_b2"), frames, None, split,
+            manifest, frames, None, split,
             mlp.TrainConfig(epochs=3, seed=5))
         _, test_rows = dataset.make_split(frames, split)
         raw_report = experiments.evaluate_frames(model, frames.take(test_rows))

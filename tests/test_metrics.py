@@ -98,8 +98,7 @@ class TestMetrics:
 class TestReportFiles:
     def test_json_report_schema(self, tmp_path):
         report = metrics.metrics(np.array([[9987, 135], [56, 9822]]))
-        metrics.write_report(report, tmp_path / "report.json",
-                             tmp_path / "report.txt")
+        metrics.write_report(report, tmp_path)
         payload = json.loads((tmp_path / "report.json").read_text())
         assert set(payload) == {"counts", "percentages", "accuracy", "tpr",
                                 "tnr", "damage_detection_rate", "support"}
@@ -113,8 +112,7 @@ class TestReportFiles:
         # formatting the unrounded rate would print 0.12.
         assert f"{100.0 * 1 / 800:.2f}" == "0.12"
         report = metrics.metrics(np.array([[799, 799], [1, 1]]))
-        metrics.write_report(report, tmp_path / "report.json",
-                             tmp_path / "report.txt")
+        metrics.write_report(report, tmp_path)
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload == report
         assert payload["tnr"] == payload["damage_detection_rate"] == 0.13

@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,18 @@ class TestBlockedPrediction:
         assert got.shape == whole.shape == (n, 2)
         np.testing.assert_allclose(got, whole, rtol=0, atol=1e-12)
         assert np.array_equal(got.argmax(axis=1), whole.argmax(axis=1))
+
+    def test_non_finite_posterior_is_a_numeric_error(self):
+        # A finite model whose products overflow once scored NaN posteriors,
+        # whose argmax reads H; now the block is refused, and numpy does
+        # not warn on the way.
+        model = mlp.init_model((13, 1024, 100, 2))
+        model.params[:] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match="non-finite posterior in rows 0 to 255"):
+                mlp.predict_batch(model, np.ones((300, 13)))
 
     def test_memory_does_not_grow_with_the_batch(self):
         # One block's buffers are 2.2 MB on the default net; an unblocked
@@ -319,6 +332,17 @@ class TestTraining:
         with np.errstate(all="ignore"), pytest.raises(DataError, match="finite mean"):
             mlp.train(x, y, mlp.TrainConfig(epochs=2, seed=1),
                       hidden_dims=(1024, 100))
+
+    def test_overflowing_z_scoring_warns_nothing(self):
+        # The same refusal with numpy's warnings made errors: fit once let
+        # an overflow and an invalid-value RuntimeWarning through first.
+        x = np.full((8, 13), 1.7e308)
+        y = np.array([0, 1] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="finite mean"):
+                mlp.train(x, y, mlp.TrainConfig(epochs=2, seed=1),
+                          hidden_dims=(4,))
 
     def test_diverging_training_aborts_with_diagnostic(self):
         # A learning rate of 1e30 blows the weights up after the first step:

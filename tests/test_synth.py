@@ -117,6 +117,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{shown} is not an integer"):
             synth.SynthConfig(**kwargs)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            synth.SynthConfig(seed=-1)
+
     def test_numpy_and_whole_float_integers_accepted(self):
         config = synth.SynthConfig(
             seed=np.uint64(2**63 + 5),
@@ -135,7 +139,7 @@ class TestSingleToneRecording:
         # without fighting window leakage.
         recording = synth.synth_recording(tone_config(), "tone")
         frame = recording.samples[2048 : 2 * 2048]
-        ps = dsp.power_spectrum(frame, dsp.window_samples("hann", 2048))
+        ps = dsp.power_spectrum(frame, dsp.hann_window(2048))
         assert int(np.argmax(ps)) == 3  # nearest bin to 43 Hz at 12.5 Hz/bin
         main_lobe = ps[2:6].sum()
         assert main_lobe > 0.99 * ps.sum()
@@ -589,8 +593,8 @@ class TestCampaign:
         scenario = synth.default_scenario(seed=5, duration=1.0)
         cli._write_campaign(scenario, tmp_path)
         manifest = dataset.load_manifest(tmp_path / "manifest.json")
-        assert set(manifest.channels()) == {s.channel_id for s in scenario}
-        assert {p.stem for p in tmp_path.glob("*.wav")} == set(manifest.channels())
+        assert set(list(manifest.entries)) == {s.channel_id for s in scenario}
+        assert {p.stem for p in tmp_path.glob("*.wav")} == set(list(manifest.entries))
 
     def test_empty_scenario_gives_empty_campaign(self, tmp_path):
         cli._write_campaign([], tmp_path)

@@ -33,7 +33,8 @@
 # 20 turns) and its extract, a scenario whose harmonic lies far above fs/2
 # (a data error), a scenario whose harmonic 10^6 of a 0.01 Hz shaft lies
 # below fs/2 but above the Taylor tables' bound (a data error), a scenario
-# with a NaN duration, one with an unknown key, one with seed 2.9 and one
+# with a NaN duration, one with an unknown key, one with seed 2.9, one with
+# seed -1, one that names its channel and its duration twice and one
 # whose fault rate, 300 impacts per turn of a 43 Hz shaft, lies above fs/2
 # (data errors, no --out directory), an
 # extract of a channel whose .rot file holds nan (a data error), the four
@@ -51,7 +52,8 @@
 # experiment --synth-first, an experiment --synth-first whose --epochs is
 # rejected before any campaign is written, a train whose --epochs is
 # rejected before its missing caches are looked for, an extract whose
-# --channels list is empty and an extract whose --band is reversed), and a
+# --channels list is empty, an extract whose --band is reversed and a synth
+# at --seed -1), and a
 # synth whose 1e9 s channels are too large to allocate (a data error).
 set -euo pipefail
 
@@ -185,6 +187,18 @@ cat > "$out/scenario-seed-fraction.json" <<EOF
 EOF
 run error-synth-seed-fraction synth --scenario "$out/scenario-seed-fraction.json" \
     --out "$out/error-seed-fraction"
+cat > "$out/scenario-seed-negative.json" <<EOF
+[{"channel": "W2", "label": "H", "seed": -1, "duration": 0.5,
+  "profile": [[0, 43.0]], "harmonics": [[1, 1.0]]}]
+EOF
+run error-synth-seed-negative synth --scenario "$out/scenario-seed-negative.json" \
+    --out "$out/error-seed-negative"
+cat > "$out/scenario-duplicate-key.json" <<EOF
+[{"channel": "A1", "channel": "B9", "label": "H", "seed": 13, "duration": 0.5,
+  "duration": 1, "profile": [[0, 43.0]], "harmonics": [[1, 1.0]]}]
+EOF
+run error-synth-duplicate-key synth --scenario "$out/scenario-duplicate-key.json" \
+    --out "$out/error-duplicate-key"
 cat > "$out/scenario-fault-rate.json" <<EOF
 [{"channel": "X1", "label": "D", "seed": 13, "duration": 0.5,
   "profile": [[0, 43.0]], "harmonics": [[1, 1.0]],
@@ -268,6 +282,8 @@ run error-extract-channels-empty extract --manifest "$data/manifest.json" \
     --channels "" --out "$out/error-features"
 run error-extract-band-reversed extract --manifest "$data/manifest.json" \
     --band 45:42 --out "$out/error-features"
+run error-synth-seed-negative-flag --seed -1 synth --default-campaign \
+    --duration 1 --out "$out/error-seed-flag"
 # 186 TiB per channel: the first allocation fails, so nothing is written.
 run error-synth-huge-duration synth --default-campaign --duration 1e9 \
     --out "$out/error-huge"
