@@ -115,8 +115,9 @@ def source_sha256(wav_path) -> str:
     for path in (Path(wav_path), sidecar_path(wav_path)):
         if not path.exists():
             raise DataError(f"source file not found: {path}")
+        # Below glibc's 128 KiB mmap threshold, so a worker's arena reuses one.
         with path.open("rb") as f:
-            while chunk := f.read(1 << 20):
+            while chunk := f.read(1 << 16):
                 digest.update(chunk)
     return digest.hexdigest()
 

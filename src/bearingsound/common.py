@@ -76,7 +76,7 @@ def read_json(path, what: str):
         seen = {}
         for key, value in pairs:
             if key in seen:
-                raise DataError(f"duplicate key in {what}: {key}")
+                raise DataError(f"{path}: duplicate key in {what}: {key}")
             seen[key] = value
         return seen
 

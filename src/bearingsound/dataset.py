@@ -117,10 +117,9 @@ def gate_frames(recording: AudioRecording, config: MfccConfig, label: str) -> Fr
         raise DataError(
             f"{recording.channel_id}: track length {len(track)} does not match "
             f"{num_frames} frames of {config.dft_size} samples")
-    keep = (track >= config.band_low) & (track <= config.band_high)
-    rows = feature_matrix(recording.samples, config)
-    return _channel_frames(rows[keep], track[keep], np.flatnonzero(keep), label,
-                           recording.channel_id)
+    index = np.flatnonzero((track >= config.band_low) & (track <= config.band_high))
+    return _channel_frames(feature_matrix(recording.samples, config, index),
+                           track[index], index, label, recording.channel_id)
 
 
 # --- train/test splitting ---------------------------------------------------
@@ -139,6 +138,8 @@ class SplitSpec:
     def __post_init__(self):
         if self.train_size <= 0 or self.test_size <= 0:
             raise ConfigError("train_size and test_size must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.train_channels is not None or self.test_channels is not None:
             if not self.train_channels or not self.test_channels:
                 raise ConfigError("by_channel split needs train and test channel lists")

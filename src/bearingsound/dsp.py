@@ -162,16 +162,17 @@ def mfcc(energies: np.ndarray, config: MfccConfig) -> np.ndarray:
 _SPECTRUM_SAMPLES = 1 << 17
 
 
-def feature_matrix(samples: np.ndarray, config: MfccConfig) -> np.ndarray:
-    """Feature vectors for every complete non-overlapping frame, as rows.
+def feature_matrix(samples: np.ndarray, config: MfccConfig,
+                   index=None) -> np.ndarray:
+    """Feature vectors for the complete non-overlapping frames that index
+    names, in its order (every one if index is None), as rows.
 
-    Integer samples are PCM: each block is cast to float and divided by the
-    dtype's maximum just before windowing, so the recording is never copied
-    to float whole. Trailing samples that do not fill a frame are dropped.
-    Returns an array of shape (num_frames, num_coeffs). The products are
-    np.einsum calls, summed in numpy's own loop rather than BLAS (so no
-    optimize=True), and a row's bytes depend neither on its block nor on the
-    OpenBLAS kernel.
+    Integer samples are PCM: each gathered block is cast to float and divided
+    by the dtype's maximum just before windowing, so the recording is never
+    copied to float whole. Returns an array of shape (len(index), num_coeffs).
+    The products are np.einsum calls, summed in numpy's own loop rather than
+    BLAS (so no optimize=True), and a row's bytes depend neither on its block
+    nor on the OpenBLAS kernel.
     """
     samples = np.asarray(samples)
     if samples.dtype.kind == "i":
@@ -185,10 +186,11 @@ def feature_matrix(samples: np.ndarray, config: MfccConfig) -> np.ndarray:
     weights = build_filterbank(config)
     window = hann_window(n)
     frames = samples[: num_frames * n].reshape(num_frames, n)
-    out = np.empty((num_frames, config.num_coeffs))
+    index = np.arange(num_frames) if index is None else index
+    out = np.empty((len(index), config.num_coeffs))
     rows = max(1, _SPECTRUM_SAMPLES // n)
-    for start in range(0, num_frames, rows):
-        block = frames[start : start + rows] / scale
+    for start in range(0, len(index), rows):
+        block = frames[index[start : start + rows]] / scale
         energies = filterbank_energies(power_spectrum(block, window), weights)
         out[start : start + rows] = mfcc(energies, config)
     return out

@@ -9,10 +9,9 @@ Four named experiments are built in:
 * unseen-A2b2:   train on A1_b1 + B1_b1, test on A2_b2 + B2_b2.
 * unseen-A1b1:   train on A2_b2 + B2_b2, test on A1_b1 + B1_b1.
 
-``ensure_caches`` hashes the sources and parses each cache once in the calling
-thread, in channel order, extracts only the stale channels on
-``common.map_channels``'s worker threads (none if every cache is reused) and
-returns every channel's frames, so an experiment reads no cache twice.
+``ensure_caches`` runs one job per channel on ``common.map_channels``'s
+workers, which hashes the source and reuses the cache (parsed once) or
+extracts the channel, so an experiment reads no cache twice.
 
 Each run writes a self-contained results directory: the model, the training
 log ``train_on_split`` returns (as ``train`` writes it), the evaluation report
@@ -108,43 +107,33 @@ def ensure_caches(manifest: Manifest, channels, config: MfccConfig, features_dir
                   log=None) -> dict[str, dataset.Frames]:
     """Each channel's gated frames, in order: read once from a cache whose
     signature holds these settings (``asdict(config)``) and the source's
-    hash, else extracted on worker threads and cached. Logs each channel."""
+    hash, else extracted and cached, one channel per job on worker threads.
+    Logs each channel."""
     check_unique_ids(channels)
     features_dir = Path(features_dir)
     features_dir.mkdir(parents=True, exist_ok=True)
     mfcc = asdict(config)
-    paths, frames, stale = {}, {}, {}
-    for channel_id in channels:
-        paths[channel_id] = features_dir / f"{channel_id}.abfc"
-        source = audiofile.source_sha256(manifest.wav_path(channel_id))
-        signature = {"mfcc": mfcc, "source_sha256": source}
-        frames[channel_id] = _cached_frames(paths[channel_id], manifest.label(channel_id),
-                                            channel_id, signature)
-        if frames[channel_id] is None:
-            stale[channel_id] = signature
-    extracted = map_channels(
-        lambda c: extract_channel(manifest, c, config, paths[c], stale[c]),
-        stale)
-    notes = dict.fromkeys(channels, "cache reused")
-    for channel_id, (total, gated) in zip(stale, extracted):
-        frames[channel_id] = gated
-        notes[channel_id] = f"{total} frames, {len(gated)} gated"
+
+    def job(channel_id):
+        path = features_dir / f"{channel_id}.abfc"
+        signature = {"mfcc": mfcc, "source_sha256": audiofile.source_sha256(
+            manifest.wav_path(channel_id))}
+        label = manifest.label(channel_id)
+        if path.exists():
+            try:
+                frames, found = dataset.frames_from_cache(path, label, channel_id)
+            except DataError:  # an unreadable cache is stale
+                found = None
+            if found == signature:
+                return frames, "cache reused"
+        total, frames = extract_channel(manifest, channel_id, config, path, signature)
+        return frames, f"{total} frames, {len(frames)} gated"
+
+    done = dict(zip(channels, map_channels(job, channels)))
     if log:
-        for channel_id, note in notes.items():
+        for channel_id, (_, note) in done.items():
             log(f"{channel_id}: {note}")
-    return frames
-
-
-def _cached_frames(cache_path: Path, label: str, channel_id: str,
-                   signature: dict) -> dataset.Frames | None:
-    """The cache's frames if it exists with this signature, else None."""
-    if not cache_path.exists():
-        return None
-    try:
-        frames, found = dataset.frames_from_cache(cache_path, label, channel_id)
-    except DataError:
-        return None
-    return frames if found == signature else None
+    return {channel_id: frames for channel_id, (frames, _) in done.items()}
 
 
 def load_frames(manifest: Manifest, channels,

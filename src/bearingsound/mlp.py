@@ -147,6 +147,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be >= 0")
         if self.batch_size <= 0:
             raise ConfigError("batch_size must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def init_model(dims, seed: int = 0) -> MlpModel:

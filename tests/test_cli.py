@@ -253,7 +253,8 @@ class TestSynthCommand:
         rc, _, err = run(["synth", "--scenario", str(scenario), "--out", str(out)],
                          capsys)
         assert rc == 2, err
-        assert err == "data error: duplicate key in scenario file: channel\n"
+        assert err == (f"data error: {scenario}: duplicate key in scenario file: "
+                       "channel\n")
         assert not out.exists()
 
     def test_fault_rate_above_nyquist_is_a_data_error(self, tmp_path, capsys):
@@ -357,6 +358,23 @@ class TestExtractCommand:
                           "--out", str(tmp_path / "f")], capsys)
         assert rc == 2
         assert "ghost.wav" in err
+
+    def test_channel_ahead_of_a_missing_wav_keeps_its_cache(self, campaign_dir,
+                                                            tmp_path, capsys):
+        # Each channel is one job: B1_b1's missing WAV fails the run with its
+        # own error, and A1_b1, ahead of it, is cached and reused next time.
+        campaign = tmp_path / "campaign"
+        campaign.mkdir()
+        for name in ("manifest.json", "A1_b1.wav", "A1_b1.rot", "B1_b1.rot"):
+            shutil.copy(campaign_dir / name, campaign / name)
+        extract = ["extract", "--manifest", str(campaign / "manifest.json"),
+                   "--out", str(tmp_path / "f")]
+        rc, out, err = run(extract + ["--channels", "A1_b1,B1_b1"], capsys)
+        assert rc == 2
+        assert (out, err) == ("", "data error: source file not found: "
+                                  f"{campaign / 'B1_b1.wav'}\n")
+        rc, out, _ = run(extract + ["--channels", "A1_b1"], capsys)
+        assert (rc, out) == (0, "A1_b1: cache reused\n")
 
     def test_channel_id_cannot_leave_out_dir(self, campaign_dir, tmp_path, capsys):
         campaign = tmp_path / "campaign"

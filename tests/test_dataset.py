@@ -81,6 +81,18 @@ class TestGating:
         assert frames.rot[0] == 42.0
         assert frames.rot[-1] == 45.0
 
+    def test_only_in_band_frames_are_featurized(self, monkeypatch):
+        blocks = []
+        real = dsp.power_spectrum
+        monkeypatch.setattr(dsp, "power_spectrum", lambda frames, window: (
+            blocks.append(len(frames)) or real(frames, window)))
+        recording = recording_with_track([41.9, 42.0, 43.0, 45.0, 45.1, 30.0, 44.0])
+        frames = dataset.gate_frames(recording, MfccConfig(), "H")
+        assert frames.index.tolist() == [1, 2, 3, 6]
+        assert blocks == [4]
+        whole = dsp.feature_matrix(recording.samples, MfccConfig())
+        assert frames.coeffs.tobytes() == whole[frames.index].tobytes()
+
     def test_missing_track_is_malformed_input(self):
         recording = AudioRecording(samples=np.zeros(FRAME - 1), fs=FS,
                                    channel_id="c",
@@ -195,9 +207,11 @@ class TestSplits:
         {"train_channels": ()},
         {"train_channels": ("a",)},
         {"test_channels": ("b",)},
+        {"seed": -1},
     ])
     def test_usage_errors_are_config_errors(self, fields):
-        # A channel list makes the split by-channel, which needs both lists.
+        # A channel list makes the split by-channel, which needs both lists;
+        # a negative seed would fail only in make_split's default_rng.
         with pytest.raises(ConfigError):
             SplitSpec(**{"train_size": 10, "test_size": 10, **fields})
 

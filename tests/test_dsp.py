@@ -288,6 +288,20 @@ class TestExtractFeatures:
         chain = dsp.mfcc(dsp.filterbank_energies(spectra, fb), cfg)
         assert chain.tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("pcm", [False, True])
+    @pytest.mark.parametrize("index", [[], [599], [3, 70, 64, 63, 0, 599, 130, 3],
+                                       list(range(599, 0, -6))])
+    def test_an_index_picks_the_same_rows(self, pcm, index):
+        # Frames out of order, repeated, on both sides of the recording's
+        # 64-frame block edges, and 100 of them, gathered in two blocks.
+        cfg = dsp.MfccConfig()
+        ints, floats = self.pcm_and_floats()
+        samples = ints if pcm else floats
+        index = np.array(index, dtype=np.int64)
+        got = dsp.feature_matrix(samples, cfg, index=index)
+        assert got.shape == (len(index), cfg.num_coeffs)
+        assert got.tobytes() == dsp.feature_matrix(samples, cfg)[index].tobytes()
+
     def test_same_bytes_on_another_blas_kernel(self):
         # OpenBLAS's Prescott kernel sums a float64 matrix product in another
         # order than the kernels it picks on current x86 CPUs; the features

@@ -1,0 +1,62 @@
+"""Fuzzing of scenario files within their schema: each ``synth --scenario``
+exits 0 or 2 (a data error), never with a traceback, and so does the
+``extract`` of each campaign it writes."""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from bearingsound import cli  # noqa: E402
+
+
+def log_uniform(low, high):
+    """Floats spread evenly over the decades from low to high."""
+    return st.floats(0.0, 1.0).map(lambda u: low * (high / low) ** u)
+
+
+# Below 200 Hz, harmonic 64 stays under fs/2 = 12 800 Hz; fault ratios up to
+# 100 still cross it, which is a data error.
+profiles = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 199.0)),
+                    min_size=1, max_size=4, unique_by=lambda p: p[0]).map(sorted)
+harmonics = st.lists(st.tuples(st.integers(1, 64), st.floats(0.0, 2.0)),
+                     max_size=6)
+faults = st.none() | st.fixed_dictionaries({
+    "kind": st.sampled_from(["inner_ring", "outer_ring"]),
+    "freq_ratio": log_uniform(0.01, 100.0),
+    "amplitude": st.floats(0.0, 10.0),
+    "resonance_freq": st.floats(10.0, 12000.0),
+    "resonance_decay": log_uniform(1e-6, 1e4),
+    "jitter": st.floats(0.0, 0.99),
+})
+channels = st.fixed_dictionaries({
+    "label": st.sampled_from(["H", "D"]),
+    "seed": st.integers(0, 2**32),
+    "duration": st.floats(1e-4, 1.0, exclude_max=True),
+    "profile": profiles,
+    "harmonics": harmonics,
+    "noise_level": st.floats(0.0, 1.0),
+    "fault": faults,
+})
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(scenario=st.lists(channels, min_size=1, max_size=2))
+def test_synth_and_extract_exit_0_or_2(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "scenario.json"
+        path.write_text(json.dumps([{"channel": f"F{i}", **channel}
+                                    for i, channel in enumerate(scenario)]))
+        rc = cli.main(["synth", "--scenario", str(path), "--out", str(tmp / "c")])
+        assert rc in (0, 2)
+        manifest = tmp / "c" / "manifest.json"
+        assert manifest.exists() == (rc == 0)
+        if rc == 0:
+            rc = cli.main(["extract", "--manifest", str(manifest),
+                           "--out", str(tmp / "f")])
+            assert rc in (0, 2)

@@ -382,6 +382,9 @@ class TestTraining:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             mlp.TrainConfig(batch_size=0)
+        # numpy's seed sequences refuse it later with a ValueError traceback.
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            mlp.TrainConfig(seed=-1)
 
 
 def subnormal_count(a):

@@ -37,8 +37,9 @@
 # seed -1, one that names its channel and its duration twice and one
 # whose fault rate, 300 impacts per turn of a 43 Hz shaft, lies above fs/2
 # (data errors, no --out directory), an
-# extract of a channel whose .rot file holds nan (a data error), the four
-# named experiments
+# extract of a channel whose .rot file holds nan (a data error), an extract
+# of two channels whose second WAV is missing (a data error; the first
+# channel's cache is left behind), the four named experiments
 # (600/200 split, 2 epochs), seen-motor with --synth-first on an 8 s
 # campaign, seen-motor again on that campaign after one of its caches was
 # truncated (that channel is extracted again, the others are reused),
@@ -212,6 +213,13 @@ cp "$out/campaign-odd/manifest.json" "$out/campaign-odd/A1_b1.wav" "$out/rot-nan
 sed '2s/.*/nan/' "$out/campaign-odd/A1_b1.rot" > "$out/rot-nan/A1_b1.rot"
 run error-extract-rot-nan extract --manifest "$out/rot-nan/manifest.json" \
     --channels A1_b1 --out "$out/rot-nan/features"
+# B1_b1's WAV is missing: a data error. A1_b1, ahead of it in the list,
+# runs to the end first, so its valid cache is left behind.
+mkdir "$out/missing-wav"
+cp "$out/campaign-odd/"{manifest.json,A1_b1.wav,A1_b1.rot,B1_b1.rot} \
+    "$out/missing-wav/"
+run error-extract-missing-wav extract --manifest "$out/missing-wav/manifest.json" \
+    --channels A1_b1,B1_b1 --out "$out/missing-wav/features"
 
 for name in seen-motor seen-gearbox unseen-A2b2 unseen-A1b1; do
     run "experiment-$name" --seed 5 experiment "$name" --data "$data" \
