@@ -99,6 +99,8 @@ def read_pcm(path) -> tuple[np.ndarray, float]:
                 raise DataError(f"{path}: expected mono, got "
                                 f"{w.getnchannels()} channels")
             fs = float(w.getframerate())
+            if fs == 0:
+                raise DataError(f"{path}: WAV header states a sample rate of 0 Hz")
             n, offset = w.getnframes(), f.tell()
             if offset + 2 * n > os.fstat(f.fileno()).st_size:
                 raise DataError(f"{path}: truncated WAV data chunk")

@@ -93,8 +93,6 @@ def _parse_channels(text: str) -> tuple[str, ...]:
 
 
 def _add_mfcc_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fs", type=positive_float, default=MfccConfig.sample_rate,
-                   help="sample rate in Hz")
     p.add_argument("--mel-channels", type=int, default=MfccConfig.num_channels,
                    help="number of Mel filters")
     p.add_argument("--coeffs", type=int, default=MfccConfig.num_coeffs,
@@ -121,10 +119,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _mfcc_config(args) -> MfccConfig:
-    """The whole feature record; MfccConfig rejects a reversed --band."""
-    return MfccConfig(num_channels=args.mel_channels, sample_rate=args.fs,
-                      num_coeffs=args.coeffs, band_low=args.band[0],
-                      band_high=args.band[1])
+    """The feature flags (not the WAVs' rate); MfccConfig rejects a reversed --band."""
+    return MfccConfig(num_channels=args.mel_channels, num_coeffs=args.coeffs,
+                      band_low=args.band[0], band_high=args.band[1])
 
 
 def _split_spec(args) -> SplitSpec:
@@ -244,8 +241,8 @@ def cmd_experiment(args) -> int:
             raise DataError(
                 f"no manifest at {manifest_path}; synthesize a campaign first "
                 "or pass --synth-first")
-        _write_campaign(synth.default_scenario(args.seed, duration=args.duration,
-                                               fs=args.fs), data_dir)
+        _write_campaign(synth.default_scenario(args.seed, duration=args.duration),
+                        data_dir)
     manifest = dataset.load_manifest(manifest_path)
     spec = experiments.named_experiment(
         args.name, manifest, seed=args.seed,

@@ -10,8 +10,8 @@ Four named experiments are built in:
 * unseen-A1b1:   train on A2_b2 + B2_b2, test on A1_b1 + B1_b1.
 
 ``ensure_caches`` runs one job per channel on ``common.map_channels``'s
-workers, which hashes the source and reuses the cache (parsed once) or
-extracts the channel, so an experiment reads no cache twice.
+workers, which hashes the source, reads the rate in the WAV's header and
+reuses the cache (parsed once) or extracts the channel at that rate.
 
 Each run writes a self-contained results directory: the model, the training
 log ``train_on_split`` returns (as ``train`` writes it), the evaluation report
@@ -22,7 +22,7 @@ inputs and seeds reproduce identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,30 +94,26 @@ def extract_channel(manifest: Manifest, channel_id: str, config: MfccConfig,
     track = audiofile.read_rot_track(wav_path)
     recording = AudioRecording(samples=pcm, fs=fs, channel_id=channel_id,
                                rotational_freq_track=track)
-    if float(recording.fs) != float(config.sample_rate):
-        raise DataError(
-            f"{channel_id}: WAV sample rate {recording.fs} Hz does not match "
-            f"configured {config.sample_rate} Hz")
     frames = dataset.gate_frames(recording, config, manifest.label(channel_id))
     dataset.write_cache(cache_path, frames, signature)
     return len(recording.samples) // config.dft_size, frames
 
 
 def ensure_caches(manifest: Manifest, channels, config: MfccConfig, features_dir,
-                  log=None) -> dict[str, dataset.Frames]:
-    """Each channel's gated frames, in order: read once from a cache whose
-    signature holds these settings (``asdict(config)``) and the source's
-    hash, else extracted and cached, one channel per job on worker threads.
-    Logs each channel."""
+                  log=None) -> dict[str, tuple[dataset.Frames, dict]]:
+    """Each channel's gated frames and cache signature, in order: read once
+    from a cache whose signature holds these settings at the WAV's own
+    sample rate (``asdict``) and the source's hash, else extracted and
+    cached, one channel per job on worker threads. Logs each channel."""
     check_unique_ids(channels)
     features_dir = Path(features_dir)
     features_dir.mkdir(parents=True, exist_ok=True)
-    mfcc = asdict(config)
 
     def job(channel_id):
-        path = features_dir / f"{channel_id}.abfc"
-        signature = {"mfcc": mfcc, "source_sha256": audiofile.source_sha256(
-            manifest.wav_path(channel_id))}
+        path, wav_path = features_dir / f"{channel_id}.abfc", manifest.wav_path(channel_id)
+        source = audiofile.source_sha256(wav_path)
+        mfcc = replace(config, sample_rate=audiofile.read_pcm(wav_path)[1])
+        signature = {"mfcc": asdict(mfcc), "source_sha256": source}
         label = manifest.label(channel_id)
         if path.exists():
             try:
@@ -125,32 +121,38 @@ def ensure_caches(manifest: Manifest, channels, config: MfccConfig, features_dir
             except DataError:  # an unreadable cache is stale
                 found = None
             if found == signature:
-                return frames, "cache reused"
-        total, frames = extract_channel(manifest, channel_id, config, path, signature)
-        return frames, f"{total} frames, {len(frames)} gated"
+                return (frames, signature), "cache reused"
+        total, frames = extract_channel(manifest, channel_id, mfcc, path, signature)
+        return (frames, signature), f"{total} frames, {len(frames)} gated"
 
     done = dict(zip(channels, map_channels(job, channels)))
     if log:
         for channel_id, (_, note) in done.items():
             log(f"{channel_id}: {note}")
-    return {channel_id: frames for channel_id, (frames, _) in done.items()}
+    return {channel_id: cached for channel_id, (cached, _) in done.items()}
 
 
-def load_frames(manifest: Manifest, channels,
-                features_dir) -> tuple[dataset.Frames, dict]:
-    """The cached frames of the channels, in order, plus the MFCC settings
-    their caches record, which must be the same for every channel."""
-    if not channels:
+def pool_frames(cached: dict) -> tuple[dataset.Frames, dict]:
+    """The frames of {channel: (frames, cache signature)}, in order, plus the
+    MFCC settings their signatures record, which must be the same for every
+    channel."""
+    if not cached:
         raise DataError("no channels to load")
-    check_unique_ids(channels)
-    loaded = [dataset.frames_from_cache(Path(features_dir) / f"{c}.abfc",
-                                        manifest.label(c), c) for c in channels]
-    settings = [signature.get("mfcc") for _, signature in loaded]
+    channels = list(cached)
+    settings = [signature.get("mfcc") for _, signature in cached.values()]
     differ = [c for c, s in zip(channels, settings) if s != settings[0]]
     if differ:
         raise DataError(f"caches of {', '.join(differ)} have other feature "
                         f"settings than {channels[0]}'s; re-run extract")
-    return dataset.Frames.concat([frames for frames, _ in loaded]), settings[0]
+    return dataset.Frames.concat([frames for frames, _ in cached.values()]), settings[0]
+
+
+def load_frames(manifest: Manifest, channels,
+                features_dir) -> tuple[dataset.Frames, dict]:
+    """``pool_frames`` of the channels' caches in features_dir."""
+    check_unique_ids(channels)
+    return pool_frames({c: dataset.frames_from_cache(
+        Path(features_dir) / f"{c}.abfc", manifest.label(c), c) for c in channels})
 
 
 # --- the run itself -----------------------------------------------------------
@@ -190,10 +192,10 @@ def run_experiment(manifest: Manifest, spec: ExperimentSpec,
     test report record."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    frames = dataset.Frames.concat(ensure_caches(
-        manifest, spec.channels, mfcc_config, features_dir, log=log).values())
+    frames, mfcc = pool_frames(ensure_caches(
+        manifest, spec.channels, mfcc_config, features_dir, log=log))
     model, run_log, test_frames = train_on_split(
-        manifest, frames, asdict(mfcc_config), spec.split, train_config)
+        manifest, frames, mfcc, spec.split, train_config)
     report = evaluate_frames(model, test_frames)
 
     mlp.save_model(model, out_dir / "model.abmm")

@@ -83,6 +83,9 @@ class SynthConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0 < self.fs < math.inf:
             raise ConfigError("fs must be positive and finite")
+        # A 16-bit WAV header states whole Hz, and twice that (its byte rate) in 32 bits.
+        if not (float(self.fs).is_integer() and self.fs < 1 << 31):
+            raise ConfigError(f"fs: {self.fs!r} is not a whole number of Hz below 2^31")
         if not 0 < self.duration < math.inf:
             raise ConfigError("duration must be positive and finite")
         profile = tuple((float(t), float(f)) for t, f in self.rotational_freq_profile)
@@ -499,6 +502,9 @@ def channel_from_json(entry: dict) -> ChannelSpec:
         noise_level=float(entry.get("noise_level", SynthConfig.noise_level)),
         fault=fault)
     channel_id = str(entry["channel"])
+    # A shorter recording has no frame, so no .rot entry to extract.
+    if round(config.duration * config.fs) < FRAME_SAMPLES:
+        raise DataError(f"{channel_id}: shorter than one {FRAME_SAMPLES}-sample frame")
     return ChannelSpec(channel_id, manifest_entry(
         channel_id, {**entry, "file": f"{channel_id}.wav"}), config)
 

@@ -41,6 +41,29 @@ class TestReadWav:
                 audiofile.read_pcm(path)
 
 
+    @pytest.mark.parametrize("width,channels,shown", [
+        (1, 1, "expected 16-bit PCM, got 8-bit"),
+        (2, 2, "expected mono, got 2 channels")])
+    def test_other_sample_layouts_are_data_errors(self, tmp_path, width,
+                                                  channels, shown):
+        path = tmp_path / "other.wav"
+        with wave.open(str(path), "wb") as w:
+            w.setnchannels(channels)
+            w.setsampwidth(width)
+            w.setframerate(25600)
+            w.writeframes(bytes(8 * width * channels))
+        with pytest.raises(DataError, match=f"other.wav: {shown}"):
+            audiofile.read_pcm(path)
+
+    def test_zero_hz_header_is_a_data_error(self, tmp_path, wav_bytes):
+        # The rate is the recording's: MfccConfig would refuse 0 Hz as a
+        # usage error, so the reader names the file instead.
+        path = tmp_path / "zero.wav"
+        path.write_bytes(wav_bytes[:24] + bytes(8) + wav_bytes[32:])
+        with pytest.raises(DataError, match="zero.wav: WAV header states a "
+                                            "sample rate of 0 Hz"):
+            audiofile.read_pcm(path)
+
     def test_pcm_is_the_int16_data_chunk(self, tmp_path):
         path = tmp_path / "a.wav"
         x = np.sin(np.arange(5000))

@@ -15,7 +15,7 @@ import pytest
 import bearingsound
 from bearingsound import audiofile, cli, common, dataset, experiments, mlp, synth
 from bearingsound.dsp import MfccConfig
-from bearingsound.errors import DataError
+from bearingsound.errors import DataError, FormatError
 
 
 def run(argv, capsys=None):
@@ -141,6 +141,45 @@ class TestSynthCommand:
         rc, _, err = run(["synth", "--scenario", str(path), "--out", str(out)],
                          capsys)
         assert rc == 2, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,shown", [
+        (["--fs", "25600.5"], "fs: 25600.5 is not a whole number of Hz"),
+        (["--fs", "2147483648"], "below 2^31")])
+    def test_rate_a_wav_cannot_state_is_a_usage_error(self, tmp_path, capsys,
+                                                      flags, shown):
+        # 25600.5 Hz was written to headers as 25600 Hz; 2^31 Hz overflowed
+        # the header's byte rate with a traceback.
+        out = tmp_path / "out"
+        rc, stdout, err = run(["synth", "--default-campaign", *flags,
+                               "--out", str(out)], capsys)
+        assert (rc, stdout) == (1, "")
+        assert err.startswith("error: ") and shown in err
+        assert not out.exists()
+
+    def test_campaign_shorter_than_a_frame_is_a_data_error(self, tmp_path, capsys):
+        # Its .rot would be empty, and every extract of it would fail.
+        out = tmp_path / "out"
+        rc, stdout, err = run(["synth", "--default-campaign", "--duration", "0.05",
+                               "--out", str(out)], capsys)
+        assert (rc, stdout) == (2, "")
+        assert err == "data error: A1_b1: shorter than one 2048-sample frame\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields,shown", [
+        ({"fs": 25600.5, "duration": 1}, "fs: 25600.5 is not a whole number"),
+        ({"duration": 0.05}, "Z1: shorter than one 2048-sample frame")])
+    def test_scenario_channel_a_wav_cannot_hold_is_a_data_error(
+            self, tmp_path, capsys, fields, shown):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps([{"channel": "Z1", "label": "H", "seed": 1,
+                                     "profile": [[0.0, 43.0]], **fields}]))
+        out = tmp_path / "out"
+        rc, _, err = run(["synth", "--scenario", str(path), "--out", str(out)],
+                         capsys)
+        assert rc == 2
+        assert err.startswith(f"data error: {path}: bad channel entry")
+        assert shown in err
         assert not out.exists()
 
     def test_harmonic_above_nyquist_is_a_data_error(self, tmp_path, capsys):
@@ -411,13 +450,66 @@ class TestExtractCommand:
         assert out == ""
         assert not (tmp_path / "f").exists()
 
-    def test_sample_rate_mismatch(self, campaign_dir, tmp_path, capsys):
-        rc, _, err = run(["extract", "--manifest",
-                          str(campaign_dir / "manifest.json"),
-                          "--channels", "B1_b1", "--fs", "16000",
+
+    @pytest.mark.parametrize("command", ["extract", "train"])
+    def test_channel_not_in_manifest_is_a_data_error(self, campaign_dir,
+                                                     features_dir, tmp_path,
+                                                     capsys, command):
+        where = (["--out", str(tmp_path / "f")] if command == "extract" else
+                 ["--features", str(features_dir), "--out", str(tmp_path / "m")])
+        rc, out, err = run([command, "--manifest",
+                            str(campaign_dir / "manifest.json"),
+                            "--channels", "NOPE", *where], capsys)
+        assert (rc, out) == (2, "")
+        assert err == "data error: channel not in manifest: NOPE\n"
+
+    def test_manifest_that_is_a_list_is_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text("[]")
+        rc, _, err = run(["extract", "--manifest", str(tmp_path / "manifest.json"),
                           "--out", str(tmp_path / "f")], capsys)
         assert rc == 2
-        assert "sample rate" in err
+        assert err.endswith("manifest.json: manifest must be a JSON object\n")
+
+    def test_rot_one_entry_short_is_a_data_error(self, tmp_path, capsys):
+        # 2 s at 25.6 kHz is 25 frames of 2048 samples.
+        data = tmp_path / "c"
+        assert cli.main(["synth", "--default-campaign", "--duration", "2",
+                         "--out", str(data)]) == 0
+        rot = data / "A1_b1.rot"
+        rot.write_text("".join(rot.read_text().splitlines(keepends=True)[:-1]))
+        rc, _, err = run(["extract", "--manifest", str(data / "manifest.json"),
+                          "--channels", "A1_b1", "--out", str(tmp_path / "f")],
+                         capsys)
+        assert rc == 2
+        assert err == "data error: A1_b1: track has 24 entries, expected 25\n"
+
+    def test_cache_header_that_is_a_list_is_re_extracted(self, campaign_dir,
+                                                         tmp_path, capsys):
+        extract = ["extract", "--manifest", str(campaign_dir / "manifest.json"),
+                   "--channels", "B1_b1", "--out", str(tmp_path / "f")]
+        assert run(extract, capsys)[0] == 0
+        path = tmp_path / "f" / "B1_b1.abfc"
+        valid = path.read_bytes()
+        path.write_bytes(b"ABFC" + struct.pack("<HI", 3, 2) + b"[]")
+        with pytest.raises(FormatError, match="header is not a JSON object"):
+            dataset.read_cache(path)
+        rc, out, _ = run(extract, capsys)
+        assert rc == 0 and out.endswith("gated\n")
+        assert path.read_bytes() == valid
+
+    def test_zero_hz_wav_is_a_data_error_naming_it(self, campaign_dir,
+                                                    tmp_path, capsys):
+        # The WAV states the rate; 0 Hz would reach MfccConfig as a usage error.
+        for name in ("manifest.json", "B1_b1.rot"):
+            shutil.copy(campaign_dir / name, tmp_path / name)
+        blob = (campaign_dir / "B1_b1.wav").read_bytes()
+        (tmp_path / "B1_b1.wav").write_bytes(blob[:24] + bytes(8) + blob[32:])
+        rc, out, err = run(["extract", "--manifest", str(tmp_path / "manifest.json"),
+                            "--channels", "B1_b1", "--out", str(tmp_path / "f")],
+                           capsys)
+        assert (rc, out) == (2, "")
+        assert err == (f"data error: {tmp_path / 'B1_b1.wav'}: WAV header states "
+                       "a sample rate of 0 Hz\n")
 
 
 class TestTrainEvalCommands:
@@ -832,6 +924,75 @@ class TestExperimentCommand:
         assert "available" in err
 
 
+class TestSampleRateFromWav:
+    def test_fs_flag_removed_where_the_wav_decides(self, campaign_dir, tmp_path,
+                                                   capsys):
+        for argv in (["extract", "--manifest", str(campaign_dir / "manifest.json"),
+                      "--fs", "16000", "--out", str(tmp_path / "f")],
+                     ["experiment", "seen-motor", "--data", str(campaign_dir),
+                      "--fs", "16000", "--out", str(tmp_path / "r")]):
+            rc, out, err = run(argv, capsys)
+            assert (rc, out) == (1, ""), argv
+            assert "unrecognized arguments: --fs 16000" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_16_khz_campaign_extracts_and_trains_at_its_rate(self, tmp_path,
+                                                              capsys):
+        # Before, extract and experiment refused it unless given --fs 16000.
+        data = tmp_path / "c"
+        assert cli.main(["--seed", "3", "synth", "--default-campaign",
+                         "--duration", "12", "--fs", "16000",
+                         "--out", str(data)]) == 0
+        manifest = dataset.load_manifest(data / "manifest.json")
+        rc, _, _ = run(["extract", "--manifest", str(data / "manifest.json"),
+                        "--out", str(data / "features")], capsys)
+        assert rc == 0
+        for channel in manifest.entries:
+            _, signature = dataset.frames_from_cache(
+                data / "features" / f"{channel}.abfc", "H", channel)
+            assert signature["mfcc"]["sample_rate"] == 16000.0
+        results = tmp_path / "r"
+        rc, out, _ = run(["--seed", "3", "experiment", "seen-motor", "--data",
+                          str(data), "--train-size", "200", "--test-size", "60",
+                          "--epochs", "3", "--out", str(results)], capsys)
+        assert rc == 0
+        assert out.count("cache reused") == 4
+        record = json.loads((results / "experiment.json").read_text())
+        assert record["mfcc"]["sample_rate"] == 16000.0
+        model = mlp.load_model(results / "model.abmm")
+        assert model.mfcc == record["mfcc"]
+
+    def test_mixed_rates_extract_in_one_call_and_never_pool(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps([
+            {"channel": channel, "label": label, "seed": seed, "fs": fs,
+             "duration": 2, "profile": [[0.0, 43.0]]}
+            for seed, (channel, label, fs) in enumerate(
+                [("A1_b1", "D", 25600), ("A2_b2", "D", 25600),
+                 ("B1_b1", "H", 25600), ("B2_b2", "H", 16000)])]))
+        data = tmp_path / "c"
+        assert cli.main(["synth", "--scenario", str(path), "--out", str(data)]) == 0
+        manifest = str(data / "manifest.json")
+        features = str(data / "features")
+        assert run(["extract", "--manifest", manifest, "--out", features],
+                   capsys)[0] == 0
+        _, signature = dataset.frames_from_cache(
+            data / "features" / "B2_b2.abfc", "H", "B2_b2")
+        assert signature["mfcc"]["sample_rate"] == 16000.0
+        other = ("data error: caches of B2_b2 have other feature settings "
+                 "than A1_b1's; re-run extract\n")
+        rc, _, err = run(["train", "--manifest", manifest, "--features", features,
+                          "--train-size", "20", "--test-size", "10",
+                          "--out", str(tmp_path / "m.abmm")], capsys)
+        assert (rc, err) == (2, other)
+        rc, _, err = run(["experiment", "seen-motor", "--data", str(data),
+                          "--train-size", "20", "--test-size", "10",
+                          "--out", str(tmp_path / "r")], capsys)
+        assert (rc, err) == (2, other)
+        assert not (tmp_path / "r" / "model.abmm").exists()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("seed", ["-1", "1.5"])
     def test_bad_seed_is_usage_error(self, tmp_path, capsys, seed):
@@ -876,8 +1037,6 @@ class TestUsageErrors:
         ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
          "--duration", "nan"],
         ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
-         "--fs=-inf"],
-        ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
          "--band", "42:nan"],
         ["train", "--manifest", "{t}/manifest.json", "--features", "{t}/f",
          "--lr", "nan", "--out", "{t}/m.abmm"]])
@@ -894,11 +1053,7 @@ class TestUsageErrors:
         ["synth", "--default-campaign", "--fs", "-5", "--out", "{t}/s"],
         ["synth", "--default-campaign", "--duration", "0", "--out", "{t}/s"],
         ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
-         "--fs", "0"],
-        ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
-         "--duration=-1"],
-        ["extract", "--manifest", "{t}/manifest.json", "--fs", "0",
-         "--out", "{t}/f"]])
+         "--duration=-1"]])
     def test_non_positive_number_is_usage_error(self, tmp_path, capsys, argv):
         # A zero fs used to end in a ZeroDivisionError inside synth.
         rc, out, err = run([a.format(t=tmp_path) for a in argv], capsys)

@@ -93,12 +93,6 @@ class TestNamedExperiments:
 
 
 class TestCaches:
-    def test_sample_rate_mismatch_rejected(self, manifest, tmp_path):
-        config = MfccConfig(sample_rate=16000.0)  # the campaign is 25.6 kHz
-        with pytest.raises(DataError, match="sample rate"):
-            experiments.extract_channel(manifest, "B1_b1", config,
-                                        tmp_path / "B1_b1.abfc", {})
-
     def test_caches_are_reused_when_config_matches(self, manifest, tmp_path):
         config = MfccConfig()
         messages = []
@@ -138,7 +132,7 @@ class TestCaches:
         assert len(messages) == len(channels)
         # Reused and extracted frames come back in channel order, as cached.
         assert list(result) == channels
-        for channel_id, frames in result.items():
+        for channel_id, (frames, _) in result.items():
             cached, _ = dataset.frames_from_cache(
                 tmp_path / "f" / f"{channel_id}.abfc", manifest.label(channel_id),
                 channel_id)
@@ -204,7 +198,7 @@ class TestCaches:
         # stale, so they are extracted again and recorded with the new one.
         features = tmp_path / "f"
         frames = experiments.ensure_caches(manifest, ("B1_b1",), MfccConfig(),
-                                           features)["B1_b1"]
+                                           features)["B1_b1"][0]
         older = {"dft_size": 2048, "num_channels": 26, "sample_rate": 25600.0,
                  "freq_low": 0.0, "freq_high": 12800.0, "num_coeffs": 13,
                  "window_kind": "hann", "log_floor": 1e-10, "band": [42.0, 45.0]}
@@ -334,6 +328,18 @@ class TestRun:
         frames, _ = experiments.load_frames(manifest, ("B1_b1",), tmp_path / "f")
         with pytest.raises(DataError, match="dimension"):
             experiments.evaluate_frames(model, frames)
+
+    def test_model_records_the_settings_its_caches_hold(self, manifest, tmp_path):
+        # The WAVs are 25.6 kHz; the caller's sample_rate is never read.
+        spec = experiments.named_experiment("seen-motor", manifest, seed=4,
+                                            train_size=100, test_size=40)
+        experiments.run_experiment(
+            manifest, spec, MfccConfig(sample_rate=16000.0),
+            mlp.TrainConfig(epochs=1, seed=4), out_dir=tmp_path / "r",
+            features_dir=tmp_path / "f")
+        _, mfcc = experiments.load_frames(manifest, spec.channels, tmp_path / "f")
+        assert mfcc == dataclasses.asdict(MfccConfig())
+        assert mlp.load_model(tmp_path / "r" / "model.abmm").mfcc == mfcc
 
     def test_load_frames_needs_a_channel(self, manifest, tmp_path):
         with pytest.raises(DataError, match="no channels"):

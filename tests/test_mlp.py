@@ -367,6 +367,20 @@ class TestTraining:
         with pytest.raises(DataError):
             mlp.train(np.zeros((0, 13)), np.zeros(0), mlp.TrainConfig())
 
+    def test_features_and_labels_of_other_lengths_rejected(self):
+        with pytest.raises(DataError, match="different lengths"):
+            mlp.train(np.zeros((4, 13)), np.zeros(3), mlp.TrainConfig())
+
+    def test_z_scoring_shapes_must_agree(self):
+        with pytest.raises(DataError, match="shapes differ"):
+            NormalizationStats(np.zeros(3), np.ones(4))
+
+    def test_model_dims_and_parameter_count_checked(self):
+        with pytest.raises(ConfigError, match="input and an output layer"):
+            mlp.MlpModel(dims=(13,), params=np.zeros(0))
+        with pytest.raises(ConfigError, match=r"\(29,\) parameters do not fit"):
+            mlp.MlpModel(dims=(13, 2), params=np.zeros(29))
+
     def test_one_row_is_too_few_to_fit_the_z_scoring(self):
         x, y = toy_blobs(10, seed=2)
         with pytest.raises(DataError, match="at least two frames, got 1"):

@@ -121,6 +121,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
             synth.SynthConfig(seed=-1)
 
+    @pytest.mark.parametrize("fs", [25600.5, 2.0 ** 31])
+    def test_rate_a_wav_header_cannot_hold_rejected(self, fs):
+        # The header states whole Hz, and twice the rate must fit 32 bits:
+        # 25600.5 Hz was written as 25600, and 2^31 Hz failed inside wave.
+        with pytest.raises(ConfigError, match="not a whole number of Hz below 2"):
+            synth.SynthConfig(fs=fs)
+        assert synth.SynthConfig(fs=2.0 ** 31 - 1).fs == 2 ** 31 - 1
+
+    def test_channel_shorter_than_a_frame_rejected(self):
+        # It would be written with an empty .rot, which extract refuses.
+        entry = {"channel": "Z1", "label": "H", "seed": 1, "fs": 25600,
+                 "profile": [[0.0, 43.0]]}
+        with pytest.raises(DataError, match="Z1: shorter than one 2048-sample frame"):
+            synth.channel_from_json({**entry, "duration": 2047 / 25600})
+        synth.channel_from_json({**entry, "duration": 2048 / 25600})
+
     def test_numpy_and_whole_float_integers_accepted(self):
         config = synth.SynthConfig(
             seed=np.uint64(2**63 + 5),

@@ -21,7 +21,8 @@
 #
 # The set: a seed-5 40 s default campaign, a 6.13 s one (it ends inside a
 # synthesis block and inside a frame) and its extract, on this CPU's
-# kernel and on Prescott's, a two-channel
+# kernel and on Prescott's, an 8 s one at --fs 16000 and its extract with
+# no feature flag (each cache records the WAVs' 16 kHz), a two-channel
 # scenario file (a jittered inner-ring fault, and an outer-ring fault whose
 # resonance outlasts its 1 s recording), the same file with a
 # resonance so slow that its -80 dB kernel would span days, a 20 s channel
@@ -49,13 +50,14 @@
 # 1000-frame test split (several prediction blocks), an eval of it on the
 # 24-channel caches (a model whose feature settings differ from its caches'),
 # an eval of it with one std value set to NaN (a data error that writes no
-# report), scatter, and a few usage errors (among them a zero --fs for synth and for
-# experiment --synth-first, an experiment --synth-first whose --epochs is
-# rejected before any campaign is written, a train whose --epochs is
+# report), scatter, and a few usage errors (among them a zero --fs and a
+# fractional one, 25600.5 Hz, for synth, an experiment --synth-first whose
+# --epochs is rejected before any campaign is written, a train whose --epochs is
 # rejected before its missing caches are looked for, an extract whose
 # --channels list is empty, an extract whose --band is reversed and a synth
-# at --seed -1), and a
-# synth whose 1e9 s channels are too large to allocate (a data error).
+# at --seed -1), a
+# synth whose 1e9 s channels are too large to allocate and one whose 0.05 s
+# channels are shorter than a frame (data errors).
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -87,6 +89,10 @@ run extract-odd extract --manifest "$out/campaign-odd/manifest.json" \
 OPENBLAS_CORETYPE=Prescott run extract-odd-prescott extract \
     --manifest "$out/campaign-odd/manifest.json" \
     --out "$out/campaign-odd/features-prescott"
+run synth-16k --seed 5 synth --default-campaign --duration 8 --fs 16000 \
+    --out "$out/campaign-16k"
+run extract-16k extract --manifest "$out/campaign-16k/manifest.json" \
+    --out "$out/campaign-16k/features"
 # scenario_file FILE DECAY: two faulted channels, the second on a 1 s
 # recording with a resonance that decays at DECAY per second.
 scenario_file() {
@@ -280,8 +286,8 @@ run error-eval-by-channel-no-lists eval --manifest "$data/manifest.json" \
 run error-experiment-size-zero experiment seen-motor --data "$data" \
     --train-size 0 --test-size 50 --out "$out/error-experiment"
 run error-synth-fs-zero synth --default-campaign --fs 0 --out "$out/error-synth"
-run error-experiment-fs-zero experiment seen-motor --synth-first --fs 0 \
-    --data "$out/error-data"
+run error-synth-fs-fraction synth --default-campaign --fs 25600.5 \
+    --out "$out/error-synth"
 run error-experiment-epochs-negative experiment seen-motor --synth-first \
     --duration 2 --epochs -1 --data "$out/error-epochs-data"
 run error-train-epochs-negative train --manifest "$data/manifest.json" \
@@ -295,6 +301,9 @@ run error-synth-seed-negative-flag --seed -1 synth --default-campaign \
 # 186 TiB per channel: the first allocation fails, so nothing is written.
 run error-synth-huge-duration synth --default-campaign --duration 1e9 \
     --out "$out/error-huge"
+# 0.05 s is 1280 samples, fewer than one 2048-sample frame.
+run error-synth-subframe synth --default-campaign --duration 0.05 \
+    --out "$out/error-subframe"
 
 echo "openblas-core  $core"
 cd "$out"
