@@ -67,14 +67,17 @@ def write_wav(path, samples: np.ndarray, fs: float) -> None:
     samples = np.asarray(samples, dtype=float)
     # max(max, -min) is max(abs) without a full-length temporary.
     peak = max(samples.max(), -samples.min()) if samples.size else 0.0
-    gain = 0.95 * PCM_FULL_SCALE / peak if peak > 0 else 1.0
+    # Scale by 2**-exponent (exact), then by a gain that is finite for any peak.
+    mantissa, exponent = np.frexp(peak or 1.0)
+    gain = 0.95 * PCM_FULL_SCALE / mantissa
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(int(round(fs)))
         w.setnframes(len(samples))
         for start in range(0, len(samples), _WRITE_BLOCK):
-            scaled = samples[start : start + _WRITE_BLOCK] * gain
+            scaled = np.ldexp(samples[start : start + _WRITE_BLOCK], -exponent)
+            scaled *= gain
             np.rint(scaled, out=scaled)
             w.writeframesraw(scaled.astype("<i2"))
 

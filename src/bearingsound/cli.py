@@ -45,7 +45,7 @@ def _parse_band(text: str) -> tuple[float, float]:
 
 
 def positive_int(text: str) -> int:
-    """Split sizes are checked at parse time, before --synth-first synthesizes."""
+    """Split sizes are checked at parse time, before any file is read."""
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
@@ -119,7 +119,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _mfcc_config(args) -> MfccConfig:
-    """The feature flags (not the WAVs' rate); MfccConfig rejects a reversed --band."""
+    """The feature flags; MfccConfig rejects a reversed --band or too many channels."""
     return MfccConfig(num_channels=args.mel_channels, num_coeffs=args.coeffs,
                       band_low=args.band[0], band_high=args.band[1])
 
@@ -234,16 +234,8 @@ def cmd_scatter(args) -> int:
 
 def cmd_experiment(args) -> int:
     data_dir = Path(args.data)
-    manifest_path = data_dir / "manifest.json"
     config, train_config = _mfcc_config(args), _train_config(args)
-    if not manifest_path.exists():
-        if not args.synth_first:
-            raise DataError(
-                f"no manifest at {manifest_path}; synthesize a campaign first "
-                "or pass --synth-first")
-        _write_campaign(synth.default_scenario(args.seed, duration=args.duration),
-                        data_dir)
-    manifest = dataset.load_manifest(manifest_path)
+    manifest = dataset.load_manifest(data_dir / "manifest.json")
     spec = experiments.named_experiment(
         args.name, manifest, seed=args.seed,
         train_size=args.train_size, test_size=args.test_size)
@@ -310,10 +302,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run a named end-to-end protocol")
     p.add_argument("name", choices=experiments.EXPERIMENT_NAMES)
     p.add_argument("--data", type=str, required=True, help="campaign directory")
-    p.add_argument("--synth-first", action="store_true",
-                   help="generate the default campaign if the data dir is empty")
-    p.add_argument("--duration", type=positive_float,
-                   default=synth.CAMPAIGN_DURATION_S)
     _add_mfcc_flags(p)
     p.add_argument("--train-size", type=positive_int, default=None)
     p.add_argument("--test-size", type=positive_int, default=None)

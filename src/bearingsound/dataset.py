@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audiofile import AudioRecording
+from .audiofile import FRAME_SAMPLES, AudioRecording
 from .common import (LABELS, ManifestEntry, manifest_entry, read_framed, read_json,
                      write_framed, write_json)
 from .dsp import MfccConfig, feature_matrix
@@ -108,18 +108,18 @@ def _channel_frames(coeffs, rot, index, label: str, channel_id: str) -> Frames:
 
 def gate_frames(recording: AudioRecording, config: MfccConfig, label: str) -> Frames:
     """Features for the frames whose mean rotational frequency lies in the
-    config's [band_low, band_high] (both ends inclusive)."""
+    config's [band_low, band_high] (both ends inclusive), at the recording's
+    rate; a rate too high for the config's Mel channels is a DataError."""
     track = recording.rotational_freq_track
     if len(track) == 0:
         raise DataError(f"{recording.channel_id}: recording has no rotational track")
-    num_frames = len(recording.samples) // config.dft_size
-    if len(track) != num_frames:
-        raise DataError(
-            f"{recording.channel_id}: track length {len(track)} does not match "
-            f"{num_frames} frames of {config.dft_size} samples")
     index = np.flatnonzero((track >= config.band_low) & (track <= config.band_high))
-    return _channel_frames(feature_matrix(recording.samples, config, index),
-                           track[index], index, label, recording.channel_id)
+    try:
+        coeffs = feature_matrix(recording.samples, recording.fs, FRAME_SAMPLES,
+                                config, index)
+    except ConfigError as exc:
+        raise DataError(f"{recording.channel_id}: {exc}") from exc
+    return _channel_frames(coeffs, track[index], index, label, recording.channel_id)
 
 
 # --- train/test splitting ---------------------------------------------------

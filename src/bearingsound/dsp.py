@@ -30,37 +30,33 @@ def mel_to_hz(m):
     return MEL_BREAK_HZ * (10.0 ** (np.asarray(m, dtype=float) / MEL_SCALE_FACTOR) - 1.0)
 
 
+# Half of audiofile.FRAME_SAMPLES: no frame's DFT bins hold more Mel channels
+# at any rate, so a config checks this before any file is read.
+MAX_MEL_CHANNELS = 1024
+
+
 @dataclass(frozen=True)
 class MfccConfig:
-    """The feature settings, which a cache's signature and a model record.
+    """The feature settings a user chooses, which a cache's signature and a
+    model record beside the frame length and the recording's sample rate.
 
-    dft_size is the frame length in samples and must be a power of two.
     num_channels is the Mel filter count over 0..fs/2, num_coeffs the number
     of cepstral coefficients kept (c1..c_num_coeffs; there is no c0 term).
     Frames are Hann-windowed. band_low..band_high is the rotational gating
     band in Hz, both ends inclusive.
     """
 
-    dft_size: int = 2048
     num_channels: int = 26
-    sample_rate: float = 25600.0
     num_coeffs: int = 13
     band_low: float = 42.0
     band_high: float = 45.0
     log_floor: ClassVar[float] = 1e-10
 
     def __post_init__(self):
-        n = self.dft_size
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ConfigError(f"dft_size must be a power of two >= 2, got {n}")
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-        if not (1 <= self.num_coeffs <= self.num_channels <= n // 2):
+        if not (1 <= self.num_coeffs <= self.num_channels <= MAX_MEL_CHANNELS):
             raise ConfigError(
-                f"need 1 <= num_coeffs <= num_channels <= dft_size/2, got "
-                f"num_coeffs={self.num_coeffs}, num_channels={self.num_channels}, "
-                f"dft_size={n}"
-            )
+                f"need 1 <= num_coeffs <= num_channels <= {MAX_MEL_CHANNELS}, got "
+                f"num_coeffs={self.num_coeffs}, num_channels={self.num_channels}")
         if self.band_low > self.band_high:
             raise ConfigError(
                 f"band low {self.band_low} exceeds high {self.band_high}")
@@ -72,27 +68,25 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1)))
 
 
-def build_filterbank(config: MfccConfig) -> np.ndarray:
-    """The triangular Mel filter weights, shape (num_channels, dft_size//2 + 1).
+def build_filterbank(config: MfccConfig, fs: float, n: int) -> np.ndarray:
+    """The triangular Mel filter weights of n-sample frames at fs Hz, shape
+    (num_channels, n//2 + 1).
 
     Centers sit at num_channels + 2 equidistant points on the Mel scale
     between 0 and fs/2, each snapped to bin min(floor((n + 1) f / fs), n/2).
     Row i rises from the previous center bin to exactly 1.0 at its own,
     which is the zero of rows i-1 and i+1, and falls to zero at the next.
     Raises ConfigError when the Mel points collapse onto non-distinct DFT
-    bins, i.e. when fs/dft_size is too coarse for the channel count.
+    bins, i.e. when fs/n is too coarse for the channel count.
     """
-    n = config.dft_size
     k = config.num_channels
-    mel_points = np.linspace(0.0, hz_to_mel(config.sample_rate / 2.0), k + 2)
+    mel_points = np.linspace(0.0, hz_to_mel(fs / 2.0), k + 2)
     hz_points = mel_to_hz(mel_points)
-    bins = np.floor((n + 1) * hz_points / config.sample_rate).astype(int)
+    bins = np.floor((n + 1) * hz_points / fs).astype(int)
     bins = np.minimum(bins, n // 2)
     if np.any(np.diff(bins) < 1):
-        raise ConfigError(
-            f"{k} Mel channels do not fit below {config.sample_rate / 2.0} Hz "
-            f"at a bin width of {config.sample_rate / n:.3f} Hz"
-        )
+        raise ConfigError(f"{k} Mel channels do not fit below {fs / 2.0} Hz "
+                          f"at a bin width of {fs / n:.3f} Hz")
 
     weights = np.zeros((k, n // 2 + 1))
     for i in range(k):
@@ -162,10 +156,11 @@ def mfcc(energies: np.ndarray, config: MfccConfig) -> np.ndarray:
 _SPECTRUM_SAMPLES = 1 << 17
 
 
-def feature_matrix(samples: np.ndarray, config: MfccConfig,
+def feature_matrix(samples: np.ndarray, fs: float, n: int, config: MfccConfig,
                    index=None) -> np.ndarray:
-    """Feature vectors for the complete non-overlapping frames that index
-    names, in its order (every one if index is None), as rows.
+    """Feature vectors for the complete non-overlapping n-sample frames that
+    index names, in its order (every one if index is None), as rows; fs is
+    the sample rate in Hz.
 
     Integer samples are PCM: each gathered block is cast to float and divided
     by the dtype's maximum just before windowing, so the recording is never
@@ -179,11 +174,10 @@ def feature_matrix(samples: np.ndarray, config: MfccConfig,
         scale = np.iinfo(samples.dtype).max
     else:
         samples, scale = np.asarray(samples, dtype=float), 1
-    n = config.dft_size
     num_frames = len(samples) // n
     if num_frames == 0:
         return np.zeros((0, config.num_coeffs))
-    weights = build_filterbank(config)
+    weights = build_filterbank(config, fs, n)
     window = hann_window(n)
     frames = samples[: num_frames * n].reshape(num_frames, n)
     index = np.arange(num_frames) if index is None else index

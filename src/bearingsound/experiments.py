@@ -22,13 +22,13 @@ inputs and seeds reproduce identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import audiofile, dataset, metrics, mlp
-from .audiofile import AudioRecording
+from .audiofile import FRAME_SAMPLES, AudioRecording
 from .common import check_unique_ids, map_channels, write_json
 from .dataset import Manifest, SplitSpec
 from .dsp import MfccConfig
@@ -96,15 +96,15 @@ def extract_channel(manifest: Manifest, channel_id: str, config: MfccConfig,
                                rotational_freq_track=track)
     frames = dataset.gate_frames(recording, config, manifest.label(channel_id))
     dataset.write_cache(cache_path, frames, signature)
-    return len(recording.samples) // config.dft_size, frames
+    return len(track), frames
 
 
 def ensure_caches(manifest: Manifest, channels, config: MfccConfig, features_dir,
                   log=None) -> dict[str, tuple[dataset.Frames, dict]]:
     """Each channel's gated frames and cache signature, in order: read once
-    from a cache whose signature holds these settings at the WAV's own
-    sample rate (``asdict``) and the source's hash, else extracted and
-    cached, one channel per job on worker threads. Logs each channel."""
+    from a cache whose signature holds these settings, the frame length, the
+    WAV's own sample rate and the source's hash, else extracted and cached,
+    one channel per job on worker threads. Logs each channel."""
     check_unique_ids(channels)
     features_dir = Path(features_dir)
     features_dir.mkdir(parents=True, exist_ok=True)
@@ -112,8 +112,9 @@ def ensure_caches(manifest: Manifest, channels, config: MfccConfig, features_dir
     def job(channel_id):
         path, wav_path = features_dir / f"{channel_id}.abfc", manifest.wav_path(channel_id)
         source = audiofile.source_sha256(wav_path)
-        mfcc = replace(config, sample_rate=audiofile.read_pcm(wav_path)[1])
-        signature = {"mfcc": asdict(mfcc), "source_sha256": source}
+        mfcc = {**asdict(config), "dft_size": FRAME_SAMPLES,
+                "sample_rate": audiofile.read_pcm(wav_path)[1]}
+        signature = {"mfcc": mfcc, "source_sha256": source}
         label = manifest.label(channel_id)
         if path.exists():
             try:
@@ -122,7 +123,7 @@ def ensure_caches(manifest: Manifest, channels, config: MfccConfig, features_dir
                 found = None
             if found == signature:
                 return (frames, signature), "cache reused"
-        total, frames = extract_channel(manifest, channel_id, mfcc, path, signature)
+        total, frames = extract_channel(manifest, channel_id, config, path, signature)
         return (frames, signature), f"{total} frames, {len(frames)} gated"
 
     done = dict(zip(channels, map_channels(job, channels)))

@@ -73,7 +73,7 @@ def test_criterion_2_cepstral_identities():
             coeffs = dsp.mfcc(np.full(26, level), cfg)
             assert np.all(np.abs(coeffs) < 1e-9)
         # amplitude invariance of c1..c13
-        fb = dsp.build_filterbank(cfg)
+        fb = dsp.build_filterbank(cfg, 25600.0, 2048)
         window = dsp.hann_window(2048)
         rng = np.random.default_rng(1)
         frame = rng.standard_normal(2048)
@@ -84,12 +84,11 @@ def test_criterion_2_cepstral_identities():
                 dsp.power_spectrum(alpha * frame, window), fb), cfg)
             assert np.all(np.abs(scaled - base) < 1e-6)
         # full chain against a naive direct evaluation at small N
-        small = MfccConfig(dft_size=64, num_channels=6, num_coeffs=4,
-                           sample_rate=1000.0)
-        small_fb = dsp.build_filterbank(small)
+        small = MfccConfig(num_channels=6, num_coeffs=4)
+        small_fb = dsp.build_filterbank(small, 1000.0, 64)
         small_window = dsp.hann_window(64)
         samples = rng.standard_normal(5 * 64)
-        got = dsp.feature_matrix(samples, small)
+        got = dsp.feature_matrix(samples, 1000.0, 64, small)
         for frame_no in range(5):
             piece = samples[frame_no * 64 : (frame_no + 1) * 64]
             spectrum = []

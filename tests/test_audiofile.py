@@ -134,6 +134,27 @@ class TestWriteWav:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.filterwarnings("error")
+    def test_gain_stays_finite_for_any_peak(self, tmp_path):
+        # 0.95 * full scale / peak overflowed to inf below a peak of about
+        # 3e-304, and the samples were cast to int16 as NaN, which the
+        # platform defines (all zeros here), with RuntimeWarnings.
+        x = np.sin(np.arange(5000) * 0.01)
+
+        def written(name, samples):
+            audiofile.write_wav(tmp_path / name, samples, 25600.0)
+            return audiofile.read_pcm(tmp_path / name)[0]
+
+        unit = written("unit.wav", x)
+        assert (unit.max(), unit.min()) == (31129, -31129)
+        # A power-of-two scale moves no byte, down to 2**-1015 (2.8e-306).
+        for exponent in (-1015, -1000, 1000):
+            assert np.array_equal(written(f"{exponent}.wav", np.ldexp(x, exponent)),
+                                  unit)
+        assert np.abs(written("1e-305.wav", x * 1e-305) - unit.astype(int)).max() <= 1
+        assert written("subnormal.wav", np.array([0.0, 5e-324, -5e-324])).tolist() == [
+            0, 31129, -31129]
+
     def test_empty_signal(self, tmp_path):
         audiofile.write_wav(tmp_path / "e.wav", np.zeros(0), 25600.0)
         pcm, fs = audiofile.read_pcm(tmp_path / "e.wav")

@@ -624,7 +624,8 @@ class TestTrainEvalCommands:
         # row's argmax read H, and the report was written.
         model = mlp.init_model((13, 1024, 100, 2))
         model.params[:] = 1e300
-        model.mfcc = dataclasses.asdict(MfccConfig())
+        model.mfcc = {"band_high": 45.0, "band_low": 42.0, "dft_size": 2048,
+                      "num_channels": 26, "num_coeffs": 13, "sample_rate": 25600.0}
         model_path = tmp_path / "huge.abmm"
         mlp.save_model(model, model_path)
         rc, _, err = run(self.eval_args(campaign_dir, features_dir, model_path,
@@ -828,41 +829,23 @@ class TestExperimentCommand:
                         "--data", str(campaign_dir)], capsys)
         assert rc == 1
 
-    def test_missing_campaign_without_synth_first(self, tmp_path, capsys):
-        rc, _, err = run(["experiment", "seen-motor",
-                          "--data", str(tmp_path / "empty")], capsys)
-        assert rc == 2
-        assert "synth" in err
+    def test_missing_manifest_is_a_data_error(self, tmp_path, capsys):
+        rc, out, err = run(["experiment", "seen-motor",
+                            "--data", str(tmp_path / "empty")], capsys)
+        assert (rc, out) == (2, "")
+        assert err == ("data error: manifest not found: "
+                       f"{tmp_path / 'empty' / 'manifest.json'}\n")
+        assert list(tmp_path.iterdir()) == []
 
-    def test_failed_synth_first_leaves_no_data_directory(self, tmp_path, capsys):
-        # 186 TiB per channel: the first allocation fails at once.
-        data = tmp_path / "data"
-        rc, _, err = run(["experiment", "seen-motor", "--synth-first",
-                          "--duration", "1e9", "--data", str(data)], capsys)
-        assert rc == 2
-        assert "allocate" in err
-        assert not data.exists()
-
-    def test_synth_first_writes_the_synth_campaign(self, tmp_path, capsys):
-        rc, synth_out, _ = run(["--seed", "3", "synth", "--default-campaign",
-                                "--duration", "4", "--out", str(tmp_path / "a")],
-                               capsys)
-        assert rc == 0
-        rc, out, err = run(["--seed", "3", "experiment", "seen-motor",
-                            "--synth-first", "--duration", "4",
-                            "--data", str(tmp_path / "b"),
-                            "--train-size", "100", "--test-size", "40",
-                            "--epochs", "1", "--out", str(tmp_path / "res")],
-                           capsys)
-        assert rc == 0, err
-        assert out.startswith(synth_out.replace(str(tmp_path / "a"),
-                                                str(tmp_path / "b")))
-        names = sorted(p.name for p in (tmp_path / "a").iterdir())
-        assert len(names) == 6 * 2 + 1  # .wav and .rot per channel, manifest
-        for name in names:
-            assert ((tmp_path / "a" / name).read_bytes()
-                    == (tmp_path / "b" / name).read_bytes()), name
-        assert (tmp_path / "res" / "report.json").exists()
+    @pytest.mark.parametrize("flags", [["--synth-first"], ["--duration", "8"]],
+                             ids=lambda f: f[0])
+    def test_synth_flags_removed(self, tmp_path, capsys, flags):
+        # synth --default-campaign writes the campaign; experiment only reads it.
+        rc, out, err = run(["experiment", "seen-motor", "--data",
+                            str(tmp_path / "d"), *flags], capsys)
+        assert (rc, out) == (1, "")
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_seen_motor_end_to_end(self, campaign_dir, tmp_path, capsys):
         rc, out, _ = run(["--seed", "9", "experiment", "seen-motor",
@@ -992,6 +975,19 @@ class TestSampleRateFromWav:
         assert (rc, err) == (2, other)
         assert not (tmp_path / "r" / "model.abmm").exists()
 
+    def test_rate_too_high_for_the_mel_channels_is_a_data_error(self, tmp_path,
+                                                                capsys):
+        # The rate comes from the WAV, not a flag, so this was exit 1 before.
+        data = tmp_path / "c"
+        assert cli.main(["synth", "--default-campaign", "--fs", "400000",
+                         "--duration", "0.2", "--out", str(data)]) == 0
+        capsys.readouterr()
+        rc, out, err = run(["extract", "--manifest", str(data / "manifest.json"),
+                            "--out", str(tmp_path / "f")], capsys)
+        assert (rc, out) == (2, "")
+        assert err == ("data error: A1_b1: 26 Mel channels do not fit below "
+                       "200000.0 Hz at a bin width of 195.312 Hz\n")
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("seed", ["-1", "1.5"])
@@ -1016,8 +1012,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["extract", "--manifest", "{t}/manifest.json", "--band", "45:42",
          "--out", "{t}/f"],
-        ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
-         "--band", "45:42"]])
+        ["experiment", "seen-motor", "--data", "{t}/d", "--band", "45:42"]])
     def test_reversed_band_is_usage_error(self, tmp_path, capsys, argv):
         # MfccConfig rejects the band before any input is read or written.
         rc, out, err = run([a.format(t=tmp_path) for a in argv], capsys)
@@ -1034,10 +1029,8 @@ class TestUsageErrors:
         ["synth", "--default-campaign", "--duration", "nan", "--out", "{t}/s"],
         ["synth", "--default-campaign", "--fs", "nan", "--out", "{t}/s"],
         ["synth", "--default-campaign", "--fs", "inf", "--out", "{t}/s"],
-        ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
-         "--duration", "nan"],
-        ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
-         "--band", "42:nan"],
+        ["experiment", "seen-motor", "--data", "{t}/d", "--lr", "nan"],
+        ["experiment", "seen-motor", "--data", "{t}/d", "--band", "42:nan"],
         ["train", "--manifest", "{t}/manifest.json", "--features", "{t}/f",
          "--lr", "nan", "--out", "{t}/m.abmm"]])
     def test_non_finite_number_is_usage_error(self, tmp_path, capsys, argv):
@@ -1052,8 +1045,7 @@ class TestUsageErrors:
         ["synth", "--default-campaign", "--fs", "0", "--out", "{t}/s"],
         ["synth", "--default-campaign", "--fs", "-5", "--out", "{t}/s"],
         ["synth", "--default-campaign", "--duration", "0", "--out", "{t}/s"],
-        ["experiment", "seen-motor", "--synth-first", "--data", "{t}/d",
-         "--duration=-1"]])
+        ["experiment", "seen-motor", "--data", "{t}/d", "--test-size=-1"]])
     def test_non_positive_number_is_usage_error(self, tmp_path, capsys, argv):
         # A zero fs used to end in a ZeroDivisionError inside synth.
         rc, out, err = run([a.format(t=tmp_path) for a in argv], capsys)
@@ -1180,32 +1172,6 @@ class TestSplitUsageErrors:
         assert out == ""
         assert not (data / "features").exists()
 
-    def test_explicit_zero_size_stops_synth_first_before_synthesis(
-            self, tmp_path, capsys):
-        rc, out, err = run(["experiment", "seen-motor", "--synth-first",
-                            "--duration", "8", "--data", str(tmp_path / "data"),
-                            "--train-size", "0", "--out", str(tmp_path / "res")],
-                           capsys)
-        assert rc == 1
-        assert "must be positive" in err
-        assert out == ""
-        assert not list(tmp_path.rglob("*.wav"))
-        assert not list(tmp_path.rglob("manifest.json"))
-
-    @pytest.mark.parametrize("flag", [
-        ["--epochs", "-1"], ["--batch", "0"], ["--lr", "-0.5"],
-        ["--coeffs", "0"], ["--mel-channels", "2000"]], ids=lambda f: f[0])
-    def test_bad_training_or_mfcc_flag_stops_synth_first_before_synthesis(
-            self, tmp_path, capsys, flag):
-        # The configs are built from the flags before the campaign is written.
-        rc, out, err = run(["experiment", "seen-motor", "--synth-first",
-                            "--duration", "2", "--data", str(tmp_path / "data"),
-                            *flag, "--out", str(tmp_path / "res")], capsys)
-        assert rc == 1
-        assert err.startswith("error: ")
-        assert out == ""
-        assert list(tmp_path.iterdir()) == []
-
 
 class TestFlagsBeforeFiles:
     @pytest.mark.parametrize("argv", [
@@ -1223,17 +1189,25 @@ class TestFlagsBeforeFiles:
         ["train", "--channels", ""],
         ["eval", "--channels", ""],
         ["scatter", "--channels", ""],
-        ["train", "--train-channels", "", "--test-channels", "B1_b1"]], ids=" ".join)
+        ["train", "--train-channels", "", "--test-channels", "B1_b1"],
+        ["experiment", "--epochs", "-1"],
+        ["experiment", "--batch", "0"],
+        ["experiment", "--lr", "-0.5"],
+        ["experiment", "--coeffs", "0"],
+        ["experiment", "--mel-channels", "2000"],
+        ["experiment", "--band", "45:42"]], ids=" ".join)
     def test_bad_flag_is_a_usage_error_before_the_manifest_is_read(
             self, tmp_path, capsys, argv):
         # No manifest exists: a flag error must still win, as exit 1.
         command, *flags = argv
-        features = ["--features", f"{tmp_path}/f"]
-        extra = {"extract": [], "train": features,
-                 "eval": [*features, "--model", f"{tmp_path}/m.abmm"],
-                 "scatter": [*features, "--pair", "1:2"]}[command]
-        rc, out, err = run([command, "--manifest", f"{tmp_path}/manifest.json",
-                            *extra, *flags, "--out", f"{tmp_path}/out"], capsys)
+        manifest = ["--manifest", f"{tmp_path}/manifest.json"]
+        features = [*manifest, "--features", f"{tmp_path}/f"]
+        inputs = {"extract": manifest, "train": features,
+                  "eval": [*features, "--model", f"{tmp_path}/m.abmm"],
+                  "scatter": [*features, "--pair", "1:2"],
+                  "experiment": ["seen-motor", "--data", f"{tmp_path}/d"]}[command]
+        rc, out, err = run([command, *inputs, *flags, "--out", f"{tmp_path}/out"],
+                           capsys)
         assert rc == 1
         assert err.startswith("error: ")
         assert out == ""

@@ -90,7 +90,7 @@ class TestGating:
         frames = dataset.gate_frames(recording, MfccConfig(), "H")
         assert frames.index.tolist() == [1, 2, 3, 6]
         assert blocks == [4]
-        whole = dsp.feature_matrix(recording.samples, MfccConfig())
+        whole = dsp.feature_matrix(recording.samples, FS, FRAME, MfccConfig())
         assert frames.coeffs.tobytes() == whole[frames.index].tobytes()
 
     def test_missing_track_is_malformed_input(self):
@@ -100,11 +100,12 @@ class TestGating:
         with pytest.raises(DataError):
             dataset.gate_frames(recording, MfccConfig(), "H")
 
-    def test_track_frame_length_mismatch(self):
-        recording = recording_with_track([43.0] * 4)
-        config = MfccConfig(dft_size=1024)
-        with pytest.raises(DataError):
-            dataset.gate_frames(recording, config, "H")
+    def test_rate_too_high_for_the_mel_channels_names_the_channel(self):
+        track = [43.0] * 2
+        recording = AudioRecording(samples=np.ones(2 * FRAME), fs=400000.0,
+                                   channel_id="c", rotational_freq_track=track)
+        with pytest.raises(DataError, match="^c: 26 Mel channels do not fit"):
+            dataset.gate_frames(recording, MfccConfig(), "H")
 
     def test_kept_fraction_tracks_profile_analytically(self):
         profile = ((0.0, 43.5), (18.0, 43.5), (20.0, 36.0), (24.0, 36.0),

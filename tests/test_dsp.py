@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 import bearingsound
-from bearingsound import dsp
+from bearingsound import audiofile, dsp
 from bearingsound.errors import ConfigError
+
+FS = 25600.0
+N = 2048
 
 
 def direct_dft_power(frame, window):
@@ -43,34 +47,40 @@ def naive_cepstrum(energies, num_coeffs, floor=1e-10):
 class TestConfig:
     def test_defaults_are_valid(self):
         cfg = dsp.MfccConfig()
-        assert cfg.dft_size == 2048
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "num_channels", "num_coeffs", "band_low", "band_high"]
         assert cfg.num_channels == 26
         assert cfg.num_coeffs == 13
         assert (cfg.band_low, cfg.band_high) == (42.0, 45.0)
 
     @pytest.mark.parametrize("kwargs", [
-        {"dft_size": 1000},                      # not a power of two
-        {"dft_size": 0},
         {"num_coeffs": 30},                      # > num_channels
         {"num_channels": 2000},                  # > N/2
+        {"num_channels": dsp.MAX_MEL_CHANNELS + 1},
         {"band_low": 45.0, "band_high": 42.0},   # reversed gating band
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             dsp.MfccConfig(**kwargs)
 
+    def test_channel_bound_is_half_a_frame(self):
+        # The bound a config checks before any file is read, whatever the
+        # recording's rate: half the .rot format's frame.
+        assert dsp.MAX_MEL_CHANNELS == audiofile.FRAME_SAMPLES // 2
+        cfg = dsp.MfccConfig(num_channels=dsp.MAX_MEL_CHANNELS)
+        assert cfg.num_channels == dsp.MAX_MEL_CHANNELS
+
 
 class TestFilterbank:
     def test_single_channel_peaks_at_one(self):
-        cfg = dsp.MfccConfig(dft_size=256, num_channels=1, num_coeffs=1,
-                             sample_rate=8000.0)
-        fb = dsp.build_filterbank(cfg)
+        cfg = dsp.MfccConfig(num_channels=1, num_coeffs=1)
+        fb = dsp.build_filterbank(cfg, 8000.0, 256)
         assert fb.shape == (1, 129)
         assert fb[0].max() == 1.0
         assert 0 < int(np.argmax(fb[0])) < 128
 
     def test_default_centers_interior_and_increasing(self):
-        fb = dsp.build_filterbank(dsp.MfccConfig())
+        fb = dsp.build_filterbank(dsp.MfccConfig(), FS, N)
         centers = np.argmax(fb, axis=1)
         assert len(centers) == 26
         assert np.all(np.diff(centers) > 0)
@@ -79,7 +89,7 @@ class TestFilterbank:
 
     def test_centers_match_scalar_warp_oracle(self):
         cfg = dsp.MfccConfig()
-        fb = dsp.build_filterbank(cfg)
+        fb = dsp.build_filterbank(cfg, FS, N)
 
         def mel(f):
             return 2595.0 * math.log10(1.0 + f / 700.0)
@@ -97,7 +107,7 @@ class TestFilterbank:
             math.floor(2049 * f / 25600.0) for f in expected]
 
     def test_every_row_is_a_triangle(self):
-        fb = dsp.build_filterbank(dsp.MfccConfig())
+        fb = dsp.build_filterbank(dsp.MfccConfig(), FS, N)
         for row in fb:
             assert row.min() >= 0.0
             assert row.max() == 1.0
@@ -107,16 +117,16 @@ class TestFilterbank:
             assert np.all(np.diff(row[peak : support[-1] + 1]) < 0)
 
     def test_adjacent_peak_is_neighbors_zero(self):
-        fb = dsp.build_filterbank(dsp.MfccConfig())
+        fb = dsp.build_filterbank(dsp.MfccConfig(), FS, N)
         peaks = [int(np.argmax(row)) for row in fb]
         for i in range(1, len(peaks)):
             assert fb[i - 1][peaks[i]] == 0.0
             assert fb[i][peaks[i - 1]] == 0.0
 
     def test_too_many_channels_for_coarse_bins(self):
-        cfg = dsp.MfccConfig(dft_size=64, num_channels=26, num_coeffs=13)
+        cfg = dsp.MfccConfig(num_channels=26, num_coeffs=13)
         with pytest.raises(ConfigError):
-            dsp.build_filterbank(cfg)
+            dsp.build_filterbank(cfg, FS, 64)
 
 
 class TestPowerSpectrum:
@@ -172,13 +182,13 @@ class TestWindows:
 class TestFilterbankEnergies:
     def test_zero_spectrum_gives_zero_energies(self):
         cfg = dsp.MfccConfig()
-        fb = dsp.build_filterbank(cfg)
+        fb = dsp.build_filterbank(cfg, FS, N)
         energies = dsp.filterbank_energies(np.zeros(1025), fb)
         assert np.all(energies == 0.0)
 
     def test_unit_bin_at_filter_center(self):
         cfg = dsp.MfccConfig()
-        fb = dsp.build_filterbank(cfg)
+        fb = dsp.build_filterbank(cfg, FS, N)
         center_bin = int(np.argmax(fb[10]))
         spectrum = np.zeros(1025)
         spectrum[center_bin] = 1.0
@@ -188,9 +198,8 @@ class TestFilterbankEnergies:
         assert energies[11] == fb[11][center_bin]
 
     def test_matches_double_loop_oracle(self):
-        cfg = dsp.MfccConfig(dft_size=32, num_channels=4, num_coeffs=3,
-                             sample_rate=1000.0)
-        fb = dsp.build_filterbank(cfg)
+        cfg = dsp.MfccConfig(num_channels=4, num_coeffs=3)
+        fb = dsp.build_filterbank(cfg, 1000.0, 32)
         rng = np.random.default_rng(9)
         spectrum = rng.uniform(0.0, 5.0, size=17)
         expected = np.zeros(4)
@@ -201,7 +210,7 @@ class TestFilterbankEnergies:
         np.testing.assert_allclose(got, expected, rtol=1e-13)
 
     def test_shape_mismatch_rejected(self):
-        fb = dsp.build_filterbank(dsp.MfccConfig())
+        fb = dsp.build_filterbank(dsp.MfccConfig(), FS, N)
         with pytest.raises(ValueError):
             dsp.filterbank_energies(np.zeros(10), fb)
 
@@ -214,7 +223,7 @@ class TestMfcc:
             assert np.all(np.abs(coeffs) < 1e-9)
 
     def test_two_channel_hand_expansion(self):
-        cfg = dsp.MfccConfig(dft_size=16, num_channels=2, num_coeffs=2)
+        cfg = dsp.MfccConfig(num_channels=2, num_coeffs=2)
         coeffs = dsp.mfcc(np.array([math.e, 1.0]), cfg)
         assert abs(coeffs[0] - math.cos(math.pi / 4.0)) < 1e-12
         assert abs(coeffs[1]) < 1e-12
@@ -241,21 +250,21 @@ class TestExtractFeatures:
     def test_two_complete_frames(self):
         cfg = dsp.MfccConfig()
         rng = np.random.default_rng(3)
-        features = dsp.feature_matrix(rng.standard_normal(4096), cfg)
+        features = dsp.feature_matrix(rng.standard_normal(4096), FS, N, cfg)
         assert features.shape == (2, 13)
 
     def test_partial_frame_dropped(self):
         cfg = dsp.MfccConfig()
         rng = np.random.default_rng(3)
-        assert len(dsp.feature_matrix(rng.standard_normal(2047), cfg)) == 0
-        features = dsp.feature_matrix(rng.standard_normal(4097), cfg)
+        assert len(dsp.feature_matrix(rng.standard_normal(2047), FS, N, cfg)) == 0
+        features = dsp.feature_matrix(rng.standard_normal(4097), FS, N, cfg)
         assert len(features) == 2
 
     def test_stationary_tone_yields_stable_features(self):
         cfg = dsp.MfccConfig()
         k = np.arange(10 * 2048)
         tone = np.sin(2.0 * np.pi * 100.0 * k / 25600.0)  # exact-bin frequency
-        features = dsp.feature_matrix(tone, cfg)
+        features = dsp.feature_matrix(tone, FS, N, cfg)
         assert len(features) == 10
         base = features[0]
         for row in features[1:]:
@@ -274,15 +283,15 @@ class TestExtractFeatures:
         # cut at frames 1, 63, 64, 65 and 588 put every frame in other blocks,
         # of 1 to 64 rows. The chain over all 600 frames at once agrees too.
         cfg = dsp.MfccConfig()
-        n = cfg.dft_size
+        n = N
         ints, floats = self.pcm_and_floats()
         samples = ints if pcm else floats
-        whole = dsp.feature_matrix(samples, cfg)
+        whole = dsp.feature_matrix(samples, FS, N, cfg)
         cuts = (0, 1, 63, 64, 65, 588, 600)
-        pieces = [dsp.feature_matrix(samples[a * n : b * n], cfg)
+        pieces = [dsp.feature_matrix(samples[a * n : b * n], FS, N, cfg)
                   for a, b in zip(cuts, cuts[1:])]
         assert np.concatenate(pieces).tobytes() == whole.tobytes()
-        fb = dsp.build_filterbank(cfg)
+        fb = dsp.build_filterbank(cfg, FS, N)
         spectra = dsp.power_spectrum(floats[: 600 * n].reshape(-1, n),
                                      dsp.hann_window(n))
         chain = dsp.mfcc(dsp.filterbank_energies(spectra, fb), cfg)
@@ -298,9 +307,9 @@ class TestExtractFeatures:
         ints, floats = self.pcm_and_floats()
         samples = ints if pcm else floats
         index = np.array(index, dtype=np.int64)
-        got = dsp.feature_matrix(samples, cfg, index=index)
+        got = dsp.feature_matrix(samples, FS, N, cfg, index=index)
         assert got.shape == (len(index), cfg.num_coeffs)
-        assert got.tobytes() == dsp.feature_matrix(samples, cfg)[index].tobytes()
+        assert got.tobytes() == dsp.feature_matrix(samples, FS, N, cfg)[index].tobytes()
 
     def test_same_bytes_on_another_blas_kernel(self):
         # OpenBLAS's Prescott kernel sums a float64 matrix product in another
@@ -309,7 +318,8 @@ class TestExtractFeatures:
         script = ("import hashlib, numpy as np; from bearingsound import dsp; "
                   "ints = np.random.default_rng(8).integers(-32767, 32768, "
                   "600 * 2048 + 5).astype(np.int16); "
-                  "print(hashlib.sha256(dsp.feature_matrix(ints, dsp.MfccConfig())"
+                  "print(hashlib.sha256(dsp.feature_matrix(ints, 25600.0, 2048, "
+                  "dsp.MfccConfig())"
                   ".tobytes()).hexdigest())")
         package_root = str(Path(bearingsound.__file__).resolve().parents[1])
         env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
@@ -319,14 +329,14 @@ class TestExtractFeatures:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         ints, _ = self.pcm_and_floats()
-        here = dsp.feature_matrix(ints, dsp.MfccConfig()).tobytes()
+        here = dsp.feature_matrix(ints, FS, N, dsp.MfccConfig()).tobytes()
         assert proc.stdout.strip() == hashlib.sha256(here).hexdigest()
 
 
 class TestPipelineProperties:
     def test_amplitude_invariance(self):
         cfg = dsp.MfccConfig()
-        fb = dsp.build_filterbank(cfg)
+        fb = dsp.build_filterbank(cfg, FS, N)
         rng = np.random.default_rng(11)
         frame = rng.standard_normal(2048) + np.sin(np.arange(2048) * 0.1)
         window = dsp.hann_window(2048)
@@ -344,18 +354,17 @@ class TestPipelineProperties:
         cfg = dsp.MfccConfig()
         rng = np.random.default_rng(17)
         samples = rng.standard_normal(6 * 2048)
-        first = dsp.feature_matrix(samples, cfg)
-        second = dsp.feature_matrix(samples, cfg)
+        first = dsp.feature_matrix(samples, FS, N, cfg)
+        second = dsp.feature_matrix(samples, FS, N, cfg)
         assert np.array_equal(first, second)
 
     def test_full_chain_matches_naive_oracle_small_n(self):
-        cfg = dsp.MfccConfig(dft_size=64, num_channels=6, num_coeffs=4,
-                             sample_rate=1000.0)
-        fb = dsp.build_filterbank(cfg)
+        cfg = dsp.MfccConfig(num_channels=6, num_coeffs=4)
+        fb = dsp.build_filterbank(cfg, 1000.0, 64)
         window = dsp.hann_window(64)
         rng = np.random.default_rng(23)
         samples = rng.standard_normal(3 * 64)
-        got = dsp.feature_matrix(samples, cfg)
+        got = dsp.feature_matrix(samples, 1000.0, 64, cfg)
         for frame_no in range(3):
             frame = samples[frame_no * 64 : (frame_no + 1) * 64]
             spectrum = direct_dft_power(frame, window)

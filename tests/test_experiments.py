@@ -8,6 +8,10 @@ from bearingsound import audiofile, cli, dataset, experiments, mlp
 from bearingsound.dsp import MfccConfig
 from bearingsound.errors import ConfigError, DataError, FormatError
 
+# What a cache of the 25.6 kHz campaign records under MfccConfig().
+DEFAULT_SETTINGS = {"band_high": 45.0, "band_low": 42.0, "dft_size": 2048,
+                    "num_channels": 26, "num_coeffs": 13, "sample_rate": 25600.0}
+
 
 @pytest.fixture(scope="module")
 def manifest(campaign_dir):
@@ -167,7 +171,7 @@ class TestCaches:
                                   features, log=messages.append)
         assert "gated" in messages[0]
         frames, mfcc = experiments.load_frames(manifest, ("B1_b1",), features)
-        assert mfcc == dataclasses.asdict(MfccConfig())
+        assert mfcc == DEFAULT_SETTINGS
         assert len(frames) > 1
 
     def test_cache_with_a_non_finite_value_is_re_extracted(self, manifest,
@@ -211,7 +215,7 @@ class TestCaches:
         assert len(messages) == 1
         assert messages[0].endswith(f"{len(frames)} gated")
         _, mfcc = experiments.load_frames(manifest, ("B1_b1",), features)
-        assert mfcc == dataclasses.asdict(MfccConfig())
+        assert mfcc == DEFAULT_SETTINGS
 
     def test_fresh_directory_probes_without_errors(self, manifest, tmp_path,
                                                    monkeypatch):
@@ -330,15 +334,15 @@ class TestRun:
             experiments.evaluate_frames(model, frames)
 
     def test_model_records_the_settings_its_caches_hold(self, manifest, tmp_path):
-        # The WAVs are 25.6 kHz; the caller's sample_rate is never read.
+        # The WAVs are 25.6 kHz; the frame length and the rate come from them.
         spec = experiments.named_experiment("seen-motor", manifest, seed=4,
                                             train_size=100, test_size=40)
         experiments.run_experiment(
-            manifest, spec, MfccConfig(sample_rate=16000.0),
+            manifest, spec, MfccConfig(),
             mlp.TrainConfig(epochs=1, seed=4), out_dir=tmp_path / "r",
             features_dir=tmp_path / "f")
         _, mfcc = experiments.load_frames(manifest, spec.channels, tmp_path / "f")
-        assert mfcc == dataclasses.asdict(MfccConfig())
+        assert mfcc == DEFAULT_SETTINGS
         assert mlp.load_model(tmp_path / "r" / "model.abmm").mfcc == mfcc
 
     def test_load_frames_needs_a_channel(self, manifest, tmp_path):

@@ -45,6 +45,7 @@ channels = st.fixed_dictionaries({
 })
 
 
+@pytest.mark.filterwarnings("error")
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(scenario=st.lists(channels, min_size=1, max_size=2))
 def test_synth_and_extract_exit_0_or_2(scenario):

@@ -31,7 +31,9 @@
 # its fault-free twin), one at a subnormal decay (5e-324/s, an
 # OverflowError before), a channel of impact amplitude 1e100, a 30 s
 # scenario with harmonics up to h = 40 and a sparse fault (one impact per
-# 20 turns) and its extract, a scenario whose harmonic lies far above fs/2
+# 20 turns) and its extract, a channel whose peak is about 1e-305 (its WAV
+# gain overflowed to inf before, and the samples were cast as NaN), a
+# scenario whose harmonic lies far above fs/2
 # (a data error), a scenario whose harmonic 10^6 of a 0.01 Hz shaft lies
 # below fs/2 but above the Taylor tables' bound (a data error), a scenario
 # with a NaN duration, one with an unknown key, one with seed 2.9, one with
@@ -40,10 +42,13 @@
 # (data errors, no --out directory), an
 # extract of a channel whose .rot file holds nan (a data error), an extract
 # of two channels whose second WAV is missing (a data error; the first
-# channel's cache is left behind), the four named experiments
-# (600/200 split, 2 epochs), seen-motor with --synth-first on an 8 s
-# campaign, seen-motor again on that campaign after one of its caches was
-# truncated (that channel is extracted again, the others are reused),
+# channel's cache is left behind), an extract of a 0.2 s campaign at
+# 400 kHz, too high a rate for 26 Mel channels in a 2048-sample frame (a
+# data error naming the channel), the four named experiments
+# (600/200 split, 2 epochs), seen-motor on an 8 s campaign synthesized
+# with the same seed, seen-motor again on that campaign after one of its
+# caches was truncated (that channel is extracted again, the others are
+# reused),
 # extract with 10 coefficients, extract with 24 Mel channels,
 # random and by-channel (two channel lists, no mode flag) train and eval,
 # an eval of the random model on a
@@ -51,8 +56,8 @@
 # 24-channel caches (a model whose feature settings differ from its caches'),
 # an eval of it with one std value set to NaN (a data error that writes no
 # report), scatter, and a few usage errors (among them a zero --fs and a
-# fractional one, 25600.5 Hz, for synth, an experiment --synth-first whose
-# --epochs is rejected before any campaign is written, a train whose --epochs is
+# fractional one, 25600.5 Hz, for synth, an experiment with no campaign
+# whose --epochs is rejected before its manifest is looked for, a train whose --epochs is
 # rejected before its missing caches are looked for, an extract whose
 # --channels list is empty, an extract whose --band is reversed and a synth
 # at --seed -1), a
@@ -164,6 +169,12 @@ run synth-scenario-rich-sparse synth --scenario "$out/scenario-rich-sparse.json"
 run extract-rich-sparse extract \
     --manifest "$out/scenario-rich-sparse-campaign/manifest.json" \
     --out "$out/scenario-rich-sparse-campaign/features"
+cat > "$out/scenario-tiny-peak.json" <<EOF
+[{"channel": "P1", "label": "H", "seed": 13, "duration": 0.5,
+  "profile": [[0, 43.0]], "harmonics": [[1, 1e-305]], "noise_level": 0}]
+EOF
+run synth-scenario-tiny-peak synth --scenario "$out/scenario-tiny-peak.json" \
+    --out "$out/scenario-tiny-peak-campaign"
 cat > "$out/scenario-above-nyquist.json" <<EOF
 [{"channel": "N1", "label": "H", "seed": 13, "duration": 0.05,
   "profile": [[0, 43.0]], "harmonics": [[1, 1.0], [3000000, 0.5]]}]
@@ -226,15 +237,22 @@ cp "$out/campaign-odd/"{manifest.json,A1_b1.wav,A1_b1.rot,B1_b1.rot} \
     "$out/missing-wav/"
 run error-extract-missing-wav extract --manifest "$out/missing-wav/manifest.json" \
     --channels A1_b1,B1_b1 --out "$out/missing-wav/features"
+run synth-high-rate --seed 5 synth --default-campaign --fs 400000 --duration 0.2 \
+    --out "$out/campaign-high-rate"
+run error-extract-high-rate extract \
+    --manifest "$out/campaign-high-rate/manifest.json" \
+    --out "$out/campaign-high-rate/features"
 
 for name in seen-motor seen-gearbox unseen-A2b2 unseen-A1b1; do
     run "experiment-$name" --seed 5 experiment "$name" --data "$data" \
         --train-size 600 --test-size 200 --epochs 2 \
         --out "$out/experiments/$name"
 done
-run experiment-synth-first --seed 5 experiment seen-motor --synth-first \
-    --data "$out/synth-first" --duration 8 --train-size 200 --test-size 50 \
-    --epochs 1 --out "$out/synth-first-results"
+run synth-first --seed 5 synth --default-campaign --duration 8 \
+    --out "$out/synth-first"
+run experiment-synth-first --seed 5 experiment seen-motor \
+    --data "$out/synth-first" --train-size 200 --test-size 50 --epochs 1 \
+    --out "$out/synth-first-results"
 truncate -s -100 "$out/synth-first/features/A2_b2.abfc"
 run experiment-stale-cache --seed 5 experiment seen-motor \
     --data "$out/synth-first" --train-size 200 --test-size 50 --epochs 1 \
@@ -288,8 +306,8 @@ run error-experiment-size-zero experiment seen-motor --data "$data" \
 run error-synth-fs-zero synth --default-campaign --fs 0 --out "$out/error-synth"
 run error-synth-fs-fraction synth --default-campaign --fs 25600.5 \
     --out "$out/error-synth"
-run error-experiment-epochs-negative experiment seen-motor --synth-first \
-    --duration 2 --epochs -1 --data "$out/error-epochs-data"
+run error-experiment-epochs-negative experiment seen-motor --epochs -1 \
+    --data "$out/error-epochs-data"
 run error-train-epochs-negative train --manifest "$data/manifest.json" \
     --features "$out/no-features" --epochs -1 --out "$out/error.abmm"
 run error-extract-channels-empty extract --manifest "$data/manifest.json" \
