@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DataError, FormatError
@@ -53,14 +53,21 @@ class ManifestEntry:
     description: str
 
 
-def manifest_entry(channel_id: str, fields) -> ManifestEntry:
-    """fields (a manifest or scenario object) as a checked ManifestEntry; a
-    missing file or label is a KeyError, as for any mapping."""
+# The keys of a manifest entry; a scenario channel has all but file.
+MANIFEST_KEYS = frozenset(field.name for field in fields(ManifestEntry))
+
+
+def manifest_entry(channel_id: str, record: dict) -> ManifestEntry:
+    """record as a checked ManifestEntry; a key outside MANIFEST_KEYS is a
+    DataError (a misspelt one would leave its field at the default), a
+    missing file or label a KeyError, as for any mapping."""
+    if unknown := sorted(record.keys() - MANIFEST_KEYS):
+        raise DataError(f"{channel_id}: unknown manifest keys: {', '.join(unknown)}")
     entry = ManifestEntry(
-        file=str(fields["file"]), label=str(fields["label"]),
-        axle=str(fields.get("axle", "")),
-        component=str(fields.get("component", "motor")),
-        description=str(fields.get("description", "")))
+        file=str(record["file"]), label=str(record["label"]),
+        axle=str(record.get("axle", "")),
+        component=str(record.get("component", "motor")),
+        description=str(record.get("description", "")))
     check_channel(channel_id, entry.label, entry.component)
     return entry
 

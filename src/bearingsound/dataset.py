@@ -57,7 +57,7 @@ def load_manifest(path) -> Manifest:
     for channel_id, fields in raw.items():
         try:
             entries[channel_id] = manifest_entry(channel_id, fields)
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:  # AttributeError: not an object
             raise DataError(f"{path}: bad entry for {channel_id} ({exc})") from exc
     return Manifest(entries=entries, base_dir=path.parent)
 

@@ -68,6 +68,12 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1)))
 
 
+def _mel_bins(k: int, fs: float, n: int) -> np.ndarray:
+    """The DFT bins of k + 2 equidistant Mel points from 0 to fs/2."""
+    hz_points = mel_to_hz(np.linspace(0.0, hz_to_mel(fs / 2.0), k + 2))
+    return np.minimum(np.floor((n + 1) * hz_points / fs).astype(int), n // 2)
+
+
 def build_filterbank(config: MfccConfig, fs: float, n: int) -> np.ndarray:
     """The triangular Mel filter weights of n-sample frames at fs Hz, shape
     (num_channels, n//2 + 1).
@@ -77,16 +83,17 @@ def build_filterbank(config: MfccConfig, fs: float, n: int) -> np.ndarray:
     Row i rises from the previous center bin to exactly 1.0 at its own,
     which is the zero of rows i-1 and i+1, and falls to zero at the next.
     Raises ConfigError when the Mel points collapse onto non-distinct DFT
-    bins, i.e. when fs/n is too coarse for the channel count.
+    bins, i.e. when fs/n is too coarse for the channel count; it names the
+    most channels that fit.
     """
     k = config.num_channels
-    mel_points = np.linspace(0.0, hz_to_mel(fs / 2.0), k + 2)
-    hz_points = mel_to_hz(mel_points)
-    bins = np.floor((n + 1) * hz_points / fs).astype(int)
-    bins = np.minimum(bins, n // 2)
+    bins = _mel_bins(k, fs, n)
     if np.any(np.diff(bins) < 1):
+        # k + 2 distinct bins of n//2 + 1 hold at most n//2 - 1 channels.
+        fits = next((j for j in range(min(k, n // 2) - 1, 0, -1)
+                     if np.all(np.diff(_mel_bins(j, fs, n)) >= 1)), 0)
         raise ConfigError(f"{k} Mel channels do not fit below {fs / 2.0} Hz "
-                          f"at a bin width of {fs / n:.3f} Hz")
+                          f"at a bin width of {fs / n:.3f} Hz; at most {fits} do")
 
     weights = np.zeros((k, n // 2 + 1))
     for i in range(k):

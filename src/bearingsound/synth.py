@@ -28,13 +28,13 @@ impact component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .audiofile import FRAME_SAMPLES, AudioRecording
-from .common import ManifestEntry, manifest_entry, read_json
+from .common import MANIFEST_KEYS, ManifestEntry, manifest_entry, read_json
 from .errors import ConfigError, DataError
 
 OUTER_RING = "outer_ring"
@@ -43,67 +43,68 @@ INNER_RING = "inner_ring"
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Parameters of one localized raceway fault."""
+    """One localized raceway fault; its fields are a scenario fault's keys."""
 
-    fault_kind: str
-    fault_freq_ratio: float
-    impulse_amplitude: float
+    kind: str
+    freq_ratio: float
+    amplitude: float
     resonance_freq: float
     resonance_decay: float
-    severity_jitter: float = 0.0
+    jitter: float = 0.0
 
     def __post_init__(self):
-        if self.fault_kind not in (OUTER_RING, INNER_RING):
-            raise ConfigError(f"unknown fault kind: {self.fault_kind!r}")
-        if not 0 < self.fault_freq_ratio < math.inf:
-            raise ConfigError("fault_freq_ratio must be positive and finite")
-        if not 0 < self.resonance_decay < math.inf:
-            raise ConfigError("resonance_decay must be positive and finite")
-        if not (math.isfinite(self.impulse_amplitude) and math.isfinite(self.resonance_freq)):
-            raise ConfigError("impulse_amplitude and resonance_freq must be finite")
-        if not (0.0 <= self.severity_jitter < 1.0):
-            raise ConfigError("severity_jitter must be in [0, 1)")
+        _set_floats(self)
+        if self.kind not in (OUTER_RING, INNER_RING):
+            raise ConfigError(f"unknown fault kind: {self.kind!r}")
+        for name in ("freq_ratio", "resonance_decay"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.resonance_freq)):
+            raise ConfigError("amplitude and resonance_freq must be finite")
+        if not (0.0 <= self.jitter < 1.0):
+            raise ConfigError("jitter must be in [0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SynthConfig:
-    """Full parameterization of one synthetic channel."""
+    """One synthetic channel; its fields are a scenario channel's other keys."""
 
     fs: float = 25600.0
-    duration: float = 10.0
-    seed: int = 0
-    rotational_freq_profile: tuple = ((0.0, 43.0),)
-    harmonic_amplitudes: tuple = ((1, 1.0),)
+    duration: float
+    seed: int
+    profile: tuple
+    harmonics: tuple = ((1, 1.0),)
     noise_level: float = 0.0
     fault: FaultSpec | None = None
 
     def __post_init__(self):
+        _set_floats(self)
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0 < self.fs < math.inf:
             raise ConfigError("fs must be positive and finite")
         # A 16-bit WAV header states whole Hz, and twice that (its byte rate) in 32 bits.
-        if not (float(self.fs).is_integer() and self.fs < 1 << 31):
+        if not (self.fs.is_integer() and self.fs < 1 << 31):
             raise ConfigError(f"fs: {self.fs!r} is not a whole number of Hz below 2^31")
         if not 0 < self.duration < math.inf:
             raise ConfigError("duration must be positive and finite")
-        profile = tuple((float(t), float(f)) for t, f in self.rotational_freq_profile)
+        profile = tuple((float(t), float(f)) for t, f in self.profile)
         if not profile:
-            raise ConfigError("rotational_freq_profile must not be empty")
+            raise ConfigError("profile must not be empty")
         times = [t for t, _ in profile]
         if not np.isfinite(times).all() or any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("profile breakpoint times must be finite and strictly increasing")
         if not all(0 < f < math.inf for _, f in profile):
             raise ConfigError("rotational frequency must stay positive and finite")
-        object.__setattr__(self, "rotational_freq_profile", profile)
+        object.__setattr__(self, "profile", profile)
         harmonics = tuple((_integer("harmonics", h), float(a))
-                          for h, a in self.harmonic_amplitudes)
+                          for h, a in self.harmonics)
         if any(h <= 0 for h, _ in harmonics):
             raise ConfigError("harmonic numbers must be positive")
         if not all(0 <= a < math.inf for _, a in harmonics):
             raise ConfigError("harmonic amplitudes must be non-negative and finite")
-        object.__setattr__(self, "harmonic_amplitudes", harmonics)
+        object.__setattr__(self, "harmonics", harmonics)
         # A harmonic at or above fs/2 would alias.
         top = max((h for h, _ in harmonics), default=0)
         fastest = max(f for _, f in profile)
@@ -118,9 +119,16 @@ class SynthConfig:
         if self.fault is not None and self.fault.resonance_freq >= self.fs / 2:
             raise ConfigError("resonance_freq must be below fs/2")
         # Below fs/2 a sample crosses at most one turn of the impact train.
-        if self.fault is not None and self.fault.fault_freq_ratio * fastest >= self.fs / 2:
-            raise ConfigError(f"fault rate {self.fault.fault_freq_ratio} x {fastest} Hz "
+        if self.fault is not None and self.fault.freq_ratio * fastest >= self.fs / 2:
+            raise ConfigError(f"fault rate {self.fault.freq_ratio} x {fastest} Hz "
                               f"is at or above fs/2 = {self.fs / 2} Hz")
+
+
+def _set_floats(config) -> None:
+    """Make each field annotated float a float: an int gave integer arrays."""
+    for field in fields(config):
+        if field.type == "float":
+            object.__setattr__(config, field.name, float(getattr(config, field.name)))
 
 
 def _integer(key: str, value) -> int:
@@ -133,8 +141,7 @@ def _integer(key: str, value) -> int:
 
 def sample_profile(profile, t: np.ndarray) -> np.ndarray:
     """Piecewise-linear rotational frequency at times t (clamped at the ends)."""
-    times = np.array([p[0] for p in profile])
-    freqs = np.array([p[1] for p in profile])
+    times, freqs = np.array(profile, dtype=float).T
     return np.interp(t, times, freqs)
 
 
@@ -160,7 +167,7 @@ def _shaft_revolutions(config: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
         block = revs[start : start + _STREAM_BLOCK]
         t = np.arange(start, start + len(block), dtype=float)
         t /= config.fs
-        freq = sample_profile(config.rotational_freq_profile, t)
+        freq = sample_profile(config.profile, t)
         frames = len(block) // FRAME_SAMPLES
         first = start // FRAME_SAMPLES
         track[first : first + frames] = (
@@ -185,22 +192,22 @@ def _fault_impulses(config: SynthConfig, revs: np.ndarray,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample indices and amplitudes of the impact train.
 
-    severity_jitter scales every randomization: per-impact timing, the
+    jitter scales every randomization: per-impact timing, the
     per-impact amplitude scatter, and the depth of the slow regime drift.
     """
     fault = config.fault
     # Impact k lands on the first sample at or past k / ratio revolutions; the
     # last sample, past all `turns` of them, takes those no earlier one does.
-    ratio = fault.fault_freq_ratio
+    ratio = fault.freq_ratio
     turns = math.floor(ratio * revs[-1]) if len(revs) else 0
     indices = np.searchsorted(revs[:-1], np.arange(1, turns + 1) / ratio)
-    amps = np.full(indices.size, fault.impulse_amplitude)
-    jitter = fault.severity_jitter
+    amps = np.full(indices.size, fault.amplitude)
+    jitter = fault.jitter
     if jitter > 0:
         # The profile at the impact times: the values _shaft_revolutions
         # sampled there, without keeping its full-length array alive.
-        freq = sample_profile(config.rotational_freq_profile, indices / config.fs)
-        period = config.fs / (fault.fault_freq_ratio * freq)
+        freq = sample_profile(config.profile, indices / config.fs)
+        period = config.fs / (fault.freq_ratio * freq)
         shift = np.rint(jitter * period
                         * rng.uniform(-1.0, 1.0, size=indices.size)).astype(int)
         indices = np.clip(indices + shift, 0, len(revs) - 1)
@@ -212,7 +219,7 @@ def _fault_impulses(config: SynthConfig, revs: np.ndarray,
                               num_blocks - 1)
         amps *= 1.0 + jitter * levels[block_of]
         amps *= 1.0 + (jitter / 3.0) * rng.uniform(-1.0, 1.0, size=indices.size)
-    if fault.fault_kind == INNER_RING:
+    if fault.kind == INNER_RING:
         amps *= 1.0 + np.cos(2.0 * np.pi * revs[indices])
     return indices, amps
 
@@ -359,7 +366,7 @@ def synth_recording(config: SynthConfig, channel_id: str = "synth") -> AudioReco
     if config.fault is not None:
         indices, amps = _fault_impulses(config, revs, rng_fault)
 
-    signal = _harmonic_sum(config.harmonic_amplitudes, revs, rng_phase)
+    signal = _harmonic_sum(config.harmonics, revs, rng_phase)
 
     if config.noise_level > 0:
         # Drawn block by block into one buffer: the same stream as one
@@ -397,9 +404,8 @@ _BASE_HARMONICS = ((1, 1.00), (2, 0.55), (3, 0.40), (4, 0.28),
                    (5, 0.20), (6, 0.14), (7, 0.10), (8, 0.07))
 _NOISE_LEVEL = 0.35
 
-# (channel, label, axle, component, description, fault kind or None,
-#  fault ratio, impact-to-harmonic power in dB, resonance Hz, decay 1/s,
-#  severity jitter)
+# (channel, label, axle, component, description, fault kind or None, freq_ratio,
+#  impact-to-harmonic power in dB, resonance_freq, resonance_decay, jitter)
 _DEFAULT_CHANNELS = (
     ("A1_b1", "D", "A1", "motor", "inner ring pitting, very early stage",
      INNER_RING, 5.4, -8.0, 4300.0, 900.0, 0.75),
@@ -432,92 +438,85 @@ def _channel_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def impulse_amplitude_for_power(power_db: float, harmonics, profile,
-                                fault_kind: str, fault_freq_ratio: float,
-                                resonance_freq: float, resonance_decay: float,
-                                fs: float, duration: float) -> float:
-    """Impact amplitude that puts the train's mean power at power_db relative
-    to the harmonic component."""
-    harmonic_ms = 0.5 * sum(a * a for _, a in harmonics)
-    t = np.linspace(0.0, duration, 512)
-    mean_fr = float(np.mean(sample_profile(profile, t)))
+def impulse_amplitude_for_power(power_db: float, config: SynthConfig) -> float:
+    """Impact amplitude that puts the mean power of the impact train of config,
+    a checked faulted channel, at power_db relative to its harmonics."""
+    fault = config.fault
+    harmonic_ms = 0.5 * sum(a * a for _, a in config.harmonics)
+    t = np.linspace(0.0, config.duration, 512)
+    mean_fr = float(np.mean(sample_profile(config.profile, t)))
     # Resonance energy over the recording: sum over k < n of (|a|^2k - Re a^2k)/2.
-    n = int(round(duration * fs))
-    step = 2.0 * complex(-resonance_decay, 2.0 * np.pi * resonance_freq) / fs
+    n = int(round(config.duration * config.fs))
+    step = 2.0 * complex(-fault.resonance_decay, 2.0 * np.pi * fault.resonance_freq) / config.fs
     kernel_energy = 0.5 * float(np.expm1(n * step.real) / np.expm1(step.real)
                                 - (np.expm1(n * step) / np.expm1(step)).real)
-    rate = fault_freq_ratio * mean_fr
-    modulation_ms = 1.5 if fault_kind == INNER_RING else 1.0
+    rate = fault.freq_ratio * mean_fr
+    modulation_ms = 1.5 if fault.kind == INNER_RING else 1.0
     target_ms = harmonic_ms * 10.0 ** (power_db / 10.0)
-    return float(np.sqrt(target_ms * fs / (rate * kernel_energy * modulation_ms)))
+    return float(np.sqrt(target_ms * config.fs / (rate * kernel_energy * modulation_ms)))
 
 
 def default_scenario(seed: int, duration: float = CAMPAIGN_DURATION_S,
                      fs: float = SynthConfig.fs) -> list[ChannelSpec]:
     """Six-channel campaign: three damaged bearings (inner-ring motor,
     outer-ring motor, outer-ring gearbox) and their healthy references, built
-    in ``scenario_from_json``'s schema by ``channel_from_json``."""
+    by ``channel_from_json``; each fault is checked at amplitude 1 first."""
     channels = []
     for index, row in enumerate(_DEFAULT_CHANNELS):
         (channel_id, label, axle, component, description,
          kind, ratio, db, res_f, decay, jitter) = row
         channel_rng = np.random.default_rng(np.random.SeedSequence([seed, 977, index]))
-        harmonics = [(h, a * channel_rng.uniform(0.97, 1.03)) for h, a in _BASE_HARMONICS]
-        profile = _default_profile(duration, index)
         fault = None if kind is None else {
-            "kind": kind, "freq_ratio": ratio,
-            "amplitude": impulse_amplitude_for_power(
-                db, harmonics, profile, kind, ratio, res_f, decay, fs, duration),
+            "kind": kind, "freq_ratio": ratio, "amplitude": 1.0,
             "resonance_freq": res_f, "resonance_decay": decay, "jitter": jitter}
-        channels.append(channel_from_json({
+        entry = {
             "channel": channel_id, "label": label, "axle": axle,
             "component": component, "description": description,
             "seed": _channel_seed(seed, index), "fs": fs, "duration": duration,
-            "profile": profile, "harmonics": harmonics,
-            "noise_level": _NOISE_LEVEL, "fault": fault}))
+            "profile": _default_profile(duration, index),
+            "harmonics": [(h, a * channel_rng.uniform(0.97, 1.03)) for h, a in _BASE_HARMONICS],
+            "noise_level": _NOISE_LEVEL, "fault": fault}
+        if fault is not None:
+            fault["amplitude"] = impulse_amplitude_for_power(db, channel_from_json(entry).config)
+        channels.append(channel_from_json(entry))
     return channels
 
 
-# Keys of a scenario's channel and fault objects: any other is a data error.
-_CHANNEL_KEYS = {"channel", "label", "axle", "component", "description", "seed",
-                 "fs", "duration", "profile", "harmonics", "noise_level", "fault"}
-_FAULT_KEYS = {"kind", "freq_ratio", "amplitude", "resonance_freq",
-               "resonance_decay", "jitter"}
+def _from_keys(cls, what: str, given: dict):
+    """cls(**given); a key of given that is not a field of cls, or a field
+    without a default that given lacks, is a DataError naming it."""
+    names = {f.name for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    for problem, keys in (("unknown", given.keys() - names), ("missing", required - given.keys())):
+        if keys:
+            raise DataError(f"{problem} {what} keys: {', '.join(sorted(keys))}")
+    return cls(**given)
 
 
 def channel_from_json(entry: dict) -> ChannelSpec:
-    """One channel object of ``scenario_from_json``'s schema as a ChannelSpec."""
-    f = entry.get("fault") or {}
-    for what, fields, known in (("channel", entry, _CHANNEL_KEYS), ("fault", f, _FAULT_KEYS)):
-        if unknown := sorted(fields.keys() - known):
-            raise DataError(f"unknown {what} keys: {', '.join(unknown)}")
-    fault = FaultSpec(
-        f["kind"], float(f["freq_ratio"]), float(f["amplitude"]),
-        float(f["resonance_freq"]), float(f["resonance_decay"]),
-        severity_jitter=float(f.get("jitter", 0.0))) if f else None
-    config = SynthConfig(
-        fs=float(entry.get("fs", SynthConfig.fs)), duration=float(entry["duration"]),
-        seed=entry["seed"], rotational_freq_profile=entry["profile"],
-        harmonic_amplitudes=entry.get("harmonics", SynthConfig.harmonic_amplitudes),
-        noise_level=float(entry.get("noise_level", SynthConfig.noise_level)),
-        fault=fault)
-    channel_id = str(entry["channel"])
+    """A scenario's channel object as a ChannelSpec. Its keys are channel, the
+    ``ManifestEntry`` fields but file (the WAV is <channel>.wav) and the
+    ``SynthConfig`` fields; fault is null or an object of ``FaultSpec``'s.
+    profile is [[t, hz], ...] and harmonics [[h, amp], ...]."""
+    config = {**entry}
+    channel_id = str(config.pop("channel"))
+    record = {key: config.pop(key) for key in (MANIFEST_KEYS - {"file"}) & config.keys()}
+    if (fault := config.get("fault")) is not None:
+        if not isinstance(fault, dict):
+            raise DataError(f"fault must be null or an object, got {fault!r}")
+        config["fault"] = _from_keys(FaultSpec, "fault", fault)
+    config = _from_keys(SynthConfig, "channel", config)
     # A shorter recording has no frame, so no .rot entry to extract.
     if round(config.duration * config.fs) < FRAME_SAMPLES:
         raise DataError(f"{channel_id}: shorter than one {FRAME_SAMPLES}-sample frame")
     return ChannelSpec(channel_id, manifest_entry(
-        channel_id, {**entry, "file": f"{channel_id}.wav"}), config)
+        channel_id, {**record, "file": f"{channel_id}.wav"}), config)
 
 
 def scenario_from_json(path) -> list[ChannelSpec]:
-    """Load a campaign description from a JSON file.
-
-    The file holds a list of channel objects with keys: channel, label, axle,
-    component, description, seed, fs, duration, profile ([[t, hz], ...]),
-    harmonics ([[h, amp], ...]), noise_level, and fault (null or an object
-    with kind, freq_ratio, amplitude, resonance_freq, resonance_decay,
-    jitter). Any other key, or a number that is not finite, is a DataError.
-    """
+    """A campaign from a JSON file: a list of ``channel_from_json`` objects.
+    An unknown key, a missing one that has no default, or a number that is
+    not finite is a DataError."""
     path = Path(path)
     raw = read_json(path, "scenario file")
     if not isinstance(raw, list):

@@ -225,8 +225,8 @@ def test_criterion_8_gating_exactness():
         profile = ((0.0, 43.7), (30.0, 43.7), (34.0, 33.0), (40.0, 33.0),
                    (46.0, 44.2), (duration, 44.2))
         config = synth.SynthConfig(fs=25600.0, duration=duration, seed=6,
-                                   rotational_freq_profile=profile,
-                                   harmonic_amplitudes=((1, 1.0),),
+                                   profile=profile,
+                                   harmonics=((1, 1.0),),
                                    noise_level=0.1)
         recording = synth.synth_recording(config, "gate")
         frames = dataset.gate_frames(recording, MfccConfig(), "H")

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -166,6 +167,45 @@ class TestSynthCommand:
         assert err == "data error: A1_b1: shorter than one 2048-sample frame\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,code,shown", [
+        (["--fs", "1"], 1, "error: harmonic 8 of the 44.2 Hz shaft speed is at or "
+                           "above fs/2 = 0.5 Hz\n"),
+        (["--fs", "100"], 1, "error: harmonic 8 of the 44.2 Hz shaft speed is at or "
+                             "above fs/2 = 50.0 Hz\n"),
+        (["--duration", "1e-6"], 2,
+         "data error: A1_b1: shorter than one 2048-sample frame\n"),
+        (["--duration", "2e-5"], 2,
+         "data error: A1_b1: shorter than one 2048-sample frame\n")],
+        ids=["fs-1", "fs-100", "duration-1e-6", "duration-2e-5"])
+    def test_default_campaign_is_checked_before_its_amplitudes(
+            self, tmp_path, capsys, flags, code, shown):
+        # Each once divided by a zero resonance energy while the impact
+        # amplitudes were derived, before the channel's checks: a traceback.
+        out = tmp_path / "out"
+        assert run(["synth", "--default-campaign", *flags, "--out", str(out)],
+                   capsys) == (code, "", shown)
+        assert not out.exists()
+
+    def test_default_campaign_is_its_own_scenario(self, tmp_path):
+        # Each channel as its id, its manifest record but the file, and its
+        # config: synth --scenario writes the default campaign's bytes.
+        scenario = [{"channel": spec.channel_id, **dataclasses.asdict(spec.entry),
+                     **dataclasses.asdict(spec.config)}
+                    for spec in synth.default_scenario(5, duration=3.0)]
+        for channel in scenario:
+            del channel["file"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        default, from_file = tmp_path / "default", tmp_path / "scenario"
+        assert cli.main(["--seed", "5", "synth", "--default-campaign",
+                         "--duration", "3", "--out", str(default)]) == 0
+        assert cli.main(["synth", "--scenario", str(path), "--out", str(from_file)]) == 0
+        names = sorted(p.name for p in default.iterdir())
+        assert len(names) == 6 * 2 + 1  # .wav, .rot; manifest
+        assert sorted(p.name for p in from_file.iterdir()) == names
+        for name in names:
+            assert (default / name).read_bytes() == (from_file / name).read_bytes()
+
     @pytest.mark.parametrize("fields,shown", [
         ({"fs": 25600.5, "duration": 1}, "fs: 25600.5 is not a whole number"),
         ({"duration": 0.05}, "Z1: shorter than one 2048-sample frame")])
@@ -242,11 +282,11 @@ class TestSynthCommand:
         (("profile", 1, 0), "breakpoint times"),
         (("profile", 0, 1), "rotational frequency"),
         (("harmonics", 1, 1), "harmonic amplitudes"),
-        (("fault", "freq_ratio"), "fault_freq_ratio"),
-        (("fault", "amplitude"), "impulse_amplitude"),
+        (("fault", "freq_ratio"), "freq_ratio"),
+        (("fault", "amplitude"), "amplitude"),
         (("fault", "resonance_freq"), "resonance_freq"),
         (("fault", "resonance_decay"), "resonance_decay"),
-        (("fault", "jitter"), "severity_jitter")],
+        (("fault", "jitter"), "jitter")],
         ids=lambda p: "/".join(map(str, p)) if isinstance(p, tuple) else None)
     def test_non_finite_scenario_number_is_a_data_error(self, tmp_path, capsys,
                                                         path, message, value):
@@ -255,6 +295,10 @@ class TestSynthCommand:
         rc, err, out = self.synth_with(tmp_path, capsys, path, value)
         assert rc == 2, err
         assert err.startswith("data error: ") and message in err
+        # Each mention is the scenario's key itself, not an older, longer
+        # field name that contains it, as the fault's three once were.
+        reason = err.partition("bad channel entry (")[2]
+        assert set(re.findall(rf"\w*{message}\w*", reason)) == {message}
         assert not out.exists()
 
     @pytest.mark.parametrize("path,value", [
@@ -302,6 +346,56 @@ class TestSynthCommand:
         assert rc == 2, err
         assert err.startswith("data error: ") and "fault rate" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fault,shown", [
+        ({}, "missing fault keys: amplitude, freq_ratio, kind, resonance_decay, "
+             "resonance_freq"),
+        (False, "fault must be null or an object, got False"),
+        (0, "fault must be null or an object, got 0"),
+        ([], "fault must be null or an object, got []"),
+        ("", "fault must be null or an object, got ''"),
+        ("outer_ring", "fault must be null or an object, got 'outer_ring'")],
+        ids=["empty-object", "false", "zero", "empty-list", "empty-string", "string"])
+    def test_fault_that_is_not_a_fault_object_is_a_data_error(self, tmp_path, capsys,
+                                                               fault, shown):
+        # The first five once synthesized a fault-free channel labelled D, exit 0.
+        rc, err, out = self.synth_with(tmp_path, capsys, ("fault",), fault)
+        assert rc == 2, err
+        assert err.startswith("data error: ") and err.endswith(f"({shown})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["seed", "duration", "profile"])
+    def test_missing_channel_key_without_a_default_is_a_data_error(
+            self, tmp_path, capsys, key):
+        channel = copy.deepcopy(self.SCENARIO)
+        del channel[key]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps([channel]))
+        out = tmp_path / "out"
+        rc, _, err = run(["synth", "--scenario", str(scenario), "--out", str(out)],
+                         capsys)
+        assert rc == 2
+        assert err == (f"data error: {scenario}: bad channel entry "
+                       f"(missing channel keys: {key})\n")
+        assert not out.exists()
+
+    def test_integer_spellings_write_the_bytes_of_float_ones(self, tmp_path, capsys):
+        # An int amplitude once reached np.full and made an int64 impact train.
+        outputs = []
+        for number in (int, float):
+            channel = copy.deepcopy(self.SCENARIO)
+            channel.update(fs=number(16000), duration=number(1),
+                           harmonics=[[1, number(1)], [2, 0.5]])
+            channel["fault"].update(amplitude=number(1), resonance_freq=number(4000),
+                                    resonance_decay=number(900))
+            scenario = tmp_path / f"{number.__name__}.json"
+            scenario.write_text(json.dumps([channel]))
+            out = tmp_path / number.__name__
+            assert run(["synth", "--scenario", str(scenario), "--out", str(out)],
+                       capsys)[0] == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == ["F1.rot", "F1.wav", "manifest.json"]
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("where,key", [(None, "noise"), ("fault", "modulated")])
     def test_unknown_scenario_key_is_a_data_error(self, tmp_path, capsys, where,
@@ -469,6 +563,19 @@ class TestExtractCommand:
                           "--out", str(tmp_path / "f")], capsys)
         assert rc == 2
         assert err.endswith("manifest.json: manifest must be a JSON object\n")
+
+    def test_unknown_manifest_key_is_a_data_error(self, campaign_dir, tmp_path, capsys):
+        # A misspelt "componnet" was dropped, so B2_b3 read as a motor channel
+        # and seen-gearbox found no healthy gearbox channel after extract.
+        manifest = json.loads((campaign_dir / "manifest.json").read_text())
+        manifest["B2_b3"]["componnet"] = manifest["B2_b3"].pop("component")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        rc, out, err = run(["extract", "--manifest", str(path),
+                            "--out", str(tmp_path / "f")], capsys)
+        assert (rc, out, err) == (2, "", "data error: B2_b3: unknown manifest keys: "
+                                         "componnet\n")
+        assert not (tmp_path / "f").exists()
 
     def test_rot_one_entry_short_is_a_data_error(self, tmp_path, capsys):
         # 2 s at 25.6 kHz is 25 frames of 2048 samples.
@@ -986,7 +1093,7 @@ class TestSampleRateFromWav:
                             "--out", str(tmp_path / "f")], capsys)
         assert (rc, out) == (2, "")
         assert err == ("data error: A1_b1: 26 Mel channels do not fit below "
-                       "200000.0 Hz at a bin width of 195.312 Hz\n")
+                       "200000.0 Hz at a bin width of 195.312 Hz; at most 22 do\n")
 
 
 class TestUsageErrors:
@@ -1232,4 +1339,4 @@ class TestDefaults:
         assert cli._mfcc_config(args) == MfccConfig()
         assert cli._train_config(args) == mlp.TrainConfig()
         args = parser.parse_args(["synth", "--default-campaign", "--out", "o"])
-        assert args.fs == synth.SynthConfig().fs
+        assert args.fs == synth.SynthConfig.fs

@@ -104,15 +104,17 @@ class TestGating:
         track = [43.0] * 2
         recording = AudioRecording(samples=np.ones(2 * FRAME), fs=400000.0,
                                    channel_id="c", rotational_freq_track=track)
-        with pytest.raises(DataError, match="^c: 26 Mel channels do not fit"):
+        with pytest.raises(DataError) as info:
             dataset.gate_frames(recording, MfccConfig(), "H")
+        assert str(info.value) == ("c: 26 Mel channels do not fit below 200000.0 Hz "
+                                   "at a bin width of 195.312 Hz; at most 22 do")
 
     def test_kept_fraction_tracks_profile_analytically(self):
         profile = ((0.0, 43.5), (18.0, 43.5), (20.0, 36.0), (24.0, 36.0),
                    (26.0, 44.0), (40.96, 44.0))
         config = synth.SynthConfig(fs=FS, duration=40.96, seed=2,
-                                   rotational_freq_profile=profile,
-                                   harmonic_amplitudes=((1, 1.0),),
+                                   profile=profile,
+                                   harmonics=((1, 1.0),),
                                    noise_level=0.1)
         recording = synth.synth_recording(config, "p")
         frames = dataset.gate_frames(recording, MfccConfig(), "H")
@@ -145,7 +147,7 @@ class TestGating:
             recording = synth.synth_recording(spec.config, spec.channel_id)
             frames = dataset.gate_frames(recording, config, spec.entry.label)
             num_frames = len(recording.samples) // FRAME
-            means = profile_frame_means(spec.config.rotational_freq_profile,
+            means = profile_frame_means(spec.config.profile,
                                         num_frames)
             expected = int(np.sum((means >= 42.0) & (means <= 45.0)))
             assert len(frames) == expected
@@ -387,6 +389,20 @@ class TestManifest:
         with pytest.raises(DataError, match="duplicate key in manifest: label") as info:
             dataset.load_manifest(path)
         assert "channel id" not in str(info.value)
+
+    @pytest.mark.parametrize("fields", [["file", "label"], "a.wav", None])
+    def test_entry_that_is_not_an_object_rejected(self, tmp_path, fields):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"X": fields}))
+        with pytest.raises(DataError, match="bad entry for X"):
+            dataset.load_manifest(path)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"X": {"file": "a.wav", "label": "H",
+                                          "componnet": "gearbox", "axel": "B1"}}))
+        with pytest.raises(DataError, match="^X: unknown manifest keys: axel, componnet$"):
+            dataset.load_manifest(path)
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"

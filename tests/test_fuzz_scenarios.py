@@ -1,6 +1,7 @@
 """Fuzzing of scenario files within their schema: each ``synth --scenario``
-exits 0 or 2 (a data error), never with a traceback, and whatever it writes
-``extract`` reads with no feature flag, each cache recording its WAV's rate."""
+exits 0 or 2 (a data error), never with a traceback, and 2 for a fault that
+is not a fault object; whatever it writes ``extract`` reads with no feature
+flag, each cache recording its WAV's rate."""
 
 import json
 import tempfile
@@ -25,7 +26,9 @@ profiles = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 199.0)),
                     min_size=1, max_size=4, unique_by=lambda p: p[0]).map(sorted)
 harmonics = st.lists(st.tuples(st.integers(1, 64), st.floats(0.0, 2.0)),
                      max_size=6)
-faults = st.none() | st.fixed_dictionaries({
+# A fault that is neither null nor a fault object, each once read as no fault.
+not_faults = st.sampled_from([{}, False, True, 0, 2.5, [], [1.0], "", "outer_ring"])
+faults = st.none() | not_faults | st.fixed_dictionaries({
     "kind": st.sampled_from(["inner_ring", "outer_ring"]),
     "freq_ratio": log_uniform(0.01, 100.0),
     "amplitude": st.floats(0.0, 10.0),
@@ -55,7 +58,9 @@ def test_synth_and_extract_exit_0_or_2(scenario):
         path.write_text(json.dumps([{"channel": f"F{i}", **channel}
                                     for i, channel in enumerate(scenario)]))
         rc = cli.main(["synth", "--scenario", str(path), "--out", str(tmp / "c")])
-        assert rc in (0, 2)
+        not_a_fault = [c for c in scenario if c["fault"] is not None
+                       and not (isinstance(c["fault"], dict) and c["fault"])]
+        assert rc in ((2,) if not_a_fault else (0, 2))
         manifest = tmp / "c" / "manifest.json"
         assert manifest.exists() == (rc == 0)
         if rc == 0:

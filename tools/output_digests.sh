@@ -44,7 +44,14 @@
 # of two channels whose second WAV is missing (a data error; the first
 # channel's cache is left behind), an extract of a 0.2 s campaign at
 # 400 kHz, too high a rate for 26 Mel channels in a 2048-sample frame (a
-# data error naming the channel), the four named experiments
+# data error naming the channel and the 22 that fit), an extract of the
+# 6.13 s campaign's manifest with a misspelt "componnet" key (a data
+# error), the 6.13 s default campaign written out as a scenario file
+# (dataclasses.asdict of each channel) and synthesized from it (the same
+# WAVs, .rot files and manifest), a channel with whole numbers spelled as
+# integers beside its float-spelled twin (the same bytes), five scenarios
+# whose fault is {}, false, 0, [] or "" (data errors), the four named
+# experiments
 # (600/200 split, 2 epochs), seen-motor on an 8 s campaign synthesized
 # with the same seed, seen-motor again on that campaign after one of its
 # caches was truncated (that channel is extracted again, the others are
@@ -62,7 +69,9 @@
 # --channels list is empty, an extract whose --band is reversed and a synth
 # at --seed -1), a
 # synth whose 1e9 s channels are too large to allocate and one whose 0.05 s
-# channels are shorter than a frame (data errors).
+# channels are shorter than a frame (data errors), and default campaigns at
+# --fs 1 and 100 (usage errors: harmonic 8 lies above fs/2) and at
+# --duration 1e-6 and 2e-5 (data errors: no frame).
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -242,6 +251,57 @@ run synth-high-rate --seed 5 synth --default-campaign --fs 400000 --duration 0.2
 run error-extract-high-rate extract \
     --manifest "$out/campaign-high-rate/manifest.json" \
     --out "$out/campaign-high-rate/features"
+# The 6.13 s campaign's manifest with its gearbox channels' component key
+# misspelt: the first, A2_b3, is named.
+mkdir "$out/manifest-typo"
+sed 's/"component": "gearbox"/"componnet": "gearbox"/' \
+    "$out/campaign-odd/manifest.json" > "$out/manifest-typo/manifest.json"
+run error-extract-manifest-typo extract \
+    --manifest "$out/manifest-typo/manifest.json" --out "$out/manifest-typo/features"
+# The seed-5 6.13 s default campaign written out as a scenario file: each
+# channel's id, its manifest record but the file, and its SynthConfig.
+PYTHONPATH="$src" "${PYTHON:-python3}" - "$out/scenario-default.json" <<'PY'
+import dataclasses, json, sys
+from bearingsound import synth
+channels = [{"channel": spec.channel_id, **dataclasses.asdict(spec.entry),
+             **dataclasses.asdict(spec.config)}
+            for spec in synth.default_scenario(5, duration=6.13)]
+for channel in channels:
+    del channel["file"]
+with open(sys.argv[1], "w") as f:
+    json.dump(channels, f)
+PY
+run synth-scenario-default synth --scenario "$out/scenario-default.json" \
+    --out "$out/scenario-default-campaign"
+# spelled_channel ID FS SECONDS ONE: a faulted channel whose rate, length,
+# first harmonic amplitude and impact amplitude are spelled as given.
+spelled_channel() {
+    cat <<EOF
+{"channel": "$1", "label": "D", "seed": 15, "fs": $2, "duration": $3,
+ "profile": [[0, 43.0]], "harmonics": [[1, $4], [2, 0.4]], "noise_level": 0.2,
+ "fault": {"kind": "outer_ring", "freq_ratio": 3.5, "amplitude": $4,
+           "resonance_freq": 3000, "resonance_decay": 900, "jitter": 0.1}}
+EOF
+}
+echo "[$(spelled_channel I1 16000 2 1), $(spelled_channel I2 16000.0 2.0 1.0)]" \
+    > "$out/scenario-int-spelling.json"
+run synth-scenario-int-spelling synth --scenario "$out/scenario-int-spelling.json" \
+    --out "$out/scenario-int-spelling-campaign"
+# A fault that is not a fault object: a data error each.
+for fault in '{}' false 0 '[]' '""'; do
+    case "$fault" in
+        '{}') name=empty-object ;;
+        '[]') name=empty-list ;;
+        '""') name=empty-string ;;
+        *) name=$fault ;;
+    esac
+    cat > "$out/scenario-fault-$name.json" <<EOF
+[{"channel": "Y1", "label": "D", "seed": 13, "duration": 0.5,
+  "profile": [[0, 43.0]], "harmonics": [[1, 1.0]], "fault": $fault}]
+EOF
+    run "error-synth-fault-$name" synth --scenario "$out/scenario-fault-$name.json" \
+        --out "$out/error-fault-$name"
+done
 
 for name in seen-motor seen-gearbox unseen-A2b2 unseen-A1b1; do
     run "experiment-$name" --seed 5 experiment "$name" --data "$data" \
@@ -322,6 +382,15 @@ run error-synth-huge-duration synth --default-campaign --duration 1e9 \
 # 0.05 s is 1280 samples, fewer than one 2048-sample frame.
 run error-synth-subframe synth --default-campaign --duration 0.05 \
     --out "$out/error-subframe"
+# Default campaigns whose channels fail their checks: at 1 and 100 Hz the
+# top harmonic lies above fs/2 (usage errors), and 1e-6 s and 2e-5 s hold
+# no frame (data errors).
+run error-synth-fs-1 synth --default-campaign --fs 1 --out "$out/error-synth"
+run error-synth-fs-100 synth --default-campaign --fs 100 --out "$out/error-synth"
+run error-synth-duration-1e-6 synth --default-campaign --duration 1e-6 \
+    --out "$out/error-synth"
+run error-synth-duration-2e-5 synth --default-campaign --duration 2e-5 \
+    --out "$out/error-synth"
 
 echo "openblas-core  $core"
 cd "$out"
