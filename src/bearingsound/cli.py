@@ -108,8 +108,9 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-channels", type=_parse_channels, default=None,
                    help="with --test-channels: a by-channel split")
     p.add_argument("--test-channels", type=_parse_channels, default=None)
-    p.add_argument("--train-size", type=positive_int, default=experiments.SEEN_SPLIT[0])
-    p.add_argument("--test-size", type=positive_int, default=experiments.SEEN_SPLIT[1])
+    seen_motor = experiments.PROTOCOLS["seen-motor"]
+    p.add_argument("--train-size", type=positive_int, default=seen_motor.train_size)
+    p.add_argument("--test-size", type=positive_int, default=seen_motor.test_size)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -125,12 +126,10 @@ def _mfcc_config(args) -> MfccConfig:
 
 
 def _split_spec(args) -> SplitSpec:
-    """By-channel when a channel list is given, else random."""
-    if args.channels and (args.train_channels or args.test_channels):
-        raise ConfigError("--channels does not apply to a by-channel split")
+    """By-channel when the two lists are given, else random over --channels."""
     return SplitSpec(train_size=args.train_size, test_size=args.test_size,
                      seed=args.seed, train_channels=args.train_channels,
-                     test_channels=args.test_channels)
+                     test_channels=args.test_channels, channels=args.channels)
 
 
 def _train_config(args) -> TrainConfig:
@@ -138,11 +137,8 @@ def _train_config(args) -> TrainConfig:
                        batch_size=args.batch, seed=args.seed)
 
 
-def _listed_channels(args, manifest, split: SplitSpec | None = None) -> tuple[str, ...]:
-    """A by-channel split's two lists, else --channels, else every manifest
-    channel. argparse parsed the lists before any file was read."""
-    if split is not None and split.train_channels is not None:
-        return split.train_channels + split.test_channels
+def _listed_channels(args, manifest) -> tuple[str, ...]:
+    """--channels, parsed before any file was read, else every manifest channel."""
     return args.channels or tuple(manifest.entries)
 
 
@@ -192,7 +188,7 @@ def cmd_train(args) -> int:
     split, train_config = _split_spec(args), _train_config(args)
     manifest = common.load_manifest(args.manifest)
     frames, mfcc = experiments.load_frames(
-        manifest, _listed_channels(args, manifest, split), args.features)
+        manifest, split.loaded_channels(manifest), args.features)
     model, log, _ = experiments.train_on_split(
         manifest, frames, mfcc, split, train_config)
     model_path = Path(args.out)
@@ -212,7 +208,7 @@ def cmd_eval(args) -> int:
     manifest = common.load_manifest(args.manifest)
     model = mlp.load_model(args.model)
     frames, mfcc = experiments.load_frames(
-        manifest, _listed_channels(args, manifest, split), args.features)
+        manifest, split.loaded_channels(manifest), args.features)
     if model.mfcc != mfcc:
         raise DataError(f"model features {model.mfcc} differ from the caches' {mfcc}")
     _, test_rows = dataset.make_split(frames, split)
@@ -235,12 +231,12 @@ def cmd_experiment(args) -> int:
     data_dir = Path(args.data)
     config, train_config = _mfcc_config(args), _train_config(args)
     manifest = common.load_manifest(data_dir / "manifest.json")
-    spec = experiments.named_experiment(
+    split = experiments.named_experiment(
         args.name, manifest, seed=args.seed,
         train_size=args.train_size, test_size=args.test_size)
     out_dir = Path(args.out) if args.out else data_dir / "results" / args.name
     report = experiments.run_experiment(
-        manifest, spec, config, train_config, out_dir=out_dir,
+        manifest, args.name, split, config, train_config, out_dir=out_dir,
         features_dir=data_dir / "features", log=print)
     print(f"{args.name}: accuracy {report['accuracy']:.2f}%  "
           f"TPR {report['tpr']:.2f}%  TNR {report['tnr']:.2f}%")
@@ -299,7 +295,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_scatter)
 
     p = sub.add_parser("experiment", help="run a named end-to-end protocol")
-    p.add_argument("name", choices=experiments.EXPERIMENT_NAMES)
+    p.add_argument("name", choices=experiments.PROTOCOLS)
     p.add_argument("--data", type=str, required=True, help="campaign directory")
     _add_mfcc_flags(p)
     p.add_argument("--train-size", type=positive_int, default=None)

@@ -1,6 +1,6 @@
 """What the other modules share: the labels, the manifest (a channel's record,
-and the file that maps channel ids to records), ``from_keys`` and
-``set_types``, which build and type every record read from JSON, JSON I/O,
+and the file that maps channel ids to records), ``from_keys``, ``set_types``
+and ``number``, which build and type every record read from JSON, JSON I/O,
 the framed layout of feature caches and models, and ``map_channels``, whose
 worker threads run in parallel because numpy releases the interpreter lock
 inside its array loops, FFTs and BLAS calls."""
@@ -69,15 +69,19 @@ class Manifest:
         return self.entries[channel_id].label
 
 
+def number(key: str, value) -> float:
+    """value, a JSON number but not a boolean, as a float; else a DataError."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DataError(f"{key}: {value!r} is not a number")
+    return float(value)
+
+
 def set_types(record) -> None:
-    """Make record's fields annotated float floats (an int gave integer arrays);
-    a non-number there, or a non-string in a str field, is a DataError."""
+    """Make record's float fields ``number``s; a non-string str field is a DataError."""
     for field in fields(record):
         value = getattr(record, field.name)
         if field.type == "float":
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise DataError(f"{field.name}: {value!r} is not a number")
-            object.__setattr__(record, field.name, float(value))
+            object.__setattr__(record, field.name, number(field.name, value))
         elif field.type == "str" and not isinstance(value, str):
             raise DataError(f"{field.name}: {value!r} is not a string")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audiofile import FRAME_SAMPLES, AudioRecording
-from .common import LABELS, read_framed, write_framed
+from .common import LABELS, Manifest, read_framed, write_framed
 from .dsp import MfccConfig, feature_matrix
 from .errors import ConfigError, DataError, FormatError
 
@@ -86,13 +86,14 @@ def gate_frames(recording: AudioRecording, config: MfccConfig, label: str) -> Fr
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """A train/test partition of gated frames: by channel if it has channel lists."""
+    """A train/test partition of gated frames: by channel lists, else random."""
 
     train_size: int
     test_size: int
     seed: int = 0
     train_channels: tuple[str, ...] | None = None
     test_channels: tuple[str, ...] | None = None
+    channels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.train_size <= 0 or self.test_size <= 0:
@@ -100,12 +101,20 @@ class SplitSpec:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.train_channels is not None or self.test_channels is not None:
+            if self.channels is not None:
+                raise ConfigError("--channels does not apply to a by-channel split")
             if not self.train_channels or not self.test_channels:
                 raise ConfigError("by_channel split needs train and test channel lists")
             overlap = set(self.train_channels) & set(self.test_channels)
             if overlap:
                 raise DataError(
                     f"channels in both train and test: {', '.join(sorted(overlap))}")
+
+    def loaded_channels(self, manifest: Manifest) -> tuple[str, ...]:
+        """train_channels + test_channels, else channels, else every manifest channel."""
+        if self.train_channels is not None:
+            return self.train_channels + self.test_channels
+        return self.channels if self.channels is not None else tuple(manifest.entries)
 
 
 def _subsample_per_channel(frames: Frames, channels: tuple[str, ...],

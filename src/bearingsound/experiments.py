@@ -1,6 +1,6 @@
 """End-to-end experiment protocols over a campaign directory.
 
-Four named experiments are built in:
+Four named experiments are built in, each a ``SplitSpec`` in ``PROTOCOLS``:
 
 * seen-motor:    pooled random split over the motor channels A1_b1, A2_b2
                  (damaged) and B1_b1, B2_b2 (healthy).
@@ -22,7 +22,7 @@ inputs and seeds reproduce identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,37 +35,29 @@ from .dsp import MfccConfig
 from .errors import ConfigError, DataError
 from .mlp import TrainConfig
 
-EXPERIMENT_NAMES = ("seen-motor", "seen-gearbox", "unseen-A2b2", "unseen-A1b1")
-
-SEEN_SPLIT = (8000, 2000)
-UNSEEN_SPLIT = (5000, 5000)
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A named protocol resolved against a manifest."""
-
-    name: str
-    channels: tuple[str, ...]
-    split: SplitSpec
+PROTOCOLS = {
+    "seen-motor": SplitSpec(8000, 2000, channels=("A1_b1", "A2_b2", "B1_b1", "B2_b2")),
+    "seen-gearbox": SplitSpec(8000, 2000, channels=("A2_b3",)),
+    "unseen-A2b2": SplitSpec(5000, 5000, train_channels=("A1_b1", "B1_b1"),
+                             test_channels=("A2_b2", "B2_b2")),
+    "unseen-A1b1": SplitSpec(5000, 5000, train_channels=("A2_b2", "B2_b2"),
+                             test_channels=("A1_b1", "B1_b1")),
+}
 
 
 def named_experiment(name: str, manifest: Manifest, seed: int,
                      train_size: int | None = None,
-                     test_size: int | None = None) -> ExperimentSpec:
-    """Resolve one of the built-in experiment names against a manifest."""
-    train_channels = test_channels = None
-    if name == "seen-motor":
-        channels = ("A1_b1", "A2_b2", "B1_b1", "B2_b2")
-    elif name == "seen-gearbox":
-        channels = ("A2_b3",)
-    elif name in ("unseen-A2b2", "unseen-A1b1"):
-        pair = (("A1_b1", "B1_b1"), ("A2_b2", "B2_b2"))
-        train_channels, test_channels = pair if name == "unseen-A2b2" else pair[::-1]
-        channels = train_channels + test_channels
-    else:
+                     test_size: int | None = None) -> SplitSpec:
+    """PROTOCOLS[name] under seed and any given sizes, checked against a
+    manifest; seen-gearbox adds its healthy gearbox channels at B1/B2/A1."""
+    if name not in PROTOCOLS:
         raise ConfigError(
-            f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENT_NAMES)}")
-    missing = [c for c in channels if c not in manifest.entries]
+            f"unknown experiment {name!r}; choose from {', '.join(PROTOCOLS)}")
+    split = PROTOCOLS[name]
+    split = replace(split, seed=seed,
+                    train_size=split.train_size if train_size is None else train_size,
+                    test_size=split.test_size if test_size is None else test_size)
+    missing = [c for c in split.loaded_channels(manifest) if c not in manifest.entries]
     if missing:
         raise DataError("manifest is missing required channel(s): " + ", ".join(missing))
     if name == "seen-gearbox":
@@ -74,13 +66,8 @@ def named_experiment(name: str, manifest: Manifest, seed: int,
         if not healthy:
             raise DataError(
                 "no healthy gearbox channels at axles B1/B2/A1 in the manifest")
-        channels += healthy
-    default = SEEN_SPLIT if train_channels is None else UNSEEN_SPLIT
-    split = SplitSpec(seed=seed,
-                      train_size=default[0] if train_size is None else train_size,
-                      test_size=default[1] if test_size is None else test_size,
-                      train_channels=train_channels, test_channels=test_channels)
-    return ExperimentSpec(name=name, channels=channels, split=split)
+        split = replace(split, channels=split.channels + healthy)
+    return split
 
 
 # --- feature extraction with cache reuse -------------------------------------
@@ -186,21 +173,21 @@ def evaluate_frames(model: mlp.MlpModel, frames: dataset.Frames) -> dict:
     return metrics.metrics(metrics.confusion(probs.argmax(axis=1), frames.labels))
 
 
-def run_experiment(manifest: Manifest, spec: ExperimentSpec,
+def run_experiment(manifest: Manifest, name: str, split: SplitSpec,
                    mfcc_config: MfccConfig, train_config: TrainConfig,
                    out_dir, features_dir, log=None) -> dict:
-    """Extract, split, train and evaluate one named experiment; returns the
-    test report record."""
+    """Extract, split, train and evaluate one experiment, logged under name;
+    returns the test report record."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames, mfcc = pool_frames(ensure_caches(
-        manifest, spec.channels, mfcc_config, features_dir, log=log))
+        manifest, split.loaded_channels(manifest), mfcc_config, features_dir, log=log))
     model, run_log, test_frames = train_on_split(
-        manifest, frames, mfcc, spec.split, train_config)
+        manifest, frames, mfcc, split, train_config)
     report = evaluate_frames(model, test_frames)
 
     mlp.save_model(model, out_dir / "model.abmm")
-    train_log = {"experiment": spec.name, **run_log,
+    train_log = {"experiment": name, **run_log,
                  "test_class_counts": dataset.label_counts(test_frames.labels)}
     write_json(out_dir / "train_log.json", train_log)
     metrics.write_report(report, out_dir)

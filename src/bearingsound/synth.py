@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .audiofile import FRAME_SAMPLES, AudioRecording
-from .common import ManifestEntry, from_keys, manifest_entry, read_json, set_types
+from .common import ManifestEntry, from_keys, manifest_entry, number, read_json, set_types
 from .errors import ConfigError, DataError
 
 OUTER_RING = "outer_ring"
@@ -89,7 +89,8 @@ class SynthConfig:
             raise ConfigError(f"fs: {self.fs!r} is not a whole number of Hz below 2^31")
         if not 0 < self.duration < math.inf:
             raise ConfigError("duration must be positive and finite")
-        profile = tuple((float(t), float(f)) for t, f in self.profile)
+        profile = tuple((number("profile", t), number("profile", f))
+                        for t, f in self.profile)
         if not profile:
             raise ConfigError("profile must not be empty")
         times = [t for t, _ in profile]
@@ -98,7 +99,7 @@ class SynthConfig:
         if not all(0 < f < math.inf for _, f in profile):
             raise ConfigError("rotational frequency must stay positive and finite")
         object.__setattr__(self, "profile", profile)
-        harmonics = tuple((_integer("harmonics", h), float(a))
+        harmonics = tuple((_integer("harmonics", h), number("harmonics", a))
                           for h, a in self.harmonics)
         if any(h <= 0 for h, _ in harmonics):
             raise ConfigError("harmonic numbers must be positive")
@@ -480,6 +481,8 @@ def channel_from_json(entry: dict) -> ChannelSpec:
     ``ManifestEntry`` fields but file (the WAV is <channel>.wav) and the
     ``SynthConfig`` fields; fault is null or an object of ``FaultSpec``'s.
     profile is [[t, hz], ...] and harmonics [[h, amp], ...]."""
+    if "channel" not in entry:
+        raise DataError("missing channel keys: channel")
     config = {**entry}
     channel_id = config.pop("channel")
     record = {f.name: config.pop(f.name) for f in fields(ManifestEntry)

@@ -343,13 +343,17 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("path,value", [
         (("fs",), "25600"), (("duration",), None), (("noise_level",), True),
-        (("fault", "amplitude"), "0.5")])
+        (("fault", "amplitude"), "0.5"), (("profile", 0, 0), "0"),
+        (("profile", 0, 1), "43.0"), (("profile", 1, 0), True),
+        (("harmonics", 0, 1), "1.0"), (("harmonics", 1, 1), False)])
     def test_scenario_number_that_is_not_a_number_is_a_data_error(
             self, tmp_path, capsys, path, value):
-        # float() once read "25600" as 25600.0 and true as 1.0.
+        # float() once read "25600" as 25600.0 and true as 1.0, and so it
+        # did in a profile point or a harmonic amplitude.
+        key = [step for step in path if isinstance(step, str)][-1]
         rc, err, out = self.synth_with(tmp_path, capsys, path, value)
         assert (rc, err) == (2, f"data error: {tmp_path / 'scenario.json'}: bad "
-                                f"channel entry ({path[-1]}: {value!r} is not a "
+                                f"channel entry ({key}: {value!r} is not a "
                                 "number)\n")
         assert not out.exists()
 
@@ -400,7 +404,7 @@ class TestSynthCommand:
         assert err.startswith("data error: ") and err.endswith(f"({shown})\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["seed", "duration", "profile"])
+    @pytest.mark.parametrize("key", ["seed", "duration", "profile", "channel"])
     def test_missing_channel_key_without_a_default_is_a_data_error(
             self, tmp_path, capsys, key):
         channel = copy.deepcopy(self.SCENARIO)
@@ -690,7 +694,8 @@ class TestTrainEvalCommands:
         assert len(log["per_epoch_loss"]) == 3
         assert log["train_class_counts"]["H"] + log["train_class_counts"]["D"] == 400
         assert log["split"] == {"seed": 5, "train_size": 400, "test_size": 100,
-                                "train_channels": None, "test_channels": None}
+                                "train_channels": None, "test_channels": None,
+                                "channels": ["A1_b1", "A2_b2", "B1_b1", "B2_b2"]}
         assert sorted(log["train_config"]) == ["batch_size", "epochs",
                                                "learning_rate", "seed"]
 

@@ -211,10 +211,12 @@ class TestSplits:
         {"train_channels": ("a",)},
         {"test_channels": ("b",)},
         {"seed": -1},
+        {"channels": ("c",), "train_channels": ("a",), "test_channels": ("b",)},
     ])
     def test_usage_errors_are_config_errors(self, fields):
-        # A channel list makes the split by-channel, which needs both lists;
-        # a negative seed would fail only in make_split's default_rng.
+        # A channel list makes the split by-channel, which needs both lists
+        # and pools no other channels; a negative seed would fail only in
+        # make_split's default_rng.
         with pytest.raises(ConfigError):
             SplitSpec(**{"train_size": 10, "test_size": 10, **fields})
 

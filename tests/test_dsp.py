@@ -241,6 +241,14 @@ class TestMfcc:
         coeffs = dsp.mfcc(np.zeros(26), cfg)
         assert np.all(np.isfinite(coeffs))
 
+    def test_energies_below_the_floor_match_the_literal_floor(self):
+        # Silent and near-silent bands read as 1e-10, naive_cepstrum's floor.
+        energies = np.random.default_rng(14).uniform(1e-3, 10.0, size=26)
+        energies[[0, 5, 11, 19, 25]] = [0.0, 1e-300, 1e-12, 9.9e-11, 1e-10]
+        np.testing.assert_allclose(dsp.mfcc(energies, dsp.MfccConfig()),
+                                   naive_cepstrum(energies, 13),
+                                   rtol=1e-9, atol=1e-12)
+
     def test_wrong_energy_count_rejected(self):
         with pytest.raises(ValueError):
             dsp.mfcc(np.ones(10), dsp.MfccConfig())

@@ -20,15 +20,15 @@ def manifest(campaign_dir):
 
 class TestNamedExperiments:
     def test_seen_motor_channels(self, manifest):
-        spec = experiments.named_experiment("seen-motor", manifest, seed=3)
-        assert spec.channels == ("A1_b1", "A2_b2", "B1_b1", "B2_b2")
-        assert spec.split.train_channels is spec.split.test_channels is None
-        assert (spec.split.train_size, spec.split.test_size) == (8000, 2000)
+        split = experiments.named_experiment("seen-motor", manifest, seed=3)
+        assert split.channels == ("A1_b1", "A2_b2", "B1_b1", "B2_b2")
+        assert split.train_channels is split.test_channels is None
+        assert (split.train_size, split.test_size) == (8000, 2000)
 
     def test_seen_gearbox_resolves_healthy_gearbox_channels(self, manifest):
-        spec = experiments.named_experiment("seen-gearbox", manifest, seed=3)
-        assert spec.channels[0] == "A2_b3"
-        healthy = spec.channels[1:]
+        split = experiments.named_experiment("seen-gearbox", manifest, seed=3)
+        assert split.channels[0] == "A2_b3"
+        healthy = split.channels[1:]
         assert healthy  # default campaign provides B2_b3
         for channel in healthy:
             entry = manifest.entries[channel]
@@ -38,19 +38,19 @@ class TestNamedExperiments:
 
     def test_unseen_protocols_swap_train_and_test(self, manifest):
         a = experiments.named_experiment("unseen-A2b2", manifest, seed=3)
-        assert a.split.train_channels == ("A1_b1", "B1_b1")
-        assert a.split.test_channels == ("A2_b2", "B2_b2")
+        assert a.train_channels == ("A1_b1", "B1_b1")
+        assert a.test_channels == ("A2_b2", "B2_b2")
         b = experiments.named_experiment("unseen-A1b1", manifest, seed=3)
-        assert b.split.train_channels == ("A2_b2", "B2_b2")
-        assert b.split.test_channels == ("A1_b1", "B1_b1")
-        assert (b.split.train_size, b.split.test_size) == (5000, 5000)
+        assert b.train_channels == ("A2_b2", "B2_b2")
+        assert b.test_channels == ("A1_b1", "B1_b1")
+        assert (b.train_size, b.test_size) == (5000, 5000)
 
     def test_size_overrides(self, manifest):
-        spec = experiments.named_experiment("seen-motor", manifest, seed=3,
-                                            train_size=100, test_size=50)
-        assert (spec.split.train_size, spec.split.test_size) == (100, 50)
+        split = experiments.named_experiment("seen-motor", manifest, seed=3,
+                                             train_size=100, test_size=50)
+        assert (split.train_size, split.test_size) == (100, 50)
 
-    @pytest.mark.parametrize("name", experiments.EXPERIMENT_NAMES)
+    @pytest.mark.parametrize("name", experiments.PROTOCOLS)
     def test_explicit_zero_size_is_kept(self, manifest, name):
         with pytest.raises(ConfigError, match="must be positive"):
             experiments.named_experiment(name, manifest, seed=3, train_size=0,
@@ -243,19 +243,20 @@ class TestCaches:
         real = dataset._parse_cache
         monkeypatch.setattr(dataset, "_parse_cache",
                             lambda path: parsed.append(path.name) or real(path))
-        spec = experiments.named_experiment("seen-motor", manifest, seed=4,
-                                            train_size=300, test_size=100)
+        split = experiments.named_experiment("seen-motor", manifest, seed=4,
+                                             train_size=300, test_size=100)
         per_run, messages = [], []
         for run in ("cold", "warm"):
             parsed.clear()
             experiments.run_experiment(
-                manifest, spec, MfccConfig(), mlp.TrainConfig(epochs=1, seed=4),
+                manifest, "seen-motor", split, MfccConfig(),
+                mlp.TrainConfig(epochs=1, seed=4),
                 out_dir=tmp_path / run, features_dir=tmp_path / "f",
                 log=messages.append)
             per_run.append(sorted(parsed))
-        assert per_run == [[], sorted(f"{c}.abfc" for c in spec.channels)]
-        warm = messages[len(spec.channels):]
-        assert warm == [f"{c}: cache reused" for c in spec.channels]
+        assert per_run == [[], sorted(f"{c}.abfc" for c in split.channels)]
+        warm = messages[len(split.channels):]
+        assert warm == [f"{c}: cache reused" for c in split.channels]
         # Frames just extracted train the same model as frames read back.
         assert ((tmp_path / "cold" / "model.abmm").read_bytes()
                 == (tmp_path / "warm" / "model.abmm").read_bytes())
@@ -335,13 +336,13 @@ class TestRun:
 
     def test_model_records_the_settings_its_caches_hold(self, manifest, tmp_path):
         # The WAVs are 25.6 kHz; the frame length and the rate come from them.
-        spec = experiments.named_experiment("seen-motor", manifest, seed=4,
-                                            train_size=100, test_size=40)
+        split = experiments.named_experiment("seen-motor", manifest, seed=4,
+                                             train_size=100, test_size=40)
         experiments.run_experiment(
-            manifest, spec, MfccConfig(),
+            manifest, "seen-motor", split, MfccConfig(),
             mlp.TrainConfig(epochs=1, seed=4), out_dir=tmp_path / "r",
             features_dir=tmp_path / "f")
-        _, mfcc = experiments.load_frames(manifest, spec.channels, tmp_path / "f")
+        _, mfcc = experiments.load_frames(manifest, split.channels, tmp_path / "f")
         assert mfcc == DEFAULT_SETTINGS
         assert mlp.load_model(tmp_path / "r" / "model.abmm").mfcc == mfcc
 
@@ -350,10 +351,11 @@ class TestRun:
             experiments.load_frames(manifest, (), tmp_path)
 
     def test_run_experiment_writes_complete_results(self, manifest, tmp_path):
-        spec = experiments.named_experiment("seen-motor", manifest, seed=4,
-                                            train_size=300, test_size=100)
+        split = experiments.named_experiment("seen-motor", manifest, seed=4,
+                                             train_size=300, test_size=100)
         result = experiments.run_experiment(
-            manifest, spec, MfccConfig(), mlp.TrainConfig(epochs=3, seed=4),
+            manifest, "seen-motor", split, MfccConfig(),
+            mlp.TrainConfig(epochs=3, seed=4),
             out_dir=tmp_path / "out",
             features_dir=tmp_path / "f")
         out = tmp_path / "out"

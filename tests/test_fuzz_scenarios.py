@@ -1,8 +1,9 @@
 """Fuzzing of scenario files within their schema: each ``synth --scenario``
 exits 0 or 2 (a data error), never with a traceback, and 2 for a fault that
-is not a fault object or a channel id that is not a string; whatever it
-writes ``extract`` reads with no feature flag, each cache recording its
-WAV's rate."""
+is not a fault object, a channel id that is not a string or a profile or
+harmonic number that is a string or a boolean; whatever it writes
+``extract`` reads with no feature flag, each cache recording its WAV's
+rate."""
 
 import json
 import tempfile
@@ -21,12 +22,37 @@ def log_uniform(low, high):
     return st.floats(0.0, 1.0).map(lambda u: low * (high / low) ** u)
 
 
+# A number that float() once read: a string or a boolean.
+not_numbers = st.sampled_from(["0", "43.0", "1e3", "", True, False])
+
+
+def sometimes_not_numbers(points):
+    """points, or, one draw in four, points with one number a not_numbers value."""
+    if not points:
+        return st.just(points)
+
+    def swap(where):
+        row, column, value = where
+        swapped = [list(point) for point in points]
+        swapped[row][column] = value
+        return swapped
+
+    swapped = st.tuples(st.integers(0, len(points) - 1), st.integers(0, 1),
+                        not_numbers).map(swap)
+    return st.one_of(st.just(points), st.just(points), st.just(points), swapped)
+
+
+def has_not_number(points):
+    return any(isinstance(x, (str, bool)) for point in points for x in point)
+
+
 # Below 200 Hz, harmonic 64 stays under fs/2 at 25.6 kHz and above; at lower
 # rates it may cross fs/2, as fault ratios up to 100 may, which is a data error.
 profiles = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 199.0)),
-                    min_size=1, max_size=4, unique_by=lambda p: p[0]).map(sorted)
+                    min_size=1, max_size=4, unique_by=lambda p: p[0]).map(
+                        sorted).flatmap(sometimes_not_numbers)
 harmonics = st.lists(st.tuples(st.integers(1, 64), st.floats(0.0, 2.0)),
-                     max_size=6)
+                     max_size=6).flatmap(sometimes_not_numbers)
 # A fault that is neither null nor a fault object, each once read as no fault.
 not_faults = st.sampled_from([{}, False, True, 0, 2.5, [], [1.0], "", "outer_ring"])
 faults = st.none() | not_faults | st.fixed_dictionaries({
@@ -65,7 +91,9 @@ def test_synth_and_extract_exit_0_or_2(scenario):
         not_a_fault = [c for c in scenario if c["fault"] is not None
                        and not (isinstance(c["fault"], dict) and c["fault"])]
         not_an_id = [c for c in scenario if "channel" in c]
-        assert rc in ((2,) if not_a_fault or not_an_id else (0, 2))
+        not_a_number = [c for c in scenario if has_not_number(c["profile"])
+                        or has_not_number(c["harmonics"])]
+        assert rc in ((2,) if not_a_fault or not_an_id or not_a_number else (0, 2))
         manifest = tmp / "c" / "manifest.json"
         assert manifest.exists() == (rc == 0)
         if rc == 0:

@@ -160,6 +160,14 @@ class TestLoss:
         expected /= 8.0
         assert abs(mlp.loss(posteriors, labels) - expected) < 1e-12
 
+    def test_saturated_posterior_is_floored_at_1e_12(self):
+        # A true-class posterior of 0 (or below the floor) costs -ln(1e-12),
+        # not inf; the mean takes it like any other row.
+        saturated = np.array([[1.0, 0.0], [1.0, 1e-300], [0.5, 0.5]])
+        value = mlp.loss(saturated, np.array([1, 1, 0]))
+        expected = (2 * -math.log(1e-12) + math.log(2.0)) / 3
+        assert abs(value - expected) < 1e-12
+
     def test_one_hot_labels_rejected(self):
         # One-hot rows would broadcast into a block of picks, not one per row.
         with pytest.raises(DataError, match="one class index per posterior row"):
@@ -227,8 +235,9 @@ class TestAdam:
 
 
 def textbook_adam(params, grads, config):
-    """Kingma & Ba's Algorithm 1, one operation at a time."""
-    b1, b2 = mlp.BETA1, mlp.BETA2
+    """Kingma & Ba's Algorithm 1, one operation at a time, with their
+    defaults written out, so a change to mlp's constants shows."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
     p = params.copy()
     m = np.zeros_like(p)
     v = np.zeros_like(p)
@@ -237,7 +246,7 @@ def textbook_adam(params, grads, config):
         v = b2 * v + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        p = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + mlp.ADAM_EPS)
+        p = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     return p
 
 

@@ -38,7 +38,8 @@
 # below fs/2 but above the Taylor tables' bound (a data error), a scenario
 # with a NaN duration, one with an unknown key, one with seed 2.9, one with
 # seed -1, one that names its channel and its duration twice, one whose
-# channel is null and one whose fault rate, 300 impacts per turn of a 43 Hz
+# channel is null, one with no channel key, one whose profile numbers are
+# strings and one whose fault rate, 300 impacts per turn of a 43 Hz
 # shaft, lies above fs/2 (data errors, no --out directory), an
 # extract of a channel whose .rot file holds nan (a data error), an extract
 # of two channels whose second WAV is missing (a data error; the first
@@ -233,6 +234,18 @@ cat > "$out/scenario-channel-null.json" <<EOF
 EOF
 run error-synth-channel-null synth --scenario "$out/scenario-channel-null.json" \
     --out "$out/error-channel-null"
+cat > "$out/scenario-no-channel.json" <<EOF
+[{"label": "H", "seed": 13, "duration": 0.5,
+  "profile": [[0, 43.0]], "harmonics": [[1, 1.0]]}]
+EOF
+run error-synth-no-channel synth --scenario "$out/scenario-no-channel.json" \
+    --out "$out/error-no-channel"
+cat > "$out/scenario-profile-string.json" <<EOF
+[{"channel": "Z2", "label": "H", "seed": 13, "duration": 0.5,
+  "profile": [["0", "43.0"]], "harmonics": [[1, 1.0]]}]
+EOF
+run error-synth-profile-string synth --scenario "$out/scenario-profile-string.json" \
+    --out "$out/error-profile-string"
 cat > "$out/scenario-fault-rate.json" <<EOF
 [{"channel": "X1", "label": "D", "seed": 13, "duration": 0.5,
   "profile": [[0, 43.0]], "harmonics": [[1, 1.0]],
